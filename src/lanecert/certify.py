@@ -7,6 +7,10 @@ local view: its id, its input tags, and the labels of incident edges.  If
 every vertex accepts, the graph satisfies the property and admits a lane
 structure within the width bound; a single reject refutes the certificate.
 
+Prover and verifier share one class fold, ``_recompute_sub``: the prover
+runs it over the element records it emits (``annotate_classes``), and each
+vertex reruns it over the records it sees.
+
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count), followed by one section per decomposition
 node containing the edge (root first), followed by embedding sections for
@@ -27,7 +31,7 @@ from .encoding import (
     write_section,
     write_term,
 )
-from .graph import Edge, Graph, bfs_parents, edge_key, id_bits, is_connected
+from .graph import Edge, Graph, edge_key, id_bits, is_connected
 from .intervals import (
     IntervalRepresentation,
     PathDecomposition,
@@ -35,16 +39,11 @@ from .intervals import (
     validate,
     width,
 )
-from .lanes import Embedding, LanePartition, build_lane_partition, lane_bounds
-from .properties import (
-    HomClass,
-    PropertyError,
-    PropertyPlugin,
-    annotate_classes,
-    get_plugin,
-)
+from .lanes import Embedding, build_lane_partition, lane_bounds
+from .properties import HomClass, PropertyError, PropertyPlugin, get_plugin
 from .recursive import (
     BNodeData,
+    Element,
     ENodeData,
     HierarchicalDecomposition,
     PNodeData,
@@ -351,71 +350,6 @@ def decode_label(bits: Bits) -> DecodedLabel:
     return DecodedLabel(n, w, tnodes, routes)
 
 
-# --- the standalone pointer scheme ------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointerLabel:
-    target: int
-    parent: int
-    dist: int
-    is_tree: bool
-
-
-def pointer_labels(g: Graph, target: int) -> Dict[Edge, PointerLabel]:
-    """Label every edge so local checks certify that `target` exists."""
-    if not is_connected(g):
-        raise CertifyError("pointer scheme requires a connected graph")
-    dist, parents = bfs_parents(g.adj, target)
-    out: Dict[Edge, PointerLabel] = {}
-    for e in g.edges:
-        u, v = e
-        if parents.get(u) == v:
-            out[e] = PointerLabel(target, v, dist[v], True)
-        elif parents.get(v) == u:
-            out[e] = PointerLabel(target, u, dist[u], True)
-        else:
-            out[e] = PointerLabel(target, u, 0, False)
-    return out
-
-
-def verify_pointer(vid: int, incident: Dict[Edge, PointerLabel]) -> bool:
-    """Local check of the pointer scheme at one vertex."""
-    if not incident:
-        return True  # isolated vertex certifies only itself
-    targets = {l.target for l in incident.values()}
-    if len(targets) != 1:
-        return False
-    target = targets.pop()
-    for e, l in incident.items():
-        if vid not in e or l.parent not in e:
-            return False
-    if vid == target:
-        return all(
-            l.is_tree and l.parent == vid and l.dist == 0
-            for l in incident.values()
-        )
-    up = [l for l in incident.values() if l.is_tree and l.parent != vid]
-    if len(up) != 1:
-        return False
-    d = up[0].dist
-    return all(
-        l.dist == d + 1
-        for l in incident.values()
-        if l.is_tree and l.parent == vid
-    )
-
-
-def encode_pointer_label(l: PointerLabel, n: int) -> Bits:
-    b = id_bits(n)
-    w = BitWriter()
-    w.write_uint(l.target, b)
-    w.write_uint(l.parent, b)
-    w.write_varint(l.dist)
-    w.write_bit(l.is_tree)
-    return w.getvalue()
-
-
 # --- prover ------------------------------------------------------------------
 
 
@@ -429,15 +363,6 @@ def resolve_property(name: str) -> Tuple[str, bool, PropertyPlugin]:
     base = name[len("marked-"):] if marked else name
     get_plugin(base)  # existence check with a helpful error
     return base, marked, get_plugin("marked-" + base)
-
-
-def _node_basic(node: TNode, ann) -> BasicInfo:
-    r = node.root_element
-    return BasicInfo(dict(r.sub_in), dict(r.sub_out), ann.tnode[r.eid])
-
-
-def _sub_basic(el, ann) -> BasicInfo:
-    return BasicInfo(dict(el.sub_in), dict(el.sub_out), ann.sub[el.eid])
 
 
 def _collect_nodes(hd: HierarchicalDecomposition) -> List[TNode]:
@@ -474,7 +399,8 @@ def _pointer_fields(node: TNode) -> Dict[Edge, Tuple[int, bool, bool]]:
                 dist[w] = dist[u] + 1
                 parent[w] = u
                 queue.append(w)
-    assert len(dist) == len(kl.vertices), "fragment must be connected"
+    if len(dist) != len(kl.vertices):
+        raise CertifyError("T-node fragment is not connected")
     out = {}
     for e in kl.edges:
         u, v = e
@@ -526,7 +452,9 @@ def prove(
                 "witness width %d exceeds %d" % (width(ir), k + 1)
             )
     lp, emb = build_lane_partition(g, ir)
-    assert lp.k <= lane_bounds(k + 1)[0]
+    f_bound = lane_bounds(k + 1)[0]
+    if lp.k > f_bound:
+        raise CertifyError("%d lanes exceed the bound f = %d" % (lp.k, f_bound))
     s = completion_to_op_sequence(g, ir, lp)
     hd = build_hierarchical_decomposition(s)
     emarks: Dict[Edge, int] = {}
@@ -536,7 +464,7 @@ def prove(
     ann = annotate_classes(hd, plugin, emarks)
     if not ann.accepted and not force:
         raise CertifyError("property %r does not hold" % prop_name)
-    return _emit_labels(g, k, hd, ann, emb, lp, emarks, plugin)
+    return _emit_labels(g, k, hd, ann, emb, lp)
 
 
 def _simplify_path(path: List[int]) -> List[int]:
@@ -554,21 +482,17 @@ def _simplify_path(path: List[int]) -> List[int]:
     return out
 
 
-def _emit_labels(g, k, hd, ann, emb: Embedding, lp, emarks, plugin) -> Dict[Edge, Bits]:
+def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     n = g.n
     w_lanes = lp.k
     real = g.edge_set()
     nodes = _collect_nodes(hd)
     chains: Dict[Edge, List[TSec]] = {}
     for node in nodes:
-        nb = _node_basic(node, ann)
+        nb = ann.sub[node.root_element.eid]
         ptr = _pointer_fields(node)
-        parent_eid: Dict[int, Optional[int]] = {node.root_element.eid: None}
         for el in node.elements():
-            for c in el.children:
-                parent_eid[c.eid] = el.eid
-        for el in node.elements():
-            rec = _make_record(el, parent_eid[el.eid], ann, emarks)
+            rec = ann.records[el.eid]
             for e in el.klane_own.edges:
                 dist, is_tree, pmin = ptr[e]
                 chains.setdefault(e, []).append(
@@ -584,7 +508,10 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp, emarks, plugin) -> Dict[Edge
                 )
     bound = 2 * max(1, w_lanes)
     for e, chain in chains.items():
-        assert len(chain) <= bound, "node sections exceed the depth bound"
+        if len(chain) > bound:
+            raise CertifyError(
+                "edge %s lies in %d T-nodes, above 2w = %d" % (e, len(chain), bound)
+            )
     bits: Dict[Edge, Bits] = {
         e: encode_label(n, w_lanes, chain, []) for e, chain in chains.items()
     }
@@ -600,12 +527,15 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp, emarks, plugin) -> Dict[Edge
     h_bound = lane_bounds(k + 1)[2]
     out: Dict[Edge, Bits] = {}
     for e in real:
-        assert len(routes[e]) <= h_bound, "route congestion exceeds h"
+        if len(routes[e]) > h_bound:
+            raise CertifyError(
+                "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
+            )
         out[e] = encode_label(n, w_lanes, chains[e], routes[e])
     return out
 
 
-def _make_record(el, parent_eid, ann, emarks) -> ElementRecord:
+def _make_record(el, parent_eid, sub, emarks) -> ElementRecord:
     markf = lambda e: 1 if emarks.get(e, 0) else 0
     if el.kind == "E":
         d: ENodeData = el.payload
@@ -621,14 +551,54 @@ def _make_record(el, parent_eid, ann, emarks) -> ElementRecord:
         def side(child):
             if isinstance(child, VLeaf):
                 return ("V", child.lane, child.vertex)
-            return ("T", child.root_element.eid, _node_basic(child, ann))
+            return ("T", child.root_element.eid, sub[child.root_element.eid])
 
         topo = ("B", d.i, d.j, d.bridge, markf(d.bridge), side(d.left), side(d.right))
-    children = tuple(
-        (c.eid, _sub_basic(c, ann))
-        for c in sorted(el.children, key=lambda c: c.eid)
-    )
+    children = tuple((c.eid, sub[c.eid]) for c in sorted(el.children, key=lambda c: c.eid))
     return ElementRecord(el.eid, parent_eid, topo, children)
+
+
+@dataclass
+class Annotation:
+    """Every element's record and subtree info, and the whole graph's info."""
+
+    records: Dict[int, ElementRecord]
+    sub: Dict[int, BasicInfo]
+    root: BasicInfo
+    accepted: bool
+
+
+def annotate_classes(
+    hd: HierarchicalDecomposition, plugin: PropertyPlugin, emarks: Dict[Edge, int]
+) -> Annotation:
+    """Fold the decomposition with the verifier's own _recompute_sub, so the
+    prover emits exactly the subtree infos each vertex will recompute.
+
+    emarks gives each edge's mark; an edge missing from it is unmarked.
+    """
+    # Preorder over the whole element forest (merge children plus B-side
+    # T-node roots); reversed, every element comes after all it contains.
+    order: List[Tuple[Element, Optional[int]]] = []
+    stack: List[Tuple[Element, Optional[int]]] = [(hd.root.root_element, None)]
+    while stack:
+        el, parent_eid = stack.pop()
+        order.append((el, parent_eid))
+        stack.extend((c, el.eid) for c in el.children)
+        if el.kind == "B":
+            for side in (el.payload.left, el.payload.right):
+                if isinstance(side, TNode):
+                    stack.append((side.root_element, None))
+    records: Dict[int, ElementRecord] = {}
+    sub: Dict[int, BasicInfo] = {}
+    for el, parent_eid in reversed(order):
+        rec = _make_record(el, parent_eid, sub, emarks)
+        try:
+            sub[el.eid] = _recompute_sub(rec, plugin)
+        except _Reject as rj:
+            raise CertifyError("element %d fails its own check: %s" % (el.eid, rj.code))
+        records[el.eid] = rec
+    root = sub[hd.root.root_element.eid]
+    return Annotation(records, sub, root, plugin.accepts(root.cls))
 
 
 # --- verifier ----------------------------------------------------------------
@@ -722,10 +692,6 @@ def _topo_edges(rec: ElementRecord) -> List[Tuple[Edge, int]]:
             (edge_key(x, y), m) for (x, y), m in zip(zip(vids, vids[1:]), marks)
         ]
     return [(t[3], t[4])]
-
-
-def _basic_eq(a: BasicInfo, b: BasicInfo) -> bool:
-    return a.t_in == b.t_in and a.t_out == b.t_out and a.cls == b.cls
 
 
 def verify_vertex(
@@ -879,7 +845,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                 ]
                 if not sides:
                     raise _Reject("chain-link")
-                if not _basic_eq(sides[0][2], chain[pos + 1].basic):
+                if sides[0][2] != chain[pos + 1].basic:
                     raise _Reject("side-basic")
             node_entries.setdefault(sec.node_eid, []).append((e, sec))
 
@@ -888,7 +854,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     for node_eid, entries in node_entries.items():
         first = entries[0][1]
         for _, sec in entries[1:]:
-            if sec.is_root != first.is_root or not _basic_eq(sec.basic, first.basic):
+            if sec.is_root != first.is_root or sec.basic != first.basic:
                 raise _Reject("node-shared")
         basic = first.basic
         if first.is_root:
@@ -950,7 +916,7 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin)
         return subs[eid]
 
     for rec in recs.values():
-        t_in, t_out, _ = _own_terms(rec, plugin)
+        t_in = sub_of(rec.eid).t_in
         # Listed topology edges at this vertex must actually be present and
         # owned by this element in this node.
         for te, _mark in _topo_edges(rec):
@@ -970,7 +936,7 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin)
                     raise _Reject("child-missing")
                 if crec.parent_eid != rec.eid:
                     raise _Reject("parent-link")
-                if not _basic_eq(sub_of(ceid), csub):
+                if sub_of(ceid) != csub:
                     raise _Reject("child-basic")
         # Upward: this element's parent must be visible where it glues on.
         if rec.parent_eid is not None and vid in t_in.values():
@@ -985,12 +951,12 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin)
                     raise _Reject("parent-missing")
             else:
                 listed = [cs for ce, cs in prec.children if ce == rec.eid]
-                if not listed or not _basic_eq(listed[0], sub_of(rec.eid)):
+                if not listed or listed[0] != sub_of(rec.eid):
                     raise _Reject("not-listed")
         if rec.eid == node_eid:
             if rec.parent_eid is not None:
                 raise _Reject("parent-link")
-            if not _basic_eq(sub_of(rec.eid), node_basic):
+            if sub_of(rec.eid) != node_basic:
                 raise _Reject("node-basic")
     # Edgeless single-lane root element: its merge is recomputed from the
     # children visible at its only terminal.
@@ -1012,26 +978,31 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin)
             ("P", (vid,), ()),
             tuple((rec.eid, sub_of(rec.eid)) for rec in kids),
         )
-        if not _basic_eq(_recompute_sub(synth, plugin), node_basic):
+        if _recompute_sub(synth, plugin) != node_basic:
             raise _Reject("node-basic")
 
 
-def verify_all(
-    g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int
-) -> Dict[int, Verdict]:
-    """Build every vertex's local view and verify them independently."""
-    cache: Dict[Edge, object] = {}
-    out: Dict[int, Verdict] = {}
+def local_views(g: Graph, labels: Dict[Edge, Bits]):
+    """Every vertex's LocalView, in vertex order; a missing label is empty."""
     for v in range(g.n):
-        incident = {edge_key(v, u): None for u in g.adj(v)}
-        view = LocalView(
+        incident = [edge_key(v, u) for u in g.adj(v)]
+        yield LocalView(
             v,
             g.vertex_tag(v),
             {e: labels.get(e, Bits()) for e in incident},
             {e: g.edge_tag(*e) for e in incident},
         )
-        out[v] = verify_vertex(view, prop_name, k, cache)
-    return out
+
+
+def verify_all(
+    g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int
+) -> Dict[int, Verdict]:
+    """Verify every vertex's local view independently."""
+    cache: Dict[Edge, object] = {}
+    return {
+        view.vid: verify_vertex(view, prop_name, k, cache)
+        for view in local_views(g, labels)
+    }
 
 
 def all_accept(verdicts: Dict[int, Verdict]) -> bool:
@@ -1041,17 +1012,10 @@ def all_accept(verdicts: Dict[int, Verdict]) -> bool:
 def any_reject(g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int) -> bool:
     """Like not all_accept(verify_all(...)) but stops at the first reject."""
     cache: Dict[Edge, object] = {}
-    for v in range(g.n):
-        incident = {edge_key(v, u): None for u in g.adj(v)}
-        view = LocalView(
-            v,
-            g.vertex_tag(v),
-            {e: labels.get(e, Bits()) for e in incident},
-            {e: g.edge_tag(*e) for e in incident},
-        )
-        if not verify_vertex(view, prop_name, k, cache).accept:
-            return True
-    return False
+    return any(
+        not verify_vertex(view, prop_name, k, cache).accept
+        for view in local_views(g, labels)
+    )
 
 
 # --- size accounting and file formats ---------------------------------------

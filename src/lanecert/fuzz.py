@@ -18,7 +18,7 @@ from .certify import (
     encode_label,
     prove,
 )
-from .encoding import BitReader, Bits, BitWriter, DecodeError, read_sections
+from .encoding import Bits, BitWriter, DecodeError, read_sections
 from .graph import Edge, Graph
 from .intervals import IntervalRepresentation
 

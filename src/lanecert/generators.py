@@ -7,7 +7,7 @@ random insertion-op sequences, whose witnesses come out of the replay.
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .graph import Graph, build_graph, edge_key
 from .intervals import Interval, IntervalRepresentation, validate, width

@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 
 class IntervalError(ValueError):
@@ -81,10 +81,6 @@ def width(ir: IntervalRepresentation) -> int:
         cur += delta
         best = max(best, cur)
     return best
-
-
-def restricted_width(ir: IntervalRepresentation, vertices) -> int:
-    return width(IntervalRepresentation([ir[v] for v in vertices])) if vertices else 0
 
 
 class PathDecomposition:

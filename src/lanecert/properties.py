@@ -1,6 +1,7 @@
 """Composable graph-property state machines over k-lane fragments.
 
-Each property is evaluated bottom-up over a hierarchical decomposition.  A
+Each property is evaluated bottom-up over a hierarchical decomposition (the
+fold itself is ``certify._recompute_sub``, shared by prover and verifier).  A
 fragment is summarized by a small class: a set of terminal "atoms" (one or
 two per lane, depending on whether the lane's in- and out-terminal coincide)
 plus property-specific state over those atoms.  Classes compose under the
@@ -12,17 +13,9 @@ the subgraph formed by edges with a nonzero tag.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .graph import Graph, edge_key
-from .recursive import (
-    BNodeData,
-    ENodeData,
-    HierarchicalDecomposition,
-    PNodeData,
-    TNode,
-    VLeaf,
-)
+from .graph import Graph
 
 
 class PropertyError(Exception):
@@ -289,9 +282,6 @@ class PropertyPlugin:
         check_atoms(c.atoms)
         return self._alg.from_term(c.term, c.atoms)
 
-    def validate_class(self, c: HomClass) -> None:
-        self._unpack(c)
-
     # leaf classes
 
     def base_vleaf(self, lane: int) -> HomClass:
@@ -400,112 +390,21 @@ _BASE_ALGEBRAS = {
 }
 
 
-def builtin_plugins() -> Dict[str, PropertyPlugin]:
-    out = {}
-    for name, alg in _BASE_ALGEBRAS.items():
-        out[name] = PropertyPlugin(name, alg(), False)
-        marked = "marked-" + name
-        out[marked] = PropertyPlugin(marked, alg(), True)
-    return out
+# Plugins are stateless, so one instance per property serves every caller.
+PLUGINS: Dict[str, PropertyPlugin] = {
+    prefix + name: PropertyPlugin(prefix + name, alg(), bool(prefix))
+    for name, alg in _BASE_ALGEBRAS.items()
+    for prefix in ("", "marked-")
+}
 
 
 def get_plugin(name: str) -> PropertyPlugin:
-    plugins = builtin_plugins()
-    if name not in plugins:
+    plugin = PLUGINS.get(name)
+    if plugin is None:
         raise PropertyError(
-            "unknown property %r (available: %s)" % (name, ", ".join(sorted(plugins)))
+            "unknown property %r (available: %s)" % (name, ", ".join(sorted(PLUGINS)))
         )
-    return plugins[name]
-
-
-# --- evaluation over a hierarchical decomposition ---------------------------
-
-
-@dataclass
-class ClassAnnotation:
-    """Classes for every element of a decomposition.
-
-    own[eid]  class of the element's own fragment
-    sub[eid]  class of the subtree-merge rooted at the element
-    tnode[eid of root element]  class of the T-node's realized fragment
-    """
-
-    own: Dict[int, HomClass]
-    sub: Dict[int, HomClass]
-    tnode: Dict[int, HomClass]
-    root_class: HomClass
-    accepted: bool
-
-
-def _mark_fn(marks: Optional[Dict]) -> Callable:
-    if marks is None:
-        return lambda e: 1
-    return lambda e: marks.get(e, 0)
-
-
-def element_own_class(el, plugin: PropertyPlugin, markf, tnode_class) -> HomClass:
-    """Class of an element's own fragment; tnode_class evaluates B sides."""
-    if el.kind == "E":
-        d: ENodeData = el.payload
-        return plugin.base_edge(d.lane, markf(edge_key(d.vin, d.vout)))
-    if el.kind == "P":
-        d: PNodeData = el.payload
-        marks = [markf(edge_key(x, y)) for x, y in zip(d.vids, d.vids[1:])]
-        return plugin.base_path(len(d.vids), marks)
-    d: BNodeData = el.payload
-
-    def side(child):
-        if isinstance(child, VLeaf):
-            return plugin.base_vleaf(child.lane)
-        return tnode_class(child)
-
-    return plugin.compose_bridge(
-        side(d.left), side(d.right), d.i, d.j, markf(d.bridge)
-    )
-
-
-def _eval_tnode(t: TNode, plugin, markf, ann: ClassAnnotation) -> HomClass:
-    # Iterative post-order: merge chains can be long, but B-side recursion
-    # depth is bounded by the decomposition depth.
-    stack = [(t.root_element, False)]
-    while stack:
-        el, done = stack.pop()
-        if not done:
-            stack.append((el, True))
-            for c in el.children:
-                stack.append((c, False))
-            continue
-        own = element_own_class(
-            el, plugin, markf, lambda tt: _eval_tnode(tt, plugin, markf, ann)
-        )
-        acc = own
-        for c in el.children:
-            acc = plugin.compose_parent(ann.sub[c.eid], acc)
-        ann.own[el.eid] = own
-        ann.sub[el.eid] = acc
-    root = ann.sub[t.root_element.eid]
-    ann.tnode[t.root_element.eid] = root
-    return root
-
-
-def annotate_classes(
-    hd: HierarchicalDecomposition,
-    plugin: PropertyPlugin,
-    marks: Optional[Dict] = None,
-) -> ClassAnnotation:
-    ann = ClassAnnotation({}, {}, {}, None, False)
-    ann.root_class = _eval_tnode(hd.root, plugin, _mark_fn(marks), ann)
-    ann.accepted = plugin.accepts(ann.root_class)
-    return ann
-
-
-def eval_property(
-    hd: HierarchicalDecomposition,
-    plugin: PropertyPlugin,
-    marks: Optional[Dict] = None,
-) -> Tuple[HomClass, bool]:
-    ann = annotate_classes(hd, plugin, marks)
-    return ann.root_class, ann.accepted
+    return plugin
 
 
 # --- brute-force oracles -----------------------------------------------------

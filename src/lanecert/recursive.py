@@ -1,13 +1,13 @@
-"""Lane op sequences, k-lane graph merges, and hierarchical decompositions."""
+"""Lane op sequences, k-lane graphs, and hierarchical decompositions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .graph import Edge, Graph, edge_key
 from .intervals import Interval, IntervalRepresentation
-from .lanes import Completion, LanePartition, completion as make_completion
+from .lanes import LanePartition, completion as make_completion
 
 
 class OpError(ValueError):
@@ -147,7 +147,7 @@ def completion_to_op_sequence(
     return s
 
 
-# --- k-lane graphs and merges ----------------------------------------------
+# --- k-lane graphs ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -170,99 +170,6 @@ class KLaneGraph:
                 raise OpError("terminal map must be injective")
             if not set(m.values()) <= self.vertices:
                 raise OpError("terminals must be fragment vertices")
-
-
-def bridge_merge(g1: KLaneGraph, g2: KLaneGraph, i: int, j: int) -> KLaneGraph:
-    """Union of two lane-disjoint fragments plus an edge between the i-th
-    out-terminal of g1 and the j-th out-terminal of g2."""
-    if g1.lanes & g2.lanes:
-        raise OpError("bridge merge requires disjoint lane sets")
-    if i not in g1.lanes or j not in g2.lanes:
-        raise OpError("bridge lanes must belong to the respective fragments")
-    e = edge_key(g1.t_out[i], g2.t_out[j])
-    if e in g1.edges or e in g2.edges:
-        raise OpError("bridge edge already present")
-    return KLaneGraph(
-        g1.lanes | g2.lanes,
-        {**g1.t_in, **g2.t_in},
-        {**g1.t_out, **g2.t_out},
-        g1.vertices | g2.vertices,
-        g1.edges | g2.edges | {e},
-    )
-
-
-def parent_merge(g1: KLaneGraph, g2: KLaneGraph) -> KLaneGraph:
-    """Glue child g1 onto parent g2: the i-th in-terminal of g1 is identified
-    with the i-th out-terminal of g2 (fragments share vertex ids, so the
-    identification must already hold literally)."""
-    if not g1.lanes <= g2.lanes:
-        raise OpError("child lanes must be contained in parent lanes")
-    for i in g1.lanes:
-        if g1.t_in[i] != g2.t_out[i]:
-            raise OpError(
-                "lane %d: child in-terminal %d != parent out-terminal %d"
-                % (i, g1.t_in[i], g2.t_out[i])
-            )
-    if g1.edges & g2.edges:
-        raise OpError("merge identifies an edge of g1 with an edge of g2")
-    t_out = {
-        i: (g1.t_out[i] if i in g1.lanes else g2.t_out[i]) for i in g2.lanes
-    }
-    if len(set(t_out.values())) != len(t_out):
-        raise OpError("merged out-terminals not injective")
-    return KLaneGraph(
-        g2.lanes,
-        dict(g2.t_in),
-        t_out,
-        g1.vertices | g2.vertices,
-        g1.edges | g2.edges,
-    )
-
-
-@dataclass(frozen=True)
-class MergeTree:
-    klane: KLaneGraph
-    children: Tuple["MergeTree", ...] = ()
-
-
-def tree_merge(t: MergeTree, order: Optional[Sequence[int]] = None) -> KLaneGraph:
-    """Fold parent_merge over the tree's edges; any contraction order gives
-    the same fragment.  order, if given, is a permutation of edge indices in
-    preorder enumeration (used to test order-independence)."""
-    nodes: List[KLaneGraph] = []
-    edges: List[Tuple[int, int]] = []  # (parent index, child index)
-    parent_of: Dict[int, int] = {}
-
-    def walk(node: MergeTree, parent: Optional[int]):
-        idx = len(nodes)
-        nodes.append(node.klane)
-        if parent is not None:
-            edges.append((parent, idx))
-            parent_of[idx] = parent
-        for sibling_a in range(len(node.children)):
-            for sibling_b in range(sibling_a + 1, len(node.children)):
-                if node.children[sibling_a].klane.lanes & node.children[sibling_b].klane.lanes:
-                    raise OpError("sibling subtrees must have disjoint lanes")
-        for c in node.children:
-            walk(c, idx)
-
-    walk(t, None)
-    seq = list(order) if order is not None else list(range(len(edges)))
-    if sorted(seq) != list(range(len(edges))):
-        raise OpError("order must be a permutation of tree edge indices")
-    merged_into: Dict[int, int] = {}
-
-    def rep(i: int) -> int:
-        while i in merged_into:
-            i = merged_into[i]
-        return i
-
-    for ei in seq:
-        p, c = edges[ei]
-        p, c = rep(p), rep(c)
-        nodes[p] = parent_merge(nodes[c], nodes[p])
-        merged_into[c] = p
-    return nodes[rep(0)]
 
 
 # --- hierarchical decompositions -------------------------------------------

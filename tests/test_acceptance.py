@@ -6,7 +6,13 @@ import functools
 import random
 
 from lanecert.bench import bench_label_size
-from lanecert.certify import all_accept, label_size_stats, prove, verify_all
+from lanecert.certify import (
+    all_accept,
+    annotate_classes,
+    label_size_stats,
+    prove,
+    verify_all,
+)
 from lanecert.encoding import Bits
 from lanecert.fuzz import fuzz_soundness
 from lanecert.generators import GeneratorSpec, generate, random_ops_sequence
@@ -27,7 +33,7 @@ from lanecert.lanes import (
     lane_bounds,
     measure_congestion,
 )
-from lanecert.properties import brute_force_property, builtin_plugins, eval_property
+from lanecert.properties import PLUGINS, brute_force_property
 from lanecert.recursive import (
     apply_op_sequence,
     build_hierarchical_decomposition,
@@ -36,8 +42,6 @@ from lanecert.recursive import (
 from tests.test_graph import cycle_graph, path_graph, star_graph
 from tests.test_lanes import random_interval_instance
 from tests.test_recursive import random_op_sequence
-
-PLUGINS = builtin_plugins()
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -115,7 +119,7 @@ def test_oracle_equivalence_bulk():
         g = build_graph(len(applied.vertices), applied.edges, {}, marks)
         hd = build_hierarchical_decomposition(s)
         for name, plugin in PLUGINS.items():
-            _, accepted = eval_property(hd, plugin, marks)
+            accepted = annotate_classes(hd, plugin, marks).accepted
             assert accepted == brute_force_property(g, name), (name, s)
             cases += 1
     assert cases >= 10_000
@@ -186,7 +190,7 @@ def test_completeness_at_scale():
 
 
 def _unsatisfied_instances():
-    """20 false statements across the three property kinds."""
+    """21 false statements across four properties."""
     out = []
     for n in (5, 7, 9):
         out.append((cycle_graph(n), "bipartite", 2))  # odd cycle

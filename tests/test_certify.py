@@ -2,19 +2,17 @@ import random
 
 import pytest
 
+from lanecert import certify
 from lanecert.certify import (
     CertifyError,
-    LocalView,
-    PointerLabel,
     all_accept,
     decode_label,
-    encode_pointer_label,
+    encode_label,
     label_size_stats,
-    pointer_labels,
+    local_views,
     prove,
     read_label_file,
     verify_all,
-    verify_pointer,
     verify_vertex,
     write_label_file,
     write_verdict_file,
@@ -28,98 +26,41 @@ from tests.test_intervals import c6_intervals
 from tests.test_lanes import random_interval_instance, staggered_path_intervals
 
 
-def pointer_views(g, labels):
-    out = []
-    for v in range(g.n):
-        out.append(
-            (v, {e: labels[e] for e in labels if v in e})
-        )
-    return out
+def _reencode(bits, edit):
+    lab = decode_label(bits)
+    edit(lab)
+    return encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
 
 
-def test_pointer_path_example():
-    g = path_graph(3)
-    labels = pointer_labels(g, 0)
-    assert labels[(0, 1)] == PointerLabel(0, 0, 0, True)
-    assert labels[(1, 2)] == PointerLabel(0, 1, 1, True)
-    for v, incident in pointer_views(g, labels):
-        assert verify_pointer(v, incident)
+def test_pointer_check_rejects_forged_fields():
+    # Forge one tree section's distance or parent end on an honest label: an
+    # endpoint of that edge must fail the in-pipeline pointer check.
+    for g, prop, k in ((cycle_graph(6), "bipartite", 2), (path_graph(5), "acyclic", 1)):
+        labels = prove(g, prop, k)
+        forged = 0
+        for e, bits in labels.items():
+            for pos, sec in enumerate(decode_label(bits).tnodes):
+                if not sec.is_tree:
+                    continue
+                for name, value in (("dist", sec.dist + 1), ("parent_min", not sec.parent_min)):
+                    bad = dict(labels)
+                    bad[e] = _reencode(bits, lambda lab: setattr(lab.tnodes[pos], name, value))
+                    reasons = {
+                        verify_vertex(view, prop, k).reason
+                        for view in local_views(g, bad)
+                        if view.vid in e
+                    }
+                    assert reasons & {"pointer", "pointer-root"}, (e, pos, name, reasons)
+                    forged += 1
+        assert forged >= 2 * g.m
 
 
-def test_pointer_single_vertex():
-    assert verify_pointer(0, {})
-
-
-def test_pointer_random_graphs():
-    import itertools
-
-    rng = random.Random(50)
-    for _ in range(50):
-        n = rng.randrange(2, 10)
-        while True:
-            edges = [
-                e
-                for e in itertools.combinations(range(n), 2)
-                if rng.random() < 0.5
-            ]
-            g = build_graph(n, edges)
-            from lanecert.graph import is_connected
-
-            if is_connected(g):
-                break
-        target = rng.randrange(n)
-        labels = pointer_labels(g, target)
-        for v, incident in pointer_views(g, labels):
-            assert verify_pointer(v, incident)
-
-
-def test_pointer_soundness_no_target():
-    # Claim a root id that no vertex has: someone must reject.
-    g = path_graph(4)
-    labels = pointer_labels(g, 0)
-    shifted = {e: PointerLabel(9, l.parent, l.dist, l.is_tree) for e, l in labels.items()}
-    results = [verify_pointer(v, inc) for v, inc in pointer_views(g, shifted)]
-    assert not all(results)
-
-
-def test_pointer_soundness_two_roots():
-    # Both endpoints of a 2-path claim distance 0 to the target.
-    g = path_graph(2)
-    labels = {(0, 1): PointerLabel(0, 1, 0, True)}
-    results = [verify_pointer(v, inc) for v, inc in pointer_views(g, labels)]
-    assert not all(results)
-
-
-def test_pointer_soundness_random_flips():
-    rng = random.Random(51)
-    g = cycle_graph(6)
-    honest = pointer_labels(g, 2)
-    bad = 0
-    for _ in range(300):
-        labels = dict(honest)
-        e = rng.choice(list(labels))
-        l = labels[e]
-        labels[e] = PointerLabel(
-            rng.randrange(8), rng.choice(e), rng.randrange(4), rng.random() < 0.5
-        )
-        if labels == honest:
-            continue
-        ok = all(verify_pointer(v, inc) for v, inc in pointer_views(g, labels))
-        # An accepted mutation must still certify a true statement: the
-        # target really exists, so all-accept is legal, never required.
-        if not ok:
-            bad += 1
-    assert bad > 100
-
-
-def test_pointer_label_size():
-    for n in (10, 100, 1000):
-        g = path_graph(n)
-        labels = pointer_labels(g, 0)
-        worst = max(
-            encode_pointer_label(l, n).nbits for l in labels.values()
-        )
-        assert worst <= 4 * max(1, (n - 1).bit_length()) + 16
+@pytest.mark.parametrize("bounds", [(0, 0, 0), (100, 100, 0)])
+def test_prove_bound_checks_are_errors(monkeypatch, bounds):
+    # Bound violations raise CertifyError, which python -O does not strip.
+    monkeypatch.setattr(certify, "lane_bounds", lambda k: bounds)
+    with pytest.raises(CertifyError):
+        prove(cycle_graph(6), "bipartite", 2)
 
 
 def check_roundtrip(g, prop, k, ir=None):

@@ -1,15 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
+from lanecert.certify import _recompute_sub, annotate_classes
 from lanecert.graph import build_graph, edge_key
 from lanecert.properties import (
+    PLUGINS,
     HomClass,
     PropertyError,
-    annotate_classes,
     brute_force_property,
-    builtin_plugins,
-    eval_property,
     get_plugin,
 )
 from lanecert.recursive import (
@@ -21,11 +21,17 @@ from lanecert.recursive import (
 )
 from tests.test_recursive import random_op_sequence
 
-PLUGINS = builtin_plugins()
-
 
 def hd_of(k, ops):
     return build_hierarchical_decomposition(OpSequence(k, tuple(range(k)), tuple(ops)))
+
+
+def fold(hd, plugin, marks=None):
+    """(root class, accepted); without marks, every edge is marked."""
+    if marks is None:
+        marks = {e: 1 for e in hd.realized().edges}
+    ann = annotate_classes(hd, plugin, marks)
+    return ann.root.cls, ann.accepted
 
 
 # Op sequences realizing a 6-cycle and a 5-cycle at k=2.
@@ -75,7 +81,7 @@ def test_simple_graphs():
         ("matching", hd_of(2, C6_OPS), True),
         ("matching", hd_of(2, C5_OPS), False),
     ]:
-        _, accepted = eval_property(hd, PLUGINS[name])
+        _, accepted = fold(hd, PLUGINS[name])
         assert accepted == expect, name
 
 
@@ -85,8 +91,8 @@ def test_marked_variant_ignores_unmarked_edges():
     marks = {e: 1 for e in g.edges}
     # Drop one cycle edge from the marked subgraph: becomes acyclic.
     marks[edge_key(0, 1)] = 0
-    assert eval_property(hd, PLUGINS["marked-acyclic"], marks)[1]
-    assert not eval_property(hd, PLUGINS["acyclic"], marks)[1]
+    assert fold(hd, PLUGINS["marked-acyclic"], marks)[1]
+    assert not fold(hd, PLUGINS["acyclic"], marks)[1]
 
 
 def test_get_plugin():
@@ -110,35 +116,25 @@ def test_oracle_agreement():
         g = graph_with_marks(s, marks)
         hd = build_hierarchical_decomposition(s)
         for name, plugin in PLUGINS.items():
-            _, accepted = eval_property(hd, plugin, marks)
+            _, accepted = fold(hd, plugin, marks)
             assert accepted == brute_force_property(g, name), (name, s)
 
 
-def shuffle_children(hd, rng):
-    stack = [hd.root]
-    while stack:
-        t = stack.pop()
-        for el in t.elements():
-            rng.shuffle(el.children)
-            if el.kind == "B":
-                for child in (el.payload.left, el.payload.right):
-                    if hasattr(child, "root_element"):
-                        stack.append(child)
-
-
 def test_fold_order_independent():
+    # Folding a record's children in any order gives the same subtree info.
     rng = random.Random(41)
     for _ in range(60):
         s = random_op_sequence(rng, max_ops=15)
         hd = build_hierarchical_decomposition(s)
         marks = {e: rng.randrange(0, 2) for e in apply_op_sequence(s).edges}
-        base = {
-            name: eval_property(hd, p, marks)[0] for name, p in PLUGINS.items()
-        }
-        for _ in range(3):
-            shuffle_children(hd, rng)
-            for name, p in PLUGINS.items():
-                assert eval_property(hd, p, marks)[0] == base[name]
+        for p in PLUGINS.values():
+            ann = annotate_classes(hd, p, marks)
+            for rec in ann.records.values():
+                for _ in range(3):
+                    kids = list(rec.children)
+                    rng.shuffle(kids)
+                    permuted = dataclasses.replace(rec, children=tuple(kids))
+                    assert _recompute_sub(permuted, p) == ann.sub[rec.eid]
 
 
 def append_suffix(prefix: OpSequence, suffix_ops):
@@ -177,9 +173,9 @@ def test_class_congruence():
         for name, plugin in PLUGINS.items():
             if plugin.marked:
                 continue
-            if eval_property(h1, plugin)[0] == eval_property(h2, plugin)[0]:
+            if fold(h1, plugin)[0] == fold(h2, plugin)[0]:
                 matched += 1
-                assert eval_property(x1, plugin)[1] == eval_property(x2, plugin)[1], name
+                assert fold(x1, plugin)[1] == fold(x2, plugin)[1], name
     assert matched > 100
 
 
@@ -187,7 +183,7 @@ def test_annotate_covers_all_elements():
     rng = random.Random(43)
     s = random_op_sequence(rng, k=3, max_ops=20)
     hd = build_hierarchical_decomposition(s)
-    ann = annotate_classes(hd, PLUGINS["bipartite"])
+    ann = annotate_classes(hd, PLUGINS["bipartite"], {e: 1 for e in hd.realized().edges})
     eids = set()
     stack = [hd.root]
     while stack:
@@ -198,21 +194,21 @@ def test_annotate_covers_all_elements():
                 for child in (el.payload.left, el.payload.right):
                     if hasattr(child, "root_element"):
                         stack.append(child)
-    assert set(ann.own) == eids and set(ann.sub) == eids
-    assert ann.root_class == ann.sub[hd.root.root_element.eid]
+    assert set(ann.records) == eids and set(ann.sub) == eids
+    assert ann.root == ann.sub[hd.root.root_element.eid]
 
 
 def test_validate_class_rejects_garbage():
     bip = PLUGINS["bipartite"]
     with pytest.raises(PropertyError):
-        bip.validate_class(HomClass(((1, 1),), ((0,),)))  # lone "in" role
+        bip.accepts(HomClass(((1, 1),), ((0,),)))  # lone "in" role
     with pytest.raises(PropertyError):
-        bip.validate_class(HomClass(((1, 0),), ((4,),)))  # index out of range
+        bip.accepts(HomClass(((1, 0),), ((4,),)))  # index out of range
     with pytest.raises(PropertyError):
-        PLUGINS["acyclic"].validate_class(HomClass(((1, 0),), ()))  # not a cover
+        PLUGINS["acyclic"].accepts(HomClass(((1, 0),), ()))  # not a cover
     with pytest.raises(PropertyError):
-        PLUGINS["parity"].validate_class(HomClass(((1, 0),), 7))
-    bip.validate_class(bip.base_edge(1, 1))
+        PLUGINS["parity"].accepts(HomClass(((1, 0),), 7))
+    bip.accepts(bip.base_edge(1, 1))
 
 
 def test_brute_force_guards():

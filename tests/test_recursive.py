@@ -7,21 +7,16 @@ from lanecert.intervals import Interval, IntervalRepresentation
 from lanecert.lanes import LanePartition, completion
 from lanecert.recursive import (
     EInsert,
-    KLaneGraph,
-    MergeTree,
     OpError,
     OpSequence,
     VInsert,
     VLeaf,
     apply_op_sequence,
-    bridge_merge,
     build_hierarchical_decomposition,
     completion_to_op_sequence,
     dump_decomposition,
     op_sequence_to_completion,
-    parent_merge,
     read_op_file,
-    tree_merge,
     write_op_file,
 )
 
@@ -123,101 +118,6 @@ def test_op_sequence_inverse():
         g, ir, lp = to_triple(s)
         s2 = completion_to_op_sequence(g, ir, lp)
         assert apply_op_sequence(s2).edges == applied.edges
-
-
-def vleaf_klane(lane, vertex):
-    return VLeaf(lane, vertex).klane
-
-
-def test_bridge_merge():
-    a = vleaf_klane(1, 0)
-    b = vleaf_klane(2, 1)
-    m = bridge_merge(a, b, 1, 2)
-    assert m.edges == frozenset({(0, 1)})
-    assert m.lanes == frozenset({1, 2})
-    assert m.t_out == {1: 0, 2: 1}
-    with pytest.raises(OpError):
-        bridge_merge(a, vleaf_klane(1, 2), 1, 1)
-
-
-def test_parent_merge():
-    # Child edge fragment on lane 1 glued onto a 2-vertex path fragment.
-    pnode = KLaneGraph(
-        frozenset({1, 2}), {1: 0, 2: 1}, {1: 0, 2: 1},
-        frozenset({0, 1}), frozenset({(0, 1)}),
-    )
-    enode = KLaneGraph(
-        frozenset({1}), {1: 0}, {1: 2}, frozenset({0, 2}), frozenset({(0, 2)})
-    )
-    m = parent_merge(enode, pnode)
-    assert m.edges == frozenset({(0, 1), (0, 2)})
-    assert m.t_in == {1: 0, 2: 1}
-    assert m.t_out == {1: 2, 2: 1}
-    with pytest.raises(OpError):
-        parent_merge(enode, enode)  # identifies the same edge
-    bad = KLaneGraph(
-        frozenset({3}), {3: 5}, {3: 5}, frozenset({5}), frozenset()
-    )
-    with pytest.raises(OpError):
-        parent_merge(bad, pnode)  # lane containment violated
-
-
-def test_tree_merge_single():
-    kl = vleaf_klane(1, 0)
-    assert tree_merge(MergeTree(kl)) == kl
-
-
-def random_merge_tree(rng):
-    """Random valid merge tree built top-down by growing pendant edges."""
-    k = rng.randrange(2, 5)
-    nxt = [k]
-    root_kl = KLaneGraph(
-        frozenset(range(1, k + 1)),
-        {i: i - 1 for i in range(1, k + 1)},
-        {i: i - 1 for i in range(1, k + 1)},
-        frozenset(range(k)),
-        frozenset(edge_key(i, i + 1) for i in range(k - 1)),
-    )
-
-    def grow(kl, depth):
-        children = []
-        lanes = sorted(kl.lanes)
-        rng.shuffle(lanes)
-        used = []
-        for lane in lanes:
-            if depth > 2 or rng.random() < 0.5:
-                break
-            # Child: a fresh edge fragment hanging off this out-terminal.
-            v = nxt[0]
-            nxt[0] += 1
-            child = KLaneGraph(
-                frozenset({lane}),
-                {lane: kl.t_out[lane]},
-                {lane: v},
-                frozenset({kl.t_out[lane], v}),
-                frozenset({edge_key(kl.t_out[lane], v)}),
-            )
-            children.append(grow(child, depth + 1))
-            used.append(lane)
-        return MergeTree(kl, tuple(children))
-
-    return grow(root_kl, 0)
-
-
-def count_edges(t):
-    return len(t.children) + sum(count_edges(c) for c in t.children)
-
-
-def test_tree_merge_order_independent():
-    rng = random.Random(32)
-    for _ in range(100):
-        t = random_merge_tree(rng)
-        ne = count_edges(t)
-        base = tree_merge(t)
-        order = list(range(ne))
-        rng.shuffle(order)
-        other = tree_merge(t, order)
-        assert base == other
 
 
 def test_build_decomposition_base():

@@ -17,7 +17,6 @@ node containing the edge (root first), followed by embedding sections for
 the virtual-edge routes the edge participates in.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +30,16 @@ from .encoding import (
     write_section,
     write_term,
 )
-from .graph import Edge, Graph, edge_key, id_bits, is_connected
+from .graph import (
+    Edge,
+    Graph,
+    GraphError,
+    bfs_parents,
+    edge_key,
+    exact_pathwidth,
+    id_bits,
+    is_connected,
+)
 from .intervals import (
     IntervalRepresentation,
     PathDecomposition,
@@ -43,11 +51,9 @@ from .lanes import Embedding, build_lane_partition, lane_bounds
 from .properties import HomClass, PropertyError, PropertyPlugin, get_plugin
 from .recursive import (
     BNodeData,
-    Element,
     ENodeData,
     HierarchicalDecomposition,
     PNodeData,
-    TNode,
     VLeaf,
     build_hierarchical_decomposition,
     completion_to_op_sequence,
@@ -365,44 +371,17 @@ def resolve_property(name: str) -> Tuple[str, bool, PropertyPlugin]:
     return base, marked, get_plugin("marked-" + base)
 
 
-def _collect_nodes(hd: HierarchicalDecomposition) -> List[TNode]:
-    """All T-nodes, parents before the T-nodes nested inside their B sides."""
-    out = []
-    queue = deque([hd.root])
-    while queue:
-        node = queue.popleft()
-        out.append(node)
-        for el in node.elements():
-            if el.kind == "B":
-                for child in (el.payload.left, el.payload.right):
-                    if isinstance(child, TNode):
-                        queue.append(child)
-    return out
-
-
-def _pointer_fields(node: TNode) -> Dict[Edge, Tuple[int, bool, bool]]:
-    """(dist, is_tree, parent_min) per fragment edge, rooted at the node's
-    first in-terminal."""
-    kl = node.klane
-    target = kl.t_in[min(kl.lanes)]
-    adj: Dict[int, List[int]] = {v: [] for v in kl.vertices}
-    for u, v in kl.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = {target: None}
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-    if len(dist) != len(kl.vertices):
+def _pointer_fields(edges, target: int) -> Dict[Edge, Tuple[int, bool, bool]]:
+    """(dist, is_tree, parent_min) per fragment edge, rooted at target."""
+    adj: Dict[int, List[int]] = {target: []}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    dist, parent = bfs_parents(adj.__getitem__, target)
+    if len(dist) != len(adj):
         raise CertifyError("T-node fragment is not connected")
     out = {}
-    for e in kl.edges:
+    for e in edges:
         u, v = e
         if parent.get(u) == v:
             out[e] = (dist[v], True, v == min(e))
@@ -411,6 +390,29 @@ def _pointer_fields(node: TNode) -> Dict[Edge, Tuple[int, bool, bool]]:
         else:
             out[e] = (0, False, False)
     return out
+
+
+def check_witness(
+    g: Graph, k: int, ir: Optional[IntervalRepresentation]
+) -> IntervalRepresentation:
+    """The interval witness for width bound k: ir after checking it, or, when
+    ir is None, one from the exact pathwidth search.  Raises CertifyError."""
+    if ir is None:
+        try:
+            pw, bags = exact_pathwidth(g)
+        except GraphError as exc:
+            raise CertifyError(
+                "no interval witness given and exact search failed: %s" % exc
+            )
+        if pw > k:
+            raise CertifyError("pathwidth %d exceeds bound %d" % (pw, k))
+        return decomposition_to_intervals(g, PathDecomposition(bags))
+    bad = validate(g, ir)
+    if bad is not None:
+        raise CertifyError("invalid interval witness: %s" % (bad,))
+    if width(ir) > k + 1:
+        raise CertifyError("witness width %d exceeds %d" % (width(ir), k + 1))
+    return ir
 
 
 def prove(
@@ -431,26 +433,7 @@ def prove(
     if k < 0:
         raise CertifyError("width bound must be non-negative")
     base, marked_user, plugin = resolve_property(prop_name)
-    if ir is None:
-        try:
-            from .graph import exact_pathwidth
-
-            pw, bags = exact_pathwidth(g)
-        except Exception as exc:
-            raise CertifyError(
-                "no interval witness given and exact search failed: %s" % exc
-            )
-        if pw > k:
-            raise CertifyError("pathwidth %d exceeds bound %d" % (pw, k))
-        ir = decomposition_to_intervals(g, PathDecomposition(bags))
-    else:
-        bad = validate(g, ir)
-        if bad is not None:
-            raise CertifyError("invalid interval witness: %s" % (bad,))
-        if width(ir) > k + 1:
-            raise CertifyError(
-                "witness width %d exceeds %d" % (width(ir), k + 1)
-            )
+    ir = check_witness(g, k, ir)
     lp, emb = build_lane_partition(g, ir)
     f_bound = lane_bounds(k + 1)[0]
     if lp.k > f_bound:
@@ -486,14 +469,14 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     n = g.n
     w_lanes = lp.k
     real = g.edge_set()
-    nodes = _collect_nodes(hd)
     chains: Dict[Edge, List[TSec]] = {}
-    for node in nodes:
+    # Containing T-nodes first, so every chain starts at the root.
+    for node in reversed(hd.nodes):
         nb = ann.sub[node.root_element.eid]
-        ptr = _pointer_fields(node)
+        ptr = _pointer_fields(node.edges, node.t_in[min(node.t_in)])
         for el in node.elements():
             rec = ann.records[el.eid]
-            for e in el.klane_own.edges:
+            for e in el.edges:
                 dist, is_tree, pmin = ptr[e]
                 chains.setdefault(e, []).append(
                     TSec(
@@ -535,7 +518,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     return out
 
 
-def _make_record(el, parent_eid, sub, emarks) -> ElementRecord:
+def _make_record(el, sub, emarks) -> ElementRecord:
     markf = lambda e: 1 if emarks.get(e, 0) else 0
     if el.kind == "E":
         d: ENodeData = el.payload
@@ -555,7 +538,7 @@ def _make_record(el, parent_eid, sub, emarks) -> ElementRecord:
 
         topo = ("B", d.i, d.j, d.bridge, markf(d.bridge), side(d.left), side(d.right))
     children = tuple((c.eid, sub[c.eid]) for c in sorted(el.children, key=lambda c: c.eid))
-    return ElementRecord(el.eid, parent_eid, topo, children)
+    return ElementRecord(el.eid, el.parent_eid, topo, children)
 
 
 @dataclass
@@ -572,26 +555,15 @@ def annotate_classes(
     hd: HierarchicalDecomposition, plugin: PropertyPlugin, emarks: Dict[Edge, int]
 ) -> Annotation:
     """Fold the decomposition with the verifier's own _recompute_sub, so the
-    prover emits exactly the subtree infos each vertex will recompute.
+    prover emits exactly the subtree infos each vertex will recompute.  The
+    builder's eid order puts every element after everything it contains.
 
     emarks gives each edge's mark; an edge missing from it is unmarked.
     """
-    # Preorder over the whole element forest (merge children plus B-side
-    # T-node roots); reversed, every element comes after all it contains.
-    order: List[Tuple[Element, Optional[int]]] = []
-    stack: List[Tuple[Element, Optional[int]]] = [(hd.root.root_element, None)]
-    while stack:
-        el, parent_eid = stack.pop()
-        order.append((el, parent_eid))
-        stack.extend((c, el.eid) for c in el.children)
-        if el.kind == "B":
-            for side in (el.payload.left, el.payload.right):
-                if isinstance(side, TNode):
-                    stack.append((side.root_element, None))
     records: Dict[int, ElementRecord] = {}
     sub: Dict[int, BasicInfo] = {}
-    for el, parent_eid in reversed(order):
-        rec = _make_record(el, parent_eid, sub, emarks)
+    for el in hd.elements:
+        rec = _make_record(el, sub, emarks)
         try:
             sub[el.eid] = _recompute_sub(rec, plugin)
         except _Reject as rj:

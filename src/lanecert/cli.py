@@ -15,6 +15,7 @@ from .bench import bench_label_size
 from .certify import (
     CertifyError,
     all_accept,
+    check_witness,
     label_size_stats,
     prove,
     read_label_file,
@@ -25,15 +26,7 @@ from .certify import (
 from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from .fuzz import fuzz_soundness
 from .graph import GraphError, read_graph_file, write_graph_file
-from .intervals import (
-    IntervalError,
-    PathDecomposition,
-    decomposition_to_intervals,
-    read_interval_file,
-    validate,
-    width,
-    write_interval_file,
-)
+from .intervals import IntervalError, read_interval_file, width, write_interval_file
 from .lanes import LaneError, build_lane_partition, write_lane_file
 from .properties import PropertyError
 from .recursive import (
@@ -100,20 +93,10 @@ def cmd_gen(args) -> int:
 
 def cmd_decompose(args) -> int:
     g, ir = _load_instance(args)
-    if ir is None:
-        from .graph import exact_pathwidth
-
-        pw, bags = exact_pathwidth(g)
-        if pw > args.k:
-            print("pathwidth %d exceeds bound %d" % (pw, args.k), file=sys.stderr)
-            return 1
-        ir = decomposition_to_intervals(g, PathDecomposition(bags))
-    msg = validate(g, ir)
-    if msg is not None:
-        print("invalid witness: %s" % (msg,), file=sys.stderr)
-        return 1
-    if width(ir) > args.k + 1:
-        print("witness width %d exceeds k+1" % width(ir), file=sys.stderr)
+    try:
+        ir = check_witness(g, args.k, ir)
+    except CertifyError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     lp, _ = build_lane_partition(g, ir)
     ops = completion_to_op_sequence(g, ir, lp)

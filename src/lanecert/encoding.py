@@ -38,9 +38,6 @@ class Bits:
     def __hash__(self) -> int:
         return hash((self.value, self.nbits))
 
-    def __add__(self, other: "Bits") -> "Bits":
-        return Bits((self.value << other.nbits) | other.value, self.nbits + other.nbits)
-
     def __repr__(self) -> str:
         return "Bits(%d bits)" % self.nbits
 

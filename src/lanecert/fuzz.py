@@ -18,7 +18,7 @@ from .certify import (
     encode_label,
     prove,
 )
-from .encoding import Bits, BitWriter, DecodeError, read_sections
+from .encoding import Bits, BitWriter, DecodeError, read_sections, write_section
 from .graph import Edge, Graph
 from .intervals import IntervalRepresentation
 
@@ -63,9 +63,7 @@ def _sections_of(bits: Bits):
 def _assemble(secs) -> Bits:
     w = BitWriter()
     for stype, payload in secs:
-        w.write_uint(stype, 8)
-        w.write_varint(payload.nbits)
-        w.write_bits(payload)
+        write_section(w, stype, payload)
     return w.getvalue()
 
 

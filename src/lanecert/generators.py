@@ -138,7 +138,9 @@ def generate(
         raise GeneratorError(
             "unknown family %r (one of %s)" % (spec.family, ", ".join(FAMILIES))
         )
-    assert validate(g, ir) is None
+    bad = validate(g, ir)
+    if bad is not None:
+        raise GeneratorError("generated witness does not validate: %s" % (bad,))
     return g, ir
 
 

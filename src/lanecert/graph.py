@@ -260,7 +260,8 @@ def exact_pathwidth(g: Graph, limit: int = 16) -> Tuple[int, List[List[int]]]:
                 bag.append(u)
         bags.append(sorted(bag))
     width = max(len(b) for b in bags) - 1
-    assert width == f[full]
+    if width != f[full]:
+        raise GraphError("witness bags have width %d, not the optimum %d" % (width, f[full]))
     return width, bags
 
 

@@ -12,7 +12,6 @@ from .intervals import (
     IntervalRepresentation,
     greedy_lane_split,
     validate,
-    width,
 )
 
 
@@ -108,7 +107,8 @@ class Embedding:
     kinds: Dict[Edge, str] = field(default_factory=dict)
 
     def add(self, e: Edge, path: List[int], kind: str) -> None:
-        assert edge_key(path[0], path[-1]) == e
+        if edge_key(path[0], path[-1]) != e:
+            raise LaneError("route %s does not join the endpoints of %s" % (path, e))
         self.routes[e] = path
         self.kinds[e] = kind
 
@@ -200,15 +200,18 @@ def _partition(
             raise LaneError("dominating sequence stuck before reaching max R")
         hi, p = heapq.heappop(cand)
         nxt = path[p]
-        assert ir.hi(nxt) > ir.hi(s), "R must strictly increase along the sequence"
-        assert ir[nxt].intersects(ir[s])
+        if ir.hi(nxt) <= ir.hi(s):
+            raise LaneError("R must strictly increase along the sequence")
+        if not ir[nxt].intersects(ir[s]):
+            raise LaneError("consecutive sequence intervals must intersect")
         seq.append(nxt)
         s = nxt
-    assert all(ir[a].precedes(ir[b]) for a, b in zip(seq, seq[2:])), (
-        "odd/even subsequences must be interval chains"
-    )
-    assert ir.lo(seq[0]) == min(ir.lo(v) for v in vs)
-    assert ir.hi(seq[-1]) == max(ir.hi(v) for v in vs)
+    if not all(ir[a].precedes(ir[b]) for a, b in zip(seq, seq[2:])):
+        raise LaneError("odd/even subsequences must be interval chains")
+    if ir.lo(seq[0]) != min(ir.lo(v) for v in vs):
+        raise LaneError("sequence must start at the minimum L")
+    if ir.hi(seq[-1]) != max(ir.hi(v) for v in vs):
+        raise LaneError("sequence must end at the maximum R")
 
     s_set = set(seq)
     s1, s2 = seq[0::2], seq[1::2]
@@ -244,9 +247,8 @@ def _partition(
         if any(w in s1_set for v in c for w in g.adj(v)):
             comp_side.append(1)
         else:
-            assert any(w in s2_set for v in c for w in g.adj(v)), (
-                "component must attach to the dominating sequence"
-            )
+            if not any(w in s2_set for v in c for w in g.adj(v)):
+                raise LaneError("component must attach to the dominating sequence")
             comp_side.append(2)
 
     comp_lanes = [_partition(g, ir, c, emb) for c in comps]

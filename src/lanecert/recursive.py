@@ -1,4 +1,9 @@
-"""Lane op sequences, k-lane graphs, and hierarchical decompositions."""
+"""Lane op sequences and the hierarchical decomposition built from them.
+
+The decomposition is a forest of elements (E, P and B fragments) grouped into
+T-nodes by their merge trees; the prover folds it and emits its labels in the
+order the builder numbers it.
+"""
 
 from __future__ import annotations
 
@@ -147,31 +152,6 @@ def completion_to_op_sequence(
     return s
 
 
-# --- k-lane graphs ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KLaneGraph:
-    """Graph fragment with a lane set and injective in/out terminal maps."""
-
-    lanes: FrozenSet[int]
-    t_in: Dict[int, int]
-    t_out: Dict[int, int]
-    vertices: FrozenSet[int]
-    edges: FrozenSet[Edge]
-
-    def __post_init__(self):
-        if not self.lanes:
-            raise OpError("lane set must be non-empty")
-        for m in (self.t_in, self.t_out):
-            if set(m) != set(self.lanes):
-                raise OpError("terminal map keys must equal the lane set")
-            if len(set(m.values())) != len(m):
-                raise OpError("terminal map must be injective")
-            if not set(m.values()) <= self.vertices:
-                raise OpError("terminals must be fragment vertices")
-
-
 # --- hierarchical decompositions -------------------------------------------
 
 
@@ -179,16 +159,6 @@ class KLaneGraph:
 class VLeaf:
     lane: int
     vertex: int
-
-    @property
-    def klane(self) -> KLaneGraph:
-        return KLaneGraph(
-            frozenset({self.lane}),
-            {self.lane: self.vertex},
-            {self.lane: self.vertex},
-            frozenset({self.vertex}),
-            frozenset(),
-        )
 
 
 @dataclass
@@ -216,50 +186,33 @@ class BNodeData:
 class Element:
     """A node of a T-node's merge tree: an E, P, or B fragment.
 
-    klane_own is the element's own fragment (for B: bridge plus both child
-    fragments).  sub_in/sub_out are the terminal maps of the subtree-merge
-    rooted here; the full subtree fragment is only materialized per T-node.
+    edges is the element's own fragment (for B: the bridge plus both side
+    fragments); parent_eid is its merge parent, None for a T-node root.
     """
 
     kind: str  # 'E' | 'P' | 'B'
     eid: int
     payload: Union[ENodeData, PNodeData, BNodeData]
+    edges: FrozenSet[Edge]
     children: List["Element"] = field(default_factory=list)
-    klane_own: Optional[KLaneGraph] = None
-    sub_in: Dict[int, int] = field(default_factory=dict)
-    sub_out: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def lanes(self) -> FrozenSet[int]:
-        return self.klane_own.lanes
+    parent_eid: Optional[int] = None
 
 
+@dataclass(eq=False)
 class TNode:
-    """A merge tree of elements, realized by folding parent merges."""
+    """A merge tree of elements: its root, the terminal maps of the whole
+    merge, and the union of its elements' edges."""
 
-    __slots__ = ("root_element", "_klane")
+    root_element: Element
+    t_in: Dict[int, int]
+    t_out: Dict[int, int]
+    edges: FrozenSet[Edge] = field(init=False)
 
-    def __init__(self, root_element: Element):
-        self.root_element = root_element
-        self._klane: Optional[KLaneGraph] = None
-
-    @property
-    def klane(self) -> KLaneGraph:
-        if self._klane is None:
-            verts: Set[int] = set()
-            edges: Set[Edge] = set()
-            for el in self.elements():
-                verts |= el.klane_own.vertices
-                edges |= el.klane_own.edges
-            r = self.root_element
-            self._klane = KLaneGraph(
-                r.lanes,
-                dict(r.sub_in),
-                dict(r.sub_out),
-                frozenset(verts),
-                frozenset(edges),
-            )
-        return self._klane
+    def __post_init__(self):
+        edges: Set[Edge] = set()
+        for el in self.elements():
+            edges |= el.edges
+        self.edges = frozenset(edges)
 
     def elements(self):
         stack = [self.root_element]
@@ -271,39 +224,38 @@ class TNode:
 
 @dataclass
 class HierarchicalDecomposition:
-    k: int
-    root: TNode
+    """elements is indexed by eid, every element after everything it
+    contains; nodes lists the T-nodes, nested ones before the nodes that
+    contain them, so the root T-node comes last."""
 
-    def realized(self) -> KLaneGraph:
-        return self.root.klane
+    k: int
+    elements: List[Element]
+    nodes: List[TNode]
+
+    @property
+    def root(self) -> TNode:
+        return self.nodes[-1]
 
     def depth_stats(self) -> Tuple[int, int]:
         """(max nodes on a root-to-leaf path, max B-nodes on such a path).
 
         Path nodes are: T-node, one element of its merge tree, and for B
-        elements, recursively the B child fragments.
+        elements, recursively the B child fragments.  Folded over the nodes,
+        nested ones first; a V-leaf side counts as a path of one node.
         """
-        best = [0, 0]
-
-        def walk_t(t: TNode, nodes: int, bs: int):
+        best: Dict[int, Tuple[int, int]] = {}
+        for t in self.nodes:
+            depth = bs = 0
             for el in t.elements():
-                walk_el(el, nodes + 1, bs)
-
-        def walk_el(el: Element, nodes: int, bs: int):
-            if el.kind == "B":
-                data = el.payload
-                for child in (data.left, data.right):
-                    if isinstance(child, VLeaf):
-                        best[0] = max(best[0], nodes + 2)
-                        best[1] = max(best[1], bs + 1)
-                    else:
-                        walk_t(child, nodes + 1, bs + 1)
-            else:
-                best[0] = max(best[0], nodes + 1)
-                best[1] = max(best[1], bs)
-
-        walk_t(self.root, 0, 0)
-        return best[0], best[1]
+                if el.kind != "B":
+                    depth = max(depth, 2)
+                    continue
+                for side in (el.payload.left, el.payload.right):
+                    sd, sb = (1, 0) if isinstance(side, VLeaf) else best[id(side)]
+                    depth = max(depth, 2 + sd)
+                    bs = max(bs, 1 + sb)
+            best[id(t)] = (depth, bs)
+        return best[id(self.root)]
 
 
 class _MT:
@@ -393,9 +345,11 @@ def build_hierarchical_decomposition(s: OpSequence) -> HierarchicalDecomposition
     tau = list(heads)
 
     def attach(parent: _MT, child: _MT) -> None:
-        assert child.lanes <= parent.lanes
+        if not child.lanes <= parent.lanes:
+            raise OpError("child lanes must lie within the parent's")
         for sib in parent.children:
-            assert not sib.lanes & child.lanes, "siblings must be lane-disjoint"
+            if sib.lanes & child.lanes:
+                raise OpError("siblings must be lane-disjoint")
         parent.children.append(child)
 
     for op in s.ops:
@@ -403,9 +357,10 @@ def build_hierarchical_decomposition(s: OpSequence) -> HierarchicalDecomposition
             i, v = op.lane, op.vertex
             u = tau[i - 1]
             m = _resolve(lowest[u])
-            assert i in m.lanes and m.t_out[i] == u, (
-                "lowest element must expose the designated vertex as out-terminal"
-            )
+            if i not in m.lanes or m.t_out[i] != u:
+                raise OpError(
+                    "lowest element must expose the designated vertex as out-terminal"
+                )
             enode = _MT(
                 "E", ENodeData(i, u, v), m, m.depth + 1, {i}, {i: u}, {i: v}
             )
@@ -437,13 +392,15 @@ def build_hierarchical_decomposition(s: OpSequence) -> HierarchicalDecomposition
                 while c.parent is not lca:
                     c = c.parent
                 lca.children.remove(c)
-                sub_out = _subtree_out(c)
-                assert sub_out.get(lane) == term
-                return ("T", c), c.lanes, dict(c.t_in), sub_out
+                t_out = _subtree_out(c)
+                if t_out.get(lane) != term:
+                    raise OpError("wrapped side must expose the bridge endpoint")
+                return ("T", c, t_out), c.lanes, dict(c.t_in), t_out
 
             left_spec, llanes, lin, lout = side(gi, i, a)
             right_spec, rlanes, rin, rout = side(gj, j, b)
-            assert not llanes & rlanes, "bridge sides must be lane-disjoint"
+            if llanes & rlanes:
+                raise OpError("bridge sides must be lane-disjoint")
             bnode = _MT(
                 "B",
                 (i, j, edge_key(a, b), left_spec, right_spec),
@@ -456,80 +413,62 @@ def build_hierarchical_decomposition(s: OpSequence) -> HierarchicalDecomposition
             for spec in (left_spec, right_spec):
                 if spec[0] == "T":
                     _freeze_subtree(spec[1], bnode)
-            assert all(lca.t_out.get(l) == bnode.t_in[l] for l in bnode.lanes), (
-                "bridge element must glue onto the LCA's out-terminals"
-            )
+            if any(lca.t_out.get(l) != bnode.t_in[l] for l in bnode.lanes):
+                raise OpError("bridge element must glue onto the LCA's out-terminals")
             attach(lca, bnode)
             lowest[a] = bnode
             lowest[b] = bnode
 
-    # Convert the mutable structure to the public one.  Iterative post-order
-    # over the whole element forest (merge children plus B-side subtrees),
-    # because merge chains can be as deep as the op sequence is long.
-    def traversal_children(m: _MT) -> List[_MT]:
-        kids = list(m.children)
-        if m.kind == "B":
-            for spec in (m.payload[3], m.payload[4]):
-                if spec[0] == "T":
-                    kids.append(spec[1])
-        return kids
-
+    # Convert the mutable structure to the public one, numbering elements in
+    # reversed preorder over the whole element forest (merge children plus
+    # B-side subtrees), so every element comes after everything it contains.
+    # Iterative, because merge chains can be as deep as the op sequence is long.
     order: List[_MT] = []
     stack = [root]
     while stack:
         m = stack.pop()
         order.append(m)
-        stack.extend(traversal_children(m))
+        stack.extend(m.children)
+        if m.kind == "B":
+            stack.extend(spec[1] for spec in m.payload[3:] if spec[0] == "T")
 
+    elements: List[Element] = []
+    nodes: List[TNode] = []
     el_of: Dict[int, Element] = {}
+
+    def new_node(m: _MT, t_out: Dict[int, int]) -> TNode:
+        nodes.append(TNode(el_of[id(m)], dict(m.t_in), t_out))
+        return nodes[-1]
+
     for eid, m in enumerate(reversed(order)):
         if m.kind == "E":
             data: Union[ENodeData, PNodeData, BNodeData] = m.payload
-            own = KLaneGraph(
-                m.lanes,
-                dict(m.t_in),
-                dict(m.t_out),
-                frozenset({data.vin, data.vout}),
-                frozenset({edge_key(data.vin, data.vout)}),
-            )
+            edges = frozenset({edge_key(data.vin, data.vout)})
         elif m.kind == "P":
             data = m.payload
-            own = KLaneGraph(
-                m.lanes,
-                dict(m.t_in),
-                dict(m.t_out),
-                frozenset(data.vids),
-                frozenset(edge_key(x, y) for x, y in zip(data.vids, data.vids[1:])),
-            )
+            edges = frozenset(edge_key(x, y) for x, y in zip(data.vids, data.vids[1:]))
         else:
-            i, j, bridge, left_spec, right_spec = m.payload
-
-            def conv_child(spec):
-                if spec[0] == "V":
-                    return spec[1]
-                return TNode(el_of[id(spec[1])])
-
-            left = conv_child(left_spec)
-            right = conv_child(right_spec)
-            data = BNodeData(i, j, bridge, left, right)
-            own = KLaneGraph(
-                m.lanes,
-                dict(m.t_in),
-                dict(m.t_out),
-                left.klane.vertices | right.klane.vertices,
-                left.klane.edges | right.klane.edges | {bridge},
+            i, j, bridge, *specs = m.payload
+            left, right = (
+                spec[1] if spec[0] == "V" else new_node(spec[1], spec[2])
+                for spec in specs
             )
-        el = Element(m.kind, eid, data)
-        el.klane_own = own
+            data = BNodeData(i, j, bridge, left, right)
+            # Set iteration order is part of the labels (it breaks BFS ties in
+            # the prover's pointer fields), so keep this union's order.
+            edges = _side_edges(left) | _side_edges(right) | {bridge}
+        el = Element(m.kind, eid, data, edges)
         el.children = [el_of[id(c)] for c in m.children]
-        el.sub_in = dict(m.t_in)
-        sub_out = dict(m.t_out)
         for c in el.children:
-            sub_out.update(c.sub_out)
-        el.sub_out = sub_out
+            c.parent_eid = eid
+        elements.append(el)
         el_of[id(m)] = el
+    new_node(root, _subtree_out(root))
+    return HierarchicalDecomposition(k, elements, nodes)
 
-    return HierarchicalDecomposition(k, TNode(el_of[id(root)]))
+
+def _side_edges(side: Union[VLeaf, TNode]) -> FrozenSet[Edge]:
+    return frozenset() if isinstance(side, VLeaf) else side.edges
 
 
 # --- file formats and dumps -------------------------------------------------
@@ -570,19 +509,17 @@ def read_op_file(text: str) -> OpSequence:
 def dump_decomposition(hd: HierarchicalDecomposition) -> str:
     out: List[str] = []
 
-    def fmt_klane(kl: KLaneGraph) -> str:
-        lanes = ",".join(str(l) for l in sorted(kl.lanes))
-        terms = " ".join(
-            "%d:%d/%d" % (l, kl.t_in[l], kl.t_out[l]) for l in sorted(kl.lanes)
-        )
-        return "lanes={%s} terms=[%s]" % (lanes, terms)
+    def fmt_terms(node: TNode) -> str:
+        lanes = sorted(node.t_in)
+        terms = " ".join("%d:%d/%d" % (l, node.t_in[l], node.t_out[l]) for l in lanes)
+        return "lanes={%s} terms=[%s]" % (",".join(str(l) for l in lanes), terms)
 
     stack: List[Tuple[str, object, int]] = [("T", hd.root, 0)]
     while stack:
         tag, node, ind = stack.pop()
         pad = "  " * ind
         if tag == "T":
-            out.append(pad + "TNode %s" % fmt_klane(node.klane))
+            out.append(pad + "TNode %s" % fmt_terms(node))
             stack.append(("el", node.root_element, ind + 1))
         elif tag == "V":
             out.append(pad + "VNode lane=%d vertex=%d" % (node.lane, node.vertex))

@@ -9,11 +9,9 @@ from lanecert.bench import bench_label_size
 from lanecert.certify import (
     all_accept,
     annotate_classes,
-    label_size_stats,
     prove,
     verify_all,
 )
-from lanecert.encoding import Bits
 from lanecert.fuzz import fuzz_soundness
 from lanecert.generators import GeneratorSpec, generate, random_ops_sequence
 from lanecert.graph import (
@@ -101,7 +99,7 @@ def test_lanewidth_round_trip():
         c = completion(g, ir, LanePartition(lanes))
         assert c.edges == applied.edges
         hd = build_hierarchical_decomposition(s)
-        assert hd.realized().edges == applied.edges
+        assert hd.root.edges == applied.edges
 
 
 # ---------------------------------------------------------------- criterion 4

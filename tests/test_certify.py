@@ -22,8 +22,7 @@ from lanecert.graph import build_graph, edge_key
 from lanecert.intervals import width
 from lanecert.properties import brute_force_property
 from tests.test_graph import cycle_graph, path_graph, star_graph
-from tests.test_intervals import c6_intervals
-from tests.test_lanes import random_interval_instance, staggered_path_intervals
+from tests.test_lanes import random_interval_instance
 
 
 def _reencode(bits, edit):

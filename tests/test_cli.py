@@ -35,6 +35,17 @@ def test_gen_decompose(tmp_path, capsys):
     assert (tmp_path / "lanes.txt").read_text()
 
 
+def test_decompose_witness_too_wide(tmp_path, capsys):
+    gfile = str(tmp_path / "g.txt")
+    ifile = str(tmp_path / "g.iv")
+    run(capsys, "gen", "--family", "cycle", "--n", "8",
+        "--out-graph", gfile, "--out-intervals", ifile)
+    code, out, err = run(
+        capsys, "decompose", "--graph", gfile, "--intervals", ifile, "--k", "1",
+    )
+    assert code == 1 and out == "" and "witness width 3 exceeds 2" in err
+
+
 def test_gen_determinism(tmp_path, capsys):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for f in (a, b):

@@ -24,9 +24,10 @@ def test_bits_roundtrip_hex():
 
 
 def test_bits_concat():
-    a = Bits(0b101, 3)
-    b = Bits(0b01, 2)
-    assert a + b == Bits(0b10101, 5)
+    w = BitWriter()
+    w.write_bits(Bits(0b101, 3))
+    w.write_bits(Bits(0b01, 2))
+    assert w.getvalue() == Bits(0b10101, 5)
 
 
 def test_writer_reader_roundtrip():

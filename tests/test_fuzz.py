@@ -1,10 +1,10 @@
 import random
 
 from lanecert.bench import bench_label_size
-from lanecert.certify import all_accept, prove, verify_all
-from lanecert.fuzz import MUTATIONS, FuzzReport, fuzz_soundness, mutate
+from lanecert.certify import prove, verify_all
+from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.graph import build_graph
-from tests.test_graph import cycle_graph, path_graph
+from tests.test_graph import cycle_graph
 
 
 def test_fuzz_c5_bipartite_no_counterexamples():

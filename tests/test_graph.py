@@ -9,7 +9,6 @@ from lanecert.graph import (
     build_graph,
     connected_components,
     degeneracy_orientation,
-    edge_key,
     edge_labels_to_vertex_labels,
     exact_pathwidth,
     id_bits,

@@ -3,12 +3,10 @@ import random
 
 import pytest
 
-from lanecert.graph import GraphError, build_graph, edge_key, exact_pathwidth
+from lanecert.graph import GraphError, build_graph, edge_key
 from lanecert.intervals import (
     Interval,
     IntervalRepresentation,
-    PathDecomposition,
-    decomposition_to_intervals,
     width,
 )
 from lanecert.lanes import (
@@ -190,3 +188,5 @@ def test_lane_and_embedding_files():
     emb.add((0, 2), [0, 1, 2], "weak")
     emb2 = read_embedding_file(write_embedding_file(emb))
     assert emb2.routes == emb.routes
+    with pytest.raises(LaneError):
+        read_embedding_file("0 3: 0 1 2\n")  # route ends at 2, not 3

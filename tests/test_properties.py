@@ -29,7 +29,7 @@ def hd_of(k, ops):
 def fold(hd, plugin, marks=None):
     """(root class, accepted); without marks, every edge is marked."""
     if marks is None:
-        marks = {e: 1 for e in hd.realized().edges}
+        marks = {e: 1 for e in hd.root.edges}
     ann = annotate_classes(hd, plugin, marks)
     return ann.root.cls, ann.accepted
 
@@ -183,7 +183,7 @@ def test_annotate_covers_all_elements():
     rng = random.Random(43)
     s = random_op_sequence(rng, k=3, max_ops=20)
     hd = build_hierarchical_decomposition(s)
-    ann = annotate_classes(hd, PLUGINS["bipartite"], {e: 1 for e in hd.realized().edges})
+    ann = annotate_classes(hd, PLUGINS["bipartite"], {e: 1 for e in hd.root.edges})
     eids = set()
     stack = [hd.root]
     while stack:
@@ -195,6 +195,7 @@ def test_annotate_covers_all_elements():
                     if hasattr(child, "root_element"):
                         stack.append(child)
     assert set(ann.records) == eids and set(ann.sub) == eids
+    assert [el.eid for el in hd.elements] == sorted(eids)
     assert ann.root == ann.sub[hd.root.root_element.eid]
 
 

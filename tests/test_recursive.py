@@ -123,7 +123,7 @@ def test_op_sequence_inverse():
 def test_build_decomposition_base():
     hd = build_hierarchical_decomposition(OpSequence(2, (0, 1), ()))
     assert hd.root.root_element.kind == "P"
-    assert hd.root.klane.edges == frozenset({(0, 1)})
+    assert hd.root.edges == frozenset({(0, 1)})
     assert hd.depth_stats() == (2, 0)
 
 
@@ -133,18 +133,19 @@ def test_build_decomposition_random():
         s = random_op_sequence(rng, max_ops=25)
         applied = apply_op_sequence(s)
         hd = build_hierarchical_decomposition(s)
-        realized = hd.realized()
-        assert realized.edges == applied.edges
-        assert realized.vertices == frozenset(applied.vertices)
+        edges = hd.root.edges
+        vertices = {v for e in edges for v in e} | set(s.initial)
+        assert edges == applied.edges
+        assert vertices == set(applied.vertices)
         depth, bnodes = hd.depth_stats()
         assert depth <= 2 * s.k
         assert bnodes <= max(0, s.k - 1)
         # Realized fragments must be connected.
         adj = {}
-        for u, v in realized.edges:
+        for u, v in edges:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
-        seen = {next(iter(realized.vertices))}
+        seen = {s.initial[0]}
         stack = list(seen)
         while stack:
             v = stack.pop()
@@ -152,7 +153,27 @@ def test_build_decomposition_random():
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        assert seen == set(realized.vertices)
+        assert seen == vertices
+        # Fold order: elements by eid, each after everything it contains;
+        # nested T-nodes before the T-nodes that contain them.
+        node_pos = {id(t): p for p, t in enumerate(hd.nodes)}
+        for i, el in enumerate(hd.elements):
+            assert el.eid == i
+            for c in el.children:
+                assert c.eid < el.eid and c.parent_eid == el.eid
+            if el.kind == "B":
+                for side in (el.payload.left, el.payload.right):
+                    if not isinstance(side, VLeaf):
+                        assert side.root_element.eid < el.eid
+                        assert side.root_element.parent_eid is None
+        for t in hd.nodes:
+            for el in t.elements():
+                if el.kind == "B":
+                    for side in (el.payload.left, el.payload.right):
+                        if not isinstance(side, VLeaf):
+                            assert node_pos[id(side)] < node_pos[id(t)]
+        assert hd.root.root_element.parent_eid is None
+        assert hd.root.root_element is hd.elements[-1]
 
 
 def test_node_edge_sets_disjoint():
@@ -164,7 +185,7 @@ def test_node_edge_sets_disjoint():
 
         def walk_t(t):
             for el in t.elements():
-                for e in el.klane_own.edges if el.kind != "B" else []:
+                for e in el.edges if el.kind != "B" else []:
                     assert e not in seen
                     seen[e] = el.eid
                 if el.kind == "B":
@@ -177,7 +198,7 @@ def test_node_edge_sets_disjoint():
                             walk_t(child)
 
         walk_t(hd.root)
-        assert set(seen) == set(hd.realized().edges)
+        assert set(seen) == set(hd.root.edges)
 
 
 def test_op_file_roundtrip():

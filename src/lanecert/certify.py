@@ -147,27 +147,30 @@ def _enc_basic(w: BitWriter, bi: BasicInfo, b: int) -> None:
     write_term(w, bi.cls.term)
 
 
-def _dec_basic(r: BitReader, b: int, n: int) -> BasicInfo:
+def _dec_basic(r: BitReader, b: int, n: int, memo=None) -> BasicInfo:
+    """Decode terminal maps and a class; with a memo, equal fields decode to
+    one shared BasicInfo, validated when first seen."""
     count = r.read_varint()
     if not 1 <= count <= n:
         raise DecodeError("bad lane count")
+    raw = tuple((r.read_varint(), r.read_uint(b), r.read_uint(b)) for _ in range(count))
+    term = read_term(r)
+    key = ("basic", n, raw, term)
+    if memo is not None and key in memo:
+        return memo[key]
     t_in: Dict[int, int] = {}
     t_out: Dict[int, int] = {}
     prev = 0
-    for _ in range(count):
-        lane = r.read_varint()
+    for lane, vin, vout in raw:
         if lane <= prev:
             raise DecodeError("lanes must be increasing and positive")
         prev = lane
-        vin = r.read_uint(b)
-        vout = r.read_uint(b)
         if vin >= n or vout >= n:
             raise DecodeError("terminal id out of range")
         t_in[lane] = vin
         t_out[lane] = vout
     if len(set(t_in.values())) != count or len(set(t_out.values())) != count:
         raise DecodeError("terminal maps must be injective")
-    term = read_term(r)
     atoms = []
     for lane in t_in:
         if t_in[lane] == t_out[lane]:
@@ -175,7 +178,10 @@ def _dec_basic(r: BitReader, b: int, n: int) -> BasicInfo:
         else:
             atoms.append((lane, 1))
             atoms.append((lane, 2))
-    return BasicInfo(t_in, t_out, HomClass(tuple(sorted(atoms)), term))
+    basic = BasicInfo(t_in, t_out, HomClass(tuple(sorted(atoms)), term))
+    if memo is not None:
+        memo[key] = basic
+    return basic
 
 
 def _enc_side(w: BitWriter, side: tuple, b: int) -> None:
@@ -189,7 +195,7 @@ def _enc_side(w: BitWriter, side: tuple, b: int) -> None:
         _enc_basic(w, side[2], b)
 
 
-def _dec_side(r: BitReader, b: int, n: int) -> tuple:
+def _dec_side(r: BitReader, b: int, n: int, memo) -> tuple:
     if r.read_bit() == 0:
         lane = r.read_varint()
         vertex = r.read_uint(b)
@@ -197,7 +203,7 @@ def _dec_side(r: BitReader, b: int, n: int) -> tuple:
             raise DecodeError("bad leaf side")
         return ("V", lane, vertex)
     node_eid = r.read_varint()
-    return ("T", node_eid, _dec_basic(r, b, n))
+    return ("T", node_eid, _dec_basic(r, b, n, memo))
 
 
 _KINDS = ("E", "P", "B")
@@ -237,7 +243,7 @@ def _enc_elem(w: BitWriter, rec: ElementRecord, b: int) -> None:
         _enc_basic(w, csub, b)
 
 
-def _dec_elem(r: BitReader, b: int, n: int) -> ElementRecord:
+def _dec_elem(r: BitReader, b: int, n: int, memo) -> ElementRecord:
     eid = r.read_varint()
     parent = r.read_varint() if r.read_bit() else None
     kidx = r.read_uint(2)
@@ -267,8 +273,8 @@ def _dec_elem(r: BitReader, b: int, n: int) -> ElementRecord:
         bu = r.read_uint(b)
         bv = r.read_uint(b)
         bmark = r.read_bit()
-        left = _dec_side(r, b, n)
-        right = _dec_side(r, b, n)
+        left = _dec_side(r, b, n, memo)
+        right = _dec_side(r, b, n, memo)
         if not bu < bv < n:
             raise DecodeError("bad bridge edge")
         topo = ("B", i, j, (bu, bv), bmark, left, right)
@@ -278,29 +284,36 @@ def _dec_elem(r: BitReader, b: int, n: int) -> ElementRecord:
     children = []
     for _ in range(nc):
         ceid = r.read_varint()
-        children.append((ceid, _dec_basic(r, b, n)))
+        children.append((ceid, _dec_basic(r, b, n, memo)))
     if len({c for c, _ in children}) != nc:
         raise DecodeError("duplicate child eids")
     return ElementRecord(eid, parent, topo, tuple(children))
 
 
-def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
+def _enc_tnode(sec: TSec, b: int) -> Bits:
+    """The payload of one T-node section."""
+    sw = BitWriter()
+    sw.write_varint(sec.node_eid)
+    sw.write_bit(sec.is_root)
+    _enc_basic(sw, sec.basic, b)
+    sw.write_varint(sec.dist)
+    sw.write_bit(sec.is_tree)
+    sw.write_bit(sec.parent_min)
+    _enc_elem(sw, sec.elem, b)
+    return sw.getvalue()
+
+
+def _frame_label(n: int, w_lanes: int, tnodes: List[Bits], routes: List[RSec]) -> Bits:
+    """A label from its header fields, its T-node section payloads and its
+    route sections."""
     b = id_bits(n)
     out = BitWriter()
     hw = BitWriter()
     hw.write_varint(n)
     hw.write_varint(w_lanes)
     write_section(out, SEC_HEADER, hw.getvalue())
-    for sec in tnodes:
-        sw = BitWriter()
-        sw.write_varint(sec.node_eid)
-        sw.write_bit(sec.is_root)
-        _enc_basic(sw, sec.basic, b)
-        sw.write_varint(sec.dist)
-        sw.write_bit(sec.is_tree)
-        sw.write_bit(sec.parent_min)
-        _enc_elem(sw, sec.elem, b)
-        write_section(out, SEC_TNODE, sw.getvalue())
+    for payload in tnodes:
+        write_section(out, SEC_TNODE, payload)
     for rs in routes:
         rw = BitWriter()
         rw.write_uint(rs.u, b)
@@ -314,7 +327,27 @@ def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -
     return out.getvalue()
 
 
-def decode_label(bits: Bits) -> DecodedLabel:
+def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
+    b = id_bits(n)
+    return _frame_label(n, w_lanes, [_enc_tnode(sec, b) for sec in tnodes], routes)
+
+
+def _dec_tnode(payload: Bits, b: int, n: int, memo) -> TSec:
+    r = BitReader(payload)
+    node_eid = r.read_varint()
+    is_root = bool(r.read_bit())
+    basic = _dec_basic(r, b, n, memo)
+    dist = r.read_varint()
+    is_tree = bool(r.read_bit())
+    parent_min = bool(r.read_bit())
+    elem = _dec_elem(r, b, n, memo)
+    return TSec(node_eid, is_root, basic, dist, is_tree, parent_min, elem)
+
+
+def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
+    """Decode one label.  Without a memo every structure returned is new.
+    With one (the verifier's per-run cache) equal T-node sections and equal
+    BasicInfos decode to shared objects, which the caller must not mutate."""
     secs = read_sections(bits)
     if not secs or secs[0][0] != SEC_HEADER:
         raise DecodeError("label must start with a header section")
@@ -327,19 +360,17 @@ def decode_label(bits: Bits) -> DecodedLabel:
     tnodes: List[TSec] = []
     routes: List[RSec] = []
     for stype, payload in secs[1:]:
-        r = BitReader(payload)
         if stype == SEC_TNODE:
-            node_eid = r.read_varint()
-            is_root = bool(r.read_bit())
-            basic = _dec_basic(r, b, n)
-            dist = r.read_varint()
-            is_tree = bool(r.read_bit())
-            parent_min = bool(r.read_bit())
-            elem = _dec_elem(r, b, n)
-            tnodes.append(
-                TSec(node_eid, is_root, basic, dist, is_tree, parent_min, elem)
-            )
+            # n is part of the key: it sets the id width and the range checks.
+            key = ("tnode", n, payload)
+            sec = memo.get(key) if memo is not None else None
+            if sec is None:
+                sec = _dec_tnode(payload, b, n, memo)
+                if memo is not None:
+                    memo[key] = sec
+            tnodes.append(sec)
         elif stype == SEC_ROUTE:
+            r = BitReader(payload)
             u = r.read_uint(b)
             v = r.read_uint(b)
             idx = r.read_varint()
@@ -467,46 +498,41 @@ def _simplify_path(path: List[int]) -> List[int]:
 
 def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     n = g.n
+    b = id_bits(n)
     w_lanes = lp.k
     real = g.edge_set()
-    chains: Dict[Edge, List[TSec]] = {}
+    # Each edge's chain of T-node section payloads.  A payload depends only
+    # on its node, its element and the edge's pointer fields, so equal ones
+    # are encoded once.
+    payloads: Dict[tuple, Bits] = {}
+    chains: Dict[Edge, List[Bits]] = {}
     # Containing T-nodes first, so every chain starts at the root.
     for node in reversed(hd.nodes):
-        nb = ann.sub[node.root_element.eid]
+        node_eid = node.root_element.eid
         ptr = _pointer_fields(node.edges, node.t_in[min(node.t_in)])
         for el in node.elements():
-            rec = ann.records[el.eid]
             for e in el.edges:
-                dist, is_tree, pmin = ptr[e]
-                chains.setdefault(e, []).append(
-                    TSec(
-                        node.root_element.eid,
-                        node is hd.root,
-                        nb,
-                        dist,
-                        is_tree,
-                        pmin,
-                        rec,
-                    )
-                )
+                key = (node_eid, el.eid) + ptr[e]
+                payload = payloads.get(key)
+                if payload is None:
+                    sec = TSec(node_eid, node is hd.root, ann.sub[node_eid], *ptr[e],
+                               ann.records[el.eid])
+                    payload = payloads[key] = _enc_tnode(sec, b)
+                chains.setdefault(e, []).append(payload)
     bound = 2 * max(1, w_lanes)
     for e, chain in chains.items():
         if len(chain) > bound:
             raise CertifyError(
                 "edge %s lies in %d T-nodes, above 2w = %d" % (e, len(chain), bound)
             )
-    bits: Dict[Edge, Bits] = {
-        e: encode_label(n, w_lanes, chain, []) for e, chain in chains.items()
-    }
     routes: Dict[Edge, List[RSec]] = {e: [] for e in real}
     for ve in sorted(set(chains) - real):
+        vbits = _frame_label(n, w_lanes, chains[ve], [])
         path = _simplify_path(emb.routes[ve])
         m = len(path) - 1
         for pos in range(m):
             e = edge_key(path[pos], path[pos + 1])
-            routes[e].append(
-                RSec(path[0], path[-1], 0, pos + 1, m - pos, bits[ve])
-            )
+            routes[e].append(RSec(path[0], path[-1], 0, pos + 1, m - pos, vbits))
     h_bound = lane_bounds(k + 1)[2]
     out: Dict[Edge, Bits] = {}
     for e in real:
@@ -514,7 +540,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             raise CertifyError(
                 "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
             )
-        out[e] = encode_label(n, w_lanes, chains[e], routes[e])
+        out[e] = _frame_label(n, w_lanes, chains[e], routes[e])
     return out
 
 
@@ -670,9 +696,11 @@ def verify_vertex(
     view: LocalView,
     prop_name: str,
     k: int,
-    cache: Optional[Dict[Edge, object]] = None,
+    cache: Optional[dict] = None,
 ) -> Verdict:
-    """Run all local checks at one vertex; total on arbitrary labels."""
+    """Run all local checks at one vertex; total on arbitrary labels.  cache,
+    if given, is a memo shared by the vertices of one run over one labeling
+    (see verify_all); decoded structures in it are shared, never mutated."""
     base, marked_user, plugin = resolve_property(prop_name)
     try:
         _verify_vertex(view, marked_user, plugin, k, cache)
@@ -683,21 +711,21 @@ def verify_vertex(
     return Verdict(view.vid, True)
 
 
-def _decode_cached(e: Edge, bits: Bits, cache) -> DecodedLabel:
-    if cache is not None and e in cache:
-        hit = cache[e]
-        if isinstance(hit, Exception):
-            raise hit
-        return hit
-    try:
-        lab = decode_label(bits)
-    except DecodeError as exc:
-        if cache is not None:
-            cache[e] = exc
-        raise
-    if cache is not None:
-        cache[e] = lab
-    return lab
+def _decode_cached(bits: Bits, cache) -> DecodedLabel:
+    """decode_label once per distinct label in a run; cache is that run's
+    memo (labels by their bits, plus decode_label's own entries), or None."""
+    if cache is None:
+        return decode_label(bits)
+    hit = cache.get(bits)
+    if hit is None:
+        try:
+            hit = decode_label(bits, cache)
+        except DecodeError as exc:
+            hit = exc
+        cache[bits] = hit
+    if isinstance(hit, DecodeError):
+        raise hit.with_traceback(None)
+    return hit
 
 
 def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
@@ -710,7 +738,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     decoded: Dict[Edge, DecodedLabel] = {}
     for e, bits in view.labels.items():
         try:
-            decoded[e] = _decode_cached(e, bits, cache)
+            decoded[e] = _decode_cached(bits, cache)
         except DecodeError:
             raise _Reject("decode")
     headers = {(lab.n, lab.w) for lab in decoded.values()}
@@ -761,7 +789,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                 raise _Reject("route-real")
             payload = entries[0][1].payload
             try:
-                vlab = decode_label(payload)
+                vlab = _decode_cached(payload, cache)
             except DecodeError:
                 raise _Reject("decode")
             if vlab.routes:
@@ -969,8 +997,9 @@ def local_views(g: Graph, labels: Dict[Edge, Bits]):
 def verify_all(
     g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int
 ) -> Dict[int, Verdict]:
-    """Verify every vertex's local view independently."""
-    cache: Dict[Edge, object] = {}
+    """Verify every vertex's local view independently.  The vertices share
+    one memo, so each distinct label and section is decoded once."""
+    cache: dict = {}
     return {
         view.vid: verify_vertex(view, prop_name, k, cache)
         for view in local_views(g, labels)
@@ -983,7 +1012,7 @@ def all_accept(verdicts: Dict[int, Verdict]) -> bool:
 
 def any_reject(g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int) -> bool:
     """Like not all_accept(verify_all(...)) but stops at the first reject."""
-    cache: Dict[Edge, object] = {}
+    cache: dict = {}
     return any(
         not verify_vertex(view, prop_name, k, cache).accept
         for view in local_views(g, labels)
@@ -1032,16 +1061,21 @@ def write_label_file(labels: Dict[Edge, Bits]) -> str:
 
 
 def read_label_file(text: str) -> Dict[Edge, Bits]:
+    """Parse `u v hex` lines; DecodeError names the first malformed one."""
     out: Dict[Edge, Bits] = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         parts = ln.split()
-        if len(parts) != 3:
-            raise CertifyError("bad label line: %r" % ln)
-        u, v = int(parts[0]), int(parts[1])
-        out[edge_key(u, v)] = Bits.from_hex(parts[2])
+        try:
+            if len(parts) != 3:
+                raise DecodeError("expected 'u v hex'")
+            u, v = int(parts[0]), int(parts[1])
+            bits = Bits.from_hex(parts[2])
+        except ValueError as exc:  # DecodeError is a ValueError
+            raise DecodeError("bad label line %r: %s" % (ln, exc)) from None
+        out[edge_key(u, v)] = bits
     return out
 
 

@@ -8,6 +8,7 @@ Subcommands: gen, decompose, prove, verify, stats, fuzz, bench.  Exit codes:
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from typing import Optional, Sequence
 
@@ -23,6 +24,7 @@ from .certify import (
     write_label_file,
     write_verdict_file,
 )
+from .encoding import DecodeError
 from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from .fuzz import fuzz_soundness
 from .graph import GraphError, read_graph_file, write_graph_file
@@ -38,6 +40,7 @@ from .recursive import (
 )
 
 USAGE_ERRORS = (
+    DecodeError,
     GeneratorError,
     GraphError,
     IntervalError,
@@ -148,7 +151,12 @@ def cmd_verify(args) -> int:
     rejects = [v for v in verdicts.values() if not v.accept]
     _emit(
         args,
-        {"accept": ok, "vertices": len(verdicts), "rejects": len(rejects)},
+        {
+            "accept": ok,
+            "vertices": len(verdicts),
+            "rejects": len(rejects),
+            "reasons": dict(Counter(v.reason for v in rejects)),
+        },
         "all-accept" if ok else "reject at %d vertices" % len(rejects),
     )
     return 0 if ok else 1

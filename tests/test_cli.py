@@ -78,6 +78,41 @@ def test_prove_verify_stats_roundtrip(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_json_reasons(tmp_path, capsys):
+    # Honest bipartite labels checked as acyclic: every rejecting vertex is
+    # counted under its reason.
+    gfile = str(tmp_path / "g.txt")
+    lfile = str(tmp_path / "l.txt")
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
+    run(capsys, "prove", "--graph", gfile, "--property", "bipartite",
+        "--k", "2", "--out", lfile)
+    code, out, _ = run(
+        capsys, "verify", "--graph", gfile, "--labels", lfile,
+        "--property", "acyclic", "--k", "2", "--json",
+    )
+    rep = json.loads(out)
+    assert code == 1 and rep["rejects"] > 0
+    assert sum(rep["reasons"].values()) == rep["rejects"]
+    assert "-" not in rep["reasons"]
+
+
+def test_malformed_label_file_is_usage_error(tmp_path, capsys):
+    gfile = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
+    for line in ("0 1", "a b 00", "0 1 zz"):  # field count, ids, hex
+        lfile = str(tmp_path / "bad.txt")
+        with open(lfile, "w") as fh:
+            fh.write(line + "\n")
+        for argv in (
+            ("verify", "--graph", gfile, "--labels", lfile,
+             "--property", "bipartite", "--k", "2"),
+            ("stats", "--labels", lfile),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (line, argv[0])
+            assert err.startswith("error: bad label line"), err
+
+
 def test_prove_refusal_exit_code(tmp_path, capsys):
     gfile = str(tmp_path / "c5.txt")
     with open(gfile, "w") as fh:

@@ -9,7 +9,12 @@ structure within the width bound; a single reject refutes the certificate.
 
 Prover and verifier share one class fold, ``_recompute_sub``: the prover
 runs it over the element records it emits (``annotate_classes``), and each
-vertex reruns it over the records it sees.
+vertex reruns it over the records it sees.  The fold's class operations are
+memoized by value for one run (one ``annotate_classes``, one ``verify_all``
+or ``any_reject``, or one ``verify_vertex`` call without a cache): a class
+that repeats across elements and vertices is composed once, while every glue
+check still runs at every vertex and a failing operation is run again
+wherever it recurs.  Plugins themselves stay stateless.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count), followed by one section per decomposition
@@ -137,7 +142,17 @@ class DecodedLabel:
 # --- encoding ----------------------------------------------------------------
 
 
-def _enc_basic(w: BitWriter, bi: BasicInfo, b: int) -> None:
+def _enc_basic(w: BitWriter, bi: BasicInfo, b: int, memo=None) -> None:
+    """Write bi.  memo, if given, maps id(bi) to (bi, its bits) within one
+    prove call, so each BasicInfo object is encoded once."""
+    if memo is not None:
+        hit = memo.get(id(bi))
+        if hit is None:
+            bw = BitWriter()
+            _enc_basic(bw, bi, b)
+            hit = memo[id(bi)] = (bi, bw.getvalue())
+        w.write_bits(hit[1])
+        return
     lanes = bi.lanes()
     w.write_varint(len(lanes))
     for lane in lanes:
@@ -184,7 +199,7 @@ def _dec_basic(r: BitReader, b: int, n: int, memo=None) -> BasicInfo:
     return basic
 
 
-def _enc_side(w: BitWriter, side: tuple, b: int) -> None:
+def _enc_side(w: BitWriter, side: tuple, b: int, memo) -> None:
     if side[0] == "V":
         w.write_bit(0)
         w.write_varint(side[1])
@@ -192,7 +207,7 @@ def _enc_side(w: BitWriter, side: tuple, b: int) -> None:
     else:
         w.write_bit(1)
         w.write_varint(side[1])
-        _enc_basic(w, side[2], b)
+        _enc_basic(w, side[2], b, memo)
 
 
 def _dec_side(r: BitReader, b: int, n: int, memo) -> tuple:
@@ -209,7 +224,7 @@ def _dec_side(r: BitReader, b: int, n: int, memo) -> tuple:
 _KINDS = ("E", "P", "B")
 
 
-def _enc_elem(w: BitWriter, rec: ElementRecord, b: int) -> None:
+def _enc_elem(w: BitWriter, rec: ElementRecord, b: int, memo) -> None:
     w.write_varint(rec.eid)
     w.write_bit(rec.parent_eid is not None)
     if rec.parent_eid is not None:
@@ -235,12 +250,12 @@ def _enc_elem(w: BitWriter, rec: ElementRecord, b: int) -> None:
         w.write_uint(bridge[0], b)
         w.write_uint(bridge[1], b)
         w.write_bit(bmark)
-        _enc_side(w, left, b)
-        _enc_side(w, right, b)
+        _enc_side(w, left, b, memo)
+        _enc_side(w, right, b, memo)
     w.write_varint(len(rec.children))
     for ceid, csub in rec.children:
         w.write_varint(ceid)
-        _enc_basic(w, csub, b)
+        _enc_basic(w, csub, b, memo)
 
 
 def _dec_elem(r: BitReader, b: int, n: int, memo) -> ElementRecord:
@@ -290,16 +305,16 @@ def _dec_elem(r: BitReader, b: int, n: int, memo) -> ElementRecord:
     return ElementRecord(eid, parent, topo, tuple(children))
 
 
-def _enc_tnode(sec: TSec, b: int) -> Bits:
-    """The payload of one T-node section."""
+def _enc_tnode(sec: TSec, b: int, memo=None) -> Bits:
+    """The payload of one T-node section; memo as in _enc_basic."""
     sw = BitWriter()
     sw.write_varint(sec.node_eid)
     sw.write_bit(sec.is_root)
-    _enc_basic(sw, sec.basic, b)
+    _enc_basic(sw, sec.basic, b, memo)
     sw.write_varint(sec.dist)
     sw.write_bit(sec.is_tree)
     sw.write_bit(sec.parent_min)
-    _enc_elem(sw, sec.elem, b)
+    _enc_elem(sw, sec.elem, b, memo)
     return sw.getvalue()
 
 
@@ -503,8 +518,9 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     real = g.edge_set()
     # Each edge's chain of T-node section payloads.  A payload depends only
     # on its node, its element and the edge's pointer fields, so equal ones
-    # are encoded once.
+    # are encoded once, and so is each BasicInfo they contain.
     payloads: Dict[tuple, Bits] = {}
+    basics: dict = {}
     chains: Dict[Edge, List[Bits]] = {}
     # Containing T-nodes first, so every chain starts at the root.
     for node in reversed(hd.nodes):
@@ -517,7 +533,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
                 if payload is None:
                     sec = TSec(node_eid, node is hd.root, ann.sub[node_eid], *ptr[e],
                                ann.records[el.eid])
-                    payload = payloads[key] = _enc_tnode(sec, b)
+                    payload = payloads[key] = _enc_tnode(sec, b, basics)
                 chains.setdefault(e, []).append(payload)
     bound = 2 * max(1, w_lanes)
     for e, chain in chains.items():
@@ -583,15 +599,18 @@ def annotate_classes(
     """Fold the decomposition with the verifier's own _recompute_sub, so the
     prover emits exactly the subtree infos each vertex will recompute.  The
     builder's eid order puts every element after everything it contains.
+    One memo serves the whole fold, so each distinct class operation is
+    computed once.
 
     emarks gives each edge's mark; an edge missing from it is unmarked.
     """
     records: Dict[int, ElementRecord] = {}
     sub: Dict[int, BasicInfo] = {}
+    memo: dict = {}
     for el in hd.elements:
         rec = _make_record(el, sub, emarks)
         try:
-            sub[el.eid] = _recompute_sub(rec, plugin)
+            sub[el.eid] = _recompute_sub(rec, plugin, memo)
         except _Reject as rj:
             raise CertifyError("element %d fails its own check: %s" % (el.eid, rj.code))
         records[el.eid] = rec
@@ -626,21 +645,34 @@ class _Reject(Exception):
         self.code = code
 
 
-def _own_terms(rec: ElementRecord, plugin: PropertyPlugin):
+def _fold(memo: dict, plugin: PropertyPlugin, op: str, *args) -> HomClass:
+    """plugin.<op>(*args), computed once per distinct call in one run; memo
+    is the run's dict.  The method is looked up on every miss, and a call
+    that raises is not stored, so a malformed class is checked again
+    wherever it recurs."""
+    key = (op, plugin.name) + args
+    cls = memo.get(key)
+    if cls is None:
+        cls = memo[key] = getattr(plugin, op)(*args)
+    return cls
+
+
+def _own_terms(rec: ElementRecord, plugin: PropertyPlugin, memo: dict):
     """(t_in, t_out, own class) of an element record's own fragment."""
     t = rec.topo
     if t[0] == "E":
         _, lane, vin, vout, mark = t
-        return {lane: vin}, {lane: vout}, plugin.base_edge(lane, mark)
+        return {lane: vin}, {lane: vout}, _fold(memo, plugin, "base_edge", lane, mark)
     if t[0] == "P":
         _, vids, marks = t
         tm = {i + 1: v for i, v in enumerate(vids)}
-        return tm, dict(tm), plugin.base_path(len(vids), list(marks))
+        return tm, dict(tm), _fold(memo, plugin, "base_path", len(vids), marks)
     _, i, j, bridge, bmark, left, right = t
 
     def side_maps(side):
         if side[0] == "V":
-            return {side[1]: side[2]}, {side[1]: side[2]}, plugin.base_vleaf(side[1])
+            return ({side[1]: side[2]}, {side[1]: side[2]},
+                    _fold(memo, plugin, "base_vleaf", side[1]))
         basic = side[2]
         return dict(basic.t_in), dict(basic.t_out), basic.cls
 
@@ -652,14 +684,16 @@ def _own_terms(rec: ElementRecord, plugin: PropertyPlugin):
         raise _Reject("bridge-lanes")
     if edge_key(lout[i], rout[j]) != bridge:
         raise _Reject("bridge-endpoints")
-    cls = plugin.compose_bridge(lcls, rcls, i, j, bmark)
+    cls = _fold(memo, plugin, "compose_bridge", lcls, rcls, i, j, bmark)
     return {**lin, **rin}, {**lout, **rout}, cls
 
 
-def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin) -> BasicInfo:
+def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> BasicInfo:
     """Fold the claimed child subtree infos onto the element's own fragment,
-    checking the glue conditions the terminal ids impose."""
-    t_in, t_out, cls = _own_terms(rec, plugin)
+    checking the glue conditions the terminal ids impose.  memo is the run's
+    dict (see _fold): the class operations are computed once per distinct
+    argument tuple, and the glue checks run on every call."""
+    t_in, t_out, cls = _own_terms(rec, plugin, memo)
     lanes = set(t_in)
     seen_lanes: set = set()
     cur_out = dict(t_out)
@@ -673,7 +707,7 @@ def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin) -> BasicInfo:
         for lane in clanes:
             if csub.t_in[lane] != cur_out[lane]:
                 raise _Reject("glue")
-        cls = plugin.compose_parent(csub.cls, cls)
+        cls = _fold(memo, plugin, "compose_parent", csub.cls, cls)
         for lane in clanes:
             cur_out[lane] = csub.t_out[lane]
     return BasicInfo(t_in, cur_out, cls)
@@ -700,7 +734,8 @@ def verify_vertex(
 ) -> Verdict:
     """Run all local checks at one vertex; total on arbitrary labels.  cache,
     if given, is a memo shared by the vertices of one run over one labeling
-    (see verify_all); decoded structures in it are shared, never mutated."""
+    (see verify_all): decoded structures and class fold results in it are
+    shared, never mutated.  Without one, the fold memo lasts for this call."""
     base, marked_user, plugin = resolve_property(prop_name)
     try:
         _verify_vertex(view, marked_user, plugin, k, cache)
@@ -730,6 +765,7 @@ def _decode_cached(bits: Bits, cache) -> DecodedLabel:
 
 def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     vid = view.vid
+    memo = cache if cache is not None else {}
     if not view.labels:
         # No incident edges: the vertex is the whole (connected) graph.
         if not plugin.accepts(plugin.base_path(1, [])):
@@ -868,7 +904,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                 if vid not in basic.terminal_ids():
                     raise _Reject("boundary")
         _check_pointer(vid, basic, entries)
-        _check_elements(vid, node_eid, basic, entries, gedges, w_lanes, plugin)
+        _check_elements(vid, node_eid, basic, entries, gedges, w_lanes, plugin, memo)
     if len(root_eids) != 1:
         raise _Reject("chain-root")
     root_basic = node_entries[root_eids.pop()][0][1].basic
@@ -900,7 +936,7 @@ def _check_pointer(vid, basic: BasicInfo, entries) -> None:
             raise _Reject("pointer")
 
 
-def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin):
+def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin, memo):
     recs: Dict[int, ElementRecord] = {}
     for _, sec in entries:
         rec = recs.get(sec.elem.eid)
@@ -912,7 +948,7 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin)
 
     def sub_of(eid):
         if eid not in subs:
-            subs[eid] = _recompute_sub(recs[eid], plugin)
+            subs[eid] = _recompute_sub(recs[eid], plugin, memo)
         return subs[eid]
 
     for rec in recs.values():
@@ -978,7 +1014,7 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin)
             ("P", (vid,), ()),
             tuple((rec.eid, sub_of(rec.eid)) for rec in kids),
         )
-        if _recompute_sub(synth, plugin) != node_basic:
+        if _recompute_sub(synth, plugin, memo) != node_basic:
             raise _Reject("node-basic")
 
 
@@ -998,7 +1034,8 @@ def verify_all(
     g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int
 ) -> Dict[int, Verdict]:
     """Verify every vertex's local view independently.  The vertices share
-    one memo, so each distinct label and section is decoded once."""
+    one memo, so each distinct label and section is decoded once and each
+    distinct class operation of the fold is computed once."""
     cache: dict = {}
     return {
         view.vid: verify_vertex(view, prop_name, k, cache)

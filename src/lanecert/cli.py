@@ -2,7 +2,9 @@
 
 Subcommands: gen, decompose, prove, verify, stats, fuzz, bench.  Exit codes:
 0 on success / all-accept, 1 on reject, refusal, or fuzz counterexample,
-2 on usage errors (bad flags, unreadable files, unknown names).
+2 on usage errors (bad flags, unreadable or malformed files, unknown names).
+Only the input errors in USAGE_ERRORS are usage errors; any other exception,
+such as a ValueError from the bit codec, is a bug and propagates.
 """
 
 import argparse
@@ -48,7 +50,6 @@ USAGE_ERRORS = (
     OpError,
     PropertyError,
     OSError,
-    ValueError,
 )
 
 
@@ -186,10 +187,16 @@ def cmd_fuzz(args) -> int:
     return 1 if report.counterexamples else 0
 
 
+def _sizes(text: str):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text)
+
+
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
     rows = bench_label_size(
-        args.family, sizes, args.property, args.k, seed=args.seed
+        args.family, args.sizes, args.property, args.k, seed=args.seed
     )
     if args.json:
         print(json.dumps([asdict(r) for r in rows]))
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="label size versus log n sweep")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
+    p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated n values")
     p.add_argument("--property", required=True)
     p.add_argument("--k", type=int, required=True)
     common(p)

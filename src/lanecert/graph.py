@@ -340,6 +340,14 @@ def write_graph_file(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_ints(tokens: Sequence[str], error: type, line: str) -> List[int]:
+    """tokens as integers; raises error naming line when one is not."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise error("non-integer token in line %r" % line) from None
+
+
 def read_graph_file(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -347,7 +355,7 @@ def read_graph_file(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError("bad header: %r" % lines[0])
-    n, m = int(head[0]), int(head[1])
+    n, m = parse_ints(head, GraphError, lines[0])
     edges = []
     vin: Dict[int, int] = {}
     ein: Dict[Edge, int] = {}
@@ -357,15 +365,18 @@ def read_graph_file(text: str) -> Graph:
         if parts[0] == "#input":
             if len(parts) != 3:
                 raise GraphError("bad #input line: %r" % ln)
-            vin[int(parts[1])] = int(parts[2])
+            v, tag = parse_ints(parts[1:], GraphError, ln)
+            vin[v] = tag
         elif parts[0] == "#einput":
             if len(parts) != 4:
                 raise GraphError("bad #einput line: %r" % ln)
-            ein[(int(parts[1]), int(parts[2]))] = int(parts[3])
+            u, v, tag = parse_ints(parts[1:], GraphError, ln)
+            ein[(u, v)] = tag
         else:
             if len(parts) != 2:
                 raise GraphError("bad edge line: %r" % ln)
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = parse_ints(parts, GraphError, ln)
+            edges.append((u, v))
     if len(edges) != m:
         raise GraphError("edge count mismatch: header %d, got %d" % (m, len(edges)))
     return build_graph(n, edges, vin, ein)

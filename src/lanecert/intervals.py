@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import Graph
+from .graph import Graph, parse_ints
 
 
 class IntervalError(ValueError):
@@ -188,7 +188,8 @@ def read_interval_file(text: str, n: int) -> IntervalRepresentation:
         parts = ln.split()
         if len(parts) != 3:
             raise IntervalError("bad interval line: %r" % ln)
-        found[int(parts[0])] = Interval(int(parts[1]), int(parts[2]))
+        v, lo, hi = parse_ints(parts, IntervalError, ln)
+        found[v] = Interval(lo, hi)
     missing = [v for v in range(n) if v not in found]
     if missing:
         raise IntervalError("missing intervals for vertices %s" % missing[:5])
@@ -204,5 +205,5 @@ def read_decomposition_file(text: str) -> PathDecomposition:
     for ln in text.splitlines():
         ln = ln.strip()
         if ln:
-            bags.append([int(x) for x in ln.split()])
+            bags.append(parse_ints(ln.split(), IntervalError, ln))
     return PathDecomposition(bags)

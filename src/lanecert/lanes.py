@@ -6,7 +6,15 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .graph import Edge, Graph, GraphError, bfs_path, edge_key, is_connected
+from .graph import (
+    Edge,
+    Graph,
+    GraphError,
+    bfs_path,
+    edge_key,
+    is_connected,
+    parse_ints,
+)
 from .intervals import (
     Interval,
     IntervalRepresentation,
@@ -354,7 +362,7 @@ def read_lane_file(text: str) -> LanePartition:
     for ln in text.splitlines():
         ln = ln.strip()
         if ln:
-            lanes.append([int(x) for x in ln.split()])
+            lanes.append(parse_ints(ln.split(), LaneError, ln))
     return LanePartition(lanes)
 
 
@@ -373,7 +381,8 @@ def read_embedding_file(text: str) -> Embedding:
         if not ln:
             continue
         head, _, tail = ln.partition(":")
-        u, v = (int(x) for x in head.split())
-        path = [int(x) for x in tail.split()]
-        emb.add(edge_key(u, v), path, "weak")
+        ends = parse_ints(head.split(), LaneError, ln)
+        if len(ends) != 2:
+            raise LaneError("bad route line: %r" % ln)
+        emb.add(edge_key(*ends), parse_ints(tail.split(), LaneError, ln), "weak")
     return emb

@@ -391,6 +391,7 @@ _BASE_ALGEBRAS = {
 
 
 # Plugins are stateless, so one instance per property serves every caller.
+# The fold's memo belongs to one run (see certify._fold), never to a plugin.
 PLUGINS: Dict[str, PropertyPlugin] = {
     prefix + name: PropertyPlugin(prefix + name, alg(), bool(prefix))
     for name, alg in _BASE_ALGEBRAS.items()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from .graph import Edge, Graph, edge_key
+from .graph import Edge, Graph, edge_key, parse_ints
 from .intervals import Interval, IntervalRepresentation
 from .lanes import LanePartition, completion as make_completion
 
@@ -490,17 +490,17 @@ def read_op_file(text: str) -> OpSequence:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise OpError("empty op file")
-    k = int(lines[0])
+    (k,) = parse_ints([lines[0]], OpError, lines[0])
     initial = tuple(range(k))
     ops: List[Op] = []
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "#initial":
-            initial = tuple(int(x) for x in parts[1:])
+            initial = tuple(parse_ints(parts[1:], OpError, ln))
         elif parts[0] == "V" and len(parts) == 3:
-            ops.append(VInsert(int(parts[1]), int(parts[2])))
+            ops.append(VInsert(*parse_ints(parts[1:], OpError, ln)))
         elif parts[0] == "E" and len(parts) == 3:
-            ops.append(EInsert(int(parts[1]), int(parts[2])))
+            ops.append(EInsert(*parse_ints(parts[1:], OpError, ln)))
         else:
             raise OpError("bad op line: %r" % ln)
     return OpSequence(k, initial, tuple(ops))

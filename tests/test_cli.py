@@ -1,7 +1,13 @@
 import json
 
-from lanecert.cli import main
+import pytest
+
+from lanecert import cli
+from lanecert.cli import USAGE_ERRORS, main
 from lanecert.graph import write_graph_file
+from lanecert.intervals import read_decomposition_file
+from lanecert.lanes import read_embedding_file, read_lane_file
+from lanecert.recursive import read_op_file
 from tests.test_graph import cycle_graph
 
 
@@ -111,6 +117,66 @@ def test_malformed_label_file_is_usage_error(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", (line, argv[0])
             assert err.startswith("error: bad label line"), err
+
+
+def test_non_integer_token_is_usage_error(tmp_path, capsys):
+    gfile = str(tmp_path / "g.txt")
+    ifile = str(tmp_path / "g.iv")
+    run(capsys, "gen", "--family", "cycle", "--n", "6",
+        "--out-graph", gfile, "--out-intervals", ifile)
+    good_graph = open(gfile).read()
+    good_iv = open(ifile).read()
+    cases = (
+        (good_graph.replace("0 1\n", "0 x\n", 1), good_iv, "'0 x'"),
+        (good_graph.replace("6 6", "6 six", 1), good_iv, "'6 six'"),
+        (good_graph, good_iv.replace("0 ", "zero ", 1), "'zero "),
+    )
+    for graph_text, iv_text, bad in cases:
+        for path, text in ((gfile, graph_text), (ifile, iv_text)):
+            with open(path, "w") as fh:
+                fh.write(text)
+        for cmd in ("decompose", "prove"):
+            argv = [cmd, "--graph", gfile, "--intervals", ifile, "--k", "2"]
+            if cmd == "prove":
+                argv += ["--property", "bipartite", "--out", str(tmp_path / "l")]
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (bad, cmd)
+            assert err.startswith("error: non-integer token") and bad in err, err
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_op_file, "2\nV 1 x\n"),
+    (read_op_file, "two\n"),
+    (read_op_file, "2\n#initial 0 b\n"),
+    (read_decomposition_file, "0 1\n1 y\n"),
+    (read_lane_file, "0 1\n2 z\n"),
+    (read_embedding_file, "0 2 : 0 q 2\n"),
+    (read_embedding_file, "0 : 0 1 2\n"),
+])
+def test_file_readers_raise_usage_errors(reader, text):
+    # The op, decomposition, lane and route files have no subcommand that
+    # reads them; their readers raise errors the CLI reports as usage errors.
+    with pytest.raises(USAGE_ERRORS):
+        reader(text)
+
+
+def test_internal_value_error_is_not_usage_error(tmp_path, capsys, monkeypatch):
+    gfile = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
+
+    def broken(*args, **kwargs):
+        raise ValueError("uint 9 does not fit in 3 bits")
+
+    monkeypatch.setattr(cli, "prove", broken)
+    with pytest.raises(ValueError, match="does not fit"):
+        main(["prove", "--graph", gfile, "--property", "bipartite",
+              "--k", "2", "--out", str(tmp_path / "l")])
+
+
+def test_bench_bad_sizes_is_usage_error(capsys):
+    code, out, err = run(capsys, "bench", "--family", "path", "--sizes", "16,x",
+                         "--property", "acyclic", "--k", "1")
+    assert code == 2 and out == "" and "--sizes" in err
 
 
 def test_prove_refusal_exit_code(tmp_path, capsys):

@@ -1,18 +1,26 @@
-"""The verifier's per-run memo: the same verdicts as an uncached verifier,
-and no decoded structure shared with callers of decode_label."""
+"""The per-run memo: the same verdicts as an uncached verifier, no decoded
+structure shared with callers of decode_label, each distinct class operation
+of the fold computed once per run, and no state left on the plugins."""
 
+import pickle
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from lanecert.certify import (
     SEC_HEADER,
     SEC_TNODE,
+    BasicInfo,
+    _recompute_sub,
+    _Reject,
     all_accept,
     decode_label,
     encode_label,
     local_views,
     prove,
+    resolve_property,
     verify_all,
     verify_vertex,
 )
@@ -20,6 +28,7 @@ from lanecert.encoding import BitWriter, DecodeError, read_sections, write_secti
 from lanecert.fuzz import MUTATIONS, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph
+from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
 from tests.test_graph import cycle_graph, path_graph
 
 FALSE_STATEMENTS = {
@@ -122,3 +131,149 @@ def test_memo_keeps_sections_apart_by_n():
             assert _decodes(small, memo) == _decodes(small)
             failing += not _decodes(small)
         assert failing > 0
+
+
+# --- the class fold's memo ---------------------------------------------------
+
+FOLD_OPS = ("base_vleaf", "base_edge", "base_path", "compose_bridge", "compose_parent")
+
+
+def _count_fold_calls(monkeypatch, calls: Counter, raised: Counter) -> None:
+    """Count every plugin fold operation actually run, by its argument tuple;
+    raised counts the calls that raise PropertyError."""
+    for op in FOLD_OPS:
+        orig = getattr(PropertyPlugin, op)
+
+        def counted(self, *args, _orig=orig, _op=op):
+            key = (_op, self.name) + args
+            calls[key] += 1
+            try:
+                return _orig(self, *args)
+            except PropertyError:
+                raised[key] += 1
+                raise
+
+        monkeypatch.setattr(PropertyPlugin, op, counted)
+
+
+def _records(labels):
+    """Every element record in the labels and in their route payloads."""
+    out = []
+    todo = list(labels.values())
+    while todo:
+        try:
+            lab = decode_label(todo.pop())
+        except DecodeError:
+            continue
+        out.extend(sec.elem for sec in lab.tnodes)
+        todo.extend(rs.payload for rs in lab.routes)
+    return out
+
+
+def _fold_outcome(rec, plugin, memo):
+    try:
+        return _recompute_sub(rec, plugin, memo)
+    except _Reject as rj:
+        return ("reject", rj.code)
+    except PropertyError as exc:
+        return ("property", str(exc))
+
+
+def _with_bad_child(rec):
+    """rec with its first child's class term replaced by one no plugin
+    accepts."""
+    (ceid, csub), *rest = rec.children
+    bad = BasicInfo(csub.t_in, csub.t_out, HomClass(csub.cls.atoms, 7))
+    return replace(rec, children=((ceid, bad), *rest))
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_STATEMENTS))
+def test_fold_memo_equals_unmemoized(name):
+    g, prop, k = FALSE_STATEMENTS[name]
+    plugin = resolve_property(prop)[2]
+    base = prove(g, prop, k, force=True)
+    rng = random.Random("fold-" + name)
+    kinds = Counter()
+    for mutation in MUTATIONS:
+        for _ in range(4):
+            records = _records(mutate(base, mutation, rng))
+            records += [_with_bad_child(rec) for rec in records if rec.children]
+            memo = {}
+            for _ in range(2):  # the second pass finds every success memoized
+                for rec in records:
+                    want = _fold_outcome(rec, plugin, {})
+                    assert _fold_outcome(rec, plugin, memo) == want, mutation
+                    kinds[want[0] if isinstance(want, tuple) else "ok"] += 1
+            assert memo or not records
+    assert kinds["ok"] > 0 and kinds["property"] > 0
+
+
+def test_fold_computes_each_distinct_call_once(monkeypatch):
+    g, ir = generate(GeneratorSpec("cycle", 60, 2), 0)
+    labels = prove(g, "bipartite", 2, ir=ir)
+    calls, raised = Counter(), Counter()
+    _count_fold_calls(monkeypatch, calls, raised)
+    assert all_accept(verify_all(g, labels, "bipartite", 2))
+    ops = Counter(key[0] for key in calls)
+    assert ops["compose_parent"] > 0 and ops["compose_bridge"] > 0
+    assert set(calls.values()) == {1}
+    calls.clear()
+    assert prove(g, "bipartite", 2, ir=ir) == labels
+    assert ops["compose_parent"] > 0 and set(calls.values()) == {1}
+    assert not raised
+
+
+def _basics(lab):
+    for sec in lab.tnodes:
+        yield sec.basic
+        if sec.elem.kind == "B":
+            yield from (side[2] for side in sec.elem.topo[5:7] if side[0] == "T")
+        yield from (csub for _, csub in sec.elem.children)
+
+
+def _with_term(bits, target, term):
+    """bits with every BasicInfo equal to target given the class term term,
+    also inside route payloads."""
+    lab = decode_label(bits)
+    for bi in _basics(lab):
+        if bi == target:
+            bi.cls = HomClass(bi.cls.atoms, term)
+    for rs in lab.routes:
+        rs.payload = _with_term(rs.payload, target, term)
+    return encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+
+
+def test_fold_failures_are_not_memoized(monkeypatch):
+    # Give one child subtree class a term that is not a tuple, everywhere it
+    # appears.  Every vertex that folds it runs the failing call itself and
+    # rejects it as malformed.
+    g, ir = generate(GeneratorSpec("cycle", 12, 2), 0)
+    labels = prove(g, "bipartite", 2, ir=ir)
+    targets = []
+    for rec in _records(labels):
+        targets.extend(csub for _, csub in rec.children if csub not in targets)
+    assert targets
+    calls, raised = Counter(), Counter()
+    _count_fold_calls(monkeypatch, calls, raised)
+    for target in targets:
+        bad = {e: _with_term(bits, target, 7) for e, bits in labels.items()}
+        raised.clear()
+        verdicts = verify_all(g, bad, "bipartite", 2)
+        malformed = [v.vid for v in verdicts.values() if v.reason == "malformed"]
+        assert len(malformed) >= 2, target
+        assert sum(raised.values()) >= len(malformed)
+        assert verdicts == {
+            view.vid: verify_vertex(view, "bipartite", 2) for view in local_views(g, bad)
+        }
+
+
+def test_plugins_keep_no_state():
+    def state():  # deep: a memo kept on a plugin would change its pickle
+        return {name: pickle.dumps(p) for name, p in PLUGINS.items()}
+
+    before = state()
+    g, ir = generate(GeneratorSpec("random-ops", 40, 2, 0.3), 0)
+    for prop in ("parity", "marked-bipartite"):
+        labels = prove(g, prop, 2, ir=ir, force=True)
+        verify_all(g, labels, prop, 2)
+    assert state() == before

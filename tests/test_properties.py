@@ -134,7 +134,7 @@ def test_fold_order_independent():
                     kids = list(rec.children)
                     rng.shuffle(kids)
                     permuted = dataclasses.replace(rec, children=tuple(kids))
-                    assert _recompute_sub(permuted, p) == ann.sub[rec.eid]
+                    assert _recompute_sub(permuted, p, {}) == ann.sub[rec.eid]
 
 
 def append_suffix(prefix: OpSequence, suffix_ops):

@@ -219,7 +219,8 @@ def test_fold_computes_each_distinct_call_once(monkeypatch):
     assert set(calls.values()) == {1}
     calls.clear()
     assert prove(g, "bipartite", 2, ir=ir) == labels
-    assert ops["compose_parent"] > 0 and set(calls.values()) == {1}
+    assert "compose_parent" in {key[0] for key in calls}
+    assert set(calls.values()) == {1}
     assert not raised
 
 
@@ -251,7 +252,9 @@ def test_fold_failures_are_not_memoized(monkeypatch):
     labels = prove(g, "bipartite", 2, ir=ir)
     targets = []
     for rec in _records(labels):
-        targets.extend(csub for _, csub in rec.children if csub not in targets)
+        for _, csub in rec.children:
+            if csub not in targets:
+                targets.append(csub)
     assert targets
     calls, raised = Counter(), Counter()
     _count_fold_calls(monkeypatch, calls, raised)

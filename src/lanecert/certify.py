@@ -10,11 +10,12 @@ structure within the width bound; a single reject refutes the certificate.
 Prover and verifier share one class fold, ``_recompute_sub``: the prover
 runs it over the element records it emits (``annotate_classes``), and each
 vertex reruns it over the records it sees.  The fold's class operations are
-memoized by value for one run (one ``annotate_classes``, one ``verify_all``
-or ``any_reject``, or one ``verify_vertex`` call without a cache): a class
-that repeats across elements and vertices is composed once, while every glue
-check still runs at every vertex and a failing operation is run again
-wherever it recurs.  Plugins themselves stay stateless.
+memoized by value for one run (one ``annotate_classes``, one ``verify_all``,
+one ``any_reject`` without a cache, one fuzz campaign, or one
+``verify_vertex`` call without a cache): a class that repeats across
+elements, vertices and labelings is composed once, while every glue check
+still runs at every vertex and a failing operation is run again wherever it
+recurs.  Plugins themselves stay stateless.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count), followed by one section per decomposition
@@ -1047,13 +1048,26 @@ def all_accept(verdicts: Dict[int, Verdict]) -> bool:
     return all(v.accept for v in verdicts.values())
 
 
-def any_reject(g: Graph, labels: Dict[Edge, Bits], prop_name: str, k: int) -> bool:
-    """Like not all_accept(verify_all(...)) but stops at the first reject."""
-    cache: dict = {}
-    return any(
-        not verify_vertex(view, prop_name, k, cache).accept
-        for view in local_views(g, labels)
-    )
+def any_reject(
+    g: Graph,
+    labels: Dict[Edge, Bits],
+    prop_name: str,
+    k: int,
+    cache: Optional[dict] = None,
+) -> Optional[Verdict]:
+    """The first rejecting vertex's Verdict, in vertex order, or None when
+    every vertex accepts: verify_all that stops at the first reject.  cache,
+    if given, is a memo the caller keeps across labelings of g (a fuzz
+    campaign keeps one for all its trials); its entries are keyed by label
+    bits and by class values, so sharing it changes no verdict.  Without one,
+    the memo lasts for this call."""
+    if cache is None:
+        cache = {}
+    for view in local_views(g, labels):
+        verdict = verify_vertex(view, prop_name, k, cache)
+        if not verdict.accept:
+            return verdict
+    return None
 
 
 # --- size accounting and file formats ---------------------------------------

@@ -5,6 +5,15 @@ forced even when the statement is false) and applies structured mutations:
 bit flips, section deletion, section swaps between edges, whole-label swaps,
 route-rank perturbation, and fully random labels.  An all-accept verdict on
 a false statement is a counterexample and fails the build.
+
+``FuzzReport.reasons`` says which check killed each mutant: for every
+mutation, the number of trials per reject reason of the first rejecting
+vertex, with ``"all-accept"`` for trials no vertex rejected (on a false
+statement, its counterexamples).
+
+A mutant differs from its base in a few labels, so one campaign keeps one
+verifier memo for all its trials (see ``certify.any_reject``): the base
+labels are decoded and folded once per campaign, not once per trial.
 """
 
 import random
@@ -41,7 +50,7 @@ class FuzzReport:
     rejects: int = 0
     statement_true: bool = False
     counterexamples: List[int] = field(default_factory=list)
-    by_mutation: Dict[str, int] = field(default_factory=dict)
+    reasons: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 def _flip_bits(bits: Bits, rng: random.Random) -> Bits:
@@ -85,9 +94,12 @@ def _swap_section(a: Bits, b: Bits, rng: random.Random):
     return _assemble(sa), _assemble(sb)
 
 
-def _perturb_route(bits: Bits, rng: random.Random) -> Bits:
+def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bits:
+    """bits with one route section's ranks or endpoints edited.  With the
+    campaign's cache, T-node sections come from it shared, but each call
+    gets new route sections, so the edit below changes nothing cached."""
     try:
-        lab = decode_label(bits)
+        lab = decode_label(bits, cache)
     except DecodeError:
         return _flip_bits(bits, rng)
     if not lab.routes:
@@ -109,8 +121,13 @@ def _random_label(rng: random.Random) -> Bits:
 
 
 def mutate(
-    labels: Dict[Edge, Bits], mutation: str, rng: random.Random
+    labels: Dict[Edge, Bits],
+    mutation: str,
+    rng: random.Random,
+    cache: Optional[dict] = None,
 ) -> Dict[Edge, Bits]:
+    """A mutant of labels; cache, if given, is the campaign's verifier memo,
+    used to decode routes.  It changes no mutant."""
     out = dict(labels)
     edges = sorted(out)
     if not edges:
@@ -129,7 +146,7 @@ def mutate(
         e2 = rng.choice(edges)
         out[e], out[e2] = out[e2], out[e]
     elif mutation == "route-rank":
-        out[e] = _perturb_route(out[e], rng)
+        out[e] = _perturb_route(out[e], rng, cache)
     elif mutation == "random-labels":
         for e2 in edges:
             if rng.random() < 0.5:
@@ -156,26 +173,29 @@ def fuzz_soundness(
     rng = random.Random(seed)
     report = FuzzReport(seed=seed)
     try:
-        prove(g, prop_name, k, ir=ir)
+        # force only stops prove from refusing: on a true statement the
+        # unforced labels are the forced ones.
+        base = prove(g, prop_name, k, ir=ir)
         report.statement_true = True
     except CertifyError:
-        report.statement_true = False
-    try:
-        base = prove(g, prop_name, k, ir=ir, force=True)
-    except CertifyError:
-        base = {e: _random_label(rng) for e in g.edges}
+        try:
+            base = prove(g, prop_name, k, ir=ir, force=True)
+        except CertifyError:
+            base = {e: _random_label(rng) for e in g.edges}
     pool = [base] + list(donors or [])
+    cache: dict = {}
     for trial in range(trials):
         mutation = MUTATIONS[trial % len(MUTATIONS)]
-        labels = mutate(rng.choice(pool), mutation, rng)
+        labels = mutate(rng.choice(pool), mutation, rng, cache)
         report.trials += 1
-        if not any_reject(g, labels, prop_name, k):
+        verdict = any_reject(g, labels, prop_name, k, cache)
+        reason = "all-accept" if verdict is None else verdict.reason
+        counts = report.reasons.setdefault(mutation, {})
+        counts[reason] = counts.get(reason, 0) + 1
+        if verdict is not None:
+            report.rejects += 1
+        else:
             report.all_accepts += 1
             if not report.statement_true:
                 report.counterexamples.append(trial)
-                report.by_mutation[mutation] = (
-                    report.by_mutation.get(mutation, 0) + 1
-                )
-        else:
-            report.rejects += 1
     return report

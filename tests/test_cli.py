@@ -201,6 +201,8 @@ def test_fuzz_command(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["trials"] == 50 and rep["counterexamples"] == []
+    assert sum(sum(c.values()) for c in rep["reasons"].values()) == 50
+    assert rep["reasons"]["replay"] == {"root-class": 7}
 
 
 def test_bench_command(capsys):

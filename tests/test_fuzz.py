@@ -1,5 +1,6 @@
 import random
 
+from lanecert import fuzz
 from lanecert.bench import bench_label_size
 from lanecert.certify import prove, verify_all
 from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
@@ -13,6 +14,33 @@ def test_fuzz_c5_bipartite_no_counterexamples():
     assert not report.statement_true
     assert report.counterexamples == []
     assert report.rejects == 400
+    # Every trial is counted once, under its mutation and the reason its
+    # first rejecting vertex gave.
+    assert set(report.reasons) == set(MUTATIONS)
+    for i, mutation in enumerate(MUTATIONS):
+        trials = len(range(i, 400, len(MUTATIONS)))
+        assert sum(report.reasons[mutation].values()) == trials, mutation
+        assert "all-accept" not in report.reasons[mutation]
+    assert report.reasons["replay"] == {"root-class": len(range(6, 400, 7))}
+
+
+def test_fuzz_proves_once_on_true_statements(monkeypatch):
+    # A true statement's unforced labels are its base; a false one needs the
+    # unforced call for its truth and the forced call for its base.
+    calls = []
+    orig = fuzz.prove
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("force", False))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(fuzz, "prove", counted)
+    report = fuzz_soundness(cycle_graph(6), "bipartite", 2, len(MUTATIONS), seed=75)
+    assert report.statement_true and calls == [False]
+    assert report.reasons["replay"] == {"all-accept": 1}
+    calls.clear()
+    report = fuzz_soundness(cycle_graph(5), "bipartite", 2, len(MUTATIONS), seed=75)
+    assert not report.statement_true and calls == [False, True]
 
 
 def test_fuzz_path_with_chord():

@@ -1,6 +1,7 @@
 """The per-run memo: the same verdicts as an uncached verifier, no decoded
 structure shared with callers of decode_label, each distinct class operation
-of the fold computed once per run, and no state left on the plugins."""
+of the fold computed once per run, no state left on the plugins, and one
+memo per fuzz campaign that changes no mutant and no verdict."""
 
 import pickle
 import random
@@ -9,10 +10,12 @@ from dataclasses import replace
 
 import pytest
 
+from lanecert import certify, fuzz
 from lanecert.certify import (
     SEC_HEADER,
     SEC_TNODE,
     BasicInfo,
+    DecodedLabel,
     _recompute_sub,
     _Reject,
     all_accept,
@@ -25,7 +28,7 @@ from lanecert.certify import (
     verify_vertex,
 )
 from lanecert.encoding import BitWriter, DecodeError, read_sections, write_section
-from lanecert.fuzz import MUTATIONS, mutate
+from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
@@ -280,3 +283,91 @@ def test_plugins_keep_no_state():
         labels = prove(g, prop, 2, ir=ir, force=True)
         verify_all(g, labels, prop, 2)
     assert state() == before
+
+
+# --- one memo per fuzz campaign ----------------------------------------------
+
+
+def _campaigns():
+    """(name, graph, witness, property, k): the false statements, and true
+    ones whose labels carry route sections, so route-rank edits a route."""
+    out = [(name, g, None, prop, k) for name, (g, prop, k) in sorted(FALSE_STATEMENTS.items())]
+    for i, (g, ir, prop, k) in enumerate(_true_statements()):
+        out.append(("true%d-%s" % (i, prop), g, ir, prop, k))
+    return out
+
+
+@pytest.mark.parametrize("name,g,ir,prop,k", [pytest.param(*c, id=c[0]) for c in _campaigns()])
+def test_campaign_memo_equals_fresh_memo(monkeypatch, name, g, ir, prop, k):
+    # Every trial of a real campaign: its mutant equals the one drawn from
+    # the same rng state without the memo, and every vertex's verdict with
+    # the campaign's memo equals verify_vertex with a fresh dict.
+    caches = []
+    bases = []
+    mutations = Counter()
+    orig_mutate, orig_any_reject = fuzz.mutate, fuzz.any_reject
+
+    def checked_mutate(labels, mutation, rng, cache=None):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        out = orig_mutate(labels, mutation, rng, cache)
+        assert out == orig_mutate(labels, mutation, twin), mutation
+        assert twin.getstate() == rng.getstate()
+        if labels not in bases:
+            bases.append(labels)
+        mutations[mutation] += 1
+        if mutation == "route-rank":
+            # A label without routes gets a bit flip instead.
+            for e in labels:
+                try:
+                    before, after = decode_label(labels[e]), decode_label(out[e])
+                except DecodeError:
+                    continue
+                if before.tnodes == after.tnodes and before.routes != after.routes:
+                    mutations["route-edited"] += 1
+        return out
+
+    def checked_any_reject(g, labels, prop_name, k, cache=None):
+        if not caches or caches[-1] is not cache:
+            caches.append(cache)
+        first = orig_any_reject(g, labels, prop_name, k, cache)
+        fresh = [verify_vertex(view, prop_name, k, {}) for view in local_views(g, labels)]
+        shared = [verify_vertex(view, prop_name, k, cache) for view in local_views(g, labels)]
+        assert shared == fresh
+        assert first == next((v for v in fresh if not v.accept), None)
+        return first
+
+    monkeypatch.setattr(fuzz, "mutate", checked_mutate)
+    monkeypatch.setattr(fuzz, "any_reject", checked_any_reject)
+    report = fuzz_soundness(g, prop, k, 6 * len(MUTATIONS), seed=80, ir=ir)
+    assert report.counterexamples == []
+    assert set(mutations) >= set(MUTATIONS)
+    if name.startswith("true"):
+        assert mutations["route-edited"] > 0
+    # One memo for the whole campaign, left as decoding its keys makes it.
+    (cache,) = caches
+    decoded = [(key, hit) for key, hit in cache.items() if isinstance(hit, DecodedLabel)]
+    assert decoded
+    for key, hit in decoded:
+        assert hit == decode_label(key)
+    for bits in bases[0].values():
+        hit = cache[bits]
+        assert encode_label(hit.n, hit.w, hit.tnodes, hit.routes) == bits
+
+
+def test_campaign_decodes_each_base_label_once(monkeypatch):
+    # The replay trials verify the unmutated base; a campaign memo decodes
+    # each of its labels once, and the next campaign starts a new memo.
+    g = cycle_graph(6)
+    base = prove(g, "bipartite", 2)
+    decodes = Counter()
+    orig = certify.decode_label
+
+    def counted(bits, memo=None):
+        decodes[bits] += 1
+        return orig(bits, memo)
+
+    monkeypatch.setattr(certify, "decode_label", counted)
+    for campaigns in (1, 2):
+        fuzz_soundness(g, "bipartite", 2, 5 * len(MUTATIONS), seed=81)
+        assert {decodes[bits] for bits in base.values()} == {campaigns}

@@ -8,14 +8,19 @@ every vertex accepts, the graph satisfies the property and admits a lane
 structure within the width bound; a single reject refutes the certificate.
 
 Prover and verifier share one class fold, ``_recompute_sub``: the prover
-runs it over the element records it emits (``annotate_classes``), and each
-vertex reruns it over the records it sees.  The fold's class operations are
-memoized by value for one run (one ``annotate_classes``, one ``verify_all``,
-one ``any_reject`` without a cache, one fuzz campaign, or one
-``verify_vertex`` call without a cache): a class that repeats across
-elements, vertices and labelings is composed once, while every glue check
-still runs at every vertex and a failing operation is run again wherever it
-recurs.  Plugins themselves stay stateless.
+runs it over the element records it emits (``annotate_classes``), and the
+verifier over the records the vertices see.  Work that depends only on bits
+or values is done once per run (one ``annotate_classes``, one
+``verify_all``, one ``any_reject`` without a cache, one fuzz campaign, or
+one ``verify_vertex`` call without a cache).  The fold's class operations
+and the root-class check are memoized by value, so a class that repeats
+across elements, vertices and labelings is composed once.  The verifier
+decodes each distinct element record once and folds it once
+(``_fold_record``), so the glue checks inside ``_recompute_sub`` run once
+per distinct record per run.  The checks against a vertex's own view
+(``_verify_vertex``, ``_check_pointer``, ``_check_elements``) still run at
+every vertex.  A failing fold or operation is not stored, so it runs again
+wherever it recurs.  Plugins themselves stay stateless.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count), followed by one section per decomposition
@@ -319,7 +324,7 @@ def _enc_tnode(sec: TSec, b: int, memo=None) -> Bits:
     return sw.getvalue()
 
 
-def _frame_label(n: int, w_lanes: int, tnodes: List[Bits], routes: List[RSec]) -> Bits:
+def frame_label(n: int, w_lanes: int, tnodes: List[Bits], routes: List[RSec]) -> Bits:
     """A label from its header fields, its T-node section payloads and its
     route sections."""
     b = id_bits(n)
@@ -345,10 +350,13 @@ def _frame_label(n: int, w_lanes: int, tnodes: List[Bits], routes: List[RSec]) -
 
 def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
     b = id_bits(n)
-    return _frame_label(n, w_lanes, [_enc_tnode(sec, b) for sec in tnodes], routes)
+    return frame_label(n, w_lanes, [_enc_tnode(sec, b) for sec in tnodes], routes)
 
 
 def _dec_tnode(payload: Bits, b: int, n: int, memo) -> TSec:
+    """Decode one T-node section payload.  Its element record is the rest of
+    the payload, the same for every edge of the element, so with a memo each
+    distinct record (per n) is decoded once and shared."""
     r = BitReader(payload)
     node_eid = r.read_varint()
     is_root = bool(r.read_bit())
@@ -356,14 +364,21 @@ def _dec_tnode(payload: Bits, b: int, n: int, memo) -> TSec:
     dist = r.read_varint()
     is_tree = bool(r.read_bit())
     parent_min = bool(r.read_bit())
-    elem = _dec_elem(r, b, n, memo)
+    tail = r.read_bits(r.remaining())
+    key = ("elem", n, tail)
+    elem = memo.get(key) if memo is not None else None
+    if elem is None:
+        elem = _dec_elem(BitReader(tail), b, n, memo)
+        if memo is not None:
+            memo[key] = elem
     return TSec(node_eid, is_root, basic, dist, is_tree, parent_min, elem)
 
 
 def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     """Decode one label.  Without a memo every structure returned is new.
-    With one (the verifier's per-run cache) equal T-node sections and equal
-    BasicInfos decode to shared objects, which the caller must not mutate."""
+    With one (the verifier's per-run cache) equal T-node sections, equal
+    element records and equal BasicInfos decode to shared objects, which the
+    caller must not mutate."""
     secs = read_sections(bits)
     if not secs or secs[0][0] != SEC_HEADER:
         raise DecodeError("label must start with a header section")
@@ -544,7 +559,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             )
     routes: Dict[Edge, List[RSec]] = {e: [] for e in real}
     for ve in sorted(set(chains) - real):
-        vbits = _frame_label(n, w_lanes, chains[ve], [])
+        vbits = frame_label(n, w_lanes, chains[ve], [])
         path = _simplify_path(emb.routes[ve])
         m = len(path) - 1
         for pos in range(m):
@@ -557,7 +572,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             raise CertifyError(
                 "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
             )
-        out[e] = _frame_label(n, w_lanes, chains[e], routes[e])
+        out[e] = frame_label(n, w_lanes, chains[e], routes[e])
     return out
 
 
@@ -646,16 +661,16 @@ class _Reject(Exception):
         self.code = code
 
 
-def _fold(memo: dict, plugin: PropertyPlugin, op: str, *args) -> HomClass:
+def _fold(memo: dict, plugin: PropertyPlugin, op: str, *args):
     """plugin.<op>(*args), computed once per distinct call in one run; memo
     is the run's dict.  The method is looked up on every miss, and a call
     that raises is not stored, so a malformed class is checked again
     wherever it recurs."""
     key = (op, plugin.name) + args
-    cls = memo.get(key)
-    if cls is None:
-        cls = memo[key] = getattr(plugin, op)(*args)
-    return cls
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = getattr(plugin, op)(*args)
+    return out
 
 
 def _own_terms(rec: ElementRecord, plugin: PropertyPlugin, memo: dict):
@@ -714,6 +729,18 @@ def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> Ba
     return BasicInfo(t_in, cur_out, cls)
 
 
+def _fold_record(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> BasicInfo:
+    """_recompute_sub(rec, plugin, memo), computed once per record object and
+    plugin in one run.  decode_label interns equal records in the run's
+    memo, so each distinct record is folded once.  The entry keeps rec alive,
+    so its id is not reused, and a failing fold is not stored."""
+    key = ("sub", plugin.name, id(rec))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (rec, _recompute_sub(rec, plugin, memo))
+    return hit[1]
+
+
 def _topo_edges(rec: ElementRecord) -> List[Tuple[Edge, int]]:
     """(edge, mark) pairs of the record's directly listed topology edges."""
     t = rec.topo
@@ -769,7 +796,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     memo = cache if cache is not None else {}
     if not view.labels:
         # No incident edges: the vertex is the whole (connected) graph.
-        if not plugin.accepts(plugin.base_path(1, [])):
+        if not _fold(memo, plugin, "accepts", _fold(memo, plugin, "base_path", 1, ())):
             raise _Reject("root-class")
         return
     decoded: Dict[Edge, DecodedLabel] = {}
@@ -909,7 +936,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     if len(root_eids) != 1:
         raise _Reject("chain-root")
     root_basic = node_entries[root_eids.pop()][0][1].basic
-    if not plugin.accepts(root_basic.cls):
+    if not _fold(memo, plugin, "accepts", root_basic.cls):
         raise _Reject("root-class")
 
 
@@ -945,12 +972,9 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin,
             recs[sec.elem.eid] = sec.elem
         elif rec != sec.elem:
             raise _Reject("elem-shared")
-    subs: Dict[int, BasicInfo] = {}
 
     def sub_of(eid):
-        if eid not in subs:
-            subs[eid] = _recompute_sub(recs[eid], plugin, memo)
-        return subs[eid]
+        return _fold_record(recs[eid], plugin, memo)
 
     for rec in recs.values():
         t_in = sub_of(rec.eid).t_in

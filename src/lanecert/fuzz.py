@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .certify import (
+    SEC_TNODE,
     CertifyError,
     any_reject,
     decode_label,
-    encode_label,
+    frame_label,
     prove,
 )
 from .encoding import Bits, BitWriter, DecodeError, read_sections, write_section
@@ -97,7 +98,8 @@ def _swap_section(a: Bits, b: Bits, rng: random.Random):
 def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bits:
     """bits with one route section's ranks or endpoints edited.  With the
     campaign's cache, T-node sections come from it shared, but each call
-    gets new route sections, so the edit below changes nothing cached."""
+    gets new route sections, so the edit below changes nothing cached.  The
+    T-node section payloads are framed again as they are, not re-encoded."""
     try:
         lab = decode_label(bits, cache)
     except DecodeError:
@@ -112,7 +114,8 @@ def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bit
         rs.bwd = max(1, rs.bwd + rng.choice((-1, 1)))
     else:
         rs.u, rs.v = rs.v, rs.u
-    return encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+    tnodes = [payload for stype, payload in read_sections(bits) if stype == SEC_TNODE]
+    return frame_label(lab.n, lab.w, tnodes, lab.routes)
 
 
 def _random_label(rng: random.Random) -> Bits:

@@ -1,4 +1,5 @@
-"""Static checks over the sources: no assert in src/, no unused imports."""
+"""Static checks over the sources: no assert in src/, no unused imports, and
+no function in src/ that mutates a module-level container."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,83 @@ def unused_imports(tree: ast.Module):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+MUTATORS = {"setdefault", "update", "append", "add"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCTIONS + (ast.ClassDef,)
+
+
+def _scope_nodes(scope):
+    """The nodes of scope's own body: nested functions and classes are
+    yielded but not entered."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bound_names(scope):
+    """Names a scope binds (stores, imports, defs), less those it declares
+    global.  For a function, its parameters too."""
+    names, declared = set(), set()
+    if isinstance(scope, FUNCTIONS):
+        a = scope.args
+        names |= {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+        names |= {x.arg for x in (a.vararg, a.kwarg) if x is not None}
+    for node in _scope_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared |= set(node.names)
+    return names - declared
+
+
+def _mutated_name(node):
+    """The name a statement-level node mutates in place: X[...] = / del
+    X[...], or X.setdefault/update/append/add(...); else None."""
+    if (
+        isinstance(node, ast.Subscript)
+        and not isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+    ):
+        return node.value.id
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in MUTATORS
+        and isinstance(node.func.value, ast.Name)
+    ):
+        return node.func.value.id
+    return None
+
+
+def module_state_mutations(tree: ast.Module):
+    """(line, name) of every place a function mutates a module-level name:
+    one the module binds that neither the function nor an enclosing function
+    binds.  Module-level code may build its own tables."""
+    module = _bound_names(tree)
+    found = []
+
+    def visit(scope, local):
+        for node in _scope_nodes(scope):
+            if isinstance(node, FUNCTIONS):
+                visit(node, (local or set()) | _bound_names(node))
+            elif isinstance(node, ast.ClassDef):
+                visit(node, local)  # class names are not visible in methods
+            elif local is not None:
+                name = _mutated_name(node)
+                if name in module and name not in local:
+                    found.append((node.lineno, name))
+
+    visit(tree, None)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", SRC, ids=_name)
 def test_no_assert_in_src(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
@@ -53,3 +131,48 @@ def test_unused_import_detector():
         "x: L = sys.argv\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "Dict")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=_name)
+def test_no_module_state_in_src(path):
+    # Memos belong to one run; a module-level one would outlive it.
+    assert module_state_mutations(_tree(path)) == []
+
+
+def test_module_state_detector():
+    tree = ast.parse(
+        "import os\n"
+        "CACHE, SEEN, ALL = {}, [], set()\n"
+        "def f(key, seen=None):\n"
+        "    CACHE[key] = 1\n"
+        "    SEEN.append(key)\n"
+        "    os.environ.update({})\n"
+        "    local = {}\n"
+        "    local[key] = CACHE.get(key)\n"
+        "    def g():\n"
+        "        local.setdefault(key, 2)\n"
+        "        del CACHE[key]\n"
+        "        return lambda x: ALL.add(x)\n"
+        "    return g\n"
+        "def h(SEEN):\n"
+        "    SEEN.append(1)\n"
+        "    CACHE = {}\n"
+        "    CACHE.update(a=1)\n"
+        "def k():\n"
+        "    global ALL\n"
+        "    ALL = set()\n"
+        "    ALL.add(1)\n"
+        "class C:\n"
+        "    SEEN = []\n"
+        "    def m(self):\n"
+        "        SEEN.append(self)\n"
+        "CACHE['top'] = 0\n"
+    )
+    assert module_state_mutations(tree) == [
+        (4, "CACHE"),
+        (5, "SEEN"),
+        (11, "CACHE"),
+        (12, "ALL"),
+        (21, "ALL"),
+        (25, "SEEN"),
+    ]

@@ -1,7 +1,8 @@
 """The per-run memo: the same verdicts as an uncached verifier, no decoded
 structure shared with callers of decode_label, each distinct class operation
-of the fold computed once per run, no state left on the plugins, and one
-memo per fuzz campaign that changes no mutant and no verdict."""
+and each distinct element record decoded and folded once per run, no state
+left on the plugins, and one memo per fuzz campaign that changes no mutant
+and no verdict."""
 
 import pickle
 import random
@@ -16,6 +17,8 @@ from lanecert.certify import (
     SEC_TNODE,
     BasicInfo,
     DecodedLabel,
+    _dec_basic,
+    _fold,
     _recompute_sub,
     _Reject,
     all_accept,
@@ -27,10 +30,17 @@ from lanecert.certify import (
     verify_all,
     verify_vertex,
 )
-from lanecert.encoding import BitWriter, DecodeError, read_sections, write_section
+from lanecert.encoding import (
+    BitReader,
+    Bits,
+    BitWriter,
+    DecodeError,
+    read_sections,
+    write_section,
+)
 from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
-from lanecert.graph import build_graph
+from lanecert.graph import build_graph, id_bits
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
 from tests.test_graph import cycle_graph, path_graph
 
@@ -111,34 +121,61 @@ def _decodes(bits, memo=None) -> bool:
     return True
 
 
+def _small_label(w_lanes, payloads) -> Bits:
+    """A label with header n = 5 and the given T-node section payloads."""
+    hw = BitWriter()
+    hw.write_varint(5)
+    hw.write_varint(w_lanes)
+    w = BitWriter()
+    write_section(w, SEC_HEADER, hw.getvalue())
+    for payload in payloads:
+        write_section(w, SEC_TNODE, payload)
+    return w.getvalue()
+
+
 def test_memo_keeps_sections_apart_by_n():
     # The T-node sections of honest labels under a header with n = 5 (ids
     # still 3 bits wide): some name a vertex >= 5 and must fail to decode,
-    # even from a memo filled under the honest n.
+    # even from a memo filled under the honest n.  The same for each element
+    # record alone, behind a prefix whose node BasicInfo is valid for n = 5.
+    bw = BitWriter()
+    bw.write_varint(0)  # node eid
+    bw.write_bit(0)  # not the root
+    certify._enc_basic(bw, BasicInfo({1: 0}, {1: 0}, HomClass(((1, 0),), 0)), 3)
+    bw.write_varint(0)  # dist
+    bw.write_uint(0, 2)  # is_tree, parent_min
+    prefix = bw.getvalue()
     for g, prop, k in ((cycle_graph(6), "bipartite", 2), (path_graph(8), "acyclic", 1)):
         labels = prove(g, prop, k)
         memo = {}
         for bits in labels.values():
             decode_label(bits, memo)
-        failing = 0
+        failing = Counter()
         for bits in labels.values():
-            hw = BitWriter()
-            hw.write_varint(5)
-            hw.write_varint(decode_label(bits).w)
-            w = BitWriter()
-            write_section(w, SEC_HEADER, hw.getvalue())
-            for stype, payload in read_sections(bits):
-                if stype == SEC_TNODE:
-                    write_section(w, stype, payload)
-            small = w.getvalue()
-            assert _decodes(small, memo) == _decodes(small)
-            failing += not _decodes(small)
-        assert failing > 0
+            lab = decode_label(bits)
+            payloads = [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
+            smalls = {"sections": [_small_label(lab.w, payloads)]}
+            smalls["records"] = [
+                _small_label(lab.w, [_join(prefix, _split_tnode(p, lab.n)[1])])
+                for p in payloads
+            ]
+            for kind, small_labels in smalls.items():
+                for small in small_labels:
+                    assert _decodes(small, memo) == _decodes(small), kind
+                    failing[kind] += not _decodes(small)
+        assert failing["sections"] > 0 and failing["records"] > 0
 
 
 # --- the class fold's memo ---------------------------------------------------
 
-FOLD_OPS = ("base_vleaf", "base_edge", "base_path", "compose_bridge", "compose_parent")
+FOLD_OPS = (
+    "base_vleaf",
+    "base_edge",
+    "base_path",
+    "compose_bridge",
+    "compose_parent",
+    "accepts",
+)
 
 
 def _count_fold_calls(monkeypatch, calls: Counter, raised: Counter) -> None:
@@ -219,6 +256,7 @@ def test_fold_computes_each_distinct_call_once(monkeypatch):
     assert all_accept(verify_all(g, labels, "bipartite", 2))
     ops = Counter(key[0] for key in calls)
     assert ops["compose_parent"] > 0 and ops["compose_bridge"] > 0
+    assert ops["accepts"] == 1  # the root class, checked at every vertex
     assert set(calls.values()) == {1}
     calls.clear()
     assert prove(g, "bipartite", 2, ir=ir) == labels
@@ -247,10 +285,24 @@ def _with_term(bits, target, term):
     return encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
 
 
+def _seen_records(view):
+    """The element records a vertex's view holds: those of its incident
+    labels and of the virtual labels whose routes end at it."""
+    out = []
+    for bits in view.labels.values():
+        lab = decode_label(bits)
+        out.extend(sec.elem for sec in lab.tnodes)
+        for rs in lab.routes:
+            if view.vid in (rs.u, rs.v):
+                out.extend(sec.elem for sec in decode_label(rs.payload).tnodes)
+    return out
+
+
 def test_fold_failures_are_not_memoized(monkeypatch):
     # Give one child subtree class a term that is not a tuple, everywhere it
-    # appears.  Every vertex that folds it runs the failing call itself and
-    # rejects it as malformed.
+    # appears.  Every vertex that sees a record listing it rejects, and every
+    # vertex that rejects it as malformed ran the failing fold itself: the
+    # failing record is folded again at each of them.
     g, ir = generate(GeneratorSpec("cycle", 12, 2), 0)
     labels = prove(g, "bipartite", 2, ir=ir)
     targets = []
@@ -261,16 +313,55 @@ def test_fold_failures_are_not_memoized(monkeypatch):
     assert targets
     calls, raised = Counter(), Counter()
     _count_fold_calls(monkeypatch, calls, raised)
+    current, failed = [None], Counter()
+    orig_vertex, orig_sub = certify.verify_vertex, certify._recompute_sub
+
+    def vertex(view, *args):
+        current[0] = view.vid
+        return orig_vertex(view, *args)
+
+    def sub(rec, plugin, memo):
+        try:
+            return orig_sub(rec, plugin, memo)
+        except PropertyError:
+            failed[current[0]] += 1
+            raise
+
+    monkeypatch.setattr(certify, "verify_vertex", vertex)
+    monkeypatch.setattr(certify, "_recompute_sub", sub)
     for target in targets:
         bad = {e: _with_term(bits, target, 7) for e, bits in labels.items()}
         raised.clear()
+        failed.clear()
         verdicts = verify_all(g, bad, "bipartite", 2)
         malformed = [v.vid for v in verdicts.values() if v.reason == "malformed"]
         assert len(malformed) >= 2, target
         assert sum(raised.values()) >= len(malformed)
+        assert set(failed) == set(malformed)
+        for view in local_views(g, bad):
+            seen = _seen_records(view)
+            if any(csub.cls.term == 7 for rec in seen for _, csub in rec.children):
+                assert not verdicts[view.vid].accept, (target, view.vid)
         assert verdicts == {
-            view.vid: verify_vertex(view, "bipartite", 2) for view in local_views(g, bad)
+            view.vid: orig_vertex(view, "bipartite", 2) for view in local_views(g, bad)
         }
+
+
+def test_failing_accepts_is_not_memoized(monkeypatch):
+    plugin = resolve_property("bipartite")[2]
+    calls, raised = Counter(), Counter()
+    _count_fold_calls(monkeypatch, calls, raised)
+    memo = {}
+    bad = HomClass(((1, 0),), 7)
+    for _ in range(2):
+        with pytest.raises(PropertyError):
+            _fold(memo, plugin, "accepts", bad)
+    assert memo == {}
+    assert raised == {("accepts", plugin.name, bad): 2}
+    # An isolated vertex checks the one-vertex class, once per run.
+    g = build_graph(1, [])
+    assert all_accept(verify_all(g, {}, "bipartite", 0))
+    assert calls[("accepts", plugin.name, plugin.base_path(1, ()))] == 1
 
 
 def test_plugins_keep_no_state():
@@ -371,3 +462,157 @@ def test_campaign_decodes_each_base_label_once(monkeypatch):
     for campaigns in (1, 2):
         fuzz_soundness(g, "bipartite", 2, 5 * len(MUTATIONS), seed=81)
         assert {decodes[bits] for bits in base.values()} == {campaigns}
+
+
+def _old_perturb_route(bits, rng):
+    """_perturb_route as it was: every section re-encoded from its decoded
+    form."""
+    try:
+        lab = decode_label(bits)
+    except DecodeError:
+        return fuzz._flip_bits(bits, rng)
+    if not lab.routes:
+        return fuzz._flip_bits(bits, rng)
+    rs = rng.choice(lab.routes)
+    which = rng.randrange(3)
+    if which == 0:
+        rs.fwd = max(1, rs.fwd + rng.choice((-1, 1)))
+    elif which == 1:
+        rs.bwd = max(1, rs.bwd + rng.choice((-1, 1)))
+    else:
+        rs.u, rs.v = rs.v, rs.u
+    return encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+
+
+@pytest.mark.parametrize("name,g,ir,prop,k", [pytest.param(*c, id=c[0]) for c in _campaigns()])
+def test_route_mutant_reframes_tnode_payloads(name, g, ir, prop, k):
+    # Framing the base's T-node payloads as they are gives the label that
+    # re-encoding them gave, with the same draws from the rng.
+    base = prove(g, prop, k, ir=ir, force=True)
+    rng = random.Random("route-" + name)
+    cache = {}
+    for _ in range(3):
+        for e in sorted(base):
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            assert fuzz._perturb_route(base[e], rng, cache) == _old_perturb_route(base[e], twin)
+            assert twin.getstate() == rng.getstate()
+
+
+# --- element records: decoded and folded once per run -------------------------
+
+
+@pytest.mark.parametrize("family,prop,k", [("cycle", "bipartite", 2), ("random-ops", "parity", 3)])
+def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, k):
+    g, ir = generate(GeneratorSpec(family, 60, k, 0.3), 0)
+    labels = prove(g, prop, k, ir=ir)
+    payloads = set()
+    todo = list(labels.values())
+    while todo:  # the labels, and the virtual labels their routes relay
+        bits = todo.pop()
+        payloads.update(p for stype, p in read_sections(bits) if stype == SEC_TNODE)
+        todo.extend(rs.payload for rs in decode_label(bits).routes)
+    tails, decoded, folds, folded = Counter(), {}, Counter(), []
+    orig_dec, orig_sub = certify._dec_elem, certify._recompute_sub
+
+    def dec(r, b, n, memo):
+        rest = r.remaining()
+        tails[(n, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
+        rec = orig_dec(r, b, n, memo)
+        decoded[id(rec)] = rec
+        return rec
+
+    def sub(rec, plugin, memo):
+        folded.append(rec)  # kept alive, so no two of them share an id
+        folds[id(rec)] += 1
+        return orig_sub(rec, plugin, memo)
+
+    monkeypatch.setattr(certify, "_dec_elem", dec)
+    monkeypatch.setattr(certify, "_recompute_sub", sub)
+    assert all_accept(verify_all(g, labels, prop, k))
+    assert len(tails) < len(payloads)  # payloads share element records
+    assert set(tails.values()) == {1}
+    assert {folds[i] for i in decoded} == {1}
+
+
+def _split_tnode(payload: Bits, n: int):
+    """(prefix, element tail) of a T-node section payload, as _dec_tnode
+    reads it, or None when its prefix does not decode."""
+    r = BitReader(payload)
+    try:
+        r.read_varint()
+        r.read_bit()
+        _dec_basic(r, id_bits(n), n)
+        r.read_varint()
+        r.read_bit()
+        r.read_bit()
+    except DecodeError:
+        return None
+    tail = r.read_bits(r.remaining())
+    return Bits(payload.value >> tail.nbits, payload.nbits - tail.nbits), tail
+
+
+def _join(head: Bits, tail: Bits) -> Bits:
+    return Bits((head.value << tail.nbits) | tail.value, head.nbits + tail.nbits)
+
+
+def _flip(bits: Bits, rng) -> Bits:
+    """bits with one bit flipped: a small lie, more often still decodable
+    than fuzz's multi-bit flips."""
+    return Bits(bits.value ^ (1 << rng.randrange(bits.nbits)), bits.nbits)
+
+
+def _part_mutants(labels, rng):
+    """Mutants of labels that change one T-node section payload of one label
+    in its element tail only, or in its prefix only (pointer fields and the
+    node's BasicInfo), by a bit flip or by taking that part of another
+    payload."""
+    parts = []  # (edge, section index, prefix, tail)
+    for e in sorted(labels):
+        try:
+            n = decode_label(labels[e]).n
+        except DecodeError:
+            continue
+        for i, (stype, payload) in enumerate(read_sections(labels[e])):
+            split = _split_tnode(payload, n) if stype == SEC_TNODE else None
+            if split is not None and split[1].nbits:
+                parts.append((e, i) + split)
+    out = []
+    if not parts:
+        return out
+    for part in (0, 1):  # 0: the prefix, 1: the element tail
+        e, i, *pt = rng.choice(parts)
+        donor = rng.choice(parts)[2:]
+        for new in (_flip(pt[part], rng), donor[part]):
+            pt2 = list(pt)
+            pt2[part] = new
+            secs = read_sections(labels[e])
+            secs[i] = (SEC_TNODE, _join(*pt2))
+            w = BitWriter()
+            for stype, payload in secs:
+                write_section(w, stype, payload)
+            out.append({**labels, e: w.getvalue()})
+    return out
+
+
+@pytest.mark.parametrize("name,g,ir,prop,k", [pytest.param(*c, id=c[0]) for c in _campaigns()])
+def test_element_part_mutants_verdicts_equal_uncached(name, g, ir, prop, k):
+    # Per mutation, mutants that then change only the element tail or only
+    # the prefix of one payload: every vertex's verdict, with a fresh run
+    # memo and with one memo shared across all of them, equals verify_vertex
+    # without a memo.
+    base = prove(g, prop, k, ir=ir, force=True)
+    rng = random.Random("parts-" + name)
+    shared = {}
+    edited = 0
+    for mutation in MUTATIONS:
+        for _ in range(3):
+            for labels in _part_mutants(mutate(base, mutation, rng), rng):
+                edited += 1
+                views = list(local_views(g, labels))
+                uncached = {view.vid: verify_vertex(view, prop, k) for view in views}
+                assert verify_all(g, labels, prop, k) == uncached, mutation
+                assert {
+                    view.vid: verify_vertex(view, prop, k, shared) for view in views
+                } == uncached, mutation
+    assert edited > 0

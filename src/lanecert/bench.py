@@ -29,11 +29,10 @@ def bench_label_size(
     prop_name: str,
     k: int,
     seed: int = 0,
-    density: float = 0.3,
 ) -> List[BenchRow]:
     rows = []
     for n in sizes:
-        g, ir = generate(GeneratorSpec(family, n, k, density), seed)
+        g, ir = generate(GeneratorSpec(family, n, k), seed)
         labels = prove(g, prop_name, k, ir=ir)
         stats = label_size_stats(labels)
         ratio = stats.max_bits / math.log2(n) if n > 1 else float(stats.max_bits)

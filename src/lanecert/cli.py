@@ -31,10 +31,9 @@ from .generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from .fuzz import fuzz_soundness
 from .graph import GraphError, read_graph_file, write_graph_file
 from .intervals import IntervalError, read_interval_file, width, write_interval_file
-from .lanes import LaneError, build_lane_partition, write_lane_file
+from .lanes import build_lane_partition, write_lane_file
 from .properties import PropertyError
 from .recursive import (
-    OpError,
     build_hierarchical_decomposition,
     completion_to_op_sequence,
     dump_decomposition,
@@ -46,8 +45,6 @@ USAGE_ERRORS = (
     GeneratorError,
     GraphError,
     IntervalError,
-    LaneError,
-    OpError,
     PropertyError,
     OSError,
 )
@@ -194,10 +191,20 @@ def _sizes(text: str):
         raise argparse.ArgumentTypeError("expected comma-separated integers: %r" % text)
 
 
+def _k(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected an integer >= 0: %r" % text)
+    return int(text)
+
+
 def cmd_bench(args) -> int:
-    rows = bench_label_size(
-        args.family, args.sizes, args.property, args.k, seed=args.seed
-    )
+    try:
+        rows = bench_label_size(
+            args.family, args.sizes, args.property, args.k, seed=args.seed
+        )
+    except CertifyError as exc:
+        _emit(args, {"refused": True, "reason": str(exc)}, "refused: %s" % exc)
+        return 1
     if args.json:
         print(json.dumps([asdict(r) for r in rows]))
     else:
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="lanes, op sequence, decomposition dump")
     p.add_argument("--graph", required=True)
     p.add_argument("--intervals")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k, required=True)
     p.add_argument("--out-lanes")
     p.add_argument("--out-ops")
     p.add_argument("--dump", action="store_true")
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--intervals")
     p.add_argument("--property", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k, required=True)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_prove)
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--property", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k, required=True)
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -271,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--intervals")
     p.add_argument("--property", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k, required=True)
     p.add_argument("--trials", type=int, default=1000)
     common(p)
     p.set_defaults(func=cmd_fuzz)
@@ -280,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated n values")
     p.add_argument("--property", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_k, required=True)
     common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .graph import Graph, build_graph, edge_key
-from .intervals import Interval, IntervalRepresentation, validate, width
+from .intervals import Interval, IntervalRepresentation, validate
 from .recursive import (
     EInsert,
     OpSequence,
@@ -142,8 +142,3 @@ def generate(
     if bad is not None:
         raise GeneratorError("generated witness does not validate: %s" % (bad,))
     return g, ir
-
-
-def witness_bound(ir: IntervalRepresentation) -> int:
-    """The pathwidth bound k certified by this witness (width - 1)."""
-    return max(0, width(ir) - 1)

@@ -52,9 +52,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._eset
-
     def edge_set(self) -> frozenset:
         return self._eset
 
@@ -196,15 +193,20 @@ def degeneracy_orientation(g: Graph) -> Orientation:
     return Orientation(direction, d)
 
 
-def exact_pathwidth(g: Graph, limit: int = 16) -> Tuple[int, List[List[int]]]:
+EXACT_PATHWIDTH_MAX_N = 16
+
+
+def exact_pathwidth(g: Graph) -> Tuple[int, List[List[int]]]:
     """Exact pathwidth via the vertex-separation subset DP, with witness bags.
 
     f(S) = min over v in S of max(f(S \\ v), active(S)) where active(S) counts
     vertices of S with a neighbor outside S.  Exponential in n; guarded.
     """
     n = g.n
-    if n > limit:
-        raise GraphError("graph too large for exact pathwidth (n=%d > %d)" % (n, limit))
+    if n > EXACT_PATHWIDTH_MAX_N:
+        raise GraphError(
+            "graph too large for exact pathwidth (n=%d > %d)" % (n, EXACT_PATHWIDTH_MAX_N)
+        )
     if n == 0:
         return 0, []
     masks = [0] * n

@@ -117,10 +117,6 @@ def validate_decomposition(g: Graph, pd: PathDecomposition) -> Optional[str]:
     return None
 
 
-def decomposition_width(pd: PathDecomposition) -> int:
-    return max((len(b) for b in pd.bags), default=1) - 1
-
-
 def decomposition_to_intervals(g: Graph, pd: PathDecomposition) -> IntervalRepresentation:
     """I_v = [first bag index, last bag index], 1-based bag positions."""
     err = validate_decomposition(g, pd)
@@ -133,15 +129,6 @@ def decomposition_to_intervals(g: Graph, pd: PathDecomposition) -> IntervalRepre
             first.setdefault(v, i)
             last[v] = i
     return IntervalRepresentation([Interval(first[v], last[v]) for v in range(g.n)])
-
-
-def intervals_to_decomposition(ir: IntervalRepresentation) -> PathDecomposition:
-    """Bags at the sorted distinct endpoints (coverage is maximal at endpoints)."""
-    points = sorted({p for iv in ir.intervals for p in (iv.lo, iv.hi)})
-    bags = []
-    for p in points:
-        bags.append([v for v in range(len(ir)) if ir[v].lo <= p <= ir[v].hi])
-    return PathDecomposition(bags)
 
 
 def greedy_lane_split(intervals: Sequence[Interval]) -> List[int]:
@@ -194,16 +181,3 @@ def read_interval_file(text: str, n: int) -> IntervalRepresentation:
     if missing:
         raise IntervalError("missing intervals for vertices %s" % missing[:5])
     return IntervalRepresentation([found[v] for v in range(n)])
-
-
-def write_decomposition_file(pd: PathDecomposition) -> str:
-    return "".join(" ".join(str(v) for v in bag) + "\n" for bag in pd.bags)
-
-
-def read_decomposition_file(text: str) -> PathDecomposition:
-    bags = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln:
-            bags.append(parse_ints(ln.split(), IntervalError, ln))
-    return PathDecomposition(bags)

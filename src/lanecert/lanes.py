@@ -13,7 +13,6 @@ from .graph import (
     bfs_path,
     edge_key,
     is_connected,
-    parse_ints,
 )
 from .intervals import (
     Interval,
@@ -80,16 +79,10 @@ class Completion:
 
     e1: Tuple[Edge, ...]
     e2: Tuple[Edge, ...]
-    present: frozenset  # E1/E2 edges already in the host edge set
     edges: frozenset  # E ∪ E1 ∪ E2
 
-    def virtual_edges(self) -> List[Edge]:
-        return sorted((set(self.e1) | set(self.e2)) - self.present)
 
-
-def completion(
-    g: Graph, ir: IntervalRepresentation, lp: LanePartition, weak: bool = False
-) -> Completion:
+def completion(g: Graph, ir: IntervalRepresentation, lp: LanePartition) -> Completion:
     err = validate_lane_partition(g, ir, lp)
     if err:
         raise LaneError(err)
@@ -98,13 +91,10 @@ def completion(
         for a, b in zip(lane, lane[1:]):
             e1.append(edge_key(a, b))
     e2 = []
-    if not weak:
-        heads = lp.heads()
-        for a, b in zip(heads, heads[1:]):
-            e2.append(edge_key(a, b))
-    added = set(e1) | set(e2)
-    present = frozenset(e for e in added if e in g.edge_set())
-    return Completion(tuple(e1), tuple(e2), present, frozenset(g.edge_set()) | added)
+    heads = lp.heads()
+    for a, b in zip(heads, heads[1:]):
+        e2.append(edge_key(a, b))
+    return Completion(tuple(e1), tuple(e2), g.edge_set() | set(e1) | set(e2))
 
 
 @dataclass
@@ -355,34 +345,3 @@ def _crossing_route(
 
 def write_lane_file(lp: LanePartition) -> str:
     return "".join(" ".join(str(v) for v in lane) + "\n" for lane in lp.lanes)
-
-
-def read_lane_file(text: str) -> LanePartition:
-    lanes = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln:
-            lanes.append(parse_ints(ln.split(), LaneError, ln))
-    return LanePartition(lanes)
-
-
-def write_embedding_file(emb: Embedding) -> str:
-    lines = []
-    for e in sorted(emb.routes):
-        path = emb.routes[e]
-        lines.append("%d %d : %s" % (e[0], e[1], " ".join(str(v) for v in path)))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_embedding_file(text: str) -> Embedding:
-    emb = Embedding()
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        head, _, tail = ln.partition(":")
-        ends = parse_ints(head.split(), LaneError, ln)
-        if len(ends) != 2:
-            raise LaneError("bad route line: %r" % ln)
-        emb.add(edge_key(*ends), parse_ints(tail.split(), LaneError, ln), "weak")
-    return emb

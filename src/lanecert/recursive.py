@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from .graph import Edge, Graph, edge_key, parse_ints
+from .graph import Edge, Graph, edge_key
 from .intervals import Interval, IntervalRepresentation
 from .lanes import LanePartition, completion as make_completion
 
@@ -52,7 +52,6 @@ class OpSequence:
 class AppliedGraph:
     vertices: Tuple[int, ...]
     edges: FrozenSet[Edge]
-    designated: Tuple[int, ...]
 
 
 def apply_op_sequence(s: OpSequence) -> AppliedGraph:
@@ -85,7 +84,7 @@ def apply_op_sequence(s: OpSequence) -> AppliedGraph:
             edges.add(e)
         else:
             raise OpError("unknown op %r" % (op,))
-    return AppliedGraph(tuple(vertices), frozenset(edges), tuple(tau))
+    return AppliedGraph(tuple(vertices), frozenset(edges))
 
 
 def op_sequence_to_completion(
@@ -124,7 +123,7 @@ def completion_to_op_sequence(
     """Inverse direction: sort lane vertices (key L_v) and the host edges not
     covered by completion edges (key max endpoint L) together, vertices first
     on ties, and emit V-inserts / E-inserts accordingly."""
-    comp = make_completion(g, ir, lp, weak=False)
+    comp = make_completion(g, ir, lp)
     cover = set(comp.e1) | set(comp.e2)
     heads = lp.heads()
     k = lp.k
@@ -484,26 +483,6 @@ def write_op_file(s: OpSequence) -> str:
         else:
             lines.append("E %d %d" % (op.i, op.j))
     return "\n".join(lines) + "\n"
-
-
-def read_op_file(text: str) -> OpSequence:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise OpError("empty op file")
-    (k,) = parse_ints([lines[0]], OpError, lines[0])
-    initial = tuple(range(k))
-    ops: List[Op] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "#initial":
-            initial = tuple(parse_ints(parts[1:], OpError, ln))
-        elif parts[0] == "V" and len(parts) == 3:
-            ops.append(VInsert(*parse_ints(parts[1:], OpError, ln)))
-        elif parts[0] == "E" and len(parts) == 3:
-            ops.append(EInsert(*parse_ints(parts[1:], OpError, ln)))
-        else:
-            raise OpError("bad op line: %r" % ln)
-    return OpSequence(k, initial, tuple(ops))
 
 
 def dump_decomposition(hd: HierarchicalDecomposition) -> str:

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from lanecert import cli
-from lanecert.cli import USAGE_ERRORS, main
-from lanecert.graph import write_graph_file
-from lanecert.intervals import read_decomposition_file
-from lanecert.lanes import read_embedding_file, read_lane_file
-from lanecert.recursive import read_op_file
+from lanecert.cli import main
+from lanecert.graph import read_graph_file, write_graph_file
+from lanecert.intervals import read_interval_file
+from lanecert.lanes import LaneError, build_lane_partition
+from lanecert.recursive import EInsert, OpSequence, VInsert, completion_to_op_sequence
 from tests.test_graph import cycle_graph
 
 
@@ -22,6 +22,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "gen", "--family", "path")[0] == 2
     assert run(capsys, "prove", "--graph", "/no/such", "--property", "parity",
                "--k", "1", "--out", "/tmp/x")[0] == 2
+    for cmd, more in (
+        ("decompose", ("--graph", "g")),
+        ("prove", ("--graph", "g", "--property", "parity", "--out", "l")),
+        ("verify", ("--graph", "g", "--labels", "l", "--property", "parity")),
+        ("fuzz", ("--graph", "g", "--property", "parity")),
+        ("bench", ("--family", "path", "--sizes", "8", "--property", "parity")),
+    ):
+        code, out, err = run(capsys, cmd, *more, "--k", "-1")
+        assert code == 2 and out == "" and "argument --k" in err, (cmd, err)
 
 
 def test_gen_decompose(tmp_path, capsys):
@@ -33,12 +42,36 @@ def test_gen_decompose(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"family": "cycle", "n": 8, "edges": 8, "width": 3}
-    code, out, _ = run(
-        capsys, "decompose", "--graph", gfile, "--intervals", ifile,
-        "--k", "2", "--out-lanes", str(tmp_path / "lanes.txt"), "--dump",
-    )
-    assert code == 0
-    assert (tmp_path / "lanes.txt").read_text()
+    # Seed 0's lane heads are not 0..k-1, so its op file has an #initial
+    # line; seed 1's are, so its file has none.
+    lanes_file, ops_file = tmp_path / "lanes.txt", tmp_path / "ops.txt"
+    kinds = {"V": VInsert, "E": EInsert}
+    for seed in ("0", "1"):
+        run(capsys, "gen", "--family", "random-ops", "--n", "12", "--k", "2",
+            "--seed", seed, "--out-graph", gfile, "--out-intervals", ifile)
+        code, out, _ = run(
+            capsys, "decompose", "--graph", gfile, "--intervals", ifile, "--k", "2",
+            "--out-lanes", str(lanes_file), "--out-ops", str(ops_file), "--dump",
+        )
+        assert code == 0
+        g = read_graph_file(open(gfile).read())
+        ir = read_interval_file(open(ifile).read(), g.n)
+        lp, _ = build_lane_partition(g, ir)
+        ops = completion_to_op_sequence(g, ir, lp)
+        lanes = lanes_file.read_text().splitlines()
+        assert tuple(tuple(int(v) for v in ln.split()) for ln in lanes) == lp.lanes
+        k, *body = ops_file.read_text().splitlines()
+        initial = tuple(range(int(k)))
+        if seed == "0":
+            head, *body = body
+            assert head.startswith("#initial ")
+            initial = tuple(int(v) for v in head.split()[1:])
+        parsed = OpSequence(
+            int(k),
+            initial,
+            tuple(kinds[kind](int(a), int(b)) for kind, a, b in map(str.split, body)),
+        )
+        assert parsed == ops
 
 
 def test_decompose_witness_too_wide(tmp_path, capsys):
@@ -144,22 +177,6 @@ def test_non_integer_token_is_usage_error(tmp_path, capsys):
             assert err.startswith("error: non-integer token") and bad in err, err
 
 
-@pytest.mark.parametrize("reader, text", [
-    (read_op_file, "2\nV 1 x\n"),
-    (read_op_file, "two\n"),
-    (read_op_file, "2\n#initial 0 b\n"),
-    (read_decomposition_file, "0 1\n1 y\n"),
-    (read_lane_file, "0 1\n2 z\n"),
-    (read_embedding_file, "0 2 : 0 q 2\n"),
-    (read_embedding_file, "0 : 0 1 2\n"),
-])
-def test_file_readers_raise_usage_errors(reader, text):
-    # The op, decomposition, lane and route files have no subcommand that
-    # reads them; their readers raise errors the CLI reports as usage errors.
-    with pytest.raises(USAGE_ERRORS):
-        reader(text)
-
-
 def test_internal_value_error_is_not_usage_error(tmp_path, capsys, monkeypatch):
     gfile = str(tmp_path / "g.txt")
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
@@ -171,6 +188,19 @@ def test_internal_value_error_is_not_usage_error(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="does not fit"):
         main(["prove", "--graph", gfile, "--property", "bipartite",
               "--k", "2", "--out", str(tmp_path / "l")])
+
+
+def test_internal_lane_error_is_not_usage_error(tmp_path, capsys, monkeypatch):
+    # No CLI input reaches a LaneError, so one is a bug and propagates.
+    gfile = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
+
+    def broken(*args, **kwargs):
+        raise LaneError("vertex 3 in two lanes")
+
+    monkeypatch.setattr(cli, "build_lane_partition", broken)
+    with pytest.raises(LaneError, match="two lanes"):
+        main(["decompose", "--graph", gfile, "--k", "2"])
 
 
 def test_bench_bad_sizes_is_usage_error(capsys):
@@ -213,3 +243,9 @@ def test_bench_command(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [16, 64]
+
+
+def test_bench_refusal_exit_code(capsys):
+    code, out, err = run(capsys, "bench", "--family", "cycle", "--sizes", "10,20",
+                         "--property", "acyclic", "--k", "2")
+    assert code == 1 and out.startswith("refused: ") and err == ""

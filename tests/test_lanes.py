@@ -17,11 +17,7 @@ from lanecert.lanes import (
     completion,
     lane_bounds,
     measure_congestion,
-    read_embedding_file,
-    read_lane_file,
     validate_lane_partition,
-    write_embedding_file,
-    write_lane_file,
 )
 from tests.test_graph import cycle_graph, path_graph
 from tests.test_intervals import c6_intervals
@@ -46,7 +42,6 @@ def test_completion_single_lane():
     c = completion(g, ir, lp)
     assert c.e1 == ((0, 1), (1, 2), (2, 3))
     assert c.e2 == ()
-    assert c.present == frozenset()
 
 
 def test_completion_singleton_lanes():
@@ -62,11 +57,8 @@ def test_completion_weak_flag_and_present():
     g = path_graph(3)
     ir = staggered_path_intervals(3)
     lp = LanePartition([[0, 2], [1]])
-    weak = completion(g, ir, lp, weak=True)
-    assert weak.e2 == ()
-    full = completion(g, ir, lp, weak=False)
+    full = completion(g, ir, lp)
     assert full.e2 == ((0, 1),)
-    assert full.present == frozenset({(0, 1)})
 
 
 def test_completion_rejects_bad_partition():
@@ -96,11 +88,11 @@ def check_instance(g, ir):
     assert measure_congestion(emb) <= h
     c = completion(g, ir, lp)
     # Every virtual completion edge is routed between its endpoints in G.
-    for e in c.virtual_edges():
+    for e in (set(c.e1) | set(c.e2)) - g.edge_set():
         path = emb.routes[e]
         assert edge_key(path[0], path[-1]) == e
         for a, b in zip(path, path[1:]):
-            assert g.has_edge(a, b)
+            assert edge_key(a, b) in g.edge_set()
     return lp, emb
 
 
@@ -179,14 +171,5 @@ def test_measure_congestion_direct():
     emb.add((0, 3), [0, 1, 3], "weak")
     assert emb.congestion_map()[(0, 1)] == 2
     assert measure_congestion(emb) == 2
-
-
-def test_lane_and_embedding_files():
-    lp = LanePartition([[0, 2], [1]])
-    assert read_lane_file(write_lane_file(lp)).lanes == lp.lanes
-    emb = Embedding()
-    emb.add((0, 2), [0, 1, 2], "weak")
-    emb2 = read_embedding_file(write_embedding_file(emb))
-    assert emb2.routes == emb.routes
     with pytest.raises(LaneError):
-        read_embedding_file("0 3: 0 1 2\n")  # route ends at 2, not 3
+        emb.add((0, 3), [0, 1, 2], "weak")  # route ends at 2, not 3

@@ -1,5 +1,6 @@
-"""Static checks over the sources: no assert in src/, no unused imports, and
-no function in src/ that mutates a module-level container."""
+"""Static checks over the sources: no assert in src/, no unused imports, no
+function in src/ that mutates a module-level container, and no function or
+class in src/ that only tests use."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "lanecert").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -176,3 +178,110 @@ def test_module_state_detector():
         (21, "ALL"),
         (25, "SEEN"),
     ]
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of top-level classes
+    except dunders, which Python calls implicitly."""
+    for node in tree.body:
+        if isinstance(node, SCOPES):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every name or attribute read, imported name and string
+    literal in tree; a string counts because code can call by name
+    (certify._fold, perfbench's tracer)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unreferenced_definitions(defined, using):
+    """(module, line, name) of each definition in the defined modules whose
+    name no module in using references outside that definition's own lines.
+    Both arguments map a module name to its tree."""
+    refs = {}
+    for mod, tree in using.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((mod, line))
+    found = []
+    for mod, tree in defined.items():
+        for d in _definitions(tree):
+            if all(
+                m == mod and d.lineno <= line <= d.end_lineno
+                for m, line in refs.get(d.name, ())
+            ):
+                found.append((mod, d.lineno, d.name))
+    return sorted(found)
+
+
+# Definitions that no src/ or perfbench/ code uses yet, with why each stays.
+TEST_ONLY_ALLOWED = {
+    "degeneracy_orientation": "vertex-label transform, wired in by ROADMAP item 6",
+    "edge_labels_to_vertex_labels": "vertex-label transform, ROADMAP item 6",
+    "vertex_labels_to_edge_labels": "vertex-label transform, ROADMAP item 6",
+}
+
+
+def test_no_test_only_code_in_src():
+    src = {_name(p): _tree(p) for p in SRC}
+    using = {**src, **{_name(p): _tree(p) for p in PERFBENCH}}
+    found = unreferenced_definitions(src, using)
+    assert [f for f in found if f[2] not in TEST_ONLY_ALLOWED] == [], "only tests use these"
+    stale = set(TEST_ONLY_ALLOWED) - {name for _, _, name in found}
+    assert not stale, "used outside tests now; drop from TEST_ONLY_ALLOWED"
+
+
+def test_test_only_code_detector():
+    lib = ast.parse(
+        "import os\n"
+        "def used(): return helper()\n"
+        "def helper(): return os.sep\n"
+        "def stored(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def by_string(): pass\n"
+        "def imported(): pass\n"
+        "def tests_only(): pass\n"
+        "class C:\n"
+        "    def __init__(self): self.m()\n"
+        "    def m(self): pass\n"
+        "    def dead(self): return self.dead()\n"
+        "    @property\n"
+        "    def prop(self): return 1\n"
+        "class Unused:\n"
+        "    pass\n"
+    )
+    other = ast.parse(
+        "from lib import imported as alias\n"
+        "OPS = ('by_string',)\n"
+        "stored = C().stored = 1\n"
+        "print(used(), C().prop, alias)\n"
+    )
+    test = ast.parse("from lib import tests_only\ntests_only()\n")
+    found = unreferenced_definitions({"lib": lib}, {"lib": lib, "other": other})
+    assert found == [
+        ("lib", 4, "stored"),
+        ("lib", 5, "recursive"),
+        ("lib", 8, "tests_only"),
+        ("lib", 12, "dead"),
+        ("lib", 15, "Unused"),
+    ]
+    # Test modules are not users: counting them hides tests_only.
+    found = unreferenced_definitions(
+        {"lib": lib}, {"lib": lib, "other": other, "test": test}
+    )
+    assert ("lib", 8, "tests_only") not in found

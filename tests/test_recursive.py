@@ -16,8 +16,6 @@ from lanecert.recursive import (
     completion_to_op_sequence,
     dump_decomposition,
     op_sequence_to_completion,
-    read_op_file,
-    write_op_file,
 )
 
 
@@ -47,12 +45,11 @@ def random_op_sequence(rng, k=None, max_ops=20, density=0.3):
 def test_apply_examples():
     s = OpSequence(2, (0, 1), ())
     g = apply_op_sequence(s)
-    assert g.edges == frozenset({(0, 1)}) and g.designated == (0, 1)
+    assert g.edges == frozenset({(0, 1)})
 
     s = OpSequence(2, (0, 1), (VInsert(1, 2),))
     g = apply_op_sequence(s)
     assert g.edges == frozenset({(0, 1), (0, 2)})
-    assert g.designated == (2, 1)
 
     s = OpSequence(2, (0, 1), (VInsert(1, 2), EInsert(1, 2)))
     g = apply_op_sequence(s)
@@ -199,13 +196,6 @@ def test_node_edge_sets_disjoint():
 
         walk_t(hd.root)
         assert set(seen) == set(hd.root.edges)
-
-
-def test_op_file_roundtrip():
-    s = OpSequence(2, (0, 1), (VInsert(1, 2), EInsert(1, 2)))
-    assert read_op_file(write_op_file(s)) == s
-    s2 = OpSequence(2, (5, 9), (VInsert(2, 3),))
-    assert read_op_file(write_op_file(s2)) == s2
 
 
 def test_dump_smoke():

@@ -909,7 +909,9 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                 ]
                 if not sides:
                     raise _Reject("chain-link")
-                if sides[0][2] != chain[pos + 1].basic:
+                # Interned by the memo: `is` skips most field compares.
+                side, nxt_basic = sides[0][2], chain[pos + 1].basic
+                if side is not nxt_basic and side != nxt_basic:
                     raise _Reject("side-basic")
             node_entries.setdefault(sec.node_eid, []).append((e, sec))
 
@@ -918,7 +920,9 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     for node_eid, entries in node_entries.items():
         first = entries[0][1]
         for _, sec in entries[1:]:
-            if sec.is_root != first.is_root or sec.basic != first.basic:
+            if sec.is_root != first.is_root or (
+                sec.basic is not first.basic and sec.basic != first.basic
+            ):
                 raise _Reject("node-shared")
         basic = first.basic
         if first.is_root:
@@ -965,19 +969,23 @@ def _check_pointer(vid, basic: BasicInfo, entries) -> None:
 
 
 def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin, memo):
+    # The memo interns decoded records and BasicInfos, so most compares
+    # below are of one object with itself; `is` skips the dataclass's
+    # field-by-field compare for those.
     recs: Dict[int, ElementRecord] = {}
     for _, sec in entries:
         rec = recs.get(sec.elem.eid)
         if rec is None:
             recs[sec.elem.eid] = sec.elem
-        elif rec != sec.elem:
+        elif rec is not sec.elem and rec != sec.elem:
             raise _Reject("elem-shared")
 
     def sub_of(eid):
         return _fold_record(recs[eid], plugin, memo)
 
     for rec in recs.values():
-        t_in = sub_of(rec.eid).t_in
+        own = sub_of(rec.eid)
+        t_in = own.t_in
         # Listed topology edges at this vertex must actually be present and
         # owned by this element in this node.
         for te, _mark in _topo_edges(rec):
@@ -997,7 +1005,8 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin,
                     raise _Reject("child-missing")
                 if crec.parent_eid != rec.eid:
                     raise _Reject("parent-link")
-                if sub_of(ceid) != csub:
+                got = sub_of(ceid)
+                if got is not csub and got != csub:
                     raise _Reject("child-basic")
         # Upward: this element's parent must be visible where it glues on.
         if rec.parent_eid is not None and vid in t_in.values():
@@ -1012,12 +1021,12 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin,
                     raise _Reject("parent-missing")
             else:
                 listed = [cs for ce, cs in prec.children if ce == rec.eid]
-                if not listed or listed[0] != sub_of(rec.eid):
+                if not listed or (listed[0] is not own and listed[0] != own):
                     raise _Reject("not-listed")
         if rec.eid == node_eid:
             if rec.parent_eid is not None:
                 raise _Reject("parent-link")
-            if sub_of(rec.eid) != node_basic:
+            if own is not node_basic and own != node_basic:
                 raise _Reject("node-basic")
     # Edgeless single-lane root element: its merge is recomputed from the
     # children visible at its only terminal.

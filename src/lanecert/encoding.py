@@ -7,7 +7,7 @@ decoder can walk arbitrary input without trusting it.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 
 class DecodeError(ValueError):
@@ -93,20 +93,37 @@ def _read_leb128(data: bytes, off: int) -> Tuple[int, int]:
         shift += 7
 
 
+# A BitWriter gathers its newest bits in one int and moves them to its list
+# of chunks once that int passes this many bits, checked where long runs
+# are written (write_bits, write_term).  Appending to one ever growing int
+# copies it each time, which makes a long bitstring quadratic.
+_CHUNK_BITS = 1 << 12
+
+
 class BitWriter:
     """Accumulates bits MSB-first."""
 
-    __slots__ = ("value", "nbits")
+    __slots__ = ("value", "nbits", "chunks")
 
     def __init__(self):
         self.value = 0
-        self.nbits = 0
+        self.nbits = 0  # bits in value, the part not yet in chunks
+        # (value, nbits) of the full chunks, oldest first; None until the
+        # first, so short bitstrings never build the list.
+        self.chunks: Optional[List[Tuple[int, int]]] = None
 
     def write_uint(self, v: int, width: int) -> None:
         if v < 0 or width < 0 or v >> width:
             raise ValueError("uint %d does not fit in %d bits" % (v, width))
         self.value = (self.value << width) | v
         self.nbits += width
+
+    def _flush(self) -> None:
+        if self.chunks is None:
+            self.chunks = []
+        self.chunks.append((self.value, self.nbits))
+        self.value = 0
+        self.nbits = 0
 
     def write_bit(self, b: int) -> None:
         self.write_uint(1 if b else 0, 1)
@@ -123,9 +140,24 @@ class BitWriter:
     def write_bits(self, bits: Bits) -> None:
         self.value = (self.value << bits.nbits) | bits.value
         self.nbits += bits.nbits
+        if self.nbits > _CHUNK_BITS:
+            self._flush()
 
     def getvalue(self) -> Bits:
-        return Bits(self.value, self.nbits)
+        if self.chunks is None:
+            return Bits(self.value, self.nbits)
+        # Join neighbouring chunks pairwise, so each bit is copied
+        # O(log chunks) times.
+        parts = self.chunks + [(self.value, self.nbits)]
+        while len(parts) > 1:
+            joined = [
+                ((a << nb) | b, na + nb)
+                for (a, na), (b, nb) in zip(parts[::2], parts[1::2])
+            ]
+            if len(parts) % 2:
+                joined.append(parts[-1])
+            parts = joined
+        return Bits(*parts[0])
 
 
 class BitReader:
@@ -170,6 +202,50 @@ class BitReader:
         return Bits((self.bits.value >> shift) & ((1 << width) - 1), width)
 
 
+# A read shifts the whole bitstring's int, so reading many short fields from
+# a long bitstring is quadratic.  A long term is read through a
+# _WindowReader instead, from windows of this many bits.
+_WINDOW_BITS = 1 << 12
+
+
+class _WindowReader(BitReader):
+    """A BitReader from pos on that reads from windows cut from the
+    bitstring's bytes.  Cutting a window costs more than one shift, so
+    readers of a few long fields stay plain BitReaders."""
+
+    __slots__ = ("_win", "_end", "_data")
+
+    def __init__(self, bits: Bits, pos: int):
+        super().__init__(bits)
+        self.pos = pos
+        self._data = bits.value.to_bytes((bits.nbits + 7) // 8, "big")
+        self._load(0)
+
+    def _load(self, width: int) -> None:
+        """Cut a window from pos that holds at least width bits: _win holds
+        the bitstring's bits up to position _end, least significant last
+        (bits before pos may be missing)."""
+        n = self.bits.nbits
+        end = min(n, self.pos + max(_WINDOW_BITS, width))
+        pad = -n % 8
+        b1 = (pad + end + 7) // 8
+        chunk = int.from_bytes(self._data[(pad + self.pos) // 8 : b1], "big")
+        self._win = chunk >> (8 * b1 - pad - end)
+        self._end = end
+
+    def read_uint(self, width: int) -> int:
+        if width < 0 or self.pos + width > self.bits.nbits:
+            raise DecodeError("read past end of bitstring")
+        if self.pos + width > self._end:
+            self._load(width)
+        shift = self._end - self.pos - width
+        self.pos += width
+        return (self._win >> shift) & ((1 << width) - 1)
+
+    def read_bits(self, width: int) -> Bits:
+        return Bits(self.read_uint(width), width)
+
+
 def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
     w.write_uint(sec_type, 8)
     w.write_varint(payload.nbits)
@@ -201,6 +277,8 @@ def write_term(w: BitWriter, t: Term) -> None:
         w.write_varint(len(t))
         for item in t:
             write_term(w, item)
+            if w.nbits > _CHUNK_BITS:
+                w._flush()
     else:
         raise ValueError("term must be int or tuple")
 
@@ -208,6 +286,12 @@ def write_term(w: BitWriter, t: Term) -> None:
 def read_term(r: BitReader, depth: int = 0) -> Term:
     if depth > 64:
         raise DecodeError("term nesting too deep")
+    if depth == 0 and r.remaining() > _WINDOW_BITS and type(r) is BitReader:
+        # A term is read one short field at a time.
+        wr = _WindowReader(r.bits, r.pos)
+        t = read_term(wr)
+        r.pos = wr.pos
+        return t
     if r.read_bit() == 0:
         return r.read_varint()
     n = r.read_varint()

@@ -6,14 +6,23 @@ fragment is summarized by a small class: a set of terminal "atoms" (one or
 two per lane, depending on whether the lane's in- and out-terminal coincide)
 plus property-specific state over those atoms.  Classes compose under the
 two merge operations, so the class of the whole graph is computed without
-ever looking at a fragment's interior.
+ever looking at a fragment's interior.  Both merges glue two fragments in
+one step (``_Glue``): atoms become vertices of the union, glued atoms share
+a vertex, and glued vertices that stop being terminals are forgotten.
+
+The states are the standard path-decomposition DP states.  Parity, acyclic
+and bipartite states are O(atoms): the order mod 2, the connected parts of
+the atoms, and the parts with each atom's colour relative to its part.
+Matching's state, the family of exposed-atom sets, can reach 2^atoms sets,
+the f(k)-dependent constant the paper allows; the sets are int bitmasks and
+a glue combines only the sets that agree on the glued atoms.
 
 Every plugin also comes in a "marked" variant that evaluates the property on
 the subgraph formed by edges with a nonzero tag.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .graph import Graph
 
@@ -59,43 +68,51 @@ def check_atoms(atoms) -> None:
 
 # --- per-property state algebras --------------------------------------------
 #
-# States are manipulated with atom labels (arbitrary hashables) and frozen to
-# canonical index-based terms at class boundaries.  The shared primitives:
-#   single(a)          one fresh vertex, terminal atom a
-#   join(s, t)         disjoint union
-#   edge(s, a, b)      add a relevant edge between the vertices of a and b
-#   identify(s, a, b)  a and b are the same vertex; b's label disappears
-#   forget(s, a)       the vertex of a stops being a terminal
-#   rename(s, m)       relabel atoms through the total map m
-#   canon / from_term  convert to/from an index-based canonical term
-#   accepts(s)         property holds for the fragment as a whole graph
+# A state lives on the atoms of its class in their sorted order: atom i is
+# index i.  Every algebra has
+#   leaf(n, edges)      n distinct vertices (atoms 0..n-1) and the relevant
+#                       edges among them, as index pairs
+#   glue(s1, s2, plan)  two fragments glued by a _Glue plan: the atoms that
+#                       the plan maps to one vertex are identified, its edge
+#                       (if any) is added, and the vertices that stop being
+#                       terminals are forgotten
+#   canon(s, n)         the canonical wire term of a state over n atoms
+#   from_term(t, n)     the state of a wire term, validated
+#   accepts(s)          property holds for the fragment as a whole graph
+# The states of bipartite and acyclic are their canonical terms; parity's is
+# its term; matching's is a frozenset of int bitmasks.
+
+
+class _Glue(NamedTuple):
+    """How two fragments (side 1 and side 2) are glued.  Vertices of the
+    union are numbered 0..total-1; the first n_out are the result's atoms in
+    sorted order, the rest stop being terminals.  map1[i] and map2[i] are
+    the vertices of the sides' atoms; pairs lists the (side-1, side-2) atom
+    index pairs mapped to one vertex; edge is None or a (side-1, side-2)
+    atom index pair joined by a relevant edge."""
+
+    n_out: int
+    total: int
+    map1: Tuple[int, ...]
+    map2: Tuple[int, ...]
+    pairs: Tuple[Tuple[int, int], ...]
+    edge: Optional[Tuple[int, int]]
 
 
 class _ParityAlg:
-    """Vertex-count parity (accepts even order)."""
+    """Vertex-count parity (accepts even order); state = order mod 2."""
 
-    def single(self, a):
-        return 1
+    def leaf(self, n, edges):
+        return n % 2
 
-    def join(self, s, t):
-        return (s + t) % 2
+    def glue(self, s1, s2, plan):
+        # Each identified pair is one vertex counted twice.
+        return (s1 + s2 + len(plan.pairs)) % 2
 
-    def edge(self, s, a, b):
+    def canon(self, s, n):
         return s
 
-    def identify(self, s, a, b):
-        return (s + 1) % 2
-
-    def forget(self, s, a):
-        return s
-
-    def rename(self, s, m):
-        return s
-
-    def canon(self, s, order):
-        return s
-
-    def from_term(self, term, atoms):
+    def from_term(self, term, n):
         if term not in (0, 1):
             raise PropertyError("parity term must be 0 or 1")
         return term
@@ -104,157 +121,223 @@ class _ParityAlg:
         return s == 0
 
 
-class _BipartiteAlg:
-    """Proper 2-colorings; state = set of terminal colorings (swap-closed)."""
+class _Parts:
+    """Union-find over vertices 0..n-1 that keeps each vertex's colour
+    relative to its part's root."""
 
-    def single(self, a):
-        return frozenset({frozenset(), frozenset({a})})
+    def __init__(self, n):
+        self.up = list(range(n))
+        self.rel = [0] * n
 
-    def join(self, s, t):
-        return frozenset(p | q for p in s for q in t)
+    def find(self, x):
+        p = 0
+        while self.up[x] != x:
+            p ^= self.rel[x]
+            x = self.up[x]
+        return x, p
 
-    def edge(self, s, a, b):
-        return frozenset(p for p in s if (a in p) != (b in p))
-
-    def identify(self, s, a, b):
-        return frozenset(p - {b} for p in s if (a in p) == (b in p))
-
-    def forget(self, s, a):
-        return frozenset(p - {a} for p in s)
-
-    def rename(self, s, m):
-        return frozenset(frozenset(m[a] for a in p) for p in s)
-
-    def canon(self, s, order):
-        idx = {a: i for i, a in enumerate(order)}
-        return tuple(sorted(tuple(sorted(idx[a] for a in p)) for p in s))
-
-    def from_term(self, term, atoms):
-        return frozenset(_indexed_sets(term, atoms))
-
-    def accepts(self, s):
-        return bool(s)
+    def join(self, u, v, p):
+        """Join the parts of u and v so that colour(u) ^ colour(v) == p;
+        False, and no change, if they are one part already."""
+        (ru, pu), (rv, pv) = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.up[ru] = rv
+        self.rel[ru] = pu ^ pv ^ p
+        return True
 
 
-class _ForestAlg:
-    """Acyclicity; state = terminal connectivity partition, or None if a
-    cycle has been closed."""
+class _PartitionAlg:
+    """Shared fold of the two properties whose state is a partition of the
+    terminals into connected parts, or None once the property fails.  A
+    link (u, v, p) puts u and v in one part with colour(u) ^ colour(v) == p;
+    an edge is the link p = 1.  A subclass lists a state's links, makes its
+    term from the parts, and says which links break the property."""
 
-    def single(self, a):
-        return frozenset({frozenset({a})})
+    def leaf(self, n, edges):
+        return self._close(n, n, [(a, b, 1) for a, b in edges])
 
-    def join(self, s, t):
-        if s is None or t is None:
+    def glue(self, s1, s2, plan):
+        if s1 is None or s2 is None:
             return None
-        return s | t
+        m1, m2 = plan.map1, plan.map2
+        links = [(m1[a], m1[b], p) for a, b, p in self._links(s1)]
+        links += [(m2[a], m2[b], p) for a, b, p in self._links(s2)]
+        if plan.edge is not None:
+            links.append((m1[plan.edge[0]], m2[plan.edge[1]], 1))
+        return self._close(plan.total, plan.n_out, links)
 
-    def _merge(self, s, a, b, drop):
-        if s is None:
-            return None
-        ba = next((p for p in s if a in p), None)
-        bb = next((p for p in s if b in p), None)
-        if ba is None or bb is None:
-            raise PropertyError("atom missing from connectivity partition")
-        if ba is bb:
-            return None
-        merged = (ba | bb) - drop
-        return frozenset(p for p in s if p is not ba and p is not bb) | {merged}
+    def _close(self, total, n_out, links):
+        parts = _Parts(total)
+        for u, v, p in links:
+            if not parts.join(u, v, p) and self._breaks(parts, u, v, p):
+                return None
+        return self._term(parts, n_out)
 
-    def edge(self, s, a, b):
-        return self._merge(s, a, b, frozenset())
-
-    def identify(self, s, a, b):
-        return self._merge(s, a, b, frozenset({b}))
-
-    def forget(self, s, a):
-        if s is None:
-            return None
-        out = set()
-        for p in s:
-            p = p - {a}
-            if p:
-                out.add(p)
-        return frozenset(out)
-
-    def rename(self, s, m):
-        if s is None:
-            return None
-        return frozenset(frozenset(m[a] for a in p) for p in s)
-
-    def canon(self, s, order):
-        if s is None:
-            return 0
-        idx = {a: i for i, a in enumerate(order)}
-        return tuple(sorted(tuple(sorted(idx[a] for a in p)) for p in s))
-
-    def from_term(self, term, atoms):
-        if term == 0:
-            return None
-        blocks = _indexed_sets(term, atoms)
-        total = [a for p in blocks for a in p]
-        if sorted(total) != sorted(atoms) or any(not p for p in blocks):
-            raise PropertyError("blocks must partition the atom set")
-        return frozenset(blocks)
+    def canon(self, s, n):
+        return 0 if s is None else s
 
     def accepts(self, s):
         return s is not None
 
 
+class _BipartiteAlg(_PartitionAlg):
+    """Proper 2-colourings.  A fragment's 2-colourings, restricted to its
+    terminals, fix one colouring per connected part up to a swap, so the
+    state is one (part, parity) pair per atom, or None once an odd cycle
+    closes.  The term is the flat tuple of 2 * rep(i) + parity(i) over the
+    atoms i, where rep(i) is the lowest atom index in i's part and parity(i)
+    is i's colour relative to it, or the int 0 for "not bipartite"."""
+
+    def _links(self, s):
+        return [(i, e >> 1, e & 1) for i, e in enumerate(s) if e >> 1 != i]
+
+    def _breaks(self, parts, u, v, p):
+        # A link inside one part breaks it if the colours disagree.
+        return parts.find(u)[1] ^ parts.find(v)[1] != p
+
+    def _term(self, parts, n_out):
+        reps = {}
+        term = []
+        for o in range(n_out):
+            root, p = parts.find(o)
+            rep, rp = reps.setdefault(root, (o, p))
+            term.append(2 * rep + (p ^ rp))
+        return tuple(term)
+
+    def from_term(self, term, n):
+        if term == 0 and isinstance(term, int):
+            return None
+        if not isinstance(term, tuple) or len(term) != n:
+            raise PropertyError("bipartite term must have one entry per atom")
+        for i, e in enumerate(term):
+            if not isinstance(e, int) or e < 0:
+                raise PropertyError("bipartite term entries must be ints >= 0")
+            rep = e >> 1
+            # Canonical: the part's lowest atom is its rep, with parity 0.
+            if rep > i or term[rep] != 2 * rep:
+                raise PropertyError("bipartite term is not canonical")
+        return term
+
+
+class _ForestAlg(_PartitionAlg):
+    """Acyclicity; state = terminal connectivity partition as sorted index
+    blocks, or None if a cycle has been closed."""
+
+    def _links(self, s):
+        return [(p[0], a, 0) for p in s for a in p[1:]]
+
+    def _breaks(self, parts, u, v, p):
+        # Any link inside one part closes a cycle.
+        return True
+
+    def _term(self, parts, n_out):
+        blocks: Dict[int, List[int]] = {}
+        for o in range(n_out):
+            blocks.setdefault(parts.find(o)[0], []).append(o)
+        return tuple(tuple(b) for b in blocks.values())
+
+    def from_term(self, term, n):
+        if term == 0 and isinstance(term, int):
+            return None
+        _indexed_masks(term, n)
+        total = sorted(i for p in term for i in p)
+        if total != list(range(n)) or any(not p for p in term):
+            raise PropertyError("blocks must partition the atom set")
+        return term
+
+
 class _MatchingAlg:
-    """Perfect-matching existence; state = achievable sets of exposed
-    (still unmatched) terminal atoms."""
+    """Perfect-matching existence; state = the achievable sets of exposed
+    (still unmatched) terminal atoms, each an int bitmask over the atom
+    order.  The term lists each set's atom indices in increasing order, the
+    sets sorted."""
 
-    def single(self, a):
-        return frozenset({frozenset({a})})
+    def leaf(self, n, edges):
+        s = {(1 << n) - 1}
+        for a, b in edges:
+            _match_edge(s, (1 << a) | (1 << b))
+        return frozenset(s)
 
-    def join(self, s, t):
-        return frozenset(p | q for p in s for q in t)
-
-    def edge(self, s, a, b):
-        extra = frozenset(p - {a, b} for p in s if a in p and b in p)
-        return s | extra
-
-    def identify(self, s, a, b):
-        out = set()
-        for p in s:
-            if a in p and b in p:
-                out.add(p - {b})
-            elif (a in p) != (b in p):
-                out.add(p - {a, b})
-            # covered on both sides: the shared vertex would be matched
-            # twice, so the profile dies
+    def glue(self, s1, s2, plan):
+        # Group each side's sets by which glued atoms they expose, so only
+        # compatible groups are combined.  A glued vertex must be covered on
+        # at least one side; it stays exposed only if exposed on both, and a
+        # vertex that stops being a terminal must end up covered.
+        pairs = plan.pairs
+        full = (1 << len(pairs)) - 1
+        inner = kept = 0
+        for j, (i1, _) in enumerate(pairs):
+            if plan.map1[i1] >= plan.n_out:
+                inner |= 1 << j
+            else:
+                kept |= 1 << j
+        g1 = _group(s1, [i1 for i1, _ in pairs], plan.map1)
+        g2 = _group(s2, [i2 for _, i2 in pairs], plan.map2)
+        out: set = set()
+        for k1, r1 in g1.items():
+            for k2, r2 in g2.items():
+                if k1 | k2 != full or k1 & k2 & inner:
+                    continue
+                both = k1 & k2 & kept
+                extra = 0
+                for j, (i1, _) in enumerate(pairs):
+                    if both >> j & 1:
+                        extra |= 1 << plan.map1[i1]
+                for a in r1:
+                    a |= extra
+                    out.update([a | b for b in r2])
+        if plan.edge is not None:
+            i1, i2 = plan.edge
+            _match_edge(out, (1 << plan.map1[i1]) | (1 << plan.map2[i2]))
         return frozenset(out)
 
-    def forget(self, s, a):
-        return frozenset(p for p in s if a not in p)
+    def canon(self, s, n):
+        return tuple(sorted(tuple(i for i in range(n) if m >> i & 1) for m in s))
 
-    def rename(self, s, m):
-        return frozenset(frozenset(m[a] for a in p) for p in s)
-
-    def canon(self, s, order):
-        idx = {a: i for i, a in enumerate(order)}
-        return tuple(sorted(tuple(sorted(idx[a] for a in p)) for p in s))
-
-    def from_term(self, term, atoms):
-        return frozenset(_indexed_sets(term, atoms))
+    def from_term(self, term, n):
+        return frozenset(_indexed_masks(term, n))
 
     def accepts(self, s):
-        return frozenset() in s
+        return 0 in s
 
 
-def _indexed_sets(term, atoms) -> List[frozenset]:
-    """Decode a tuple-of-index-tuples term back to atom sets, validating."""
+def _match_edge(s: set, both: int) -> None:
+    """Add to s the sets an edge between the two atoms in both can match."""
+    s.update([m ^ both for m in s if m & both == both])
+
+
+def _group(s, glued, vmap) -> Dict[int, List[int]]:
+    """Split each bitmask of s into its glued atoms (bit j for glued[j]) and
+    its other atoms mapped through vmap; group the latter by the former."""
+    other = [i for i in range(len(vmap)) if i not in glued]
+    groups: Dict[int, List[int]] = {}
+    for m in s:
+        key = rest = 0
+        for j, i in enumerate(glued):
+            if m >> i & 1:
+                key |= 1 << j
+        for i in other:
+            if m >> i & 1:
+                rest |= 1 << vmap[i]
+        groups.setdefault(key, []).append(rest)
+    return groups
+
+
+def _indexed_masks(term, n) -> List[int]:
+    """Decode a tuple-of-index-tuples term to bitmasks over n atoms,
+    validating."""
     if not isinstance(term, tuple):
         raise PropertyError("term must be a tuple of index tuples")
     out = []
     for p in term:
         if not isinstance(p, tuple):
             raise PropertyError("term entry must be a tuple")
-        if any(not isinstance(i, int) or not 0 <= i < len(atoms) for i in p):
+        if any(not isinstance(i, int) or not 0 <= i < n for i in p):
             raise PropertyError("atom index out of range")
         if list(p) != sorted(set(p)):
             raise PropertyError("term entry must be strictly increasing")
-        out.append(frozenset(atoms[i] for i in p))
+        out.append(sum(1 << i for i in p))
     if len(set(out)) != len(out):
         raise PropertyError("duplicate term entries")
     return out
@@ -274,38 +357,28 @@ class PropertyPlugin:
     def _relevant(self, mark: int) -> bool:
         return mark != 0 if self.marked else True
 
-    def _pack(self, state, atoms) -> HomClass:
-        atoms = tuple(sorted(atoms))
-        return HomClass(atoms, self._alg.canon(state, atoms))
-
     def _unpack(self, c: HomClass):
         check_atoms(c.atoms)
-        return self._alg.from_term(c.term, c.atoms)
+        return self._alg.from_term(c.term, len(c.atoms))
+
+    def _leaf(self, atoms, edges) -> HomClass:
+        n = len(atoms)
+        return HomClass(atoms, self._alg.canon(self._alg.leaf(n, edges), n))
 
     # leaf classes
 
     def base_vleaf(self, lane: int) -> HomClass:
-        a = (lane, 0)
-        return self._pack(self._alg.single(a), (a,))
+        return self._leaf(((lane, 0),), ())
 
     def base_edge(self, lane: int, mark: int) -> HomClass:
-        a, b = (lane, 1), (lane, 2)
-        s = self._alg.join(self._alg.single(a), self._alg.single(b))
-        if self._relevant(mark):
-            s = self._alg.edge(s, a, b)
-        return self._pack(s, (a, b))
+        edges = [(0, 1)] if self._relevant(mark) else []
+        return self._leaf(((lane, 1), (lane, 2)), edges)
 
     def base_path(self, w: int, marks) -> HomClass:
         if w < 1 or len(marks) != w - 1:
             raise PropertyError("path leaf needs w-1 edge marks")
-        atoms = [(i, 0) for i in range(1, w + 1)]
-        s = self._alg.single(atoms[0])
-        for a in atoms[1:]:
-            s = self._alg.join(s, self._alg.single(a))
-        for pos, mark in enumerate(marks):
-            if self._relevant(mark):
-                s = self._alg.edge(s, atoms[pos], atoms[pos + 1])
-        return self._pack(s, atoms)
+        edges = [(p, p + 1) for p, m in enumerate(marks) if self._relevant(m)]
+        return self._leaf(tuple((i, 0) for i in range(1, w + 1)), edges)
 
     # composition
 
@@ -319,64 +392,60 @@ class PropertyPlugin:
             raise PropertyError("lane %d missing from class" % lane)
         return a
 
+    def _glue(self, c1, s1, v1, c2, s2, v2, pairs=(), edge=None) -> HomClass:
+        """Glue the fragments of classes c1 and c2 (states s1, s2).  v1 and
+        v2 give each atom's vertex in the union: an atom of the result, or
+        (lane, 3) for a glued vertex that stops being a terminal.  pairs and
+        edge name atoms, as (c1 atom, c2 atom) pairs."""
+        verts = sorted({*v1.values(), *v2.values()})
+        out = tuple([v for v in verts if v[1] != 3])
+        at = {v: o for o, v in enumerate(out)}
+        for v in verts:
+            if v[1] == 3:
+                at[v] = len(at)
+        a1, a2 = c1.atoms, c2.atoms
+        plan = _Glue(
+            len(out),
+            len(at),
+            tuple([at[v1[a]] for a in a1]),
+            tuple([at[v2[a]] for a in a2]),
+            tuple([(a1.index(a), a2.index(b)) for a, b in pairs]),
+            None if edge is None else (a1.index(edge[0]), a2.index(edge[1])),
+        )
+        return HomClass(out, self._alg.canon(self._alg.glue(s1, s2, plan), len(out)))
+
     def compose_bridge(
         self, c1: HomClass, c2: HomClass, i: int, j: int, mark: int
     ) -> HomClass:
         if c1.lanes() & c2.lanes():
             raise PropertyError("bridge composition needs disjoint lane sets")
-        s1 = self._alg.rename(self._unpack(c1), {a: ("L", a) for a in c1.atoms})
-        s2 = self._alg.rename(self._unpack(c2), {a: ("R", a) for a in c2.atoms})
-        s = self._alg.join(s1, s2)
+        s1, s2 = self._unpack(c1), self._unpack(c2)
+        edge = None
         if self._relevant(mark):
-            s = self._alg.edge(
-                s,
-                ("L", self._role_atom(c1, i, 2)),
-                ("R", self._role_atom(c2, j, 2)),
-            )
-        back = {("L", a): a for a in c1.atoms}
-        back.update({("R", a): a for a in c2.atoms})
-        return self._pack(self._alg.rename(s, back), c1.atoms + c2.atoms)
+            edge = (self._role_atom(c1, i, 2), self._role_atom(c2, j, 2))
+        same = {a: a for a in c1.atoms + c2.atoms}
+        return self._glue(c1, s1, same, c2, s2, same, edge=edge)
 
     def compose_parent(self, child: HomClass, parent: HomClass) -> HomClass:
-        claned = child.lanes()
-        planed = parent.lanes()
-        if not claned <= planed:
+        if not child.lanes() <= parent.lanes():
             raise PropertyError("child lanes must be contained in parent lanes")
-        s = self._alg.join(
-            self._alg.rename(self._unpack(child), {a: ("C", a) for a in child.atoms}),
-            self._alg.rename(self._unpack(parent), {a: ("P", a) for a in parent.atoms}),
-        )
-        for lane in sorted(claned):
-            glue = ("P", self._role_atom(parent, lane, 2))
-            s = self._alg.identify(s, glue, ("C", self._role_atom(child, lane, 1)))
-        mapping: Dict[object, Atom] = {}
-        drop = []
-        for lane in sorted(planed):
-            glue = ("P", self._role_atom(parent, lane, 2))
-            if lane not in claned:
-                if (lane, 0) in parent.atoms:
-                    mapping[glue] = (lane, 0)
-                else:
-                    mapping[("P", (lane, 1))] = (lane, 1)
-                    mapping[glue] = (lane, 2)
-                continue
-            p_io = (lane, 0) in parent.atoms
-            c_io = (lane, 0) in child.atoms
-            if p_io and c_io:
-                mapping[glue] = (lane, 0)
-            elif p_io:
-                mapping[glue] = (lane, 1)
-                mapping[("C", (lane, 2))] = (lane, 2)
-            elif c_io:
-                mapping[("P", (lane, 1))] = (lane, 1)
-                mapping[glue] = (lane, 2)
-            else:
-                mapping[("P", (lane, 1))] = (lane, 1)
-                mapping[("C", (lane, 2))] = (lane, 2)
-                drop.append(glue)
-        for a in drop:
-            s = self._alg.forget(s, a)
-        return self._pack(self._alg.rename(s, mapping), mapping.values())
+        sc, sp = self._unpack(child), self._unpack(parent)
+        cv = {a: a for a in child.atoms}
+        pv = {a: a for a in parent.atoms}
+        pairs = []
+        # On each child lane the parent's out-terminal is the child's
+        # in-terminal.  That vertex is the glued lane's in-terminal if the
+        # parent's in == out, its out-terminal if the child's in == out
+        # (role 0 if both), and otherwise stops being a terminal.
+        for lane in sorted(child.lanes()):
+            p_io = (lane, 0) in pv
+            c_io = (lane, 0) in cv
+            pg = (lane, 0) if p_io else (lane, 2)
+            cg = (lane, 0) if c_io else (lane, 1)
+            pairs.append((cg, pg))
+            role = 0 if p_io and c_io else 1 if p_io else 2 if c_io else 3
+            cv[cg] = pv[pg] = (lane, role)
+        return self._glue(child, sc, cv, parent, sp, pv, pairs)
 
     def accepts(self, c: HomClass) -> bool:
         return self._alg.accepts(self._unpack(c))

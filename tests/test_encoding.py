@@ -7,6 +7,7 @@ from lanecert.encoding import (
     Bits,
     BitWriter,
     DecodeError,
+    _WindowReader,
     read_sections,
     read_term,
     write_section,
@@ -52,6 +53,55 @@ def test_writer_reader_roundtrip():
             else:
                 assert r.read_varint() == v
         assert r.remaining() == 0
+
+
+def test_long_bitstring_roundtrip():
+    # Long enough for the writer's chunks and the reader's windows (4096
+    # bits each): fields straddle their ends, and some are wider than one.
+    rng = random.Random(2)
+    for windows in (False, True, True):
+        fields = []
+        w = BitWriter()
+        value = nbits = 0
+        while nbits < 40000:
+            width = rng.choice([1, 7, 8, 33, 4095, 4097, 9000])
+            v = rng.getrandbits(width)
+            fields.append((v, width))
+            if width > 64:
+                w.write_bits(Bits(v, width))
+            else:
+                w.write_uint(v, width)
+            value, nbits = (value << width) | v, nbits + width
+        assert w.getvalue() == Bits(value, nbits)
+        bits = Bits(value, nbits)
+        r = _WindowReader(bits, 0) if windows else BitReader(bits)
+        for v, width in fields:
+            if width > 64:
+                assert r.read_bits(width) == Bits(v, width)
+            else:
+                assert r.read_uint(width) == v
+        assert r.remaining() == 0
+        with pytest.raises(DecodeError):
+            r.read_uint(1)
+    # A long term after a short field (read_term reads it through a
+    # _WindowReader) reads back equal and leaves the reader after it.
+    term = tuple(tuple(range(i % 20)) for i in range(3000))
+    w = BitWriter()
+    w.write_uint(2, 2)
+    write_term(w, term)
+    w.write_uint(5, 3)
+    r = BitReader(w.getvalue())
+    assert r.read_uint(2) == 2 and read_term(r) == term
+    assert r.read_uint(3) == 5 and r.remaining() == 0
+    # Any number of chunks, odd or even, joins to the same bitstring.
+    for count in range(9):
+        w = BitWriter()
+        value = 0
+        for i in range(count):
+            w.write_bits(Bits(i + 1, 5000))
+            value = (value << 5000) | (i + 1)
+        w.write_uint(1, 1)
+        assert w.getvalue() == Bits((value << 1) | 1, 5000 * count + 1)
 
 
 def test_reader_overrun():

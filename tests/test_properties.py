@@ -3,7 +3,17 @@ import random
 
 import pytest
 
-from lanecert.certify import _recompute_sub, annotate_classes
+from lanecert.certify import (
+    _recompute_sub,
+    all_accept,
+    annotate_classes,
+    decode_label,
+    local_views,
+    prove,
+    verify_all,
+    verify_vertex,
+)
+from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key
 from lanecert.properties import (
     PLUGINS,
@@ -19,6 +29,7 @@ from lanecert.recursive import (
     apply_op_sequence,
     build_hierarchical_decomposition,
 )
+from tests.test_memo import _with_term
 from tests.test_recursive import random_op_sequence
 
 
@@ -46,11 +57,14 @@ def path_hd(n):
 def test_leaf_classes_frozen():
     bip = PLUGINS["bipartite"]
     c = bip.base_edge(3, 1)
-    # Exactly the two proper colorings of one edge, as index sets.
+    # One part: atom 0 is its rep (2*0 + 0), atom 1 has the other colour.
     assert c.atoms == ((3, 1), (3, 2))
-    assert c.term == ((0,), (1,))
+    assert c.term == (0, 1)
+    # An unmarked edge leaves two parts, each atom its own rep.
     skipped = PLUGINS["marked-bipartite"].base_edge(3, 0)
-    assert skipped.term == ((), (0,), (0, 1), (1,))
+    assert skipped.term == (0, 2)
+    # A 3-path colours its two ends alike.
+    assert bip.base_path(3, [1, 1]).term == (0, 1, 0)
 
     par = PLUGINS["parity"]
     one = par.base_vleaf(1)
@@ -204,12 +218,48 @@ def test_validate_class_rejects_garbage():
     with pytest.raises(PropertyError):
         bip.accepts(HomClass(((1, 1),), ((0,),)))  # lone "in" role
     with pytest.raises(PropertyError):
-        bip.accepts(HomClass(((1, 0),), ((4,),)))  # index out of range
+        bip.accepts(HomClass(((1, 0),), ((4,),)))  # the old colouring-set form
     with pytest.raises(PropertyError):
         PLUGINS["acyclic"].accepts(HomClass(((1, 0),), ()))  # not a cover
     with pytest.raises(PropertyError):
         PLUGINS["parity"].accepts(HomClass(((1, 0),), 7))
     bip.accepts(bip.base_edge(1, 1))
+    for term in NONCANONICAL_BIPARTITE:
+        with pytest.raises(PropertyError):
+            bip.accepts(HomClass(((1, 1), (1, 2)), term))
+
+
+# Bipartite terms over two atoms that are not canonical: a wrong length,
+# rep(1) = 2 > 1, rep 0's own entry odd (as atom 1's rep and as a self-rep),
+# and a non-int entry.
+NONCANONICAL_BIPARTITE = [(0,), (0, 4), (1, 1), (0, 3), (0, (0,))]
+
+
+def _noncanonical_like(term):
+    """The NONCANONICAL_BIPARTITE case of the same kind, over len(term)
+    atoms."""
+    n = len(term)
+    yield (0,) * (n + 1)
+    yield (0,) * (n - 1) + (2 * n,)
+    yield (1,) + term[1:]
+    yield (0,) * (n - 1) + (2 * (n - 1) + 1,)
+    yield ((0,),) + term[1:]
+
+
+def test_noncanonical_bipartite_term_is_malformed():
+    # Every BasicInfo of the root's class in every label gets a bad term;
+    # a vertex that folds or checks that class must say malformed.
+    g, ir = generate(GeneratorSpec("cycle", 8, 2, 0.3), 0)
+    labels = prove(g, "bipartite", 2, ir=ir)
+    root = decode_label(next(iter(labels.values()))).tnodes[0].basic
+    assert len(root.cls.term) == len(root.cls.atoms) > 1
+    for term in _noncanonical_like(root.cls.term):
+        bad = {e: _with_term(bits, root, term) for e, bits in labels.items()}
+        verdicts = verify_all(g, bad, "bipartite", 2)
+        reasons = {v.reason for v in verdicts.values()}
+        assert "malformed" in reasons, term
+        for view in local_views(g, bad):
+            assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
 
 
 def test_brute_force_guards():
@@ -222,3 +272,47 @@ def test_brute_force_guards():
     assert not brute_force_property(
         build_graph(2, [(0, 1)], {}, {(0, 1): 0}), "marked-matching"
     )
+
+
+# (n, seed) of random-ops graphs at k = 3 and density 0.3: graphs with
+# cycles and witness width up to 4.  The first seven are bipartite.
+K3_CASES = [(10, 21), (10, 24), (14, 24), (14, 34), (18, 34), (18, 54), (22, 34)]
+K3_CASES += [(n, seed) for n in (10, 18, 26, 30) for seed in range(2)]
+
+
+def _k3_instance(n, seed, prop):
+    """The K3_CASES graph and witness; for a marked property, about 70% of
+    the edges get tag 1, so odd cycles survive in some marked subgraphs."""
+    g, ir = generate(GeneratorSpec("random-ops", n, 3, 0.3), seed)
+    if prop.startswith("marked-"):
+        rng = random.Random(seed)
+        tags = {e: int(rng.random() < 0.7) for e in g.edges}
+        g = build_graph(g.n, g.edges, None, tags)
+    return g, ir
+
+
+@pytest.mark.parametrize("prop", ["bipartite", "marked-bipartite"])
+def test_bipartite_at_k3_matches_oracle(prop):
+    verdicts = set()
+    for n, seed in K3_CASES:
+        g, ir = _k3_instance(n, seed, prop)
+        assert len(g.edges) >= g.n
+        labels = prove(g, prop, 3, ir=ir, force=True)
+        accepted = all_accept(verify_all(g, labels, prop, 3))
+        assert accepted == brute_force_property(g, prop, limit=g.n), (n, seed)
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_marked_bipartite_state_stays_linear_in_atoms():
+    # A colouring-set state ran out of memory on this instance (13 atoms,
+    # a join of 2**20 pairs).  The state is one int per atom.
+    g, ir = generate(GeneratorSpec("random-ops", 18, 3, 0.3), 484523)
+    labels = prove(g, "marked-bipartite", 3, ir=ir, force=True)
+    verdicts = verify_all(g, labels, "marked-bipartite", 3)
+    assert all_accept(verdicts) == brute_force_property(
+        g, "marked-bipartite", limit=g.n
+    )
+    root = decode_label(next(iter(labels.values()))).tnodes[0].basic.cls
+    assert isinstance(root.term, tuple)
+    assert len(root.term) == len(root.atoms)

@@ -23,6 +23,7 @@ from lanecert.encoding import Bits, BitWriter, read_sections, write_section
 from lanecert.generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from lanecert.graph import edge_key
 from lanecert.intervals import width
+from lanecert.properties import PLUGINS
 from tests.test_graph import cycle_graph
 
 PROPS = ("parity", "bipartite", "acyclic", "matching", "marked-bipartite")
@@ -108,9 +109,7 @@ def test_verify_total_on_replaced_section(data, name):
     n=st.integers(2, 30),
     k=st.integers(1, 3),
     seed=st.integers(0, 10**6),
-    # Proving matching or a marked variant at k = 3 can take minutes and
-    # gigabytes in the class fold, so the round trip uses these three.
-    prop=st.sampled_from(("parity", "bipartite", "acyclic")),
+    prop=st.sampled_from(sorted(PLUGINS)),
 )
 def test_codec_roundtrips_prover_labels(family, n, k, seed, prop):
     try:

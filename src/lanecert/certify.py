@@ -23,9 +23,23 @@ every vertex.  A failing fold or operation is not stored, so it runs again
 wherever it recurs.  Plugins themselves stay stateless.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
-header (n and the lane count), followed by one section per decomposition
-node containing the edge (root first), followed by embedding sections for
-the virtual-edge routes the edge participates in.
+header (n and the lane count), followed by one T-node section per
+decomposition node containing the edge (the chain, root first), followed by
+one route section per virtual edge whose route runs over the edge.
+
+The root section carries its node's eid and BasicInfo, the edge's pointer
+fields and the record of the element holding the edge.  Below the root a
+node is one side of the B record one section up, so a nested section
+carries one side bit (left or right) in place of the eid and BasicInfo;
+``decode_label`` takes both from that side, as the same object, and fails
+when the record above is not a B record or the side is a vertex leaf.  No
+section carries a root flag: the root is chain position 0.  A nested
+BasicInfo other than its side's, or a root flag off position 0, cannot be
+written, so the verifier has no check (and no reject reason) for either.
+With a memo, a payload's raw fields are shared per n and chain position,
+and a nested section is resolved per label.  A route section carries its
+endpoints and ranks, then the relayed label, header included, as the rest
+of the section.
 """
 
 from dataclasses import dataclass, field
@@ -131,7 +145,6 @@ class TSec:
 class RSec:
     u: int
     v: int
-    idx: int
     fwd: int
     bwd: int
     payload: Bits
@@ -311,12 +324,31 @@ def _dec_elem(r: BitReader, b: int, n: int, memo) -> ElementRecord:
     return ElementRecord(eid, parent, topo, tuple(children))
 
 
-def _enc_tnode(sec: TSec, b: int, memo=None) -> Bits:
-    """The payload of one T-node section; memo as in _enc_basic."""
+def _side_bit(above: ElementRecord, node_eid: int, basic: BasicInfo) -> int:
+    """Which side (0 left, 1 right) of the B record above is the T-node
+    node_eid with an equal BasicInfo; CertifyError if neither is, since the
+    wire cannot carry a nested section that differs from that side."""
+    if above.kind == "B":
+        for bit, side in enumerate(above.topo[5:7]):
+            if side[0] == "T" and side[1] == node_eid and (
+                side[2] is basic or side[2] == basic
+            ):
+                return bit
+    raise CertifyError(
+        "T-node %d is not a side of the record above it in the chain" % node_eid
+    )
+
+
+def _enc_tnode(sec: TSec, side: Optional[int], b: int, memo=None) -> Bits:
+    """The payload of one T-node section: the root's (side None) with its
+    node eid and BasicInfo, a nested one's with its side bit.  memo as in
+    _enc_basic."""
     sw = BitWriter()
-    sw.write_varint(sec.node_eid)
-    sw.write_bit(sec.is_root)
-    _enc_basic(sw, sec.basic, b, memo)
+    if side is None:
+        sw.write_varint(sec.node_eid)
+        _enc_basic(sw, sec.basic, b, memo)
+    else:
+        sw.write_bit(side)
     sw.write_varint(sec.dist)
     sw.write_bit(sec.is_tree)
     sw.write_bit(sec.parent_min)
@@ -339,28 +371,41 @@ def frame_label(n: int, w_lanes: int, tnodes: List[Bits], routes: List[RSec]) ->
         rw = BitWriter()
         rw.write_uint(rs.u, b)
         rw.write_uint(rs.v, b)
-        rw.write_varint(rs.idx)
         rw.write_varint(rs.fwd)
         rw.write_varint(rs.bwd)
-        rw.write_varint(rs.payload.nbits)
         rw.write_bits(rs.payload)
         write_section(out, SEC_ROUTE, rw.getvalue())
     return out.getvalue()
 
 
 def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
+    """The label of a decoded form.  CertifyError when the chain has a field
+    the wire cannot carry: a root flag off position 0, or a nested section
+    that is not a T side of the record above it."""
     b = id_bits(n)
-    return frame_label(n, w_lanes, [_enc_tnode(sec, b) for sec in tnodes], routes)
+    payloads = []
+    for pos, sec in enumerate(tnodes):
+        if sec.is_root != (pos == 0):
+            raise CertifyError("only the first T-node section is the root")
+        side = None
+        if pos:
+            side = _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic)
+        payloads.append(_enc_tnode(sec, side, b))
+    return frame_label(n, w_lanes, payloads, routes)
 
 
-def _dec_tnode(payload: Bits, b: int, n: int, memo) -> TSec:
-    """Decode one T-node section payload.  Its element record is the rest of
-    the payload, the same for every edge of the element, so with a memo each
-    distinct record (per n) is decoded once and shared."""
+def _dec_tnode(payload: Bits, b: int, n: int, nested: bool, memo) -> tuple:
+    """The fields of one T-node section payload: (head, dist, is_tree,
+    parent_min, element record), where head is the side bit of a nested
+    section and (node eid, BasicInfo) of the root's.  The element record is
+    the rest of the payload, the same for every edge of the element, so with
+    a memo each distinct record (per n) is decoded once and shared."""
     r = BitReader(payload)
-    node_eid = r.read_varint()
-    is_root = bool(r.read_bit())
-    basic = _dec_basic(r, b, n, memo)
+    if nested:
+        head = r.read_bit()
+    else:
+        node_eid = r.read_varint()
+        head = (node_eid, _dec_basic(r, b, n, memo))
     dist = r.read_varint()
     is_tree = bool(r.read_bit())
     parent_min = bool(r.read_bit())
@@ -371,14 +416,15 @@ def _dec_tnode(payload: Bits, b: int, n: int, memo) -> TSec:
         elem = _dec_elem(BitReader(tail), b, n, memo)
         if memo is not None:
             memo[key] = elem
-    return TSec(node_eid, is_root, basic, dist, is_tree, parent_min, elem)
+    return head, dist, is_tree, parent_min, elem
 
 
 def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
-    """Decode one label.  Without a memo every structure returned is new.
-    With one (the verifier's per-run cache) equal T-node sections, equal
-    element records and equal BasicInfos decode to shared objects, which the
-    caller must not mutate."""
+    """Decode one label.  Without a memo every structure returned is new,
+    except that a nested section's BasicInfo is the side object of the
+    record above it.  With one (the verifier's per-run cache) equal T-node
+    payloads, equal element records and equal BasicInfos decode to shared
+    objects, which the caller must not mutate."""
     secs = read_sections(bits)
     if not secs or secs[0][0] != SEC_HEADER:
         raise DecodeError("label must start with a header section")
@@ -392,25 +438,36 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     routes: List[RSec] = []
     for stype, payload in secs[1:]:
         if stype == SEC_TNODE:
-            # n is part of the key: it sets the id width and the range checks.
-            key = ("tnode", n, payload)
-            sec = memo.get(key) if memo is not None else None
-            if sec is None:
-                sec = _dec_tnode(payload, b, n, memo)
+            nested = bool(tnodes)
+            # n is part of the key: it sets the id width and the range
+            # checks.  The entry leaves out the record above, so a nested
+            # section's side is resolved here, per label.
+            key = ("tnode", n, nested, payload)
+            raw = memo.get(key) if memo is not None else None
+            if raw is None:
+                raw = _dec_tnode(payload, b, n, nested, memo)
                 if memo is not None:
-                    memo[key] = sec
-            tnodes.append(sec)
+                    memo[key] = raw
+            head, dist, is_tree, parent_min, elem = raw
+            if nested:
+                above = tnodes[-1].elem
+                if above.kind != "B":
+                    raise DecodeError("a nested T-node section must follow a B record")
+                side = above.topo[5 + head]
+                if side[0] != "T":
+                    raise DecodeError("a nested T-node section must name a T-node side")
+                head = side[1:]  # (node eid, BasicInfo)
+            node_eid, basic = head
+            tnodes.append(TSec(node_eid, not nested, basic, dist, is_tree, parent_min, elem))
         elif stype == SEC_ROUTE:
             r = BitReader(payload)
             u = r.read_uint(b)
             v = r.read_uint(b)
-            idx = r.read_varint()
             fwd = r.read_varint()
             bwd = r.read_varint()
-            nb = r.read_varint()
             if u >= n or v >= n or u == v or fwd < 1 or bwd < 1:
                 raise DecodeError("bad route section")
-            routes.append(RSec(u, v, idx, fwd, bwd, r.read_bits(nb)))
+            routes.append(RSec(u, v, fwd, bwd, r.read_bits(r.remaining())))
         elif stype == SEC_HEADER:
             raise DecodeError("duplicate header")
         else:
@@ -533,24 +590,28 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     w_lanes = lp.k
     real = g.edge_set()
     # Each edge's chain of T-node section payloads.  A payload depends only
-    # on its node, its element and the edge's pointer fields, so equal ones
-    # are encoded once, and so is each BasicInfo they contain.
+    # on its node, its side bit, its element and the edge's pointer fields,
+    # so equal ones are encoded once, and so is each BasicInfo they contain.
     payloads: Dict[tuple, Bits] = {}
     basics: dict = {}
     chains: Dict[Edge, List[Bits]] = {}
+    above: Dict[Edge, ElementRecord] = {}  # the record of each chain's last section
     # Containing T-nodes first, so every chain starts at the root.
     for node in reversed(hd.nodes):
         node_eid = node.root_element.eid
+        basic = ann.sub[node_eid]
         ptr = _pointer_fields(node.edges, node.t_in[min(node.t_in)])
         for el in node.elements():
+            rec = ann.records[el.eid]
             for e in el.edges:
-                key = (node_eid, el.eid) + ptr[e]
+                side = None if node is hd.root else _side_bit(above[e], node_eid, basic)
+                key = (node_eid, side, el.eid) + ptr[e]
                 payload = payloads.get(key)
                 if payload is None:
-                    sec = TSec(node_eid, node is hd.root, ann.sub[node_eid], *ptr[e],
-                               ann.records[el.eid])
-                    payload = payloads[key] = _enc_tnode(sec, b, basics)
+                    sec = TSec(node_eid, side is None, basic, *ptr[e], rec)
+                    payload = payloads[key] = _enc_tnode(sec, side, b, basics)
                 chains.setdefault(e, []).append(payload)
+                above[e] = rec
     bound = 2 * max(1, w_lanes)
     for e, chain in chains.items():
         if len(chain) > bound:
@@ -564,7 +625,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
         m = len(path) - 1
         for pos in range(m):
             e = edge_key(path[pos], path[pos + 1])
-            routes[e].append(RSec(path[0], path[-1], 0, pos + 1, m - pos, vbits))
+            routes[e].append(RSec(path[0], path[-1], pos + 1, m - pos, vbits))
     h_bound = lane_bounds(k + 1)[2]
     out: Dict[Edge, Bits] = {}
     for e in real:
@@ -812,19 +873,19 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     if vid >= n or w_lanes > lane_bounds(k + 1)[0]:
         raise _Reject("header")
 
-    # Routes: group by (u, v, idx), check rank structure, extract the labels
-    # of virtual edges incident to this vertex.
+    # Routes: group by (u, v), one virtual edge each, check rank structure,
+    # extract the labels of virtual edges incident to this vertex.
     groups: Dict[tuple, List[Tuple[Edge, RSec]]] = {}
     for e, lab in decoded.items():
         seen_here = set()
         for rs in lab.routes:
-            key = (rs.u, rs.v, rs.idx)
+            key = (rs.u, rs.v)
             if key in seen_here:
                 raise _Reject("route-dup")
             seen_here.add(key)
             groups.setdefault(key, []).append((e, rs))
     virtuals: Dict[Edge, DecodedLabel] = {}
-    for (u, v, idx), entries in groups.items():
+    for (u, v), entries in groups.items():
         if len({(rs.payload.value, rs.payload.nbits) for _, rs in entries}) != 1:
             raise _Reject("route-payload")
         if len({rs.fwd + rs.bwd for _, rs in entries}) != 1:
@@ -881,8 +942,6 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
             raise _Reject("chain-empty")
         if len({sec.node_eid for sec in chain}) != len(chain):
             raise _Reject("chain-dup")
-        if not chain[0].is_root or any(sec.is_root for sec in chain[1:]):
-            raise _Reject("chain-root")
         for pos, sec in enumerate(chain):
             last = pos == len(chain) - 1
             topo = [(te, m) for te, m in _topo_edges(sec.elem)]
@@ -898,25 +957,17 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                         raise _Reject("mark")
                 elif mark != 0:
                     raise _Reject("mark")
-            else:
-                if sec.elem.kind != "B" or here:
-                    raise _Reject("chain-link")
-                nxt = chain[pos + 1].node_eid
-                sides = [
-                    s
-                    for s in (sec.elem.topo[5], sec.elem.topo[6])
-                    if s[0] == "T" and s[1] == nxt
-                ]
-                if not sides:
-                    raise _Reject("chain-link")
-                # Interned by the memo: `is` skips most field compares.
-                side, nxt_basic = sides[0][2], chain[pos + 1].basic
-                if side is not nxt_basic and side != nxt_basic:
-                    raise _Reject("side-basic")
+            elif here:
+                # decode_label made the next section a T side of this B
+                # record; the edge must lie in that side, not on the bridge.
+                raise _Reject("chain-link")
             node_entries.setdefault(sec.node_eid, []).append((e, sec))
 
+    # Every chain starts at a root section, and a root node must hold every
+    # edge here (root-cover) with one root flag (node-shared), so all the
+    # chains share one root node.
     all_edges = set(gedges)
-    root_eids = set()
+    root_basic = None
     for node_eid, entries in node_entries.items():
         first = entries[0][1]
         for _, sec in entries[1:]:
@@ -926,7 +977,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                 raise _Reject("node-shared")
         basic = first.basic
         if first.is_root:
-            root_eids.add(node_eid)
+            root_basic = basic
             if len(basic.t_in) != w_lanes:
                 raise _Reject("header")
             if {e for e, _ in entries} != all_edges:
@@ -937,9 +988,6 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                     raise _Reject("boundary")
         _check_pointer(vid, basic, entries)
         _check_elements(vid, node_eid, basic, entries, gedges, w_lanes, plugin, memo)
-    if len(root_eids) != 1:
-        raise _Reject("chain-root")
-    root_basic = node_entries[root_eids.pop()][0][1].basic
     if not _fold(memo, plugin, "accepts", root_basic.cls):
         raise _Reject("root-class")
 

@@ -326,10 +326,14 @@ def _group(s, glued, vmap) -> Dict[int, List[int]]:
 
 def _indexed_masks(term, n) -> List[int]:
     """Decode a tuple-of-index-tuples term to bitmasks over n atoms,
-    validating."""
+    validating.  Only the canonical form is accepted, each entry strictly
+    increasing and the entries strictly increasing as tuples (as ``canon``
+    sorts them), so one state has one term; a matching term can be long,
+    so the order is checked in one pass."""
     if not isinstance(term, tuple):
         raise PropertyError("term must be a tuple of index tuples")
     out = []
+    prev = None
     for p in term:
         if not isinstance(p, tuple):
             raise PropertyError("term entry must be a tuple")
@@ -337,9 +341,10 @@ def _indexed_masks(term, n) -> List[int]:
             raise PropertyError("atom index out of range")
         if list(p) != sorted(set(p)):
             raise PropertyError("term entry must be strictly increasing")
+        if prev is not None and not prev < p:
+            raise PropertyError("term entries must be sorted and distinct")
+        prev = p
         out.append(sum(1 << i for i in p))
-    if len(set(out)) != len(out):
-        raise PropertyError("duplicate term entries")
     return out
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from lanecert import certify
 from lanecert.certify import (
+    SEC_TNODE,
     CertifyError,
     all_accept,
     decode_label,
@@ -17,7 +18,8 @@ from lanecert.certify import (
     write_label_file,
     write_verdict_file,
 )
-from lanecert.encoding import Bits
+from lanecert.encoding import Bits, BitWriter, read_sections, write_section
+from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key
 from lanecert.intervals import width
 from lanecert.properties import brute_force_property
@@ -254,3 +256,168 @@ def test_vertex_label_model_equivalence():
             back = vertex_labels_to_edge_labels(g, vlabels)
             assert back == labels
             assert all_accept(verify_all(g, back, prop, k))
+
+
+# --- the chain layout: a nested section names a side of the record above ---
+
+LAYOUT_CASES = [
+    ("cycle", 30, 2, "bipartite"),
+    ("random-ops", 40, 3, "parity"),
+    ("caterpillar", 30, 1, "acyclic"),
+]
+
+
+def _layout_instance(family, n, k, prop):
+    g, ir = generate(GeneratorSpec(family, n, k, 0.3), 0)
+    return g, prove(g, prop, k, ir=ir)
+
+
+def _decoded_all(labels, memo):
+    """The decoded labels and the virtual labels their routes relay."""
+    out = []
+    todo = list(labels.values())
+    while todo:
+        lab = decode_label(todo.pop(), memo)
+        out.append(lab)
+        todo.extend(rs.payload for rs in lab.routes)
+    return out
+
+
+@pytest.mark.parametrize("family,n,k,prop", LAYOUT_CASES)
+def test_nested_section_basic_is_the_side_above(family, n, k, prop):
+    g, labels = _layout_instance(family, n, k, prop)
+    for memo in ({}, None):
+        nested = 0
+        for lab in _decoded_all(labels, memo):
+            assert lab.tnodes[0].is_root
+            for above, sec in zip(lab.tnodes, lab.tnodes[1:]):
+                assert not sec.is_root
+                sides = [s for s in above.elem.topo[5:7] if s[0] == "T" and s[2] is sec.basic]
+                assert [s[1] for s in sides] == [sec.node_eid]
+                nested += 1
+        assert nested > 0
+
+
+def _tnode_payloads(bits):
+    return [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
+
+
+def _forged_chain(bits, nested_payload):
+    """(forged label, kind) for each way to lie about a nested section of
+    bits: its side bit turned to a vertex-leaf side of the B record above
+    ("V-side"), or nested_payload after a last E or P record ("after-E",
+    "after-P")."""
+    secs = read_sections(bits)
+    lab = decode_label(bits)
+    at = [i for i, (stype, _) in enumerate(secs) if stype == SEC_TNODE]
+    edits = []
+    for pos in range(1, len(at)):
+        payload = secs[at[pos]][1]
+        top = 1 << (payload.nbits - 1)  # the side bit
+        other = lab.tnodes[pos - 1].elem.topo[5 if payload.value & top else 6]
+        if other[0] == "V":
+            edits.append(("V-side", at[pos], Bits(payload.value ^ top, payload.nbits)))
+    last = lab.tnodes[-1].elem.kind
+    if last != "B":
+        edits.append(("after-" + last, None, nested_payload))
+    for kind, i, payload in edits:
+        bad = list(secs)
+        if i is None:
+            bad.insert(at[-1] + 1, (SEC_TNODE, payload))
+        else:
+            bad[i] = (SEC_TNODE, payload)
+        w = BitWriter()
+        for stype, part in bad:
+            write_section(w, stype, part)
+        yield w.getvalue(), kind
+
+
+def _forgeries(labels):
+    """(vertices that decode the forged label, forged labels, kind) for the
+    forged chains of every real label and of every relayed virtual label;
+    a relayed one is replaced in every route section that carries it."""
+    nested = next(p for bits in labels.values() for p in _tnode_payloads(bits)[1:])
+    relayed = {}
+    for bits in labels.values():
+        for rs in decode_label(bits).routes:
+            relayed[rs.payload] = (rs.u, rs.v)
+    for e in sorted(labels):
+        for forged, kind in _forged_chain(labels[e], nested):
+            yield set(e), {**labels, e: forged}, kind
+    for vbits, ends in sorted(relayed.items(), key=lambda item: item[1]):
+        for forged, kind in _forged_chain(vbits, nested):
+            bad = {}
+            for e, bits in labels.items():
+                lab = decode_label(bits)
+                for rs in lab.routes:
+                    if rs.payload == vbits:
+                        rs.payload = forged
+                bad[e] = certify.frame_label(lab.n, lab.w, _tnode_payloads(bits), lab.routes)
+            yield set(ends), bad, kind
+
+
+def test_forged_nested_sections_are_rejected():
+    # A nested section that names a vertex-leaf side, or that follows an E
+    # or P record, does not decode, and every vertex that decodes its label
+    # rejects it.
+    kinds = {}
+    for case in LAYOUT_CASES:
+        family, n, k, prop = case
+        g, labels = _layout_instance(family, n, k, prop)
+        for readers, bad, kind in _forgeries(labels):
+            kinds[kind] = kinds.get(kind, 0) + 1
+            memo = {}
+            for view in local_views(g, bad):
+                if view.vid in readers:
+                    verdict = verify_vertex(view, prop, k, memo)
+                    assert verdict.reason == "decode", (case, readers, kind)
+                    assert verify_vertex(view, prop, k) == verdict
+    assert set(kinds) == {"V-side", "after-E", "after-P"}, kinds
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_encode_label_refuses_a_nested_section_off_the_side_above():
+    # The wire carries no nested BasicInfo or node eid, so encode_label
+    # refuses to drop one that differs from the side of the record above.
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    refused = 0
+    for bits in labels.values():
+        for pos in range(1, len(decode_label(bits).tnodes)):
+            for edit in ("eid", "basic"):
+                lab = decode_label(bits)
+                sec = lab.tnodes[pos]
+                if edit == "eid":
+                    sec.node_eid += 1000
+                else:
+                    sec.basic = certify.BasicInfo(dict(sec.basic.t_in), dict(sec.basic.t_out),
+                                                  sec.basic.cls)
+                    sec.basic.t_out[min(sec.basic.t_out)] += 1
+                with pytest.raises(CertifyError):
+                    encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+                refused += 1
+        lab = decode_label(bits)
+        lab.tnodes[0].is_root = False
+        with pytest.raises(CertifyError):
+            encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+    assert refused > 0
+
+
+@pytest.mark.parametrize("family,n,k,prop", [("cycle", 60, 2, "bipartite"),
+                                             ("random-ops", 60, 3, "parity")])
+def test_moved_root_terminal_is_rejected_at_an_endpoint(family, n, k, prop):
+    # The benchmark's corruption gate on every edge: move the root section's
+    # terminal on its lowest lane to another vertex and re-encode; the
+    # label stays well formed, and an endpoint of the edge must reject.
+    g, labels = _layout_instance(family, n, k, prop)
+    rng = random.Random(family)
+    for e in sorted(labels):
+        lab = decode_label(labels[e])
+        root = lab.tnodes[0].basic
+        lane = min(root.t_in)
+        root.t_in[lane] = (root.t_in[lane] + 1 + rng.randrange(g.n - 1)) % g.n
+        bad = dict(labels)
+        bad[e] = encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+        reasons = [
+            verify_vertex(view, prop, k).reason for view in local_views(g, bad) if view.vid in e
+        ]
+        assert any(r != "-" for r in reasons), (e, reasons)

@@ -16,6 +16,7 @@ from lanecert.certify import (
     SEC_HEADER,
     SEC_TNODE,
     BasicInfo,
+    CertifyError,
     DecodedLabel,
     _dec_basic,
     _fold,
@@ -101,7 +102,12 @@ def test_decode_label_results_are_unshared():
             for rs in lab.routes:
                 rs.fwd += 1
             lab.tnodes.reverse()
-            assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes) != bits
+            if len(lab.tnodes) > 1:
+                # A reversed chain does not start at its root section.
+                with pytest.raises(CertifyError):
+                    encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+            else:
+                assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes) != bits
         assert all_accept(verify_all(g, labels, prop, k))
 
 
@@ -137,10 +143,10 @@ def test_memo_keeps_sections_apart_by_n():
     # The T-node sections of honest labels under a header with n = 5 (ids
     # still 3 bits wide): some name a vertex >= 5 and must fail to decode,
     # even from a memo filled under the honest n.  The same for each element
-    # record alone, behind a prefix whose node BasicInfo is valid for n = 5.
+    # record alone, behind a root prefix whose node BasicInfo is valid for
+    # n = 5.
     bw = BitWriter()
     bw.write_varint(0)  # node eid
-    bw.write_bit(0)  # not the root
     certify._enc_basic(bw, BasicInfo({1: 0}, {1: 0}, HomClass(((1, 0),), 0)), 3)
     bw.write_varint(0)  # dist
     bw.write_uint(0, 2)  # is_tree, parent_min
@@ -156,14 +162,45 @@ def test_memo_keeps_sections_apart_by_n():
             payloads = [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
             smalls = {"sections": [_small_label(lab.w, payloads)]}
             smalls["records"] = [
-                _small_label(lab.w, [_join(prefix, _split_tnode(p, lab.n)[1])])
-                for p in payloads
+                _small_label(lab.w, [_join(prefix, _split_tnode(p, lab.n, pos > 0)[1])])
+                for pos, p in enumerate(payloads)
             ]
             for kind, small_labels in smalls.items():
                 for small in small_labels:
                     assert _decodes(small, memo) == _decodes(small), kind
                     failing[kind] += not _decodes(small)
         assert failing["sections"] > 0 and failing["records"] > 0
+
+
+def test_nested_payload_takes_each_labels_own_parent():
+    # One nested payload behind root sections whose B records have
+    # different T sides at its side bit: each label's nested section takes
+    # the side of its own record above, with and without a shared memo
+    # (filled first from the honest labels).
+    g, ir = generate(GeneratorSpec("random-ops", 40, 3, 0.3), 0)
+    labels = prove(g, "parity", 3, ir=ir)
+    parents = {0: [], 1: []}  # side bit -> (root payload, its T side)
+    nested = {}  # side bit -> a nested payload
+    for bits in labels.values():
+        lab = decode_label(bits)
+        payloads = [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
+        above = lab.tnodes[0].elem
+        for bit in (0, 1):
+            side = above.topo[5 + bit] if above.kind == "B" else ("V",)
+            if side[0] == "T" and all(side != other for _, other in parents[bit]):
+                parents[bit].append((payloads[0], side))
+        for p in payloads[1:]:
+            nested.setdefault(p.value >> (p.nbits - 1), p)
+    shared = {}
+    for bits in labels.values():
+        w_lanes = decode_label(bits, shared).w
+    for bit, found in parents.items():
+        assert any(side[2] != found[0][1][2] for _, side in found[1:]), bit
+        for memo in (None, shared):
+            for root, side in found:
+                small = certify.frame_label(g.n, w_lanes, [root, nested[bit]], [])
+                sec = decode_label(small, memo).tnodes[1]
+                assert (sec.node_eid, sec.basic) == side[1:]
 
 
 # --- the class fold's memo ---------------------------------------------------
@@ -535,14 +572,17 @@ def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, 
     assert {folds[i] for i in decoded} == {1}
 
 
-def _split_tnode(payload: Bits, n: int):
+def _split_tnode(payload: Bits, n: int, nested: bool):
     """(prefix, element tail) of a T-node section payload, as _dec_tnode
-    reads it, or None when its prefix does not decode."""
+    reads it at a nested or at the root position, or None when its prefix
+    does not decode."""
     r = BitReader(payload)
     try:
-        r.read_varint()
-        r.read_bit()
-        _dec_basic(r, id_bits(n), n)
+        if nested:
+            r.read_bit()  # side
+        else:
+            r.read_varint()
+            _dec_basic(r, id_bits(n), n)
         r.read_varint()
         r.read_bit()
         r.read_bit()
@@ -564,17 +604,21 @@ def _flip(bits: Bits, rng) -> Bits:
 
 def _part_mutants(labels, rng):
     """Mutants of labels that change one T-node section payload of one label
-    in its element tail only, or in its prefix only (pointer fields and the
-    node's BasicInfo), by a bit flip or by taking that part of another
-    payload."""
+    in its element tail only, or in its prefix only (the root's node eid and
+    BasicInfo or a nested section's side bit, then the pointer fields), by a
+    bit flip or by taking that part of another payload."""
     parts = []  # (edge, section index, prefix, tail)
     for e in sorted(labels):
         try:
             n = decode_label(labels[e]).n
         except DecodeError:
             continue
+        pos = 0  # chain position
         for i, (stype, payload) in enumerate(read_sections(labels[e])):
-            split = _split_tnode(payload, n) if stype == SEC_TNODE else None
+            if stype != SEC_TNODE:
+                continue
+            split = _split_tnode(payload, n, pos > 0)
+            pos += 1
             if split is not None and split[1].nbits:
                 parts.append((e, i) + split)
     out = []

@@ -29,7 +29,7 @@ from lanecert.recursive import (
     apply_op_sequence,
     build_hierarchical_decomposition,
 )
-from tests.test_memo import _with_term
+from tests.test_memo import _basics, _with_term
 from tests.test_recursive import random_op_sequence
 
 
@@ -224,6 +224,16 @@ def test_validate_class_rejects_garbage():
     with pytest.raises(PropertyError):
         PLUGINS["parity"].accepts(HomClass(((1, 0),), 7))
     bip.accepts(bip.base_edge(1, 1))
+    # Sets or blocks out of the order canon sorts them in.
+    two = ((1, 1), (1, 2))
+    with pytest.raises(PropertyError):
+        PLUGINS["matching"].accepts(HomClass(two, ((0, 1), ())))
+    with pytest.raises(PropertyError):
+        PLUGINS["matching"].accepts(HomClass(two, ((), ())))
+    with pytest.raises(PropertyError):
+        PLUGINS["acyclic"].accepts(HomClass(two, ((1,), (0,))))
+    assert PLUGINS["matching"].accepts(HomClass(two, ((), (0, 1))))
+    assert PLUGINS["acyclic"].accepts(HomClass(two, ((0,), (1,))))
     for term in NONCANONICAL_BIPARTITE:
         with pytest.raises(PropertyError):
             bip.accepts(HomClass(((1, 1), (1, 2)), term))
@@ -260,6 +270,28 @@ def test_noncanonical_bipartite_term_is_malformed():
         assert "malformed" in reasons, term
         for view in local_views(g, bad):
             assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
+
+
+@pytest.mark.parametrize("family,n,k,prop", [("caterpillar", 20, 1, "acyclic"),
+                                             ("path", 12, 1, "matching")])
+def test_unsorted_set_terms_are_malformed(family, n, k, prop):
+    # A class whose term lists two or more blocks (acyclic) or exposed sets
+    # (matching) gets them in reverse order, everywhere it appears; a vertex
+    # that folds or checks it must say malformed.
+    g, ir = generate(GeneratorSpec(family, n, k, 0.3), 0)
+    labels = prove(g, prop, k, ir=ir)
+    target = next(
+        bi
+        for bits in labels.values()
+        for bi in _basics(decode_label(bits))
+        if isinstance(bi.cls.term, tuple) and len(bi.cls.term) > 1
+    )
+    bad = {e: _with_term(bits, target, target.cls.term[::-1]) for e, bits in labels.items()}
+    assert bad != labels
+    verdicts = verify_all(g, bad, prop, k)
+    assert "malformed" in {v.reason for v in verdicts.values()}
+    for view in local_views(g, bad):
+        assert verify_vertex(view, prop, k) == verdicts[view.vid]
 
 
 def test_brute_force_guards():

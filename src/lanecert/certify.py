@@ -23,26 +23,39 @@ every vertex.  A failing fold or operation is not stored, so it runs again
 wherever it recurs.  Plugins themselves stay stateless.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
-header (n and the lane count), followed by one T-node section per
-decomposition node containing the edge (the chain, root first), followed by
-one route section per virtual edge whose route runs over the edge.
+header (n and the lane count w) and a basic section (the label's BasicInfo
+table), followed by one T-node section per decomposition node containing
+the edge (the chain, root first), followed by one route section per
+virtual edge whose route runs over the edge.
 
-The root section carries its node's eid and BasicInfo, the edge's pointer
-fields and the record of the element holding the edge.  Below the root a
-node is one side of the B record one section up, so a nested section
-carries one side bit (left or right) in place of the eid and BasicInfo;
-``decode_label`` takes both from that side, as the same object, and fails
-when the record above is not a B record or the side is a vertex leaf.  No
-section carries a root flag: the root is chain position 0.  A nested
-BasicInfo other than its side's, or a root flag off position 0, cannot be
-written, so the verifier has no check (and no reject reason) for either.
-With a memo, a payload's raw fields are shared per n and chain position,
-and a nested section is resolved per label.  A route section carries its
-endpoints and ranks, then the relayed label, header included, as the rest
-of the section.
+The table writes each distinct BasicInfo of the label once: a w-bit lane
+mask, both terminal maps in one field, the class term.  Everywhere else a
+BasicInfo is a slot, numbered by first use within its chain, so a chain's
+payloads are the same bits in every label that carries it.  The table lists
+the own chain's m entries (m opens the section), then each relayed chain's
+new ones in route order, in groups with their bit lengths: one per section
+or route that names entries first.  The root section carries its node's eid
+and slot, the edge's pointer fields and the record of the element holding
+the edge.  Below the root a node is one side of the B record one section
+up, so a nested section carries one side bit (left or right) in place of
+the eid and BasicInfo; ``decode_label`` takes both from that side, as the
+same object, and fails when the record above is not a B record or the side
+is a vertex leaf.  No section carries a root flag: the root is chain
+position 0.  A route section carries its endpoints and ranks, the relayed
+chain's map into the table (its length, the length of its identity prefix,
+the other indices), then the relayed chain's T-node sections.  Each decoded
+label has one wire form, so ``decode_label`` refuses anything out of range
+or out of first-use order, unused and repeated entries, and empty groups.
+With a memo, payloads, records and entry groups are decoded once per run
+(per n and slot width), and a relayed chain is resolved once per distinct
+list of entries; only the cheap resolution of slots runs per label.
 """
 
+import gc
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, count
+from operator import ne
 from typing import Dict, List, Optional, Tuple
 
 from .encoding import (
@@ -87,8 +100,14 @@ from .recursive import (
 SEC_HEADER = 1
 SEC_TNODE = 2
 SEC_ROUTE = 3
+SEC_BASIC = 4
 
-SECTION_NAMES = {SEC_HEADER: "header", SEC_TNODE: "tnode", SEC_ROUTE: "route"}
+SECTION_NAMES = {
+    SEC_HEADER: "header",
+    SEC_BASIC: "basic",
+    SEC_TNODE: "tnode",
+    SEC_ROUTE: "route",
+}
 
 
 class CertifyError(Exception):
@@ -129,6 +148,20 @@ class ElementRecord:
     def kind(self) -> str:
         return self.topo[0]
 
+    @cached_property
+    def topo_edges(self) -> List[Tuple[Edge, int]]:
+        """(edge, mark) pairs of the record's directly listed topology edges,
+        worked out once per record object (decoded records are shared)."""
+        t = self.topo
+        if t[0] == "E":
+            return [(edge_key(t[2], t[3]), t[4])]
+        if t[0] == "P":
+            vids, marks = t[1], t[2]
+            return [
+                (edge_key(x, y), m) for (x, y), m in zip(zip(vids, vids[1:]), marks)
+            ]
+        return [(t[3], t[4])]
+
 
 @dataclass
 class TSec:
@@ -143,11 +176,15 @@ class TSec:
 
 @dataclass
 class RSec:
+    """A route section: the virtual edge's endpoints, this host edge's ranks
+    along its route, and the relayed chain (the virtual edge's T-node
+    sections)."""
+
     u: int
     v: int
     fwd: int
     bwd: int
-    payload: Bits
+    tnodes: List[TSec]
 
 
 @dataclass
@@ -161,64 +198,66 @@ class DecodedLabel:
 # --- encoding ----------------------------------------------------------------
 
 
-def _enc_basic(w: BitWriter, bi: BasicInfo, b: int, memo=None) -> None:
-    """Write bi.  memo, if given, maps id(bi) to (bi, its bits) within one
-    prove call, so each BasicInfo object is encoded once."""
-    if memo is not None:
-        hit = memo.get(id(bi))
-        if hit is None:
-            bw = BitWriter()
-            _enc_basic(bw, bi, b)
-            hit = memo[id(bi)] = (bi, bw.getvalue())
-        w.write_bits(hit[1])
-        return
-    lanes = bi.lanes()
-    w.write_varint(len(lanes))
+def _index_bits(count: int) -> int:
+    """The width of an index below count: ceil(log2 count) bits."""
+    return max(count - 1, 0).bit_length()
+
+
+def _basic_key(bi: BasicInfo, b: int) -> tuple:
+    """The fields of bi's table entry: (lane mask, terminal maps, class
+    term).  Lane l is bit l - 1 of the mask; the maps are t_in then t_out
+    over the lanes in increasing order, b bits per id, as one int."""
+    lanes = sorted(bi.t_in)
+    mask = maps = 0
     for lane in lanes:
-        w.write_varint(lane)
-        w.write_uint(bi.t_in[lane], b)
-        w.write_uint(bi.t_out[lane], b)
-    write_term(w, bi.cls.term)
+        mask |= 1 << (lane - 1)
+        maps = (maps << b) | bi.t_in[lane]
+    for lane in lanes:
+        maps = (maps << b) | bi.t_out[lane]
+    return mask, maps, bi.cls.term
 
 
-def _dec_basic(r: BitReader, b: int, n: int, memo=None) -> BasicInfo:
-    """Decode terminal maps and a class; with a memo, equal fields decode to
-    one shared BasicInfo, validated when first seen."""
-    count = r.read_varint()
-    if not 1 <= count <= n:
-        raise DecodeError("bad lane count")
-    raw = tuple((r.read_varint(), r.read_uint(b), r.read_uint(b)) for _ in range(count))
-    term = read_term(r)
-    key = ("basic", n, raw, term)
-    if memo is not None and key in memo:
-        return memo[key]
-    t_in: Dict[int, int] = {}
-    t_out: Dict[int, int] = {}
-    prev = 0
-    for lane, vin, vout in raw:
-        if lane <= prev:
-            raise DecodeError("lanes must be increasing and positive")
-        prev = lane
-        if vin >= n or vout >= n:
-            raise DecodeError("terminal id out of range")
-        t_in[lane] = vin
-        t_out[lane] = vout
-    if len(set(t_in.values())) != count or len(set(t_out.values())) != count:
+def _enc_entry(key: tuple, b: int, w_lanes: int) -> Bits:
+    """One table entry: the lane set as a w-bit mask, both terminal maps in
+    one 2bc-bit field (c lanes), the class term."""
+    mask, maps, term = key
+    bw = BitWriter()
+    bw.write_uint(mask, w_lanes)
+    bw.write_uint(maps, 2 * b * bin(mask).count("1"))
+    write_term(bw, term)
+    return bw.getvalue()
+
+
+def _basic_of(mask: int, maps: int, term, b: int, n: int) -> BasicInfo:
+    """The BasicInfo of one table entry's fields."""
+    lanes = []
+    lane = 1
+    while mask >> (lane - 1):
+        if mask >> (lane - 1) & 1:
+            lanes.append(lane)
+        lane += 1
+    c = len(lanes)
+    if not c:
+        raise DecodeError("empty lane set")
+    low = (1 << b) - 1
+    ids = [maps >> (b * i) & low for i in range(2 * c - 1, -1, -1)]
+    if max(ids) >= n:
+        raise DecodeError("terminal id out of range")
+    if len(set(ids[:c])) != c or len(set(ids[c:])) != c:
         raise DecodeError("terminal maps must be injective")
+    t_in = dict(zip(lanes, ids[:c]))
+    t_out = dict(zip(lanes, ids[c:]))
     atoms = []
-    for lane in t_in:
+    for lane in lanes:
         if t_in[lane] == t_out[lane]:
             atoms.append((lane, 0))
         else:
             atoms.append((lane, 1))
             atoms.append((lane, 2))
-    basic = BasicInfo(t_in, t_out, HomClass(tuple(sorted(atoms)), term))
-    if memo is not None:
-        memo[key] = basic
-    return basic
+    return BasicInfo(t_in, t_out, HomClass(tuple(atoms), term))
 
 
-def _enc_side(w: BitWriter, side: tuple, b: int, memo) -> None:
+def _enc_side(w: BitWriter, side: tuple, b: int, slot, sw: int) -> None:
     if side[0] == "V":
         w.write_bit(0)
         w.write_varint(side[1])
@@ -226,10 +265,10 @@ def _enc_side(w: BitWriter, side: tuple, b: int, memo) -> None:
     else:
         w.write_bit(1)
         w.write_varint(side[1])
-        _enc_basic(w, side[2], b, memo)
+        w.write_uint(slot(side[2]), sw)
 
 
-def _dec_side(r: BitReader, b: int, n: int, memo) -> tuple:
+def _dec_side(r: BitReader, b: int, n: int, sw: int) -> tuple:
     if r.read_bit() == 0:
         lane = r.read_varint()
         vertex = r.read_uint(b)
@@ -237,13 +276,26 @@ def _dec_side(r: BitReader, b: int, n: int, memo) -> tuple:
             raise DecodeError("bad leaf side")
         return ("V", lane, vertex)
     node_eid = r.read_varint()
-    return ("T", node_eid, _dec_basic(r, b, n, memo))
+    return ("T", node_eid, r.read_uint(sw))
 
 
 _KINDS = ("E", "P", "B")
 
 
-def _enc_elem(w: BitWriter, rec: ElementRecord, b: int, memo) -> None:
+def _elem_uses(rec: ElementRecord):
+    """The BasicInfos rec's wire form names, in the order it names them."""
+    if rec.kind == "B":
+        for side in rec.topo[5:7]:
+            if side[0] == "T":
+                yield side[2]
+    for _, csub in rec.children:
+        yield csub
+
+
+def _enc_elem(rec: ElementRecord, b: int, slot, sw: int) -> Bits:
+    """The bits of rec; slot maps each BasicInfo it holds to its sw-bit
+    slot."""
+    w = BitWriter()
     w.write_varint(rec.eid)
     w.write_bit(rec.parent_eid is not None)
     if rec.parent_eid is not None:
@@ -269,15 +321,18 @@ def _enc_elem(w: BitWriter, rec: ElementRecord, b: int, memo) -> None:
         w.write_uint(bridge[0], b)
         w.write_uint(bridge[1], b)
         w.write_bit(bmark)
-        _enc_side(w, left, b, memo)
-        _enc_side(w, right, b, memo)
+        _enc_side(w, left, b, slot, sw)
+        _enc_side(w, right, b, slot, sw)
     w.write_varint(len(rec.children))
     for ceid, csub in rec.children:
         w.write_varint(ceid)
-        _enc_basic(w, csub, b, memo)
+        w.write_uint(slot(csub), sw)
+    return w.getvalue()
 
 
-def _dec_elem(r: BitReader, b: int, n: int, memo) -> ElementRecord:
+def _dec_elem(r: BitReader, b: int, n: int, sw: int) -> ElementRecord:
+    """An element record with sw-bit slot numbers in place of its
+    BasicInfos (see _resolve_elem)."""
     eid = r.read_varint()
     parent = r.read_varint() if r.read_bit() else None
     kidx = r.read_uint(2)
@@ -307,21 +362,30 @@ def _dec_elem(r: BitReader, b: int, n: int, memo) -> ElementRecord:
         bu = r.read_uint(b)
         bv = r.read_uint(b)
         bmark = r.read_bit()
-        left = _dec_side(r, b, n, memo)
-        right = _dec_side(r, b, n, memo)
+        left = _dec_side(r, b, n, sw)
+        right = _dec_side(r, b, n, sw)
         if not bu < bv < n:
             raise DecodeError("bad bridge edge")
         topo = ("B", i, j, (bu, bv), bmark, left, right)
     nc = r.read_varint()
     if nc > n:
         raise DecodeError("bad child count")
-    children = []
-    for _ in range(nc):
-        ceid = r.read_varint()
-        children.append((ceid, _dec_basic(r, b, n, memo)))
+    children = tuple((r.read_varint(), r.read_uint(sw)) for _ in range(nc))
     if len({c for c, _ in children}) != nc:
         raise DecodeError("duplicate child eids")
-    return ElementRecord(eid, parent, topo, tuple(children))
+    if r.remaining():
+        raise DecodeError("trailing bits after an element record")
+    return ElementRecord(eid, parent, topo, children)
+
+
+def _resolve_elem(raw: ElementRecord, basics: List[BasicInfo]) -> ElementRecord:
+    """raw (from _dec_elem) with each slot replaced by its BasicInfo."""
+    t = raw.topo
+    if t[0] == "B":
+        t = t[:5] + tuple(s if s[0] == "V" else ("T", s[1], basics[s[2]]) for s in t[5:])
+    return ElementRecord(
+        raw.eid, raw.parent_eid, t, tuple((c, basics[s]) for c, s in raw.children)
+    )
 
 
 def _side_bit(above: ElementRecord, node_eid: int, basic: BasicInfo) -> int:
@@ -339,139 +403,463 @@ def _side_bit(above: ElementRecord, node_eid: int, basic: BasicInfo) -> int:
     )
 
 
-def _enc_tnode(sec: TSec, side: Optional[int], b: int, memo=None) -> Bits:
+def _enc_tnode(sec: TSec, side: Optional[int], slot, sw: int, tail: Bits) -> Bits:
     """The payload of one T-node section: the root's (side None) with its
-    node eid and BasicInfo, a nested one's with its side bit.  memo as in
-    _enc_basic."""
-    sw = BitWriter()
+    node eid and BasicInfo's slot, a nested one's with its side bit, then
+    the pointer fields and tail, the element record's bits.  slot maps each
+    BasicInfo to its sw-bit slot in the chain."""
+    pw = BitWriter()
     if side is None:
-        sw.write_varint(sec.node_eid)
-        _enc_basic(sw, sec.basic, b, memo)
+        pw.write_varint(sec.node_eid)
+        pw.write_uint(slot(sec.basic), sw)
     else:
-        sw.write_bit(side)
-    sw.write_varint(sec.dist)
-    sw.write_bit(sec.is_tree)
-    sw.write_bit(sec.parent_min)
-    _enc_elem(sw, sec.elem, b, memo)
-    return sw.getvalue()
+        pw.write_bit(side)
+    pw.write_varint(sec.dist)
+    pw.write_uint(sec.is_tree << 1 | sec.parent_min, 2)
+    pw.write_bits(tail)
+    return pw.getvalue()
 
 
-def frame_label(n: int, w_lanes: int, tnodes: List[Bits], routes: List[RSec]) -> Bits:
-    """A label from its header fields, its T-node section payloads and its
-    route sections."""
+
+def _write_route_head(w: BitWriter, u: int, v: int, fwd: int, bwd: int, b: int) -> None:
+    w.write_uint(u << b | v, 2 * b)
+    w.write_varint(fwd)
+    w.write_varint(bwd)
+
+
+def _read_route_head(r: BitReader, b: int, n: int) -> tuple:
+    uv = r.read_uint(2 * b)
+    u, v = uv >> b, uv & ((1 << b) - 1)
+    fwd = r.read_varint()
+    bwd = r.read_varint()
+    if u >= n or v >= n or u == v or fwd < 1 or bwd < 1:
+        raise DecodeError("bad route section")
+    return u, v, fwd, bwd
+
+
+def reroute(payload: Bits, rs: RSec, n: int) -> Bits:
+    """A route section payload with its endpoints and ranks replaced by
+    rs's; its map and relayed chain are kept as they are."""
     b = id_bits(n)
+    r = BitReader(payload)
+    _read_route_head(r, b, n)
+    rw = BitWriter()
+    _write_route_head(rw, rs.u, rs.v, rs.fwd, rs.bwd, b)
+    rw.write_bits(r.read_bits(r.remaining()))
+    return rw.getvalue()
+
+
+def frame_label(
+    n: int, w_lanes: int, table: Bits, tnodes: List[Bits], routes: List[Bits]
+) -> Bits:
+    """A label from its header fields and its section payloads: the basic
+    table, the T-node sections, the route sections."""
     out = BitWriter()
     hw = BitWriter()
     hw.write_varint(n)
     hw.write_varint(w_lanes)
     write_section(out, SEC_HEADER, hw.getvalue())
+    write_section(out, SEC_BASIC, table)
     for payload in tnodes:
         write_section(out, SEC_TNODE, payload)
-    for rs in routes:
-        rw = BitWriter()
-        rw.write_uint(rs.u, b)
-        rw.write_uint(rs.v, b)
-        rw.write_varint(rs.fwd)
-        rw.write_varint(rs.bwd)
-        rw.write_bits(rs.payload)
-        write_section(out, SEC_ROUTE, rw.getvalue())
+    for payload in routes:
+        write_section(out, SEC_ROUTE, payload)
     return out.getvalue()
 
 
-def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
-    """The label of a decoded form.  CertifyError when the chain has a field
-    the wire cannot carry: a root flag off position 0, or a nested section
-    that is not a T side of the record above it."""
-    b = id_bits(n)
-    payloads = []
+def _frames(payloads: List[Bits]) -> Bits:
+    """T-node sections framed one after another: a route's relayed chain."""
+    fw = BitWriter()
+    for payload in payloads:
+        write_section(fw, SEC_TNODE, payload)
+    return fw.getvalue()
+
+
+def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int]], List[int]]:
+    """The label's table, in order of first use (the own chain's entries,
+    then each relayed chain's new ones in route order), each relayed chain's
+    map into it, and how many entries each map names first.  Entries are
+    hashable keys, equal when the entries are."""
+    table = list(own)
+    index = dict(zip(table, range(len(table))))
+    maps = []
+    fresh = []
+    for keys in relayed:
+        before = len(table)
+        idx = list(map(index.get, keys))
+        if None in idx:
+            for j, i in enumerate(idx):
+                if i is None:
+                    idx[j] = index[keys[j]] = len(table)
+                    table.append(keys[j])
+        maps.append(idx)
+        fresh.append(len(table) - before)
+    return table, maps, fresh
+
+
+def _route_payload(head: tuple, idx: List[int], tw: int, frames: Bits, b: int) -> Bits:
+    """A route section payload: endpoints and ranks, the relayed chain's map,
+    the relayed chain's frames.  The map is its length m, the length p of
+    its longest prefix that names table entries 0 .. p - 1 (a relayed chain
+    mostly starts down the same nodes as the carrier's own), then the other
+    m - p table indices, tw bits each."""
+    p = next(compress(count(), map(ne, idx, count())), len(idx))
+    packed = 0
+    for i in idx[p:]:
+        packed = packed << tw | i
+    rw = BitWriter()
+    _write_route_head(rw, *head, b)
+    rw.write_varint(len(idx))
+    rw.write_varint(p)
+    rw.write_uint(packed, (len(idx) - p) * tw)
+    rw.write_bits(frames)
+    return rw.getvalue()
+
+
+def _enc_table(m_own: int, groups: List[Bits]) -> Bits:
+    """The basic section: the own chain's slot count m, then every table
+    entry in groups, each group its length in bits and then its entries.
+    The own chain has a group per section that names entries first, and a
+    route one per relayed chain that names entries first."""
+    tw = BitWriter()
+    tw.write_varint(m_own)
+    for group in groups:
+        tw.write_varint(group.nbits)
+        tw.write_bits(group)
+    return tw.getvalue()
+
+
+def _join(parts: List[Bits]) -> Bits:
+    jw = BitWriter()
+    for part in parts:
+        jw.write_bits(part)
+    return jw.getvalue()
+
+
+def _enc_chain(tnodes: List[TSec], b: int) -> Tuple[List[Bits], List[tuple], List[int]]:
+    """(section payloads, entry keys in slot order, the number of slots
+    each section names first) of one chain.  Slots are numbered by first
+    use; CertifyError when the chain has a field the wire cannot carry: a
+    root flag off position 0, or a nested section that is not a T side of
+    the record above it."""
+    slots: Dict[tuple, int] = {}
+    news = []
     for pos, sec in enumerate(tnodes):
         if sec.is_root != (pos == 0):
             raise CertifyError("only the first T-node section is the root")
+        before = len(slots)
+        uses = list(_elem_uses(sec.elem))
+        for bi in [sec.basic] + uses if pos == 0 else uses:
+            slots.setdefault(_basic_key(bi, b), len(slots))
+        news.append(len(slots) - before)
+    sw = _index_bits(len(slots))
+    slot = lambda bi: slots[_basic_key(bi, b)]
+    payloads = []
+    for pos, sec in enumerate(tnodes):
         side = None
         if pos:
             side = _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic)
-        payloads.append(_enc_tnode(sec, side, b))
-    return frame_label(n, w_lanes, payloads, routes)
+        payloads.append(_enc_tnode(sec, side, slot, sw, _enc_elem(sec.elem, b, slot, sw)))
+    return payloads, list(slots), news
 
 
-def _dec_tnode(payload: Bits, b: int, n: int, nested: bool, memo) -> tuple:
-    """The fields of one T-node section payload: (head, dist, is_tree,
-    parent_min, element record), where head is the side bit of a nested
-    section and (node eid, BasicInfo) of the root's.  The element record is
-    the rest of the payload, the same for every edge of the element, so with
-    a memo each distinct record (per n) is decoded once and shared."""
+def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
+    """The label of a decoded form (see _enc_chain for what it refuses)."""
+    b = id_bits(n)
+    own, own_keys, news = _enc_chain(tnodes, b)
+    relayed = [_enc_chain(rs.tnodes, b) for rs in routes]
+    table, maps, fresh = _table_and_maps(own_keys, [keys for _, keys, _ in relayed])
+    tw = _index_bits(len(table))
+    route_payloads = [
+        _route_payload((rs.u, rs.v, rs.fwd, rs.bwd), idx, tw, _frames(payloads), b)
+        for rs, idx, (payloads, _, _) in zip(routes, maps, relayed)
+    ]
+    entries = [_enc_entry(key, b, w_lanes) for key in table]
+    groups, start = [], 0
+    for count in news + fresh:
+        if count:
+            groups.append(_join(entries[start:start + count]))
+        start += count
+    return frame_label(n, w_lanes, _enc_table(len(own_keys), groups), own, route_payloads)
+
+
+# --- decoding ----------------------------------------------------------------
+
+
+def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tuple:
+    """The fields of one T-node section payload with sw-bit slots: (head,
+    dist, is_tree, parent_min, raw element record, its slots), where head is
+    the side bit of a nested section and (node eid, slot) of the root's, and
+    the record's slots are listed in the order they are written.
+    The element record is the rest of the payload, the same for every edge
+    of the element, so with a memo each distinct record (per n and slot
+    width) is decoded once and shared."""
     r = BitReader(payload)
     if nested:
         head = r.read_bit()
     else:
-        node_eid = r.read_varint()
-        head = (node_eid, _dec_basic(r, b, n, memo))
+        head = (r.read_varint(), r.read_uint(sw))
     dist = r.read_varint()
     is_tree = bool(r.read_bit())
     parent_min = bool(r.read_bit())
     tail = r.read_bits(r.remaining())
-    key = ("elem", n, tail)
-    elem = memo.get(key) if memo is not None else None
-    if elem is None:
-        elem = _dec_elem(BitReader(tail), b, n, memo)
+    key = ("elem", n, sw, tail.value, tail.nbits)
+    hit = memo.get(key) if memo is not None else None
+    if hit is None:
+        raw = _dec_elem(BitReader(tail), b, n, sw)
+        hit = (raw, tuple(_elem_uses(raw)))
         if memo is not None:
-            memo[key] = elem
-    return head, dist, is_tree, parent_min, elem
+            memo[key] = hit
+    return (head, dist, is_tree, parent_min) + hit
+
+
+def _raw_chain(payloads: List[Bits], b: int, n: int, sw: int, memo) -> tuple:
+    """(the raw T-node sections, the number of slots each names first) of
+    one chain's payloads; DecodeError unless its slots are numbered by
+    first use."""
+    raws = []
+    news = []
+    count = 0
+    for pos, payload in enumerate(payloads):
+        # n and the slot width set the field widths and the range checks.
+        # The entry leaves out the record above and the slots' BasicInfos,
+        # which are resolved per label.
+        key = ("tnode", n, sw, pos > 0, payload.value, payload.nbits)
+        raw = memo.get(key) if memo is not None else None
+        if raw is None:
+            raw = _dec_tnode(payload, b, n, sw, pos > 0, memo)
+            if memo is not None:
+                memo[key] = raw
+        before = count
+        for s in raw[5] if pos else (raw[0][1],) + raw[5]:
+            if s == count:
+                count += 1
+            elif s > count:
+                raise DecodeError("slots must be numbered by first use")
+        raws.append(raw)
+        news.append(count - before)
+    return tuple(raws), tuple(news)
+
+
+def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo], memo) -> TSec:
+    """The T-node section of raw (from _dec_tnode) with basics[s] for each
+    slot s, below the section above (None at the root).  A nested section
+    takes its node eid and BasicInfo from its side of the record above, as
+    the same object; DecodeError when that record is not a B record or that
+    side is a vertex leaf.  With a memo, equal records resolved to the same
+    BasicInfos are one object."""
+    head, dist, is_tree, parent_min, rrec, uses = raw
+    if memo is None:
+        rec = _resolve_elem(rrec, basics)
+    else:
+        key = ("rec", id(rrec), *map(id, map(basics.__getitem__, uses)))
+        rec = memo.get(key)
+        if rec is None:
+            rec = memo[key] = _resolve_elem(rrec, basics)
+    if above is None:
+        return TSec(head[0], True, basics[head[1]], dist, is_tree, parent_min, rec)
+    if above.elem.kind != "B":
+        raise DecodeError("a nested T-node section must follow a B record")
+    side = above.elem.topo[5 + head]
+    if side[0] != "T":
+        raise DecodeError("a nested T-node section must name a T-node side")
+    return TSec(side[1], False, side[2], dist, is_tree, parent_min, rec)
+
+
+def _resolve_chain(raws: tuple, basics: List[BasicInfo], memo, groups=None) -> List[TSec]:
+    """The chain of raw sections with basics[s] for each slot s.  groups,
+    if given with a memo, holds per section the interned group of entries
+    it names first (or None): a section is then fixed by the section above,
+    its raw fields and its group, so each distinct one is resolved once."""
+    tnodes: List[TSec] = []
+    above = None
+    for pos, raw in enumerate(raws):
+        if groups is None:
+            sec = _resolve_section(raw, above, basics, memo)
+        else:
+            key = ("sec", id(above), id(raw), id(groups[pos]))
+            sec = memo.get(key)
+            if sec is None:
+                sec = memo[key] = _resolve_section(raw, above, basics, memo)
+        tnodes.append(sec)
+        above = sec
+    return tnodes
+
+
+def _relayed_chain(frames: Bits, b: int, n: int, basics: List[BasicInfo], memo) -> List[TSec]:
+    """The chain a route section relays: its T-node frames, with basics as
+    its slots' BasicInfos.  The frames are the same bits in every label that
+    relays the chain, so with a memo they are decoded once per run, and
+    resolved once per distinct list of BasicInfos."""
+    m = len(basics)
+    sw = _index_bits(m)
+    key = ("frames", n, sw, frames.value, frames.nbits)
+    hit = memo.get(key) if memo is not None else None
+    if hit is None:
+        payloads = []
+        for stype, payload in read_sections(frames):
+            if stype != SEC_TNODE:
+                raise DecodeError("a route relays T-node sections only")
+            payloads.append(payload)
+        hit = _raw_chain(payloads, b, n, sw, memo)
+        if memo is not None:
+            memo[key] = hit
+    raws, news = hit
+    if sum(news) != m:
+        raise DecodeError("the map must name exactly the chain's slots")
+    if memo is None:
+        return _resolve_chain(raws, basics, None)
+    key = ("chain", id(raws), *map(id, basics))
+    chain = memo.get(key)
+    if chain is None:
+        chain = memo[key] = _resolve_chain(raws, basics, memo)
+    return chain
+
+
+def _dec_entries(bits: Bits, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
+    """The table entries that make up bits.  With a memo, equal entries
+    decode to one shared BasicInfo, built and validated when first seen.
+    Entries are short, so their fields are cut from the int here rather
+    than through a reader's calls."""
+    value, end = bits.value, bits.nbits
+    wmask = (1 << w_lanes) - 1
+    basics = []
+    pos = 0
+    while pos < end:
+        pos += w_lanes
+        if pos > end:
+            raise DecodeError("read past end of bitstring")
+        mask = value >> (end - pos) & wmask
+        width = 2 * b * bin(mask).count("1")
+        pos += width + 9
+        if pos <= end and not value >> (end - pos) & 0x180:
+            # The usual class term: an int below 128 (tag 0, one varint byte).
+            maps = value >> (end - pos + 9) & ((1 << width) - 1)
+            term = value >> (end - pos) & 0x7F
+        else:
+            r = BitReader(bits)
+            r.pos = pos - width - 9
+            maps = r.read_uint(width)
+            term = read_term(r)
+            pos = r.pos
+        key = ("basic", n, mask, maps, term)
+        basic = memo.get(key) if memo is not None else None
+        if basic is None:
+            basic = _basic_of(mask, maps, term, b, n)
+            if memo is not None:
+                memo[key] = basic
+        basics.append(basic)
+    return basics
+
+
+def _dec_group(r: BitReader, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
+    """The group of table entries at r.  With a memo each distinct group is
+    decoded once, as one shared list."""
+    group = r.read_bits(r.read_varint())
+    key = ("group", n, w_lanes, group.value, group.nbits)
+    got = memo.get(key) if memo is not None else None
+    if got is None:
+        got = _dec_entries(group, b, n, w_lanes, memo)
+        if not got:
+            raise DecodeError("empty group")
+        if memo is not None:
+            memo[key] = got
+    return got
+
+
+def _dec_table(r: BitReader, news: tuple, b: int, n: int, w_lanes: int, memo) -> tuple:
+    """(the table's BasicInfos, the own chain's groups, the route groups)
+    of the basic section at r, after its slot count.  The own chain's
+    sections that name entries first each have a group (news has their
+    counts; the section's item of the own groups is None when it names
+    none), and the rest of the section is route groups."""
+    basics: List[BasicInfo] = []
+    own_groups = []
+    for count in news:
+        got = None
+        if count:
+            got = _dec_group(r, b, n, w_lanes, memo)
+            if len(got) != count:
+                raise DecodeError("a group must hold the entries its section names first")
+            basics.extend(got)
+        own_groups.append(got)
+    route_groups = []
+    while r.remaining():
+        route_groups.append(_dec_group(r, b, n, w_lanes, memo))
+        basics.extend(route_groups[-1])
+    # With a memo equal entries are one object, so ids tell them apart.
+    if memo is None:
+        distinct = {_basic_key(bi, b) for bi in basics}
+    else:
+        distinct = set(map(id, basics))
+    if len(distinct) != len(basics):
+        raise DecodeError("repeated table entry")
+    return basics, own_groups, route_groups
 
 
 def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     """Decode one label.  Without a memo every structure returned is new,
-    except that a nested section's BasicInfo is the side object of the
-    record above it.  With one (the verifier's per-run cache) equal T-node
-    payloads, equal element records and equal BasicInfos decode to shared
-    objects, which the caller must not mutate."""
+    except that each table entry is one BasicInfo object, shared by every
+    slot naming it, and a nested section's BasicInfo is the side object of
+    the record above it.  With one (the verifier's per-run cache) equal
+    T-node payloads, equal element records, equal BasicInfos and equal
+    relayed chains decode to shared objects, which the caller must not
+    mutate."""
     secs = read_sections(bits)
-    if not secs or secs[0][0] != SEC_HEADER:
-        raise DecodeError("label must start with a header section")
+    if len(secs) < 2 or secs[0][0] != SEC_HEADER or secs[1][0] != SEC_BASIC:
+        raise DecodeError("label must start with a header and a basic section")
     hr = BitReader(secs[0][1])
     n = hr.read_varint()
     w = hr.read_varint()
-    if n < 1 or w < 1:
+    if n < 1 or w < 1 or hr.remaining():
         raise DecodeError("bad header")
     b = id_bits(n)
-    tnodes: List[TSec] = []
+    own = [payload for stype, payload in secs[2:] if stype == SEC_TNODE]
+    rest = secs[2 + len(own):]
+    if any(stype != SEC_ROUTE for stype, _ in rest):
+        raise DecodeError("T-node sections, then route sections, are all a label may hold")
+    tr = BitReader(secs[1][1])
+    m_own = tr.read_varint()
+    raws, news = _raw_chain(own, b, n, _index_bits(m_own), memo)
+    if sum(news) != m_own:
+        raise DecodeError("the table must open with exactly the chain's slots")
+    basics, groups, route_groups = _dec_table(tr, news, b, n, w, memo)
+    tnodes = _resolve_chain(raws, basics[:m_own], memo, groups if memo is not None else None)
+    table_size = len(basics)
+    tw = _index_bits(table_size)
+    named = m_own  # entries 0 .. named - 1 are named by some slot so far
+    groups_left = iter(route_groups)
+    low = (1 << tw) - 1
     routes: List[RSec] = []
-    for stype, payload in secs[1:]:
-        if stype == SEC_TNODE:
-            nested = bool(tnodes)
-            # n is part of the key: it sets the id width and the range
-            # checks.  The entry leaves out the record above, so a nested
-            # section's side is resolved here, per label.
-            key = ("tnode", n, nested, payload)
-            raw = memo.get(key) if memo is not None else None
-            if raw is None:
-                raw = _dec_tnode(payload, b, n, nested, memo)
-                if memo is not None:
-                    memo[key] = raw
-            head, dist, is_tree, parent_min, elem = raw
-            if nested:
-                above = tnodes[-1].elem
-                if above.kind != "B":
-                    raise DecodeError("a nested T-node section must follow a B record")
-                side = above.topo[5 + head]
-                if side[0] != "T":
-                    raise DecodeError("a nested T-node section must name a T-node side")
-                head = side[1:]  # (node eid, BasicInfo)
-            node_eid, basic = head
-            tnodes.append(TSec(node_eid, not nested, basic, dist, is_tree, parent_min, elem))
-        elif stype == SEC_ROUTE:
-            r = BitReader(payload)
-            u = r.read_uint(b)
-            v = r.read_uint(b)
-            fwd = r.read_varint()
-            bwd = r.read_varint()
-            if u >= n or v >= n or u == v or fwd < 1 or bwd < 1:
-                raise DecodeError("bad route section")
-            routes.append(RSec(u, v, fwd, bwd, r.read_bits(r.remaining())))
-        elif stype == SEC_HEADER:
-            raise DecodeError("duplicate header")
-        else:
-            raise DecodeError("unknown section type %d" % stype)
+    for _, payload in rest:
+        r = BitReader(payload)
+        u, v, fwd, bwd = _read_route_head(r, b, n)
+        m = r.read_varint()
+        p = r.read_varint()
+        if not p <= m <= table_size:
+            raise DecodeError("bad map length")
+        packed = r.read_uint((m - p) * tw)
+        idx = list(range(p))
+        idx += [packed >> (tw * j) & low for j in range(m - p - 1, -1, -1)]
+        if p < m and idx[p] == p:
+            raise DecodeError("the map's prefix must be as long as it can be")
+        if len(set(idx)) != m:
+            raise DecodeError("a map names a table entry twice")
+        # The entries no map names before this one must come in order, and
+        # they make up the next route group.
+        fresh = list(range(named, p)) + [i for i in idx[p:] if i >= named]
+        if fresh:
+            if fresh != list(range(named, named + len(fresh))):
+                raise DecodeError("table entries must be in order of first use")
+            if len(next(groups_left, ())) != len(fresh):
+                raise DecodeError("a route group must hold the entries its map names first")
+            named += len(fresh)
+        chain = _relayed_chain(
+            r.read_bits(r.remaining()), b, n, list(map(basics.__getitem__, idx)), memo
+        )
+        routes.append(RSec(u, v, fwd, bwd, chain))
+    if next(groups_left, None) is not None:
+        raise DecodeError("a table entry that no slot names")
     return DecodedLabel(n, w, tnodes, routes)
 
 
@@ -566,7 +954,16 @@ def prove(
     ann = annotate_classes(hd, plugin, emarks)
     if not ann.accepted and not force:
         raise CertifyError("property %r does not hold" % prop_name)
-    return _emit_labels(g, k, hd, ann, emb, lp)
+    # Emitting allocates many containers but makes no reference cycles, so
+    # the cyclic collector would only cost time here (about a tenth of
+    # prove on a 1,000-edge cycle).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _emit_labels(g, k, hd, ann, emb, lp)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _simplify_path(path: List[int]) -> List[int]:
@@ -589,51 +986,142 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     b = id_bits(n)
     w_lanes = lp.k
     real = g.edge_set()
-    # Each edge's chain of T-node section payloads.  A payload depends only
-    # on its node, its side bit, its element and the edge's pointer fields,
-    # so equal ones are encoded once, and so is each BasicInfo they contain.
-    payloads: Dict[tuple, Bits] = {}
-    basics: dict = {}
-    chains: Dict[Edge, List[Bits]] = {}
-    above: Dict[Edge, ElementRecord] = {}  # the record of each chain's last section
-    # Containing T-nodes first, so every chain starts at the root.
+    # Table entries by value: each BasicInfo object gets the number of its
+    # value's entry, and each entry is encoded once.
+    numbers: Dict[int, int] = {}  # id(BasicInfo) -> entry number
+    by_key: Dict[tuple, int] = {}
+    entries: List[Bits] = []
+
+    def number(bi: BasicInfo) -> int:
+        no = numbers.get(id(bi))
+        if no is None:
+            key = _basic_key(bi, b)
+            no = by_key.get(key)
+            if no is None:
+                no = by_key[key] = len(entries)
+                entries.append(_enc_entry(key, b, w_lanes))
+            numbers[id(bi)] = no
+        return no
+
+    # A chain's slots after one of its sections: the entry numbers in slot
+    # order, each one's slot, and the groups of the basic section so far (a
+    # group per section that names entries first).  They depend only on the
+    # sections so far, which the section's element fixes (an element lies in
+    # one node, which is a side of one B record above), so each element has
+    # one state.
+    states: List[Tuple[List[int], Dict[int, int], List[Bits]]] = []
+    # Per state, its section's node eid, BasicInfo, record, side bit and the
+    # node's pointer fields by edge.
+    fields: List[tuple] = []
+    # Each edge's chain, root first, as the states of its sections (ints, so
+    # that the lists hold nothing the garbage collector has to scan).
+    sections: Dict[Edge, List[int]] = {}
+    above: Dict[Edge, Tuple[int, ElementRecord]] = {}  # each chain's last section
     for node in reversed(hd.nodes):
         node_eid = node.root_element.eid
         basic = ann.sub[node_eid]
         ptr = _pointer_fields(node.edges, node.t_in[min(node.t_in)])
         for el in node.elements():
+            if not el.edges:
+                continue
             rec = ann.records[el.eid]
+            if node is hd.root:
+                side = None
+                order, slots, groups = [], {}, []
+                uses = [basic, *_elem_uses(rec)]
+            else:
+                up = above[next(iter(el.edges))]
+                if any(above[e] is not up for e in el.edges):
+                    raise CertifyError("element %d lies below two records" % el.eid)
+                side = _side_bit(up[1], node_eid, basic)
+                order, slots, groups = states[up[0]]
+                order, slots, groups = list(order), dict(slots), list(groups)
+                uses = list(_elem_uses(rec))
+            before = len(order)
+            for bi in uses:
+                no = number(bi)
+                if no not in slots:
+                    slots[no] = len(order)
+                    order.append(no)
+            if len(order) > before:
+                groups.append(_join([entries[no] for no in order[before:]]))
+            si = len(states)
+            states.append((order, slots, groups))
+            fields.append((node_eid, basic, rec, side, ptr))
+            here = (si, rec)
             for e in el.edges:
-                side = None if node is hd.root else _side_bit(above[e], node_eid, basic)
-                key = (node_eid, side, el.eid) + ptr[e]
-                payload = payloads.get(key)
-                if payload is None:
-                    sec = TSec(node_eid, side is None, basic, *ptr[e], rec)
-                    payload = payloads[key] = _enc_tnode(sec, side, b, basics)
-                chains.setdefault(e, []).append(payload)
-                above[e] = rec
+                if side is None:
+                    sections[e] = [si]
+                else:
+                    sections[e].append(si)
+                above[e] = here
+    # Each edge's section payloads, its slots' entry numbers and its groups.
+    # A payload depends on its state, its pointer fields and the chain's
+    # slot width, so equal ones are encoded once.
     bound = 2 * max(1, w_lanes)
-    for e, chain in chains.items():
-        if len(chain) > bound:
+    payloads: Dict[tuple, Bits] = {}
+    tails: Dict[tuple, Bits] = {}  # (state, slot width) -> the record's bits
+    chains: Dict[Edge, Tuple[List[Bits], List[int], List[Bits]]] = {}
+    for e, secs in sections.items():
+        if len(secs) > bound:
             raise CertifyError(
-                "edge %s lies in %d T-nodes, above 2w = %d" % (e, len(chain), bound)
+                "edge %s lies in %d T-nodes, above 2w = %d" % (e, len(secs), bound)
             )
-    routes: Dict[Edge, List[RSec]] = {e: [] for e in real}
+        order = states[secs[-1]][0]
+        sw = _index_bits(len(order))
+        chain = []
+        for si in secs:
+            node_eid, basic, rec, side, ptr = fields[si]
+            pf = ptr[e]
+            key = (si, pf, sw)
+            payload = payloads.get(key)
+            if payload is None:
+                slots = states[si][1]
+                slot = lambda bi: slots[number(bi)]
+                tail = tails.get((si, sw))
+                if tail is None:
+                    tail = tails[(si, sw)] = _enc_elem(rec, b, slot, sw)
+                sec = TSec(node_eid, side is None, basic, *pf, rec)
+                payload = payloads[key] = _enc_tnode(sec, side, slot, sw, tail)
+            chain.append(payload)
+        chains[e] = (chain, order, states[secs[-1]][2])
+    routes: Dict[Edge, List[tuple]] = {e: [] for e in real}
+    frames: Dict[Edge, Bits] = {}
     for ve in sorted(set(chains) - real):
-        vbits = frame_label(n, w_lanes, chains[ve], [])
+        frames[ve] = _frames(chains[ve][0])
         path = _simplify_path(emb.routes[ve])
         m = len(path) - 1
         for pos in range(m):
             e = edge_key(path[pos], path[pos + 1])
-            routes[e].append(RSec(path[0], path[-1], pos + 1, m - pos, vbits))
+            routes[e].append(((path[0], path[-1], pos + 1, m - pos), ve))
     h_bound = lane_bounds(k + 1)[2]
+    route_groups: Dict[tuple, Bits] = {}  # entry numbers -> their group
     out: Dict[Edge, Bits] = {}
     for e in real:
         if len(routes[e]) > h_bound:
             raise CertifyError(
                 "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
             )
-        out[e] = frame_label(n, w_lanes, chains[e], routes[e])
+        own, own_order, groups = chains[e]
+        table, maps, fresh = _table_and_maps(
+            own_order, [chains[ve][1] for _, ve in routes[e]]
+        )
+        tw = _index_bits(len(table))
+        route_payloads = [
+            _route_payload(head, idx, tw, frames[ve], b)
+            for (head, ve), idx in zip(routes[e], maps)
+        ]
+        start = len(own_order)
+        groups = list(groups)
+        for count in fresh:
+            if count:
+                nos = tuple(table[start:start + count])
+                group = route_groups.get(nos)
+                if group is None:
+                    group = route_groups[nos] = _join([entries[no] for no in nos])
+                groups.append(group)
+            start += count
+        out[e] = frame_label(n, w_lanes, _enc_table(len(own_order), groups), own, route_payloads)
     return out
 
 
@@ -802,19 +1290,6 @@ def _fold_record(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> Basi
     return hit[1]
 
 
-def _topo_edges(rec: ElementRecord) -> List[Tuple[Edge, int]]:
-    """(edge, mark) pairs of the record's directly listed topology edges."""
-    t = rec.topo
-    if t[0] == "E":
-        return [(edge_key(t[2], t[3]), t[4])]
-    if t[0] == "P":
-        vids, marks = t[1], t[2]
-        return [
-            (edge_key(x, y), m) for (x, y), m in zip(zip(vids, vids[1:]), marks)
-        ]
-    return [(t[3], t[4])]
-
-
 def verify_vertex(
     view: LocalView,
     prop_name: str,
@@ -874,7 +1349,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
         raise _Reject("header")
 
     # Routes: group by (u, v), one virtual edge each, check rank structure,
-    # extract the labels of virtual edges incident to this vertex.
+    # extract the chains of virtual edges incident to this vertex.
     groups: Dict[tuple, List[Tuple[Edge, RSec]]] = {}
     for e, lab in decoded.items():
         seen_here = set()
@@ -884,10 +1359,14 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
                 raise _Reject("route-dup")
             seen_here.add(key)
             groups.setdefault(key, []).append((e, rs))
-    virtuals: Dict[Edge, DecodedLabel] = {}
+    virtuals: Dict[Edge, List[TSec]] = {}
     for (u, v), entries in groups.items():
-        if len({(rs.payload.value, rs.payload.nbits) for _, rs in entries}) != 1:
-            raise _Reject("route-payload")
+        # Carriers agree on the relayed chain in resolved form: a shared memo
+        # makes equal chains one object, so most compares are by identity.
+        relayed = entries[0][1].tnodes
+        for _, rs in entries[1:]:
+            if rs.tnodes is not relayed and rs.tnodes != relayed:
+                raise _Reject("route-payload")
         if len({rs.fwd + rs.bwd for _, rs in entries}) != 1:
             raise _Reject("route-rank")
         if len(entries) > 2:
@@ -912,44 +1391,33 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
             ve = edge_key(u, v)
             if ve in decoded:
                 raise _Reject("route-real")
-            payload = entries[0][1].payload
-            try:
-                vlab = _decode_cached(payload, cache)
-            except DecodeError:
-                raise _Reject("decode")
-            if vlab.routes:
-                raise _Reject("nested-route")
-            if (vlab.n, vlab.w) != (n, w_lanes):
-                raise _Reject("header")
             if ve in virtuals:
                 raise _Reject("route-dup")
-            virtuals[ve] = vlab
+            virtuals[ve] = relayed
 
     # The vertex's view of the completed graph: real incident edges plus
     # virtual edges whose routes end here.
-    gedges: Dict[Edge, Tuple[DecodedLabel, bool]] = {
-        e: (lab, True) for e, lab in decoded.items()
+    gedges: Dict[Edge, Tuple[List[TSec], bool]] = {
+        e: (lab.tnodes, True) for e, lab in decoded.items()
     }
-    for e, lab in virtuals.items():
-        gedges[e] = (lab, False)
+    for e, chain in virtuals.items():
+        gedges[e] = (chain, False)
 
     node_entries: Dict[int, List[Tuple[Edge, TSec]]] = {}
-    for e, (lab, real) in gedges.items():
+    for e, (chain, real) in gedges.items():
         if vid not in e:
             raise _Reject("edge-endpoint")
-        chain = lab.tnodes
         if not chain:
             raise _Reject("chain-empty")
         if len({sec.node_eid for sec in chain}) != len(chain):
             raise _Reject("chain-dup")
         for pos, sec in enumerate(chain):
             last = pos == len(chain) - 1
-            topo = [(te, m) for te, m in _topo_edges(sec.elem)]
-            here = [(te, m) for te, m in topo if te == e]
+            here = [m for te, m in sec.elem.topo_edges if te == e]
             if last:
                 if not here:
                     raise _Reject("chain-leaf")
-                mark = here[0][1]
+                mark = here[0]
                 if real:
                     tag = view.etags.get(e, 0)
                     expect = (tag != 0) if marked_user else True
@@ -1036,13 +1504,13 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin,
         t_in = own.t_in
         # Listed topology edges at this vertex must actually be present and
         # owned by this element in this node.
-        for te, _mark in _topo_edges(rec):
+        for te, _mark in rec.topo_edges:
             if vid not in te:
                 continue
             hit = gedges.get(te)
             if hit is None:
                 raise _Reject("edge-missing")
-            owner = [s for s in hit[0].tnodes if s.node_eid == node_eid]
+            owner = [s for s in hit[0] if s.node_eid == node_eid]
             if not owner or owner[0].elem.eid != rec.eid:
                 raise _Reject("edge-owner")
         # Downward: children glued at this vertex must be visible and agree.

@@ -132,10 +132,13 @@ class BitWriter:
         # 8-bit groups, low 7 bits of the value first, high bit = continue.
         if v < 0:
             raise ValueError("varint must be non-negative")
+        groups = nb = 0
         while v >= 0x80:
-            self.write_uint(0x80 | (v & 0x7F), 8)
+            groups = (groups << 8) | 0x80 | (v & 0x7F)
+            nb += 8
             v >>= 7
-        self.write_uint(v, 8)
+        self.value = (self.value << (nb + 8)) | (groups << 8) | v
+        self.nbits += nb + 8
 
     def write_bits(self, bits: Bits) -> None:
         self.value = (self.value << bits.nbits) | bits.value
@@ -163,28 +166,33 @@ class BitWriter:
 class BitReader:
     """Sequential reader over a Bits value; raises DecodeError on overrun."""
 
-    __slots__ = ("bits", "pos")
+    __slots__ = ("bits", "pos", "_value", "_end")
 
     def __init__(self, bits: Bits):
         self.bits = bits
         self.pos = 0
+        self._value = bits.value
+        self._end = bits.nbits
 
     def remaining(self) -> int:
-        return self.bits.nbits - self.pos
+        return self._end - self.pos
 
     def read_uint(self, width: int) -> int:
-        if width < 0 or self.pos + width > self.bits.nbits:
+        pos = self.pos + width
+        if width < 0 or pos > self._end:
             raise DecodeError("read past end of bitstring")
-        shift = self.bits.nbits - self.pos - width
-        self.pos += width
-        return (self.bits.value >> shift) & ((1 << width) - 1)
+        self.pos = pos
+        return (self._value >> (self._end - pos)) & ((1 << width) - 1)
 
     def read_bit(self) -> int:
         return self.read_uint(1)
 
     def read_varint(self) -> int:
-        v = 0
-        shift = 0
+        b = self.read_uint(8)
+        if not b & 0x80:
+            return b  # the usual case: one byte
+        v = b & 0x7F
+        shift = 7
         while True:
             if shift > 63:
                 raise DecodeError("varint too long")
@@ -195,11 +203,7 @@ class BitReader:
             shift += 7
 
     def read_bits(self, width: int) -> Bits:
-        if width < 0 or self.pos + width > self.bits.nbits:
-            raise DecodeError("read past end of bitstring")
-        shift = self.bits.nbits - self.pos - width
-        self.pos += width
-        return Bits((self.bits.value >> shift) & ((1 << width) - 1), width)
+        return Bits(self.read_uint(width), width)
 
 
 # A read shifts the whole bitstring's int, so reading many short fields from
@@ -213,7 +217,7 @@ class _WindowReader(BitReader):
     bitstring's bytes.  Cutting a window costs more than one shift, so
     readers of a few long fields stay plain BitReaders."""
 
-    __slots__ = ("_win", "_end", "_data")
+    __slots__ = ("_win", "_wend", "_data")
 
     def __init__(self, bits: Bits, pos: int):
         super().__init__(bits)
@@ -223,27 +227,24 @@ class _WindowReader(BitReader):
 
     def _load(self, width: int) -> None:
         """Cut a window from pos that holds at least width bits: _win holds
-        the bitstring's bits up to position _end, least significant last
+        the bitstring's bits up to position _wend, least significant last
         (bits before pos may be missing)."""
-        n = self.bits.nbits
+        n = self._end
         end = min(n, self.pos + max(_WINDOW_BITS, width))
         pad = -n % 8
         b1 = (pad + end + 7) // 8
         chunk = int.from_bytes(self._data[(pad + self.pos) // 8 : b1], "big")
         self._win = chunk >> (8 * b1 - pad - end)
-        self._end = end
+        self._wend = end
 
     def read_uint(self, width: int) -> int:
-        if width < 0 or self.pos + width > self.bits.nbits:
+        if width < 0 or self.pos + width > self._end:
             raise DecodeError("read past end of bitstring")
-        if self.pos + width > self._end:
+        if self.pos + width > self._wend:
             self._load(width)
-        shift = self._end - self.pos - width
+        shift = self._wend - self.pos - width
         self.pos += width
         return (self._win >> shift) & ((1 << width) - 1)
-
-    def read_bits(self, width: int) -> Bits:
-        return Bits(self.read_uint(width), width)
 
 
 def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
@@ -253,13 +254,33 @@ def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
 
 
 def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
-    """Split a label into (type, payload) frames; DecodeError on bad framing."""
-    r = BitReader(bits)
+    """Split a label into (type, payload) frames; DecodeError on bad framing.
+    The frame fields are cut from the label's int here: a label is split
+    once per decode, and a reader's calls would cost more than the cuts."""
+    value, end = bits.value, bits.nbits
     out = []
-    while r.remaining() > 0:
-        t = r.read_uint(8)
-        n = r.read_varint()
-        out.append((t, r.read_bits(n)))
+    pos = 0
+    while pos < end:
+        pos += 8
+        if pos > end:
+            raise DecodeError("read past end of bitstring")
+        stype = value >> (end - pos) & 0xFF
+        n = shift = 0
+        while True:  # the payload length, a varint as BitReader reads it
+            if shift > 63:
+                raise DecodeError("varint too long")
+            pos += 8
+            if pos > end:
+                raise DecodeError("read past end of bitstring")
+            byte = value >> (end - pos) & 0xFF
+            n |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+        pos += n
+        if pos > end:
+            raise DecodeError("read past end of bitstring")
+        out.append((stype, Bits(value >> (end - pos) & ((1 << n) - 1), n)))
     return out
 
 

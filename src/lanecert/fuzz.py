@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .certify import (
-    SEC_TNODE,
+    SEC_ROUTE,
     CertifyError,
     any_reject,
     decode_label,
-    frame_label,
     prove,
+    reroute,
 )
 from .encoding import Bits, BitWriter, DecodeError, read_sections, write_section
 from .graph import Edge, Graph
@@ -97,16 +97,18 @@ def _swap_section(a: Bits, b: Bits, rng: random.Random):
 
 def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bits:
     """bits with one route section's ranks or endpoints edited.  With the
-    campaign's cache, T-node sections come from it shared, but each call
-    gets new route sections, so the edit below changes nothing cached.  The
-    T-node section payloads are framed again as they are, not re-encoded."""
+    campaign's cache, chains come from it shared, but each call gets new
+    route sections, so the edit below changes nothing cached.  Every other
+    section, and the edited section's map and relayed chain, is framed
+    again as it is, not re-encoded."""
     try:
         lab = decode_label(bits, cache)
     except DecodeError:
         return _flip_bits(bits, rng)
     if not lab.routes:
         return _flip_bits(bits, rng)
-    rs = rng.choice(lab.routes)
+    i = rng.randrange(len(lab.routes))
+    rs = lab.routes[i]
     which = rng.randrange(3)
     if which == 0:
         rs.fwd = max(1, rs.fwd + rng.choice((-1, 1)))
@@ -114,8 +116,10 @@ def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bit
         rs.bwd = max(1, rs.bwd + rng.choice((-1, 1)))
     else:
         rs.u, rs.v = rs.v, rs.u
-    tnodes = [payload for stype, payload in read_sections(bits) if stype == SEC_TNODE]
-    return frame_label(lab.n, lab.w, tnodes, lab.routes)
+    secs = read_sections(bits)
+    at = [j for j, (stype, _) in enumerate(secs) if stype == SEC_ROUTE][i]
+    secs[at] = (SEC_ROUTE, reroute(secs[at][1], rs, lab.n))
+    return _assemble(secs)
 
 
 def _random_label(rng: random.Random) -> Bits:

@@ -19,7 +19,7 @@ from .recursive import (
     op_sequence_to_completion,
 )
 
-FAMILIES = ("path", "cycle", "caterpillar", "random-ops", "random-pathwidth")
+FAMILIES = ("path", "cycle", "caterpillar", "random-ops")
 
 
 class GeneratorError(ValueError):
@@ -127,13 +127,6 @@ def generate(
     elif spec.family == "random-ops":
         rng = random.Random(seed)
         g, ir = _from_ops(random_ops_sequence(rng, spec.n, spec.k, spec.density))
-    elif spec.family == "random-pathwidth":
-        # k lanes give lanewidth <= k and hence pathwidth <= k; a denser op
-        # mix than random-ops so the width budget actually gets exercised.
-        rng = random.Random(seed)
-        g, ir = _from_ops(
-            random_ops_sequence(rng, spec.n, spec.k, max(spec.density, 0.5))
-        )
     else:
         raise GeneratorError(
             "unknown family %r (one of %s)" % (spec.family, ", ".join(FAMILIES))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -170,22 +171,26 @@ def degeneracy_orientation(g: Graph) -> Orientation:
 
     Each edge is oriented out of the endpoint peeled first, so outdegrees are
     bounded by the degree at removal time and the orientation is acyclic.
+    The next vertex peeled is the least by (current degree, id), taken from
+    a heap with lazy deletion: O(m log n).
     """
     deg = [g.degree(v) for v in range(g.n)]
     removed = [False] * g.n
+    heap = [(deg[v], v) for v in range(g.n)]
+    heapq.heapify(heap)
     order: List[int] = []
     d = 0
-    for _ in range(g.n):
-        v = min(
-            (x for x in range(g.n) if not removed[x]),
-            key=lambda x: (deg[x], x),
-        )
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if removed[v] or dv != deg[v]:
+            continue  # a stale entry: v was peeled or lost a neighbour since
+        d = max(d, dv)
         removed[v] = True
         order.append(v)
         for w in g.adj(v):
             if not removed[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     rank = {v: i for i, v in enumerate(order)}
     direction = {}
     for u, v in g.edges:

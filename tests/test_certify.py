@@ -4,6 +4,7 @@ import pytest
 
 from lanecert import certify
 from lanecert.certify import (
+    SEC_ROUTE,
     SEC_TNODE,
     CertifyError,
     all_accept,
@@ -18,9 +19,9 @@ from lanecert.certify import (
     write_label_file,
     write_verdict_file,
 )
-from lanecert.encoding import Bits, BitWriter, read_sections, write_section
+from lanecert.encoding import Bits, BitReader, BitWriter, DecodeError, read_sections, write_section
 from lanecert.generators import GeneratorSpec, generate
-from lanecert.graph import build_graph, edge_key
+from lanecert.graph import build_graph, edge_key, id_bits
 from lanecert.intervals import width
 from lanecert.properties import brute_force_property
 from tests.test_graph import cycle_graph, path_graph, star_graph
@@ -223,7 +224,7 @@ def test_label_stats_sections():
     labels = prove(g, "bipartite", 2)
     stats = label_size_stats(labels)
     assert stats.total_bits == sum(b.nbits for b in labels.values())
-    assert set(stats.per_section) >= {"header", "tnode", "framing"}
+    assert set(stats.per_section) >= {"header", "basic", "tnode", "framing"}
     assert label_size_stats({}).max_bits == 0
 
 
@@ -272,14 +273,13 @@ def _layout_instance(family, n, k, prop):
     return g, prove(g, prop, k, ir=ir)
 
 
-def _decoded_all(labels, memo):
-    """The decoded labels and the virtual labels their routes relay."""
+def _chains_all(labels, memo):
+    """The decoded labels' chains and the chains their routes relay."""
     out = []
-    todo = list(labels.values())
-    while todo:
-        lab = decode_label(todo.pop(), memo)
-        out.append(lab)
-        todo.extend(rs.payload for rs in lab.routes)
+    for bits in labels.values():
+        lab = decode_label(bits, memo)
+        out.append(lab.tnodes)
+        out.extend(rs.tnodes for rs in lab.routes)
     return out
 
 
@@ -288,9 +288,9 @@ def test_nested_section_basic_is_the_side_above(family, n, k, prop):
     g, labels = _layout_instance(family, n, k, prop)
     for memo in ({}, None):
         nested = 0
-        for lab in _decoded_all(labels, memo):
-            assert lab.tnodes[0].is_root
-            for above, sec in zip(lab.tnodes, lab.tnodes[1:]):
+        for chain in _chains_all(labels, memo):
+            assert chain[0].is_root
+            for above, sec in zip(chain, chain[1:]):
                 assert not sec.is_root
                 sides = [s for s in above.elem.topo[5:7] if s[0] == "T" and s[2] is sec.basic]
                 assert [s[1] for s in sides] == [sec.node_eid]
@@ -302,58 +302,101 @@ def _tnode_payloads(bits):
     return [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
 
 
-def _forged_chain(bits, nested_payload):
-    """(forged label, kind) for each way to lie about a nested section of
-    bits: its side bit turned to a vertex-leaf side of the B record above
-    ("V-side"), or nested_payload after a last E or P record ("after-E",
-    "after-P")."""
-    secs = read_sections(bits)
+def _relayed_parts(bits):
+    """(section index, head and map, relayed chain's payloads, relayed
+    chain) of each route section of bits.  The relayed chain's frames end
+    the section; the payloads are what encoding the decoded chain gives."""
     lab = decode_label(bits)
-    at = [i for i, (stype, _) in enumerate(secs) if stype == SEC_TNODE]
+    b = id_bits(lab.n)
+    secs = read_sections(bits)
+    at = [i for i, (stype, _) in enumerate(secs) if stype == SEC_ROUTE]
+    out = []
+    for i, rs in zip(at, lab.routes):
+        payloads = certify._enc_chain(rs.tnodes, b)[0]
+        frames = certify._frames(payloads)
+        whole = secs[i][1]
+        assert whole.value & ((1 << frames.nbits) - 1) == frames.value
+        out.append((i, Bits(whole.value >> frames.nbits, whole.nbits - frames.nbits),
+                    payloads, rs.tnodes))
+    return out
+
+
+def _join_bits(*parts):
+    w = BitWriter()
+    for part in parts:
+        w.write_bits(part)
+    return w.getvalue()
+
+
+def _reframe(bits, replace):
+    """bits with the sections replace maps from their index to new
+    (type, payload) pairs, and the T-node sections of its own chain given by
+    replace[SEC_TNODE] when it is there."""
+    secs = read_sections(bits)
+    out = []
+    for i, sec in enumerate(secs):
+        if sec[0] == SEC_TNODE and SEC_TNODE in replace:
+            continue
+        out.append(replace.get(i, sec))
+        if i == 1 and SEC_TNODE in replace:  # after the basic section
+            out.extend((SEC_TNODE, p) for p in replace[SEC_TNODE])
+    w = BitWriter()
+    for stype, part in out:
+        write_section(w, stype, part)
+    return w.getvalue()
+
+
+def _forged_chain(payloads, chain, nested_payload):
+    """(forged payloads, kind) for each way to lie about a nested section of
+    a chain: its side bit turned to a vertex-leaf side of the B record above
+    ("V-side"), or a nested payload after a last E or P record ("after-E",
+    "after-P"): the chain's own second one, whose slots the chain already
+    numbers, or else nested_payload."""
     edits = []
-    for pos in range(1, len(at)):
-        payload = secs[at[pos]][1]
+    for pos in range(1, len(payloads)):
+        payload = payloads[pos]
         top = 1 << (payload.nbits - 1)  # the side bit
-        other = lab.tnodes[pos - 1].elem.topo[5 if payload.value & top else 6]
+        other = chain[pos - 1].elem.topo[5 if payload.value & top else 6]
         if other[0] == "V":
-            edits.append(("V-side", at[pos], Bits(payload.value ^ top, payload.nbits)))
-    last = lab.tnodes[-1].elem.kind
+            edits.append(("V-side", pos, Bits(payload.value ^ top, payload.nbits)))
+    last = chain[-1].elem.kind
     if last != "B":
-        edits.append(("after-" + last, None, nested_payload))
-    for kind, i, payload in edits:
-        bad = list(secs)
-        if i is None:
-            bad.insert(at[-1] + 1, (SEC_TNODE, payload))
+        edits.append(("after-" + last, None, payloads[1] if len(payloads) > 1 else nested_payload))
+    for kind, pos, payload in edits:
+        bad = list(payloads)
+        if pos is None:
+            bad.append(payload)
         else:
-            bad[i] = (SEC_TNODE, payload)
-        w = BitWriter()
-        for stype, part in bad:
-            write_section(w, stype, part)
-        yield w.getvalue(), kind
+            bad[pos] = payload
+        yield bad, kind
 
 
 def _forgeries(labels):
     """(vertices that decode the forged label, forged labels, kind) for the
-    forged chains of every real label and of every relayed virtual label;
-    a relayed one is replaced in every route section that carries it."""
+    forged chains of every real label and of every relayed chain; a relayed
+    one is replaced in every route section that carries it."""
     nested = next(p for bits in labels.values() for p in _tnode_payloads(bits)[1:])
     relayed = {}
-    for bits in labels.values():
-        for rs in decode_label(bits).routes:
-            relayed[rs.payload] = (rs.u, rs.v)
+    for e, bits in labels.items():
+        for i, head, payloads, chain in _relayed_parts(bits):
+            relayed.setdefault(tuple(payloads), chain)
     for e in sorted(labels):
-        for forged, kind in _forged_chain(labels[e], nested):
-            yield set(e), {**labels, e: forged}, kind
-    for vbits, ends in sorted(relayed.items(), key=lambda item: item[1]):
-        for forged, kind in _forged_chain(vbits, nested):
-            bad = {}
+        lab = decode_label(labels[e])
+        for forged, kind in _forged_chain(_tnode_payloads(labels[e]), lab.tnodes, nested):
+            yield set(e), {**labels, e: _reframe(labels[e], {SEC_TNODE: forged})}, kind
+    for payloads, chain in relayed.items():
+        for forged, kind in _forged_chain(list(payloads), chain, nested):
+            bad, readers = dict(labels), set()
             for e, bits in labels.items():
-                lab = decode_label(bits)
-                for rs in lab.routes:
-                    if rs.payload == vbits:
-                        rs.payload = forged
-                bad[e] = certify.frame_label(lab.n, lab.w, _tnode_payloads(bits), lab.routes)
-            yield set(ends), bad, kind
+                swap = {
+                    i: (SEC_ROUTE, _join_bits(head, certify._frames(forged)))
+                    for i, head, ps, _ in _relayed_parts(bits)
+                    if tuple(ps) == payloads
+                }
+                if swap:
+                    bad[e] = _reframe(bits, swap)
+                    readers |= set(e)
+            yield readers, bad, kind
 
 
 def test_forged_nested_sections_are_rejected():
@@ -421,3 +464,162 @@ def test_moved_root_terminal_is_rejected_at_an_endpoint(family, n, k, prop):
             verify_vertex(view, prop, k).reason for view in local_views(g, bad) if view.vid in e
         ]
         assert any(r != "-" for r in reasons), (e, reasons)
+
+
+# --- the BasicInfo table: local lies and one wire form ------------------------
+
+TABLE_CASES = [("cycle", 30, 2, "bipartite"), ("random-ops", 40, 3, "parity")]
+
+
+def _label_parts(bits):
+    """The pieces encode_label makes of a label's decoded form: its own
+    chain's payloads, slot count and per-section new slots, the table as
+    entry keys, each route's map and relayed frames, and how many entries
+    each map names first."""
+    lab = decode_label(bits)
+    b = id_bits(lab.n)
+    own, own_keys, news = certify._enc_chain(lab.tnodes, b)
+    relayed = [certify._enc_chain(rs.tnodes, b) for rs in lab.routes]
+    table, maps, fresh = certify._table_and_maps(own_keys, [keys for _, keys, _ in relayed])
+    return {
+        "lab": lab, "b": b, "own": own, "m_own": len(own_keys), "news": news,
+        "table": table, "maps": maps, "fresh": fresh,
+        "frames": [certify._frames(payloads) for payloads, _, _ in relayed],
+        "entries": [certify._enc_entry(key, b, lab.w) for key in table],
+    }
+
+
+def _assemble(parts, entries=None, maps=None, own=None, extra=()):
+    """encode_label's last steps on parts, with the table's entry bits, the
+    maps or the own payloads replaced, and extra groups of entries put at
+    the end of the basic section."""
+    lab, b = parts["lab"], parts["b"]
+    entries = parts["entries"] if entries is None else entries
+    maps = parts["maps"] if maps is None else maps
+    tw = certify._index_bits(len(entries) + sum(len(group) for group in extra))
+    routes = [
+        certify._route_payload((rs.u, rs.v, rs.fwd, rs.bwd), idx, tw, frames, b)
+        for rs, idx, frames in zip(lab.routes, maps, parts["frames"])
+    ]
+    groups, start = [], 0
+    for count in list(parts["news"]) + parts["fresh"]:
+        if count:
+            groups.append(certify._join(entries[start:start + count]))
+        start += count
+    groups += [certify._join(group) for group in extra]
+    table = certify._enc_table(parts["m_own"], groups)
+    return certify.frame_label(lab.n, lab.w, table, parts["own"] if own is None else own, routes)
+
+
+def _table_lies(bits):
+    """(kind, forged label) for each local lie about bits's table that can
+    be written: a slot index >= m, a map index >= T, a map prefix shorter
+    than it could be, an entry no slot names, a repeated entry."""
+    parts = _label_parts(bits)
+    assert _assemble(parts) == bits
+    m, table = parts["m_own"], parts["table"]
+    sw = certify._index_bits(m)
+    if m < 1 << sw:  # the root section's slot, just past the eid varint
+        root = parts["own"][0]
+        r = BitReader(root)
+        r.read_varint()
+        shift = root.nbits - r.pos - sw
+        value = root.value & ~(((1 << sw) - 1) << shift) | m << shift
+        yield "slot>=m", _assemble(parts, own=[Bits(value, root.nbits)] + parts["own"][1:])
+    tw = certify._index_bits(len(table))
+    if parts["maps"] and len(table) < 1 << tw:
+        maps = [list(idx) for idx in parts["maps"]]
+        maps[0][-1] = len(table)
+        yield "map>=T", _assemble(parts, maps=maps)
+    if parts["maps"]:
+        idx, rs = parts["maps"][0], parts["lab"].routes[0]
+        p = next((j for j, i in enumerate(idx) if i != j), len(idx))
+        if p:  # the map's identity prefix written one shorter than it is
+            rw = BitWriter()
+            certify._write_route_head(rw, rs.u, rs.v, rs.fwd, rs.bwd, parts["b"])
+            rw.write_varint(len(idx))
+            rw.write_varint(p - 1)
+            for i in idx[p - 1:]:
+                rw.write_uint(i, tw)
+            rw.write_bits(parts["frames"][0])
+            at = 2 + len(parts["own"])  # the first route section
+            yield "short-prefix", _reframe(bits, {at: (SEC_ROUTE, rw.getvalue())})
+    mask, ids, _ = table[0]
+    unused = certify._enc_entry((mask, ids, 99), parts["b"], parts["lab"].w)
+    yield "unused", _assemble(parts, extra=[[unused]])
+    if len(table) > 1:
+        yield "repeated", _assemble(parts, entries=parts["entries"][:-1] + parts["entries"][:1])
+
+
+@pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
+def test_table_lies_are_rejected_at_an_endpoint(family, n, k, prop):
+    g, labels = _layout_instance(family, n, k, prop)
+    kinds = {}
+    shared = {}
+    for e in sorted(labels):
+        for kind, forged in _table_lies(labels[e]):
+            with pytest.raises(DecodeError):
+                decode_label(forged)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            bad = {**labels, e: forged}
+            for view in local_views(g, bad):
+                if view.vid in e:
+                    for memo in (None, {}, shared):
+                        assert verify_vertex(view, prop, k, memo).reason == "decode", (e, kind)
+    assert set(kinds) == {"slot>=m", "map>=T", "short-prefix", "unused", "repeated"}, kinds
+
+
+@pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
+def test_repointed_route_map_is_rejected_inside_the_route(family, n, k, prop):
+    # One carrier's map names another of its own chain's entries in place of
+    # one it shares with the route's other carriers: the label still decodes,
+    # and a vertex inside the route sees two relayed chains that differ.
+    g, labels = _layout_instance(family, n, k, prop)
+    carriers = {}
+    for e, bits in labels.items():
+        for j, rs in enumerate(decode_label(bits).routes):
+            carriers.setdefault((rs.u, rs.v), {})[rs.fwd] = (e, j)
+    forged = 0
+    for (u, v), by_rank in sorted(carriers.items()):
+        if 1 not in by_rank or 2 not in by_rank:
+            continue
+        (e, j), (e2, _) = by_rank[1], by_rank[2]
+        parts = _label_parts(labels[e])
+        idx = parts["maps"][j]
+        spare = [i for i in range(parts["m_own"]) if i not in idx]
+        shared_pos = [p for p, i in enumerate(idx) if i < parts["m_own"]]
+        if not spare or not shared_pos:
+            continue
+        maps = [list(x) for x in parts["maps"]]
+        maps[j][shared_pos[-1]] = spare[0]
+        bad = {**labels, e: _assemble(parts, maps=maps)}
+        decode_label(bad[e])
+        (inner,) = set(e) & set(e2)
+        view = next(view for view in local_views(g, bad) if view.vid == inner)
+        for memo in (None, {}):
+            assert verify_vertex(view, prop, k, memo).reason == "route-payload", (u, v)
+        forged += 1
+    assert forged >= 3
+
+
+@pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
+def test_relayed_chain_under_different_tables_is_accepted(family, n, k, prop):
+    # Carriers of one route hold different tables, and so different maps,
+    # yet relay equal chains (one object with a memo); every vertex accepts.
+    g, labels = _layout_instance(family, n, k, prop)
+    memo = {}
+    seen = {}
+    differing = 0
+    for bits in labels.values():
+        parts = _label_parts(bits)
+        for j, rs in enumerate(decode_label(bits, memo).routes):
+            key = (rs.u, rs.v)
+            if key in seen:
+                maps, table, chain = seen[key]
+                if table != parts["table"]:
+                    differing += maps != parts["maps"][j]
+                assert rs.tnodes is chain
+            else:
+                seen[key] = (parts["maps"][j], parts["table"], rs.tnodes)
+    assert differing > 0
+    assert all_accept(verify_all(g, labels, prop, k))

@@ -43,10 +43,11 @@ def test_caterpillar_family():
 def test_random_families_connected_and_witnessed():
     rng = random.Random(60)
     for _ in range(60):
-        fam = rng.choice(("random-ops", "random-pathwidth"))
+        dense = rng.choice((False, True))
         k = rng.randrange(1, 4)
         n = rng.randrange(max(2, k + 1), 30)
-        spec = GeneratorSpec(fam, n, k, rng.choice((0.0, 0.2, 0.5)))
+        density = rng.choice((0.0, 0.2, 0.5))
+        spec = GeneratorSpec("random-ops", n, k, 0.5 if dense else density)
         g, ir = generate(spec, rng.randrange(10**6))
         assert g.n == n
         assert is_connected(g)

@@ -111,6 +111,43 @@ def test_orientation_acyclic_and_bounded():
         assert seen == n
 
 
+def quadratic_degeneracy_orientation(g):
+    """The reference peel: scan every live vertex for the least (degree, id)
+    at each step."""
+    deg = [g.degree(v) for v in range(g.n)]
+    removed = [False] * g.n
+    order = []
+    d = 0
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if not removed[x]), key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        removed[v] = True
+        order.append(v)
+        for w in g.adj(v):
+            if not removed[w]:
+                deg[w] -= 1
+    rank = {v: i for i, v in enumerate(order)}
+    return {(u, v): (u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges}, d
+
+
+def test_heap_peel_equals_quadratic_peel():
+    from lanecert.generators import GeneratorSpec, generate
+
+    rng = random.Random(4)
+    graphs = []
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        p = rng.choice((0.05, 0.2, 0.5))
+        graphs.append(build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                                      if rng.random() < p]))
+    for k in (1, 2, 3):
+        for seed in range(5):
+            graphs.append(generate(GeneratorSpec("random-ops", 200, k, 0.3), seed)[0])
+    for g in graphs:
+        o = degeneracy_orientation(g)
+        assert (o.direction, o.d) == quadratic_degeneracy_orientation(g)
+
+
 def test_pathwidth_closed_forms():
     assert exact_pathwidth(path_graph(10))[0] == 1
     assert exact_pathwidth(cycle_graph(6))[0] == 2

@@ -285,3 +285,13 @@ def test_test_only_code_detector():
         {"lib": lib}, {"lib": lib, "other": other, "test": test}
     )
     assert ("lib", 8, "tests_only") not in found
+
+
+def test_section_names_cover_every_section_type():
+    # label_size_stats and `lanecert stats` name each section by
+    # SECTION_NAMES; a type it misses would be counted as "other".
+    from lanecert import certify
+
+    types = {value for name, value in vars(certify).items() if name.startswith("SEC_")}
+    assert set(certify.SECTION_NAMES) == types
+    assert len(set(certify.SECTION_NAMES.values())) == len(types)

@@ -13,12 +13,12 @@ import pytest
 
 from lanecert import certify, fuzz
 from lanecert.certify import (
+    SEC_BASIC,
     SEC_HEADER,
     SEC_TNODE,
     BasicInfo,
     CertifyError,
     DecodedLabel,
-    _dec_basic,
     _fold,
     _recompute_sub,
     _Reject,
@@ -127,30 +127,39 @@ def _decodes(bits, memo=None) -> bool:
     return True
 
 
-def _small_label(w_lanes, payloads) -> Bits:
-    """A label with header n = 5 and the given T-node section payloads."""
+def _small_label(secs, tnodes=None) -> Bits:
+    """A label of the sections secs with header n = 5 (its lane count kept),
+    and, if tnodes is given, only those T-node sections behind a table of
+    entries valid for n = 5: one group per section that names slots first,
+    as many entries as the label's own table had there."""
+    hr = BitReader(secs[0][1])
+    n = hr.read_varint()
+    w_lanes = hr.read_varint()
     hw = BitWriter()
     hw.write_varint(5)
     hw.write_varint(w_lanes)
+    out = [(SEC_HEADER, hw.getvalue())] + secs[1:]
+    if tnodes is not None:
+        m_own = BitReader(secs[1][1]).read_varint()
+        news = certify._raw_chain(tnodes, id_bits(n), n, certify._index_bits(m_own), None)[1]
+        entries = iter(
+            certify._enc_entry((1, 0, term), id_bits(5), w_lanes) for term in range(m_own)
+        )
+        groups = [certify._join([next(entries) for _ in range(c)]) for c in news if c]
+        table = certify._enc_table(m_own, groups)
+        out = out[:1] + [(SEC_BASIC, table)] + [(SEC_TNODE, p) for p in tnodes]
     w = BitWriter()
-    write_section(w, SEC_HEADER, hw.getvalue())
-    for payload in payloads:
-        write_section(w, SEC_TNODE, payload)
+    for stype, payload in out:
+        write_section(w, stype, payload)
     return w.getvalue()
 
 
 def test_memo_keeps_sections_apart_by_n():
-    # The T-node sections of honest labels under a header with n = 5 (ids
-    # still 3 bits wide): some name a vertex >= 5 and must fail to decode,
-    # even from a memo filled under the honest n.  The same for each element
-    # record alone, behind a root prefix whose node BasicInfo is valid for
-    # n = 5.
-    bw = BitWriter()
-    bw.write_varint(0)  # node eid
-    certify._enc_basic(bw, BasicInfo({1: 0}, {1: 0}, HomClass(((1, 0),), 0)), 3)
-    bw.write_varint(0)  # dist
-    bw.write_uint(0, 2)  # is_tree, parent_min
-    prefix = bw.getvalue()
+    # Honest labels under a header with n = 5 (ids still 3 bits wide): some
+    # name a vertex >= 5 and must fail to decode, even from a memo filled
+    # under the honest n.  The same for each label's own T-node sections
+    # alone, behind a table whose entries are valid for n = 5, so that only
+    # the sections' element records can fail; and each label's table alone.
     for g, prop, k in ((cycle_graph(6), "bipartite", 2), (path_graph(8), "acyclic", 1)):
         labels = prove(g, prop, k)
         memo = {}
@@ -158,49 +167,76 @@ def test_memo_keeps_sections_apart_by_n():
             decode_label(bits, memo)
         failing = Counter()
         for bits in labels.values():
-            lab = decode_label(bits)
-            payloads = [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
-            smalls = {"sections": [_small_label(lab.w, payloads)]}
-            smalls["records"] = [
-                _small_label(lab.w, [_join(prefix, _split_tnode(p, lab.n, pos > 0)[1])])
-                for pos, p in enumerate(payloads)
-            ]
+            secs = read_sections(bits)
+            payloads = [p for stype, p in secs if stype == SEC_TNODE]
+            smalls = {"sections": [_small_label(secs)], "records": [_small_label(secs, payloads)]}
             for kind, small_labels in smalls.items():
                 for small in small_labels:
                     assert _decodes(small, memo) == _decodes(small), kind
                     failing[kind] += not _decodes(small)
-        assert failing["sections"] > 0 and failing["records"] > 0
+            # And the label's table alone, its groups read under n = 5.
+            lab = decode_label(bits)
+            tr = BitReader(secs[1][1])
+            m_own = tr.read_varint()
+            news = certify._raw_chain(payloads, id_bits(lab.n), lab.n, certify._index_bits(m_own), None)[1]
+
+            def table_decodes(table_memo):
+                r = BitReader(secs[1][1])
+                r.pos = tr.pos
+                try:
+                    certify._dec_table(r, news, id_bits(5), 5, lab.w, table_memo)
+                except DecodeError:
+                    return False
+                return True
+
+            assert table_decodes(memo) == table_decodes(None)
+            failing["tables"] += not table_decodes(None)
+        assert failing["sections"] > 0 and failing["records"] > 0 and failing["tables"] > 0
 
 
 def test_nested_payload_takes_each_labels_own_parent():
     # One nested payload behind root sections whose B records have
     # different T sides at its side bit: each label's nested section takes
     # the side of its own record above, with and without a shared memo
-    # (filled first from the honest labels).
+    # (filled first from the honest labels).  The labels are one root
+    # section of an honest label and one nested section of another, put
+    # below that root's side; where the roots name as many slots, the
+    # nested payload is the same bits behind each.
     g, ir = generate(GeneratorSpec("random-ops", 40, 3, 0.3), 0)
     labels = prove(g, "parity", 3, ir=ir)
-    parents = {0: [], 1: []}  # side bit -> (root payload, its T side)
-    nested = {}  # side bit -> a nested payload
+    roots = {0: [], 1: []}  # side bit -> (root section, its T side)
+    nested = {0: [], 1: []}  # side bit -> nested sections
     for bits in labels.values():
         lab = decode_label(bits)
-        payloads = [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
         above = lab.tnodes[0].elem
         for bit in (0, 1):
             side = above.topo[5 + bit] if above.kind == "B" else ("V",)
-            if side[0] == "T" and all(side != other for _, other in parents[bit]):
-                parents[bit].append((payloads[0], side))
-        for p in payloads[1:]:
-            nested.setdefault(p.value >> (p.nbits - 1), p)
+            if side[0] == "T" and all(side != other for _, other in roots[bit]):
+                roots[bit].append((lab.tnodes[0], side))
+        payloads = [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
+        for p, sec in zip(payloads[1:], lab.tnodes[1:]):
+            nested[p.value >> (p.nbits - 1)].append(sec)  # by its side bit
     shared = {}
     for bits in labels.values():
         w_lanes = decode_label(bits, shared).w
-    for bit, found in parents.items():
-        assert any(side[2] != found[0][1][2] for _, side in found[1:]), bit
-        for memo in (None, shared):
-            for root, side in found:
-                small = certify.frame_label(g.n, w_lanes, [root, nested[bit]], [])
-                sec = decode_label(small, memo).tnodes[1]
-                assert (sec.node_eid, sec.basic) == side[1:]
+    checked = 0
+    for bit in (0, 1):
+        behind = {}  # nested payload -> [(label, side)]
+        for sec in nested[bit][:20]:
+            for root, side in roots[bit]:
+                below = replace(sec, node_eid=side[1], basic=side[2])
+                small = encode_label(g.n, w_lanes, [root, below], [])
+                payload = [p for stype, p in read_sections(small) if stype == SEC_TNODE][1]
+                behind.setdefault(payload, []).append((small, side))
+        for found in behind.values():
+            if not any(side[2] != found[0][1][2] for _, side in found[1:]):
+                continue
+            for memo in (None, shared):
+                for small, side in found:
+                    got = decode_label(small, memo).tnodes[1]
+                    assert (got.node_eid, got.basic) == side[1:]
+            checked += 1
+    assert checked >= 2
 
 
 # --- the class fold's memo ---------------------------------------------------
@@ -234,16 +270,16 @@ def _count_fold_calls(monkeypatch, calls: Counter, raised: Counter) -> None:
 
 
 def _records(labels):
-    """Every element record in the labels and in their route payloads."""
+    """Every element record in the labels and in the chains they relay."""
     out = []
-    todo = list(labels.values())
-    while todo:
+    for bits in labels.values():
         try:
-            lab = decode_label(todo.pop())
+            lab = decode_label(bits)
         except DecodeError:
             continue
         out.extend(sec.elem for sec in lab.tnodes)
-        todo.extend(rs.payload for rs in lab.routes)
+        for rs in lab.routes:
+            out.extend(sec.elem for sec in rs.tnodes)
     return out
 
 
@@ -303,35 +339,36 @@ def test_fold_computes_each_distinct_call_once(monkeypatch):
 
 
 def _basics(lab):
-    for sec in lab.tnodes:
-        yield sec.basic
-        if sec.elem.kind == "B":
-            yield from (side[2] for side in sec.elem.topo[5:7] if side[0] == "T")
-        yield from (csub for _, csub in sec.elem.children)
+    """Every BasicInfo a decoded label names: its own chain's, then those of
+    the chains it relays."""
+    for chain in [lab.tnodes] + [rs.tnodes for rs in lab.routes]:
+        for sec in chain:
+            yield sec.basic
+            if sec.elem.kind == "B":
+                yield from (side[2] for side in sec.elem.topo[5:7] if side[0] == "T")
+            yield from (csub for _, csub in sec.elem.children)
 
 
 def _with_term(bits, target, term):
     """bits with every BasicInfo equal to target given the class term term,
-    also inside route payloads."""
+    also in the chains it relays."""
     lab = decode_label(bits)
     for bi in _basics(lab):
         if bi == target:
             bi.cls = HomClass(bi.cls.atoms, term)
-    for rs in lab.routes:
-        rs.payload = _with_term(rs.payload, target, term)
     return encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
 
 
 def _seen_records(view):
     """The element records a vertex's view holds: those of its incident
-    labels and of the virtual labels whose routes end at it."""
+    labels and of the relayed chains whose routes end at it."""
     out = []
     for bits in view.labels.values():
         lab = decode_label(bits)
         out.extend(sec.elem for sec in lab.tnodes)
         for rs in lab.routes:
             if view.vid in (rs.u, rs.v):
-                out.extend(sec.elem for sec in decode_label(rs.payload).tnodes)
+                out.extend(sec.elem for sec in rs.tnodes)
     return out
 
 
@@ -544,19 +581,22 @@ def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, 
     g, ir = generate(GeneratorSpec(family, 60, k, 0.3), 0)
     labels = prove(g, prop, k, ir=ir)
     payloads = set()
-    todo = list(labels.values())
-    while todo:  # the labels, and the virtual labels their routes relay
-        bits = todo.pop()
+    for bits in labels.values():  # the labels, and the chains they relay
         payloads.update(p for stype, p in read_sections(bits) if stype == SEC_TNODE)
-        todo.extend(rs.payload for rs in decode_label(bits).routes)
-    tails, decoded, folds, folded = Counter(), {}, Counter(), []
-    orig_dec, orig_sub = certify._dec_elem, certify._recompute_sub
+        b = id_bits(g.n)
+        for rs in decode_label(bits).routes:
+            payloads.update(certify._enc_chain(rs.tnodes, b)[0])
+    tails, resolved, folds, folded = Counter(), {}, Counter(), []
+    orig_dec, orig_res, orig_sub = certify._dec_elem, certify._resolve_elem, certify._recompute_sub
 
-    def dec(r, b, n, memo):
+    def dec(r, b, n, sw):
         rest = r.remaining()
-        tails[(n, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
-        rec = orig_dec(r, b, n, memo)
-        decoded[id(rec)] = rec
+        tails[(n, sw, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
+        return orig_dec(r, b, n, sw)
+
+    def res(raw, basics):
+        rec = orig_res(raw, basics)
+        resolved[id(rec)] = rec
         return rec
 
     def sub(rec, plugin, memo):
@@ -565,24 +605,67 @@ def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, 
         return orig_sub(rec, plugin, memo)
 
     monkeypatch.setattr(certify, "_dec_elem", dec)
+    monkeypatch.setattr(certify, "_resolve_elem", res)
     monkeypatch.setattr(certify, "_recompute_sub", sub)
     assert all_accept(verify_all(g, labels, prop, k))
     assert len(tails) < len(payloads)  # payloads share element records
     assert set(tails.values()) == {1}
-    assert {folds[i] for i in decoded} == {1}
+    assert {folds[i] for i in resolved} == {1}
 
 
-def _split_tnode(payload: Bits, n: int, nested: bool):
-    """(prefix, element tail) of a T-node section payload, as _dec_tnode
-    reads it at a nested or at the root position, or None when its prefix
-    does not decode."""
+def test_verify_all_decodes_each_part_once(monkeypatch):
+    # One verify_all parses each distinct table entry once, decodes each
+    # distinct T-node payload and element record once, and resolves each
+    # relayed chain once, not once per label that relays it.
+    g, ir = generate(GeneratorSpec("random-ops", 60, 3, 0.3), 0)
+    labels = prove(g, "parity", 3, ir=ir)
+    decoded = [decode_label(bits) for bits in labels.values()]
+    carried = sum(len(lab.routes) for lab in decoded)
+    named = sum(len(list(certify._elem_uses(sec.elem))) + 1 for lab in decoded for sec in lab.tnodes)
+    entries, payloads, records, relays = Counter(), Counter(), Counter(), Counter()
+    orig_basic, orig_tnode = certify._basic_of, certify._dec_tnode
+    orig_elem, orig_chain = certify._dec_elem, certify._resolve_chain
+
+    def basic(mask, maps, term, b, n):
+        entries[(n, mask, maps, term)] += 1
+        return orig_basic(mask, maps, term, b, n)
+
+    def tnode(payload, b, n, sw, nested, memo):
+        payloads[(n, sw, nested, payload)] += 1
+        return orig_tnode(payload, b, n, sw, nested, memo)
+
+    def elem(r, b, n, sw):
+        rest = r.remaining()
+        records[(n, sw, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
+        return orig_elem(r, b, n, sw)
+
+    def chain(raws, basics, memo, groups=None):
+        if groups is None:  # a relayed chain
+            relays[id(raws)] += 1
+        return orig_chain(raws, basics, memo, groups)
+
+    monkeypatch.setattr(certify, "_basic_of", basic)
+    monkeypatch.setattr(certify, "_dec_tnode", tnode)
+    monkeypatch.setattr(certify, "_dec_elem", elem)
+    monkeypatch.setattr(certify, "_resolve_chain", chain)
+    assert all_accept(verify_all(g, labels, "parity", 3))
+    for counts in (entries, payloads, records, relays):
+        assert counts and set(counts.values()) == {1}
+    assert len(relays) < carried / 2
+    assert len(entries) < named / 4
+
+
+def _split_tnode(payload: Bits, sw: int, nested: bool):
+    """(prefix, element tail) of a T-node section payload with sw-bit slots,
+    as _dec_tnode reads it at a nested or at the root position, or None
+    when its prefix does not decode."""
     r = BitReader(payload)
     try:
         if nested:
             r.read_bit()  # side
         else:
             r.read_varint()
-            _dec_basic(r, id_bits(n), n)
+            r.read_uint(sw)
         r.read_varint()
         r.read_bit()
         r.read_bit()
@@ -605,19 +688,21 @@ def _flip(bits: Bits, rng) -> Bits:
 def _part_mutants(labels, rng):
     """Mutants of labels that change one T-node section payload of one label
     in its element tail only, or in its prefix only (the root's node eid and
-    BasicInfo or a nested section's side bit, then the pointer fields), by a
-    bit flip or by taking that part of another payload."""
+    BasicInfo slot or a nested section's side bit, then the pointer fields),
+    by a bit flip or by taking that part of another payload."""
     parts = []  # (edge, section index, prefix, tail)
     for e in sorted(labels):
         try:
-            n = decode_label(labels[e]).n
+            decode_label(labels[e])
         except DecodeError:
             continue
+        secs = read_sections(labels[e])
+        sw = certify._index_bits(BitReader(secs[1][1]).read_varint())
         pos = 0  # chain position
-        for i, (stype, payload) in enumerate(read_sections(labels[e])):
+        for i, (stype, payload) in enumerate(secs):
             if stype != SEC_TNODE:
                 continue
-            split = _split_tnode(payload, n, pos > 0)
+            split = _split_tnode(payload, sw, pos > 0)
             pos += 1
             if split is not None and split[1].nbits:
                 parts.append((e, i) + split)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lanecert.certify import (
+    SEC_BASIC,
     SEC_HEADER,
     SEC_ROUTE,
     SEC_TNODE,
@@ -50,7 +51,7 @@ def framed_garbage(draw):
     if draw(st.booleans()):
         secs.append((SEC_HEADER, _header(draw(st.integers(1, 8)), draw(st.integers(1, 4)))))
     for _ in range(draw(st.integers(0, 4))):
-        stype = draw(st.sampled_from((SEC_HEADER, SEC_TNODE, SEC_ROUTE, 0, 9)))
+        stype = draw(st.sampled_from((SEC_HEADER, SEC_BASIC, SEC_TNODE, SEC_ROUTE, 0, 9)))
         secs.append((stype, draw(bitstrings(200))))
     w = BitWriter()
     for stype, payload in secs:

@@ -29,7 +29,8 @@ the edge (the chain, root first), followed by one route section per
 virtual edge whose route runs over the edge.
 
 The table writes each distinct BasicInfo of the label once: a w-bit lane
-mask, both terminal maps in one field, the class term.  Everywhere else a
+mask, both terminal maps in one field, the class term (an int, or a tuple of
+ints as one packed field; see ``encoding``).  Everywhere else a
 BasicInfo is a slot, numbered by first use within its chain, so a chain's
 payloads are the same bits in every label that carries it.  The table lists
 the own chain's m entries (m opens the section), then each relayed chain's
@@ -935,6 +936,25 @@ def prove(
     is set, in which case the honest-but-rejecting labels are still emitted
     (useful for adversarial testing).
     """
+    lp, emb, hd, ann = _annotate(g, prop_name, k, ir)
+    if not ann.accepted and not force:
+        raise CertifyError("property %r does not hold" % prop_name)
+    return _emit(g, k, lp, emb, hd, ann)
+
+
+def prove_forced(
+    g: Graph, prop_name: str, k: int, ir: Optional[IntervalRepresentation] = None
+) -> Tuple[Dict[Edge, Bits], bool]:
+    """The labels ``prove(..., force=True)`` emits, and whether the statement
+    holds (the class annotation's verdict, not the verifier's), from one run
+    of the pipeline."""
+    lp, emb, hd, ann = _annotate(g, prop_name, k, ir)
+    return _emit(g, k, lp, emb, hd, ann), ann.accepted
+
+
+def _annotate(g, prop_name, k, ir):
+    """The prover's pipeline up to the class annotation: (lane partition,
+    embedding, hierarchical decomposition, annotation)."""
     if not is_connected(g):
         raise CertifyError("graph must be connected")
     if k < 0:
@@ -951,9 +971,10 @@ def prove(
     for e in g.edges:
         relevant = g.edge_tag(*e) != 0 if marked_user else True
         emarks[e] = 1 if relevant else 0
-    ann = annotate_classes(hd, plugin, emarks)
-    if not ann.accepted and not force:
-        raise CertifyError("property %r does not hold" % prop_name)
+    return lp, emb, hd, annotate_classes(hd, plugin, emarks)
+
+
+def _emit(g, k, lp, emb, hd, ann) -> Dict[Edge, Bits]:
     # Emitting allocates many containers but makes no reference cycles, so
     # the cyclic collector would only cost time here (about a tenth of
     # prove on a 1,000-edge cycle).

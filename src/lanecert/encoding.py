@@ -2,7 +2,10 @@
 
 Labels are bitstrings built MSB-first.  A label is a sequence of sections,
 each framed as (8-bit type, varint payload length in bits, payload), so a
-decoder can walk arbitrary input without trusting it.
+decoder can walk arbitrary input without trusting it.  A varint is 8-bit
+groups, the low 7 bits of the value first, the high bit set on all but the
+last; a last group of 0 after another is refused, so each value has one
+wire form.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def _read_leb128(data: bytes, off: int) -> Tuple[int, int]:
 
 # A BitWriter gathers its newest bits in one int and moves them to its list
 # of chunks once that int passes this many bits, checked where long runs
-# are written (write_bits, write_term).  Appending to one ever growing int
-# copies it each time, which makes a long bitstring quadratic.
+# are written (write_bits).  Appending to one ever growing int copies it
+# each time, which makes a long bitstring quadratic.
 _CHUNK_BITS = 1 << 12
 
 
@@ -129,7 +132,6 @@ class BitWriter:
         self.write_uint(1 if b else 0, 1)
 
     def write_varint(self, v: int) -> None:
-        # 8-bit groups, low 7 bits of the value first, high bit = continue.
         if v < 0:
             raise ValueError("varint must be non-negative")
         groups = nb = 0
@@ -199,52 +201,14 @@ class BitReader:
             b = self.read_uint(8)
             v |= (b & 0x7F) << shift
             if not b & 0x80:
+                if not b:
+                    # A last group of 0 would give v a second wire form.
+                    raise DecodeError("non-minimal varint")
                 return v
             shift += 7
 
     def read_bits(self, width: int) -> Bits:
         return Bits(self.read_uint(width), width)
-
-
-# A read shifts the whole bitstring's int, so reading many short fields from
-# a long bitstring is quadratic.  A long term is read through a
-# _WindowReader instead, from windows of this many bits.
-_WINDOW_BITS = 1 << 12
-
-
-class _WindowReader(BitReader):
-    """A BitReader from pos on that reads from windows cut from the
-    bitstring's bytes.  Cutting a window costs more than one shift, so
-    readers of a few long fields stay plain BitReaders."""
-
-    __slots__ = ("_win", "_wend", "_data")
-
-    def __init__(self, bits: Bits, pos: int):
-        super().__init__(bits)
-        self.pos = pos
-        self._data = bits.value.to_bytes((bits.nbits + 7) // 8, "big")
-        self._load(0)
-
-    def _load(self, width: int) -> None:
-        """Cut a window from pos that holds at least width bits: _win holds
-        the bitstring's bits up to position _wend, least significant last
-        (bits before pos may be missing)."""
-        n = self._end
-        end = min(n, self.pos + max(_WINDOW_BITS, width))
-        pad = -n % 8
-        b1 = (pad + end + 7) // 8
-        chunk = int.from_bytes(self._data[(pad + self.pos) // 8 : b1], "big")
-        self._win = chunk >> (8 * b1 - pad - end)
-        self._wend = end
-
-    def read_uint(self, width: int) -> int:
-        if width < 0 or self.pos + width > self._end:
-            raise DecodeError("read past end of bitstring")
-        if self.pos + width > self._wend:
-            self._load(width)
-        shift = self._wend - self.pos - width
-        self.pos += width
-        return (self._win >> shift) & ((1 << width) - 1)
 
 
 def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
@@ -275,6 +239,8 @@ def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
             byte = value >> (end - pos) & 0xFF
             n |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if not byte and shift:
+                    raise DecodeError("non-minimal varint")
                 break
             shift += 7
         pos += n
@@ -284,38 +250,68 @@ def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
     return out
 
 
-# A "term" is a non-negative int or a tuple of terms.  Canonical class states
-# are terms, so one codec serves every property plugin.
-Term = Union[int, Tuple]
+# A "term" is a non-negative int or a flat tuple of non-negative ints.
+# Canonical class states are terms, so one codec serves every property
+# plugin.  An int is written as tag bit 0 and a varint.  A tuple is tag bit 1,
+# varints for its count c and width w (the widest entry's bit length, 0 when
+# every entry is 0), then its entries as one packed field of c * w bits, so a
+# long term is one read.  Only the minimal width is read back, so each term
+# has one wire form.  A tuple may list no more entries than its bitstring has
+# bits: zero-width entries cost nothing on the wire.
+Term = Union[int, Tuple[int, ...]]
+
+# _pack and _split halve a tuple until its part fits in a few machine words,
+# so a long packed field costs O(bits * log count), not one shift of the
+# whole field per entry.
+_LEAF_ENTRIES = 64
+
+
+def _pack(t: Tuple[int, ...], width: int) -> int:
+    c = len(t)
+    if c <= _LEAF_ENTRIES:
+        v = 0
+        for e in t:
+            v = v << width | e
+        return v
+    h = c // 2
+    return _pack(t[:h], width) << (c - h) * width | _pack(t[h:], width)
+
+
+def _split(v: int, c: int, width: int) -> List[int]:
+    if c <= _LEAF_ENTRIES:
+        low = (1 << width) - 1
+        return [v >> s & low for s in range((c - 1) * width, -1, -width)]
+    h = c // 2
+    shift = (c - h) * width
+    return _split(v >> shift, h, width) + _split(v & ((1 << shift) - 1), c - h, width)
 
 
 def write_term(w: BitWriter, t: Term) -> None:
     if isinstance(t, int):
         w.write_bit(0)
         w.write_varint(t)
-    elif isinstance(t, tuple):
-        w.write_bit(1)
-        w.write_varint(len(t))
-        for item in t:
-            write_term(w, item)
-            if w.nbits > _CHUNK_BITS:
-                w._flush()
-    else:
-        raise ValueError("term must be int or tuple")
+        return
+    if not isinstance(t, tuple) or not all(isinstance(e, int) and e >= 0 for e in t):
+        raise ValueError("term must be an int or a tuple of non-negative ints")
+    width = max(t, default=0).bit_length()
+    w.write_bit(1)
+    w.write_varint(len(t))
+    w.write_varint(width)
+    w.write_uint(_pack(t, width), len(t) * width)
 
 
-def read_term(r: BitReader, depth: int = 0) -> Term:
-    if depth > 64:
-        raise DecodeError("term nesting too deep")
-    if depth == 0 and r.remaining() > _WINDOW_BITS and type(r) is BitReader:
-        # A term is read one short field at a time.
-        wr = _WindowReader(r.bits, r.pos)
-        t = read_term(wr)
-        r.pos = wr.pos
-        return t
+def read_term(r: BitReader) -> Term:
     if r.read_bit() == 0:
         return r.read_varint()
-    n = r.read_varint()
-    if n > r.remaining():
+    c = r.read_varint()
+    width = r.read_varint()
+    if c > r.bits.nbits or c * width > r.remaining():
         raise DecodeError("term length exceeds data")
-    return tuple(read_term(r, depth + 1) for _ in range(n))
+    if not (c and width):
+        if width:
+            raise DecodeError("an empty tuple has width 0")
+        return (0,) * c
+    t = _split(r.read_uint(c * width), c, width)
+    if max(t) >> (width - 1) != 1:
+        raise DecodeError("term width is not its widest entry's")
+    return tuple(t)

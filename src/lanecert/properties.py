@@ -17,6 +17,15 @@ Matching's state, the family of exposed-atom sets, can reach 2^atoms sets,
 the f(k)-dependent constant the paper allows; the sets are int bitmasks and
 a glue combines only the sets that agree on the glued atoms.
 
+A class's wire term (``encoding.Term``) is an int or a flat tuple of ints,
+one canonical term per state:
+- parity: the order mod 2;
+- acyclic: rep(i) per atom i, the lowest atom of i's part, or the int 0
+  once a cycle closes;
+- bipartite: 2 * rep(i) + i's colour relative to rep(i) per atom, or the
+  int 0 once an odd cycle closes;
+- matching: the exposed-set bitmasks, sorted.
+
 Every plugin also comes in a "marked" variant that evaluates the property on
 the subgraph formed by edges with a nonzero tag.
 """
@@ -148,11 +157,19 @@ class _Parts:
 
 
 class _PartitionAlg:
-    """Shared fold of the two properties whose state is a partition of the
-    terminals into connected parts, or None once the property fails.  A
-    link (u, v, p) puts u and v in one part with colour(u) ^ colour(v) == p;
-    an edge is the link p = 1.  A subclass lists a state's links, makes its
-    term from the parts, and says which links break the property."""
+    """The two properties whose state is a partition of the terminals into
+    connected parts, or None once the property fails.  For bipartite, a
+    fragment's 2-colourings restricted to its terminals fix one colouring
+    per part up to a swap, so each atom also keeps its colour relative to
+    its part.  The term is the flat tuple of one entry per atom i: rep(i),
+    the lowest atom index in i's part, and for bipartite one more low bit,
+    i's colour relative to rep(i); the int 0 stands for None.  A link (u, v, p) puts u and v in one part
+    with colour(u) ^ colour(v) == p; an edge is the link p = 1.  Acyclic
+    fails on any link inside one part (a cycle), bipartite on one whose
+    colours disagree (an odd cycle)."""
+
+    def __init__(self, coloured: bool):
+        self.bit = int(coloured)  # the parity bits below each entry's rep
 
     def leaf(self, n, edges):
         return self._close(n, n, [(a, b, 1) for a, b in edges])
@@ -167,91 +184,52 @@ class _PartitionAlg:
             links.append((m1[plan.edge[0]], m2[plan.edge[1]], 1))
         return self._close(plan.total, plan.n_out, links)
 
+    def _links(self, s):
+        bit = self.bit
+        return [(i, e >> bit, e & bit) for i, e in enumerate(s) if e >> bit != i]
+
     def _close(self, total, n_out, links):
         parts = _Parts(total)
         for u, v, p in links:
-            if not parts.join(u, v, p) and self._breaks(parts, u, v, p):
+            if not parts.join(u, v, p) and (
+                not self.bit or parts.find(u)[1] ^ parts.find(v)[1] != p
+            ):
                 return None
-        return self._term(parts, n_out)
-
-    def canon(self, s, n):
-        return 0 if s is None else s
-
-    def accepts(self, s):
-        return s is not None
-
-
-class _BipartiteAlg(_PartitionAlg):
-    """Proper 2-colourings.  A fragment's 2-colourings, restricted to its
-    terminals, fix one colouring per connected part up to a swap, so the
-    state is one (part, parity) pair per atom, or None once an odd cycle
-    closes.  The term is the flat tuple of 2 * rep(i) + parity(i) over the
-    atoms i, where rep(i) is the lowest atom index in i's part and parity(i)
-    is i's colour relative to it, or the int 0 for "not bipartite"."""
-
-    def _links(self, s):
-        return [(i, e >> 1, e & 1) for i, e in enumerate(s) if e >> 1 != i]
-
-    def _breaks(self, parts, u, v, p):
-        # A link inside one part breaks it if the colours disagree.
-        return parts.find(u)[1] ^ parts.find(v)[1] != p
-
-    def _term(self, parts, n_out):
+        bit = self.bit
         reps = {}
         term = []
         for o in range(n_out):
             root, p = parts.find(o)
             rep, rp = reps.setdefault(root, (o, p))
-            term.append(2 * rep + (p ^ rp))
+            term.append(rep << bit | (p ^ rp) & bit)
         return tuple(term)
+
+    def canon(self, s, n):
+        return 0 if s is None else s
 
     def from_term(self, term, n):
         if term == 0 and isinstance(term, int):
             return None
         if not isinstance(term, tuple) or len(term) != n:
-            raise PropertyError("bipartite term must have one entry per atom")
+            raise PropertyError("partition term must have one entry per atom")
+        bit = self.bit
         for i, e in enumerate(term):
             if not isinstance(e, int) or e < 0:
-                raise PropertyError("bipartite term entries must be ints >= 0")
-            rep = e >> 1
+                raise PropertyError("partition term entries must be ints >= 0")
+            rep = e >> bit
             # Canonical: the part's lowest atom is its rep, with parity 0.
-            if rep > i or term[rep] != 2 * rep:
-                raise PropertyError("bipartite term is not canonical")
+            if rep > i or term[rep] != rep << bit:
+                raise PropertyError("partition term is not canonical")
         return term
 
-
-class _ForestAlg(_PartitionAlg):
-    """Acyclicity; state = terminal connectivity partition as sorted index
-    blocks, or None if a cycle has been closed."""
-
-    def _links(self, s):
-        return [(p[0], a, 0) for p in s for a in p[1:]]
-
-    def _breaks(self, parts, u, v, p):
-        # Any link inside one part closes a cycle.
-        return True
-
-    def _term(self, parts, n_out):
-        blocks: Dict[int, List[int]] = {}
-        for o in range(n_out):
-            blocks.setdefault(parts.find(o)[0], []).append(o)
-        return tuple(tuple(b) for b in blocks.values())
-
-    def from_term(self, term, n):
-        if term == 0 and isinstance(term, int):
-            return None
-        _indexed_masks(term, n)
-        total = sorted(i for p in term for i in p)
-        if total != list(range(n)) or any(not p for p in term):
-            raise PropertyError("blocks must partition the atom set")
-        return term
+    def accepts(self, s):
+        return s is not None
 
 
 class _MatchingAlg:
     """Perfect-matching existence; state = the achievable sets of exposed
     (still unmatched) terminal atoms, each an int bitmask over the atom
-    order.  The term lists each set's atom indices in increasing order, the
-    sets sorted."""
+    order (bit i for atom i).  The term is the tuple of the masks, sorted."""
 
     def leaf(self, n, edges):
         s = {(1 << n) - 1}
@@ -293,10 +271,19 @@ class _MatchingAlg:
         return frozenset(out)
 
     def canon(self, s, n):
-        return tuple(sorted(tuple(i for i in range(n) if m >> i & 1) for m in s))
+        return tuple(sorted(s))
 
     def from_term(self, term, n):
-        return frozenset(_indexed_masks(term, n))
+        if not isinstance(term, tuple):
+            raise PropertyError("matching term must be a tuple of masks")
+        # Canonical: strictly increasing, as canon sorts them, so one state
+        # has one term.
+        prev = -1
+        for m in term:
+            if not isinstance(m, int) or not prev < m < 1 << n:
+                raise PropertyError("matching term must be increasing masks below 2^atoms")
+            prev = m
+        return frozenset(term)
 
     def accepts(self, s):
         return 0 in s
@@ -322,30 +309,6 @@ def _group(s, glued, vmap) -> Dict[int, List[int]]:
                 rest |= 1 << vmap[i]
         groups.setdefault(key, []).append(rest)
     return groups
-
-
-def _indexed_masks(term, n) -> List[int]:
-    """Decode a tuple-of-index-tuples term to bitmasks over n atoms,
-    validating.  Only the canonical form is accepted, each entry strictly
-    increasing and the entries strictly increasing as tuples (as ``canon``
-    sorts them), so one state has one term; a matching term can be long,
-    so the order is checked in one pass."""
-    if not isinstance(term, tuple):
-        raise PropertyError("term must be a tuple of index tuples")
-    out = []
-    prev = None
-    for p in term:
-        if not isinstance(p, tuple):
-            raise PropertyError("term entry must be a tuple")
-        if any(not isinstance(i, int) or not 0 <= i < n for i in p):
-            raise PropertyError("atom index out of range")
-        if list(p) != sorted(set(p)):
-            raise PropertyError("term entry must be strictly increasing")
-        if prev is not None and not prev < p:
-            raise PropertyError("term entries must be sorted and distinct")
-        prev = p
-        out.append(sum(1 << i for i in p))
-    return out
 
 
 # --- the plugin wrapper ------------------------------------------------------
@@ -458,8 +421,8 @@ class PropertyPlugin:
 
 _BASE_ALGEBRAS = {
     "parity": _ParityAlg,
-    "bipartite": _BipartiteAlg,
-    "acyclic": _ForestAlg,
+    "bipartite": lambda: _PartitionAlg(coloured=True),
+    "acyclic": lambda: _PartitionAlg(coloured=False),
     "matching": _MatchingAlg,
 }
 

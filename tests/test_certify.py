@@ -199,6 +199,63 @@ def test_truncation_totality():
             assert not all_accept(verdicts)  # a missing section is noticed
 
 
+def _non_minimal_forgeries(bits):
+    """bits re-framed with one varint written in a second, non-minimal
+    form (a last 8-bit group of 0): the header's n, then each section's
+    payload length."""
+    secs = read_sections(bits)
+    assert secs[0][0] == certify.SEC_HEADER
+    hr = BitReader(secs[0][1])
+    n, w = hr.read_varint(), hr.read_varint()
+    assert n < 0x80 and hr.remaining() == 0
+    hw = BitWriter()
+    hw.write_uint(0x80 | n, 8)
+    hw.write_uint(0, 8)
+    hw.write_varint(w)
+    yield _frame([(certify.SEC_HEADER, hw.getvalue())] + secs[1:])
+    for i in range(len(secs)):
+        yield _frame(secs, padded=i)
+
+
+def _frame(secs, padded=None):
+    """The label of secs, section padded's payload length written with a
+    trailing 0 group."""
+    out = BitWriter()
+    for j, (stype, payload) in enumerate(secs):
+        if j != padded:
+            write_section(out, stype, payload)
+            continue
+        out.write_uint(stype, 8)
+        groups, v = [], payload.nbits
+        while v >= 0x80:
+            groups.append(0x80 | (v & 0x7F))
+            v >>= 7
+        for byte in groups + [0x80 | v, 0]:
+            out.write_uint(byte, 8)
+        out.write_bits(payload)
+    return out.getvalue()
+
+
+def test_non_minimal_varints_are_rejected_at_both_endpoints():
+    # The same label with one varint in a second wire form: no decode, and
+    # both endpoints of the edge reject it, with a shared memo and without.
+    g = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    labels = prove(g, "bipartite", 2)
+    assert all_accept(verify_all(g, labels, "bipartite", 2))
+    for e in sorted(labels)[:3]:
+        for forged in _non_minimal_forgeries(labels[e]):
+            assert forged != labels[e]
+            with pytest.raises(DecodeError):
+                decode_label(forged)
+            bad = dict(labels)
+            bad[e] = forged
+            verdicts = verify_all(g, bad, "bipartite", 2)
+            assert verdicts[e[0]].reason == verdicts[e[1]].reason == "decode"
+            for view in local_views(g, bad):
+                if view.vid in e:
+                    assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
+
+
 def test_wrong_property_or_k_rejected():
     g = cycle_graph(6)
     labels = prove(g, "bipartite", 2)

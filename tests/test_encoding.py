@@ -7,7 +7,6 @@ from lanecert.encoding import (
     Bits,
     BitWriter,
     DecodeError,
-    _WindowReader,
     read_sections,
     read_term,
     write_section,
@@ -56,10 +55,10 @@ def test_writer_reader_roundtrip():
 
 
 def test_long_bitstring_roundtrip():
-    # Long enough for the writer's chunks and the reader's windows (4096
-    # bits each): fields straddle their ends, and some are wider than one.
+    # Long enough for the writer's chunks (4096 bits each): fields straddle
+    # their ends, and some are wider than one.
     rng = random.Random(2)
-    for windows in (False, True, True):
+    for _ in range(3):
         fields = []
         w = BitWriter()
         value = nbits = 0
@@ -74,7 +73,7 @@ def test_long_bitstring_roundtrip():
             value, nbits = (value << width) | v, nbits + width
         assert w.getvalue() == Bits(value, nbits)
         bits = Bits(value, nbits)
-        r = _WindowReader(bits, 0) if windows else BitReader(bits)
+        r = BitReader(bits)
         for v, width in fields:
             if width > 64:
                 assert r.read_bits(width) == Bits(v, width)
@@ -83,9 +82,9 @@ def test_long_bitstring_roundtrip():
         assert r.remaining() == 0
         with pytest.raises(DecodeError):
             r.read_uint(1)
-    # A long term after a short field (read_term reads it through a
-    # _WindowReader) reads back equal and leaves the reader after it.
-    term = tuple(tuple(range(i % 20)) for i in range(3000))
+    # A long term after a short field reads back equal and leaves the
+    # reader after it.
+    term = tuple(range(5, 3000 * 37, 37))
     w = BitWriter()
     w.write_uint(2, 2)
     write_term(w, term)
@@ -124,18 +123,121 @@ def test_sections_garbage_rejected():
         read_sections(Bits(0b10101, 5))
 
 
+def _term_bits(t) -> Bits:
+    w = BitWriter()
+    write_term(w, t)
+    return w.getvalue()
+
+
+def _varint(v) -> Bits:
+    w = BitWriter()
+    w.write_varint(v)
+    return w.getvalue()
+
+
+def _packed(count, width, field, field_bits) -> Bits:
+    """A tuple term's wire form with its count, width and packed field
+    given as they are, consistent or not."""
+    w = BitWriter()
+    w.write_bit(1)
+    w.write_varint(count)
+    w.write_varint(width)
+    w.write_uint(field, field_bits)
+    return w.getvalue()
+
+
 def test_term_codec():
     rng = random.Random(2)
 
-    def rand_term(depth):
-        if depth > 3 or rng.random() < 0.5:
+    def rand_term():
+        if rng.random() < 0.3:
             return rng.randrange(0, 1000)
-        return tuple(rand_term(depth + 1) for _ in range(rng.randrange(0, 4)))
+        width = rng.choice([0, 1, 3, 8, 18, 40])
+        return tuple(rng.getrandbits(width) if width else 0 for _ in range(rng.randrange(0, 12)))
 
-    for _ in range(200):
-        t = rand_term(0)
-        w = BitWriter()
-        write_term(w, t)
-        r = BitReader(w.getvalue())
+    for _ in range(300):
+        t = rand_term()
+        r = BitReader(_term_bits(t))
         assert read_term(r) == t
         assert r.remaining() == 0
+
+
+@pytest.mark.parametrize(
+    "term",
+    [(), (0,), (0, 0, 0, 0), (1,), (0, 1, 0), (1 << 70, 3), tuple(range(200)),
+     tuple(sorted({(i * 7919) % (1 << 18) for i in range(9000)}))],
+)
+def test_packed_term_roundtrip(term):
+    # Empty and all-zero tuples (width 0), single bits, wide masks, and a
+    # term long enough for several halvings of the packed field, each
+    # after a short field and followed by one.
+    bits = _term_bits(term)
+    width = max(term, default=0).bit_length()
+    assert bits.nbits == 1 + len(_varint(len(term))) + len(_varint(width)) + len(term) * width
+    w = BitWriter()
+    w.write_uint(5, 3)
+    write_term(w, term)
+    write_term(w, 9)
+    r = BitReader(w.getvalue())
+    assert r.read_uint(3) == 5
+    assert read_term(r) == term and read_term(r) == 9 and r.remaining() == 0
+
+
+def test_packed_term_one_wire_form():
+    # The same entries under a wider width than the widest entry's, or a
+    # zero-entry tuple with a width, are refused.
+    assert read_term(BitReader(_packed(2, 2, 0b1011, 4))) == (2, 3)
+    for bits in (
+        _packed(2, 3, 0b010011, 6),  # (2, 3) at width 3
+        _packed(2, 1, 0b00, 2),  # (0, 0) at width 1
+        _packed(0, 4, 0, 0),
+        _packed(3, 64, 5, 3 * 64),
+    ):
+        with pytest.raises(DecodeError):
+            read_term(BitReader(bits))
+
+
+def test_packed_term_past_the_end_is_refused():
+    full = _packed(3, 4, 0xABC, 12)
+    assert read_term(BitReader(full)) == (0xA, 0xB, 0xC)
+    with pytest.raises(DecodeError):
+        read_term(BitReader(Bits(full.value >> 1, full.nbits - 1)))
+    # A count or width that only a long varint can hold.
+    for count, width in ((1 << 62, 1), (1, 1 << 62), (1 << 62, 1 << 62)):
+        with pytest.raises(DecodeError):
+            read_term(BitReader(_packed(count, width, 0, 0)))
+    # Zero-width entries cost no bits; no tuple lists more entries than its
+    # bitstring has bits.
+    assert read_term(BitReader(_packed(17, 0, 0, 0))) == (0,) * 17
+    with pytest.raises(DecodeError):
+        read_term(BitReader(_packed(18, 0, 0, 0)))
+    with pytest.raises(DecodeError):
+        read_term(BitReader(_packed(1 << 62, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("term", [((0,),), (1, (2,)), (-1,), (0, -5), -1, "x", (1.0,), [1]])
+def test_write_term_refuses_nested_and_negative(term):
+    with pytest.raises(ValueError):
+        write_term(BitWriter(), term)
+
+
+def test_non_minimal_varints_are_refused():
+    # 0x85 0x00 would be a second wire form of 5; a first byte of 0 is the
+    # value 0 itself.
+    assert BitReader(Bits(0, 8)).read_varint() == 0
+    assert BitReader(Bits(0x8501, 16)).read_varint() == 5 + (1 << 7)
+    for value, nbits in ((0x8500, 16), (0x858000, 24)):
+        with pytest.raises(DecodeError):
+            BitReader(Bits(value, nbits)).read_varint()
+    # The same in a section's payload length.
+    w = BitWriter()
+    w.write_uint(3, 8)
+    w.write_uint(0x8100, 16)  # length 1, non-minimal
+    w.write_uint(1, 1)
+    with pytest.raises(DecodeError):
+        read_sections(w.getvalue())
+    w = BitWriter()
+    w.write_uint(3, 8)
+    w.write_uint(0x01, 8)
+    w.write_uint(1, 1)
+    assert read_sections(w.getvalue()) == [(3, Bits(1, 1))]

@@ -1,6 +1,6 @@
 import random
 
-from lanecert import fuzz
+from lanecert import certify, fuzz
 from lanecert.bench import bench_label_size
 from lanecert.certify import prove, verify_all
 from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
@@ -25,22 +25,32 @@ def test_fuzz_c5_bipartite_no_counterexamples():
 
 
 def test_fuzz_proves_once_on_true_statements(monkeypatch):
-    # A true statement's unforced labels are its base; a false one needs the
-    # unforced call for its truth and the forced call for its base.
+    # One prover run gives the base labels and the statement's truth, which
+    # comes from the class annotation: one call and one annotation per
+    # campaign, on a true statement and on a false one alike.
     calls = []
-    orig = fuzz.prove
+    annotations = []
+    orig, orig_annotate = fuzz.prove, certify.annotate_classes
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("force", False))
+        calls.append(args)
         return orig(*args, **kwargs)
 
+    def annotate(*args):
+        ann = orig_annotate(*args)
+        annotations.append(ann.accepted)
+        return ann
+
     monkeypatch.setattr(fuzz, "prove", counted)
+    monkeypatch.setattr(certify, "annotate_classes", annotate)
     report = fuzz_soundness(cycle_graph(6), "bipartite", 2, len(MUTATIONS), seed=75)
-    assert report.statement_true and calls == [False]
+    assert report.statement_true and len(calls) == 1 and annotations == [True]
     assert report.reasons["replay"] == {"all-accept": 1}
     calls.clear()
+    annotations.clear()
     report = fuzz_soundness(cycle_graph(5), "bipartite", 2, len(MUTATIONS), seed=75)
-    assert not report.statement_true and calls == [False, True]
+    assert not report.statement_true and len(calls) == 1 and annotations == [False]
+    assert report.reasons["replay"] == {"root-class": 1}
 
 
 def test_fuzz_path_with_chord():

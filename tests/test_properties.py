@@ -1,8 +1,10 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from lanecert import certify
 from lanecert.certify import (
     _recompute_sub,
     all_accept,
@@ -13,8 +15,10 @@ from lanecert.certify import (
     verify_all,
     verify_vertex,
 )
+from lanecert.encoding import BitReader, BitWriter, DecodeError, read_term, write_term
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key
+from lanecert.intervals import width
 from lanecert.properties import (
     PLUGINS,
     HomClass,
@@ -74,12 +78,16 @@ def test_leaf_classes_frozen():
 
     mat = PLUGINS["matching"]
     p3 = mat.base_path(3, [1, 1])
-    # A 3-path: all exposed, or one matched edge leaving one endpoint exposed.
-    assert p3.term == ((0,), (0, 1, 2), (2,))
+    # A 3-path: all exposed (0b111), or one matched edge leaving one
+    # endpoint exposed (0b001, 0b100); the masks sorted.
+    assert p3.term == (0b001, 0b100, 0b111)
 
     forest = PLUGINS["acyclic"]
     e = forest.base_edge(2, 1)
-    assert e.term == ((0, 1),)
+    # One part, atom 0 its rep; an unmarked edge leaves two parts.
+    assert e.term == (0, 0)
+    assert PLUGINS["marked-acyclic"].base_edge(2, 0).term == (0, 1)
+    assert forest.base_path(3, [1, 1]).term == (0, 0, 0)
 
 
 def test_simple_graphs():
@@ -151,6 +159,33 @@ def test_fold_order_independent():
                     assert _recompute_sub(permuted, p, {}) == ann.sub[rec.eid]
 
 
+def test_fold_terms_roundtrip_the_codec():
+    # Every class a random fold reaches, for every plugin, has a term the
+    # codec writes and reads back equal, and the state that term reads to
+    # has that term as its canonical one.
+    rng = random.Random(43)
+    kinds = Counter()
+    for _ in range(60):
+        s = random_op_sequence(rng, max_ops=15)
+        hd = build_hierarchical_decomposition(s)
+        marks = {e: rng.randrange(0, 2) for e in apply_op_sequence(s).edges}
+        for name, p in PLUGINS.items():
+            for bi in annotate_classes(hd, p, marks).sub.values():
+                t = bi.cls.term
+                w = BitWriter()
+                write_term(w, t)
+                r = BitReader(w.getvalue())
+                assert read_term(r) == t and r.remaining() == 0
+                assert p._alg.canon(p._unpack(bi.cls), len(bi.cls.atoms)) == t
+                kinds[name, type(t).__name__] += 1
+    # Folds reach both forms wherever a plugin has both (partition terms
+    # fall to the int 0 when the property fails).
+    for name in PLUGINS:
+        assert kinds[name, "tuple" if "parity" not in name else "int"] > 0, name
+    for name in ("acyclic", "bipartite"):
+        assert kinds[name, "int"] > 0 and kinds[name, "tuple"] > 0, name
+
+
 def append_suffix(prefix: OpSequence, suffix_ops):
     """Append abstract suffix ops, remapping fresh vertex ids past the prefix."""
     applied = apply_op_sequence(prefix)
@@ -220,20 +255,26 @@ def test_validate_class_rejects_garbage():
     with pytest.raises(PropertyError):
         bip.accepts(HomClass(((1, 0),), ((4,),)))  # the old colouring-set form
     with pytest.raises(PropertyError):
-        PLUGINS["acyclic"].accepts(HomClass(((1, 0),), ()))  # not a cover
+        PLUGINS["acyclic"].accepts(HomClass(((1, 0),), ()))  # not one per atom
     with pytest.raises(PropertyError):
         PLUGINS["parity"].accepts(HomClass(((1, 0),), 7))
     bip.accepts(bip.base_edge(1, 1))
-    # Sets or blocks out of the order canon sorts them in.
+    # Masks out of the order canon sorts them in, repeated, past the atoms,
+    # negative or nested.
     two = ((1, 1), (1, 2))
-    with pytest.raises(PropertyError):
-        PLUGINS["matching"].accepts(HomClass(two, ((0, 1), ())))
-    with pytest.raises(PropertyError):
-        PLUGINS["matching"].accepts(HomClass(two, ((), ())))
-    with pytest.raises(PropertyError):
-        PLUGINS["acyclic"].accepts(HomClass(two, ((1,), (0,))))
-    assert PLUGINS["matching"].accepts(HomClass(two, ((), (0, 1))))
-    assert PLUGINS["acyclic"].accepts(HomClass(two, ((0,), (1,))))
+    for term in ((3, 0), (0, 0), (0, 4), (-1, 3), ((0,), 3), 3):
+        with pytest.raises(PropertyError):
+            PLUGINS["matching"].accepts(HomClass(two, term))
+    # A part's rep that is not its lowest atom, a rep past the atom, the
+    # bipartite form of two parts, a non-int entry.
+    for term in ((1, 1), (1, 0), (0, 2), ((0,), 1), (0,), ((0,), (1,))):
+        with pytest.raises(PropertyError):
+            PLUGINS["acyclic"].accepts(HomClass(two, term))
+    assert PLUGINS["matching"].accepts(HomClass(two, (0, 3)))
+    assert not PLUGINS["matching"].accepts(HomClass(two, (3,)))
+    assert PLUGINS["acyclic"].accepts(HomClass(two, (0, 1)))
+    assert PLUGINS["acyclic"].accepts(HomClass(two, (0, 0)))
+    assert not PLUGINS["acyclic"].accepts(HomClass(two, 0))
     for term in NONCANONICAL_BIPARTITE:
         with pytest.raises(PropertyError):
             bip.accepts(HomClass(((1, 1), (1, 2)), term))
@@ -246,17 +287,17 @@ NONCANONICAL_BIPARTITE = [(0,), (0, 4), (1, 1), (0, 3), (0, (0,))]
 
 
 def _noncanonical_like(term):
-    """The NONCANONICAL_BIPARTITE case of the same kind, over len(term)
-    atoms."""
+    """The NONCANONICAL_BIPARTITE cases of the same kinds, over len(term)
+    atoms.  The non-int entry has no wire form (see
+    test_noncanonical_bipartite_term_is_malformed)."""
     n = len(term)
     yield (0,) * (n + 1)
     yield (0,) * (n - 1) + (2 * n,)
     yield (1,) + term[1:]
     yield (0,) * (n - 1) + (2 * (n - 1) + 1,)
-    yield ((0,),) + term[1:]
 
 
-def test_noncanonical_bipartite_term_is_malformed():
+def test_noncanonical_bipartite_term_is_malformed(monkeypatch):
     # Every BasicInfo of the root's class in every label gets a bad term;
     # a vertex that folds or checks that class must say malformed.
     g, ir = generate(GeneratorSpec("cycle", 8, 2, 0.3), 0)
@@ -270,23 +311,63 @@ def test_noncanonical_bipartite_term_is_malformed():
         assert "malformed" in reasons, term
         for view in local_views(g, bad):
             assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
+    # A nested entry cannot be written; its wire-level counterpart is the
+    # root term packed one bit wider than its widest entry, which no label
+    # decodes and both endpoints of every edge reject.
+    with pytest.raises(ValueError):
+        _with_term(next(iter(labels.values())), root, ((0,),) + root.cls.term[1:])
+    orig = certify.write_term
+
+    def wide(w, t):
+        if t != root.cls.term:
+            return orig(w, t)
+        width = max(t).bit_length() + 1
+        w.write_bit(1)
+        w.write_varint(len(t))
+        w.write_varint(width)
+        for e in t:
+            w.write_uint(e, width)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certify, "write_term", wide)
+        bad = {e: _with_term(bits, root, root.cls.term) for e, bits in labels.items()}
+    verdicts = verify_all(g, bad, "bipartite", 2)
+    for e, bits in bad.items():
+        with pytest.raises(DecodeError):
+            decode_label(bits)
+        assert verdicts[e[0]].reason == verdicts[e[1]].reason == "decode"
+    for view in local_views(g, bad):
+        assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
 
 
 @pytest.mark.parametrize("family,n,k,prop", [("caterpillar", 20, 1, "acyclic"),
                                              ("path", 12, 1, "matching")])
 def test_unsorted_set_terms_are_malformed(family, n, k, prop):
-    # A class whose term lists two or more blocks (acyclic) or exposed sets
-    # (matching) gets them in reverse order, everywhere it appears; a vertex
-    # that folds or checks it must say malformed.
+    # A class whose term lists two or more exposed sets (matching) gets them
+    # in reverse order, or one with a part of two or more atoms (acyclic)
+    # names its highest atom as that part's rep, everywhere it appears; a
+    # vertex that folds or checks it must say malformed.
     g, ir = generate(GeneratorSpec(family, n, k, 0.3), 0)
     labels = prove(g, prop, k, ir=ir)
+
+    def forged(t):
+        if not isinstance(t, tuple):
+            return None
+        if prop == "matching":
+            return t[::-1] if len(t) > 1 else None
+        rep = next((r for r in t if t.count(r) > 1), None)
+        if rep is None:
+            return None
+        top = max(i for i, r in enumerate(t) if r == rep)
+        return tuple(top if r == rep else r for r in t)
+
     target = next(
         bi
         for bits in labels.values()
         for bi in _basics(decode_label(bits))
-        if isinstance(bi.cls.term, tuple) and len(bi.cls.term) > 1
+        if forged(bi.cls.term) is not None
     )
-    bad = {e: _with_term(bits, target, target.cls.term[::-1]) for e, bits in labels.items()}
+    bad = {e: _with_term(bits, target, forged(target.cls.term)) for e, bits in labels.items()}
     assert bad != labels
     verdicts = verify_all(g, bad, prop, k)
     assert "malformed" in {v.reason for v in verdicts.values()}
@@ -333,6 +414,28 @@ def test_bipartite_at_k3_matches_oracle(prop):
         accepted = all_accept(verify_all(g, labels, prop, 3))
         assert accepted == brute_force_property(g, prop, limit=g.n), (n, seed)
         verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+# (n, seed) of random-ops graphs at k = 3 and density 0.3 for matching: the
+# two with the largest matching labels in a scan of seeds (both have a
+# perfect matching), then graphs of odd order.
+MATCHING_K3_CASES = [(28, 609067), (22, 602179), (9, 1), (13, 2), (17, 3), (21, 4)]
+
+
+def test_matching_at_k3_matches_oracle():
+    verdicts = set()
+    for n, seed in MATCHING_K3_CASES:
+        g, ir = generate(GeneratorSpec("random-ops", n, 3, 0.3), seed)
+        assert width(ir) - 1 == 3
+        labels = prove(g, "matching", 3, ir=ir, force=True)
+        accepted = all_accept(verify_all(g, labels, "matching", 3))
+        assert accepted == brute_force_property(g, "matching", limit=g.n), (n, seed)
+        verdicts.add(accepted)
+        if (n, seed) == (28, 609067):
+            # Sorted exposed-set masks keep this instance's labels small
+            # (41.8 Mbit as lists of atom indices).
+            assert sum(bits.nbits for bits in labels.values()) <= 10_000_000
     assert verdicts == {True, False}
 
 

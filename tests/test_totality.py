@@ -20,11 +20,20 @@ from lanecert.certify import (
     verify_all,
     verify_vertex,
 )
-from lanecert.encoding import Bits, BitWriter, read_sections, write_section
+from lanecert.encoding import (
+    Bits,
+    BitReader,
+    BitWriter,
+    DecodeError,
+    read_sections,
+    read_term,
+    write_section,
+    write_term,
+)
 from lanecert.generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from lanecert.graph import edge_key
 from lanecert.intervals import width
-from lanecert.properties import PLUGINS
+from lanecert.properties import PLUGINS, HomClass
 from tests.test_graph import cycle_graph
 
 PROPS = ("parity", "bipartite", "acyclic", "matching", "marked-bipartite")
@@ -78,6 +87,9 @@ def _honest(name):
     """Honest labels of a small true statement, built once per test run."""
     if name == "C6":
         g, ir, prop, k = cycle_graph(6), None, "bipartite", 2
+    elif name == "matching":
+        g, ir = generate(GeneratorSpec("random-ops", 12, 3, 0.3), 1)
+        prop, k = "matching", width(ir) - 1
     else:
         g, ir = generate(GeneratorSpec("random-ops", 16, 3, 0.3), 0)
         prop, k = "parity", 3
@@ -123,3 +135,65 @@ def test_codec_roundtrips_prover_labels(family, n, k, seed, prop):
         again = encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
         assert again == bits
         assert decode_label(again) == lab
+
+
+@st.composite
+def packed_terms(draw):
+    """Bitstrings that start as a tuple term: tag 1, a count and a width
+    (often the width of the field that follows, sometimes not), then
+    random bits."""
+    count = draw(st.integers(0, 40))
+    width = draw(st.integers(0, 20))
+    w = BitWriter()
+    w.write_bit(1)
+    w.write_varint(count)
+    w.write_varint(draw(st.sampled_from((width, width + 1, max(width - 1, 0), 1 << 40))))
+    w.write_bits(draw(bitstrings(count * width + 8)))
+    return w.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.one_of(bitstrings(), packed_terms()))
+def test_read_term_total_with_one_wire_form(bits):
+    # Any bitstring reads as a term or raises DecodeError; a term read is
+    # an int or a flat tuple of ints, and writing it gives back exactly the
+    # bits it was read from.
+    r = BitReader(bits)
+    try:
+        t = read_term(r)
+    except DecodeError:
+        return
+    assert isinstance(t, int) or all(isinstance(e, int) and e >= 0 for e in t)
+    w = BitWriter()
+    write_term(w, t)
+    used = bits.nbits - r.remaining()
+    assert w.getvalue() == Bits(bits.value >> r.remaining(), used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(("C6", "matching")),
+)
+def test_verify_total_on_packed_term_lies(data, name):
+    # A table entry's class term replaced by an arbitrary packed term, in
+    # every label that carries it: every vertex still gives a verdict, and
+    # an endpoint's verdict does not depend on the shared memo.
+    g, prop, k, labels = _honest(name)
+    e = data.draw(st.sampled_from(sorted(labels)))
+    lab = decode_label(labels[e])
+    target = data.draw(st.sampled_from(lab.tnodes)).basic
+    n_atoms = len(target.cls.atoms)
+    term = tuple(data.draw(st.lists(st.integers(0, (1 << (n_atoms + 1)) - 1), max_size=12)))
+    bad = {}
+    for edge, bits in labels.items():
+        lab = decode_label(bits)
+        for sec in lab.tnodes:
+            if sec.basic == target:
+                sec.basic.cls = HomClass(sec.basic.cls.atoms, term)
+        bad[edge] = encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
+    verdicts = verify_all(g, bad, prop, k)
+    assert all(isinstance(v, Verdict) for v in verdicts.values())
+    for view in local_views(g, bad):
+        if view.vid in e:
+            assert verify_vertex(view, prop, k) == verdicts[view.vid]

@@ -18,9 +18,12 @@ across elements, vertices and labelings is composed once.  The verifier
 decodes each distinct element record once and folds it once
 (``_fold_record``), so the glue checks inside ``_recompute_sub`` run once
 per distinct record per run.  The checks against a vertex's own view
-(``_verify_vertex``, ``_check_pointer``, ``_check_elements``) still run at
-every vertex.  A failing fold or operation is not stored, so it runs again
-wherever it recurs.  Plugins themselves stay stateless.
+(``_verify_vertex``, ``_check_pointer``, ``_check_elements``) run at every
+vertex of one labeling; across the labelings of a fuzz campaign they run
+once per distinct view, since ``any_reject`` keeps a verdict table in the
+campaign's memo and a verdict depends on the view alone.  A failing fold or
+operation is not stored, so it runs again wherever it recurs.  Plugins
+themselves stay stateless.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count w) and a basic section (the label's BasicInfo
@@ -1311,6 +1314,10 @@ def _fold_record(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> Basi
     return hit[1]
 
 
+# The memo key of any_reject's verdict table (see verify_vertex).
+_VERDICTS = "verdicts"
+
+
 def verify_vertex(
     view: LocalView,
     prop_name: str,
@@ -1320,18 +1327,35 @@ def verify_vertex(
     """Run all local checks at one vertex; total on arbitrary labels.  cache,
     if given, is a memo shared by the vertices of one run over one labeling
     (see verify_all): decoded structures and class fold results in it are
-    shared, never mutated.  Without one, the fold memo lasts for this call."""
+    shared, never mutated.  Without one, the fold memo lasts for this call.
+
+    A verdict is a pure function of the view, so when cache holds a verdict
+    table (any_reject puts one in the memo it is given) the verdict is
+    looked up by (prop_name, k, vid, vtag, labels, edge tags), labels and
+    tags as their ordered items: the first failing check, and so the
+    reason, follows the order of the labels.  A view seen before in the
+    table's life gets its stored Verdict; a new one is checked and stored."""
+    table = cache.get(_VERDICTS) if cache is not None else None
+    if table is not None:
+        key = (prop_name, k, view.vid, view.vtag,
+               tuple(view.labels.items()), tuple(view.etags.items()))
+        verdict = table.get(key)
+        if verdict is not None:
+            return verdict
     base, marked_user, plugin = resolve_property(prop_name)
     try:
         _verify_vertex(view, marked_user, plugin, k, cache)
+        verdict = Verdict(view.vid, True)
     except _Reject as rj:
-        return Verdict(view.vid, False, rj.code)
+        verdict = Verdict(view.vid, False, rj.code)
     except (DecodeError, PropertyError):
-        return Verdict(view.vid, False, "malformed")
-    return Verdict(view.vid, True)
+        verdict = Verdict(view.vid, False, "malformed")
+    if table is not None:
+        table[key] = verdict
+    return verdict
 
 
-def _decode_cached(bits: Bits, cache) -> DecodedLabel:
+def decode_cached(bits: Bits, cache) -> DecodedLabel:
     """decode_label once per distinct label in a run; cache is that run's
     memo (labels by their bits, plus decode_label's own entries), or None."""
     if cache is None:
@@ -1359,7 +1383,7 @@ def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
     decoded: Dict[Edge, DecodedLabel] = {}
     for e, bits in view.labels.items():
         try:
-            decoded[e] = _decode_cached(bits, cache)
+            decoded[e] = decode_cached(bits, cache)
         except DecodeError:
             raise _Reject("decode")
     headers = {(lab.n, lab.w) for lab in decoded.values()}
@@ -1630,9 +1654,17 @@ def any_reject(
     if given, is a memo the caller keeps across labelings of g (a fuzz
     campaign keeps one for all its trials); its entries are keyed by label
     bits and by class values, so sharing it changes no verdict.  Without one,
-    the memo lasts for this call."""
+    the memo lasts for this call.
+
+    A given cache also gets a verdict table (see verify_vertex), so a view
+    that an earlier labeling already showed, which is most views of a
+    mutant, is not checked again.  verify_vertex is still called once per
+    vertex inspected.  verify_all makes no table: within one labeling no
+    two views are equal."""
     if cache is None:
         cache = {}
+    else:
+        cache.setdefault(_VERDICTS, {})
     for view in local_views(g, labels):
         verdict = verify_vertex(view, prop_name, k, cache)
         if not verdict.accept:

@@ -53,13 +53,20 @@ class Bits:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bits":
+        """The inverse of to_bytes, which gives each bitstring one byte
+        form: a non-minimal bit count, a set padding bit and bytes after
+        the payload are refused."""
         nbits, off = _read_leb128(data, 0)
         nbytes = (nbits + 7) // 8
         if len(data) - off < nbytes:
             raise DecodeError("truncated bitstring")
+        if len(data) - off > nbytes:
+            raise DecodeError("bytes after the bitstring")
         pad = nbytes * 8 - nbits
-        value = int.from_bytes(data[off : off + nbytes], "big") >> pad
-        return cls(value, nbits)
+        value = int.from_bytes(data[off:], "big")
+        if value & ((1 << pad) - 1):
+            raise DecodeError("padding bits set")
+        return cls(value >> pad, nbits)
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
@@ -92,6 +99,8 @@ def _read_leb128(data: bytes, off: int) -> Tuple[int, int]:
         off += 1
         v |= (b & 0x7F) << shift
         if not b & 0x80:
+            if b == 0 and shift:
+                raise DecodeError("non-minimal varint")
             return v, off
         shift += 7
 

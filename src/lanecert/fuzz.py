@@ -13,10 +13,14 @@ statement, its counterexamples).
 
 A mutant differs from its base in a few labels, so one campaign keeps one
 verifier memo for all its trials (see ``certify.any_reject``): the base
-labels are decoded and folded once per campaign, not once per trial.
+labels are decoded and folded once per campaign, not once per trial, and
+each distinct vertex view is verified once per campaign, so a trial checks
+only the views its mutant changed.  Route edits take the decoded label from
+the same memo and edit a copy of the route section they change.
 """
 
 import random
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -24,7 +28,7 @@ from .certify import (
     SEC_ROUTE,
     CertifyError,
     any_reject,
-    decode_label,
+    decode_cached,
     reroute,
 )
 from .certify import prove_forced as prove  # perfbench traces fuzz.prove
@@ -97,18 +101,19 @@ def _swap_section(a: Bits, b: Bits, rng: random.Random):
 
 def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bits:
     """bits with one route section's ranks or endpoints edited.  With the
-    campaign's cache, chains come from it shared, but each call gets new
-    route sections, so the edit below changes nothing cached.  Every other
-    section, and the edited section's map and relayed chain, is framed
-    again as it is, not re-encoded."""
+    campaign's cache, the decoded label is the one the verifier decoded (or
+    will), shared, so the edit goes to a copy of the chosen route section
+    and changes nothing cached.  Every other section, and the edited
+    section's map and relayed chain, is framed again as it is, not
+    re-encoded."""
     try:
-        lab = decode_label(bits, cache)
+        lab = decode_cached(bits, cache)
     except DecodeError:
         return _flip_bits(bits, rng)
     if not lab.routes:
         return _flip_bits(bits, rng)
     i = rng.randrange(len(lab.routes))
-    rs = lab.routes[i]
+    rs = copy(lab.routes[i])
     which = rng.randrange(3)
     if which == 0:
         rs.fwd = max(1, rs.fwd + rng.choice((-1, 1)))

@@ -152,6 +152,20 @@ def test_malformed_label_file_is_usage_error(tmp_path, capsys):
             assert err.startswith("error: bad label line"), err
 
 
+def test_second_byte_form_of_a_label_is_usage_error(tmp_path, capsys):
+    # Each is another byte form of the label 03a0; verify refuses the file.
+    gfile = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
+    lfile = str(tmp_path / "labels.txt")
+    for text in ("8300a0", "03bf", "03a0ff"):
+        with open(lfile, "w") as fh:
+            fh.write("0 1 %s\n" % text)
+        code, out, err = run(capsys, "verify", "--graph", gfile, "--labels", lfile,
+                             "--property", "bipartite", "--k", "2")
+        assert code == 2 and out == "", text
+        assert err.startswith("error: bad label line"), err
+
+
 def test_non_integer_token_is_usage_error(tmp_path, capsys):
     gfile = str(tmp_path / "g.txt")
     ifile = str(tmp_path / "g.iv")

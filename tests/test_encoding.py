@@ -23,6 +23,17 @@ def test_bits_roundtrip_hex():
         assert Bits.from_hex(b.to_hex()) == b
 
 
+@pytest.mark.parametrize("text", ["8300a0", "03bf", "03a0ff", "0001", "0080"])
+def test_bits_have_one_byte_form(text):
+    # 03a0 is Bits(0b101, 3); a non-minimal bit count (83 00), a set
+    # padding bit (bf), and a byte after the payload (ff) are other forms of
+    # it, and 00 is the empty bitstring.
+    assert Bits.from_hex("03a0") == Bits(0b101, 3)
+    assert Bits.from_hex("00") == Bits()
+    with pytest.raises(DecodeError):
+        Bits.from_hex(text)
+
+
 def test_bits_concat():
     w = BitWriter()
     w.write_bits(Bits(0b101, 3))

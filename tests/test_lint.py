@@ -295,3 +295,21 @@ def test_section_names_cover_every_section_type():
     types = {value for name, value in vars(certify).items() if name.startswith("SEC_")}
     assert set(certify.SECTION_NAMES) == types
     assert len(set(certify.SECTION_NAMES.values())) == len(types)
+
+
+def test_traced_entry_points_exist():
+    # perfbench's tracer rebinds each (owner, attribute) of ENTRY_POINTS and
+    # fails when one is missing, so renaming or removing a traced entry
+    # point must fail here, not only in the benchmark.
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.ENTRY_POINTS
+    missing = [
+        (getattr(owner, "__name__", owner), attr)
+        for owner, attr, _ in tracer.ENTRY_POINTS
+        if attr not in owner.__dict__
+    ]
+    assert missing == []

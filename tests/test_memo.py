@@ -23,6 +23,7 @@ from lanecert.certify import (
     _recompute_sub,
     _Reject,
     all_accept,
+    any_reject,
     decode_label,
     encode_label,
     local_views,
@@ -571,6 +572,130 @@ def test_route_mutant_reframes_tnode_payloads(name, g, ir, prop, k):
             twin.setstate(rng.getstate())
             assert fuzz._perturb_route(base[e], rng, cache) == _old_perturb_route(base[e], twin)
             assert twin.getstate() == rng.getstate()
+
+
+# --- the verdict table: a campaign checks each distinct view once -------------
+
+
+def _view_variants(g, view, rng):
+    """view, then views that each differ from it in one respect: the vid, the
+    vertex tag, one edge tag, one label, the order of the labels."""
+    out = [view, replace(view, vid=(view.vid + 1) % g.n), replace(view, vtag=view.vtag + 1)]
+    if view.labels:
+        e = rng.choice(sorted(view.labels))
+        out.append(replace(view, etags={**view.etags, e: 1 - view.etags[e]}))
+        out.append(replace(view, labels={**view.labels, e: fuzz._flip_bits(view.labels[e], rng)}))
+        out.append(replace(view, labels=dict(reversed(view.labels.items()))))
+    return out
+
+
+def _tagged_cycle(n):
+    """C_n with every edge marked: marked-bipartite holds iff n is even."""
+    g = cycle_graph(n)
+    return build_graph(n, g.edges, None, {e: 1 for e in g.edges})
+
+
+@pytest.mark.parametrize("g,prop,k", [
+    pytest.param(cycle_graph(5), "bipartite", 2, id="C5-bipartite"),
+    pytest.param(_tagged_cycle(7), "marked-bipartite", 2, id="C7-marked-bipartite"),
+])
+def test_verdict_table_equals_fresh_verdicts(monkeypatch, g, prop, k):
+    # Under one table, each view and each of its one-respect variants gets
+    # the verdict verify_vertex gives it with a fresh memo, twice over (the
+    # second time from the table), and some variants that only reorder the
+    # labels get a different reason, so the table must keep them apart.
+    checks = []
+    orig = certify._verify_vertex
+
+    def counted(view, *args):
+        checks.append(view)
+        return orig(view, *args)
+
+    base = prove(g, prop, k, force=True)
+    rng = random.Random("table-" + prop)
+    views, reordered = [], []  # reordered: (view, its labels reversed)
+    for mutation in MUTATIONS:
+        for _ in range(4):
+            for view in local_views(g, mutate(base, mutation, rng)):
+                variants = _view_variants(g, view, rng)
+                if len(view.labels) > 1:
+                    reordered.append((len(views), len(views) + len(variants) - 1))
+                views.extend(variants)
+    fresh = [verify_vertex(view, prop, k, {}) for view in views]
+    monkeypatch.setattr(certify, "_verify_vertex", counted)
+    cache = {certify._VERDICTS: {}}
+    for _ in range(2):
+        assert [verify_vertex(view, prop, k, cache) for view in views] == fresh
+    assert 0 < len(checks) == len(cache[certify._VERDICTS]) <= len(views)
+    assert any(fresh[i] != fresh[j] for i, j in reordered)
+
+
+def test_verdict_table_keys_on_edge_tags():
+    # Honest marked-bipartite labels: every vertex accepts; the same view
+    # with one edge tag flipped rejects, also after the table has stored
+    # the accepting verdict.
+    g = _tagged_cycle(6)
+    labels = prove(g, "marked-bipartite", 2)
+    cache = {certify._VERDICTS: {}}
+    for view in local_views(g, labels):
+        assert verify_vertex(view, "marked-bipartite", 2, cache).accept
+        for e in view.labels:
+            flipped = replace(view, etags={**view.etags, e: 0})
+            fresh = verify_vertex(flipped, "marked-bipartite", 2)
+            assert not fresh.accept
+            assert verify_vertex(flipped, "marked-bipartite", 2, cache) == fresh
+        assert verify_vertex(view, "marked-bipartite", 2, cache).accept
+
+
+@pytest.mark.parametrize("name,g,ir,prop,k", [pytest.param(*c, id=c[0]) for c in _campaigns()])
+def test_campaign_checks_each_distinct_view_once(monkeypatch, name, g, ir, prop, k):
+    # _verify_vertex runs at most once per distinct (view, property, k) in a
+    # campaign, while verify_vertex still runs for every vertex inspected.
+    checks, calls = Counter(), []
+    orig_check, orig_vertex = certify._verify_vertex, certify.verify_vertex
+
+    def check(view, marked_user, plugin, k, cache):
+        checks[(plugin.name, marked_user, k, view.vid, view.vtag,
+                tuple(view.labels.items()), tuple(view.etags.items()))] += 1
+        return orig_check(view, marked_user, plugin, k, cache)
+
+    def vertex(view, *args):
+        calls.append(view)
+        return orig_vertex(view, *args)
+
+    monkeypatch.setattr(certify, "_verify_vertex", check)
+    monkeypatch.setattr(certify, "verify_vertex", vertex)
+    fuzz_soundness(g, prop, k, 10 * len(MUTATIONS), seed=82, ir=ir)
+    assert set(checks.values()) == {1}
+    assert len(calls) > len(checks)
+
+
+@pytest.mark.parametrize("g,prop,k", [
+    pytest.param(cycle_graph(6), "bipartite", 2, id="true"),
+    pytest.param(cycle_graph(7), "bipartite", 2, id="false"),
+])
+def test_any_reject_calls_verify_vertex_at_every_vertex(monkeypatch, g, prop, k):
+    # With a table that already holds every verdict, any_reject still calls
+    # verify_vertex for each vertex up to the first reject, whose verdict is
+    # the last one returned; the table gives the same verdicts as without.
+    seen = []
+    orig = certify.verify_vertex
+
+    def vertex(view, *args):
+        seen.append(orig(view, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(certify, "verify_vertex", vertex)
+    labels = prove(g, prop, k, force=True)
+    expect = any_reject(g, labels, prop, k)
+    stop = g.n if expect is None else expect.vid + 1
+    cache = {}
+    for _ in range(3):
+        seen.clear()
+        assert any_reject(g, labels, prop, k, cache) == expect
+        assert [v.vid for v in seen] == list(range(stop))
+        assert expect is None or seen[-1] == expect
+    assert len(cache[certify._VERDICTS]) == stop
 
 
 # --- element records: decoded and folded once per run -------------------------

@@ -9,11 +9,12 @@ structure within the width bound; a single reject refutes the certificate.
 
 Prover and verifier share one class fold, ``_recompute_sub``: the prover
 runs it over the element records it emits (``annotate_classes``), and the
-verifier over the records the vertices see.  Work that depends only on bits
-or values is done once per run (one ``annotate_classes``, one
-``verify_all``, one ``any_reject`` without a cache, one fuzz campaign, or
-one ``verify_vertex`` call without a cache).  The fold's class operations
-and the root-class check are memoized by value, so a class that repeats
+verifier over the records the vertices see.  Every call has a memo; a run
+shares one.  Work that depends only on bits or values is done once per
+memo: one ``annotate_classes``, one ``verify_all``, one ``any_reject``
+without a cache, one fuzz campaign, or one ``verify_vertex`` or
+``decode_label`` call given none.  The fold's class operations and the
+root-class check are memoized by value, so a class that repeats
 across elements, vertices and labelings is composed once.  The verifier
 decodes each distinct element record once and folds it once
 (``_fold_record``), so the glue checks inside ``_recompute_sub`` run once
@@ -21,7 +22,8 @@ per distinct record per run.  The checks against a vertex's own view
 (``_verify_vertex``, ``_check_pointer``, ``_check_elements``) run at every
 vertex of one labeling; across the labelings of a fuzz campaign they run
 once per distinct view, since ``any_reject`` keeps a verdict table in the
-campaign's memo and a verdict depends on the view alone.  A failing fold or
+campaign's memo and a verdict, reason included, depends on the view's
+contents alone (its labels are checked in edge order).  A failing fold or
 operation is not stored, so it runs again wherever it recurs.  Plugins
 themselves stay stateless.
 
@@ -50,9 +52,9 @@ chain's map into the table (its length, the length of its identity prefix,
 the other indices), then the relayed chain's T-node sections.  Each decoded
 label has one wire form, so ``decode_label`` refuses anything out of range
 or out of first-use order, unused and repeated entries, and empty groups.
-With a memo, payloads, records and entry groups are decoded once per run
-(per n and slot width), and a relayed chain is resolved once per distinct
-list of entries; only the cheap resolution of slots runs per label.
+Payloads, records and entry groups are decoded once per memo (per n and
+slot width), and a relayed chain is resolved once per distinct list of
+entries; only the cheap resolution of slots runs per label.
 """
 
 import gc
@@ -596,8 +598,8 @@ def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tu
     the side bit of a nested section and (node eid, slot) of the root's, and
     the record's slots are listed in the order they are written.
     The element record is the rest of the payload, the same for every edge
-    of the element, so with a memo each distinct record (per n and slot
-    width) is decoded once and shared."""
+    of the element, so each distinct record (per n and slot width) is
+    decoded once per memo and shared."""
     r = BitReader(payload)
     if nested:
         head = r.read_bit()
@@ -608,12 +610,10 @@ def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tu
     parent_min = bool(r.read_bit())
     tail = r.read_bits(r.remaining())
     key = ("elem", n, sw, tail.value, tail.nbits)
-    hit = memo.get(key) if memo is not None else None
+    hit = memo.get(key)
     if hit is None:
         raw = _dec_elem(BitReader(tail), b, n, sw)
-        hit = (raw, tuple(_elem_uses(raw)))
-        if memo is not None:
-            memo[key] = hit
+        hit = memo[key] = (raw, tuple(_elem_uses(raw)))
     return (head, dist, is_tree, parent_min) + hit
 
 
@@ -629,11 +629,9 @@ def _raw_chain(payloads: List[Bits], b: int, n: int, sw: int, memo) -> tuple:
         # The entry leaves out the record above and the slots' BasicInfos,
         # which are resolved per label.
         key = ("tnode", n, sw, pos > 0, payload.value, payload.nbits)
-        raw = memo.get(key) if memo is not None else None
+        raw = memo.get(key)
         if raw is None:
-            raw = _dec_tnode(payload, b, n, sw, pos > 0, memo)
-            if memo is not None:
-                memo[key] = raw
+            raw = memo[key] = _dec_tnode(payload, b, n, sw, pos > 0, memo)
         before = count
         for s in raw[5] if pos else (raw[0][1],) + raw[5]:
             if s == count:
@@ -650,16 +648,13 @@ def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo],
     slot s, below the section above (None at the root).  A nested section
     takes its node eid and BasicInfo from its side of the record above, as
     the same object; DecodeError when that record is not a B record or that
-    side is a vertex leaf.  With a memo, equal records resolved to the same
-    BasicInfos are one object."""
+    side is a vertex leaf.  Equal records resolved to the same BasicInfos
+    are one object."""
     head, dist, is_tree, parent_min, rrec, uses = raw
-    if memo is None:
-        rec = _resolve_elem(rrec, basics)
-    else:
-        key = ("rec", id(rrec), *map(id, map(basics.__getitem__, uses)))
-        rec = memo.get(key)
-        if rec is None:
-            rec = memo[key] = _resolve_elem(rrec, basics)
+    key = ("rec", id(rrec), *map(id, map(basics.__getitem__, uses)))
+    rec = memo.get(key)
+    if rec is None:
+        rec = memo[key] = _resolve_elem(rrec, basics)
     if above is None:
         return TSec(head[0], True, basics[head[1]], dist, is_tree, parent_min, rec)
     if above.elem.kind != "B":
@@ -672,9 +667,9 @@ def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo],
 
 def _resolve_chain(raws: tuple, basics: List[BasicInfo], memo, groups=None) -> List[TSec]:
     """The chain of raw sections with basics[s] for each slot s.  groups,
-    if given with a memo, holds per section the interned group of entries
-    it names first (or None): a section is then fixed by the section above,
-    its raw fields and its group, so each distinct one is resolved once."""
+    if given, holds per section the interned group of entries it names
+    first (or None): a section is then fixed by the section above, its raw
+    fields and its group, so each distinct one is resolved once."""
     tnodes: List[TSec] = []
     above = None
     for pos, raw in enumerate(raws):
@@ -693,26 +688,22 @@ def _resolve_chain(raws: tuple, basics: List[BasicInfo], memo, groups=None) -> L
 def _relayed_chain(frames: Bits, b: int, n: int, basics: List[BasicInfo], memo) -> List[TSec]:
     """The chain a route section relays: its T-node frames, with basics as
     its slots' BasicInfos.  The frames are the same bits in every label that
-    relays the chain, so with a memo they are decoded once per run, and
-    resolved once per distinct list of BasicInfos."""
+    relays the chain, so they are decoded once per memo, and resolved once
+    per distinct list of BasicInfos."""
     m = len(basics)
     sw = _index_bits(m)
     key = ("frames", n, sw, frames.value, frames.nbits)
-    hit = memo.get(key) if memo is not None else None
+    hit = memo.get(key)
     if hit is None:
         payloads = []
         for stype, payload in read_sections(frames):
             if stype != SEC_TNODE:
                 raise DecodeError("a route relays T-node sections only")
             payloads.append(payload)
-        hit = _raw_chain(payloads, b, n, sw, memo)
-        if memo is not None:
-            memo[key] = hit
+        hit = memo[key] = _raw_chain(payloads, b, n, sw, memo)
     raws, news = hit
     if sum(news) != m:
         raise DecodeError("the map must name exactly the chain's slots")
-    if memo is None:
-        return _resolve_chain(raws, basics, None)
     key = ("chain", id(raws), *map(id, basics))
     chain = memo.get(key)
     if chain is None:
@@ -721,8 +712,8 @@ def _relayed_chain(frames: Bits, b: int, n: int, basics: List[BasicInfo], memo) 
 
 
 def _dec_entries(bits: Bits, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
-    """The table entries that make up bits.  With a memo, equal entries
-    decode to one shared BasicInfo, built and validated when first seen.
+    """The table entries that make up bits.  Equal entries decode to one
+    shared BasicInfo, built and validated when first seen.
     Entries are short, so their fields are cut from the int here rather
     than through a reader's calls."""
     value, end = bits.value, bits.nbits
@@ -747,27 +738,24 @@ def _dec_entries(bits: Bits, b: int, n: int, w_lanes: int, memo) -> List[BasicIn
             term = read_term(r)
             pos = r.pos
         key = ("basic", n, mask, maps, term)
-        basic = memo.get(key) if memo is not None else None
+        basic = memo.get(key)
         if basic is None:
-            basic = _basic_of(mask, maps, term, b, n)
-            if memo is not None:
-                memo[key] = basic
+            basic = memo[key] = _basic_of(mask, maps, term, b, n)
         basics.append(basic)
     return basics
 
 
 def _dec_group(r: BitReader, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
-    """The group of table entries at r.  With a memo each distinct group is
-    decoded once, as one shared list."""
+    """The group of table entries at r.  Each distinct group is decoded once
+    per memo, as one shared list."""
     group = r.read_bits(r.read_varint())
     key = ("group", n, w_lanes, group.value, group.nbits)
-    got = memo.get(key) if memo is not None else None
+    got = memo.get(key)
     if got is None:
         got = _dec_entries(group, b, n, w_lanes, memo)
         if not got:
             raise DecodeError("empty group")
-        if memo is not None:
-            memo[key] = got
+        memo[key] = got
     return got
 
 
@@ -791,24 +779,23 @@ def _dec_table(r: BitReader, news: tuple, b: int, n: int, w_lanes: int, memo) ->
     while r.remaining():
         route_groups.append(_dec_group(r, b, n, w_lanes, memo))
         basics.extend(route_groups[-1])
-    # With a memo equal entries are one object, so ids tell them apart.
-    if memo is None:
-        distinct = {_basic_key(bi, b) for bi in basics}
-    else:
-        distinct = set(map(id, basics))
-    if len(distinct) != len(basics):
+    # Equal entries are one object, so ids tell them apart.
+    if len(set(map(id, basics))) != len(basics):
         raise DecodeError("repeated table entry")
     return basics, own_groups, route_groups
 
 
 def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
-    """Decode one label.  Without a memo every structure returned is new,
-    except that each table entry is one BasicInfo object, shared by every
-    slot naming it, and a nested section's BasicInfo is the side object of
-    the record above it.  With one (the verifier's per-run cache) equal
-    T-node payloads, equal element records, equal BasicInfos and equal
-    relayed chains decode to shared objects, which the caller must not
-    mutate."""
+    """Decode one label.  Every decode runs with a memo; without one given,
+    a fresh one lasts for this call, so nothing returned is shared with any
+    other call.  Within the memo equal T-node payloads, equal element
+    records, equal BasicInfos and equal relayed chains decode to shared
+    objects: each table entry is one BasicInfo, shared by every slot naming
+    it, and a nested section's BasicInfo is the side object of the record
+    above it.  With a run's memo (the verifier's cache) the objects are
+    shared across the run, and the caller must not mutate them."""
+    if memo is None:
+        memo = {}
     secs = read_sections(bits)
     if len(secs) < 2 or secs[0][0] != SEC_HEADER or secs[1][0] != SEC_BASIC:
         raise DecodeError("label must start with a header and a basic section")
@@ -828,7 +815,7 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     if sum(news) != m_own:
         raise DecodeError("the table must open with exactly the chain's slots")
     basics, groups, route_groups = _dec_table(tr, news, b, n, w, memo)
-    tnodes = _resolve_chain(raws, basics[:m_own], memo, groups if memo is not None else None)
+    tnodes = _resolve_chain(raws, basics[:m_own], memo, groups)
     table_size = len(basics)
     tw = _index_bits(table_size)
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
@@ -1324,18 +1311,23 @@ def verify_vertex(
     k: int,
     cache: Optional[dict] = None,
 ) -> Verdict:
-    """Run all local checks at one vertex; total on arbitrary labels.  cache,
-    if given, is a memo shared by the vertices of one run over one labeling
-    (see verify_all): decoded structures and class fold results in it are
-    shared, never mutated.  Without one, the fold memo lasts for this call.
+    """Run all local checks at one vertex; total on arbitrary labels.  Every
+    call has a memo for decoding and the class fold; a run shares one.
+    cache, if given, is a memo shared by the vertices of one run over one
+    labeling (see verify_all): decoded structures and class fold results in
+    it are shared, never mutated.  Without one, a fresh memo lasts for this
+    call, so labels the view repeats (relayed chains, records, entries) are
+    still decoded once.
 
-    A verdict is a pure function of the view, so when cache holds a verdict
+    A verdict, reason included, is a pure function of the view's contents
+    (the labels are checked in edge order), so when cache holds a verdict
     table (any_reject puts one in the memo it is given) the verdict is
     looked up by (prop_name, k, vid, vtag, labels, edge tags), labels and
-    tags as their ordered items: the first failing check, and so the
-    reason, follows the order of the labels.  A view seen before in the
-    table's life gets its stored Verdict; a new one is checked and stored."""
-    table = cache.get(_VERDICTS) if cache is not None else None
+    tags as the view's items.  A view seen before in the table's life gets
+    its stored Verdict; a new one is checked and stored."""
+    if cache is None:
+        cache = {}
+    table = cache.get(_VERDICTS)
     if table is not None:
         key = (prop_name, k, view.vid, view.vtag,
                tuple(view.labels.items()), tuple(view.etags.items()))
@@ -1357,9 +1349,7 @@ def verify_vertex(
 
 def decode_cached(bits: Bits, cache) -> DecodedLabel:
     """decode_label once per distinct label in a run; cache is that run's
-    memo (labels by their bits, plus decode_label's own entries), or None."""
-    if cache is None:
-        return decode_label(bits)
+    memo (labels by their bits, plus decode_label's own entries)."""
     hit = cache.get(bits)
     if hit is None:
         try:
@@ -1372,18 +1362,19 @@ def decode_cached(bits: Bits, cache) -> DecodedLabel:
     return hit
 
 
-def _verify_vertex(view, marked_user, plugin, k, cache) -> None:
+def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
     vid = view.vid
-    memo = cache if cache is not None else {}
     if not view.labels:
         # No incident edges: the vertex is the whole (connected) graph.
         if not _fold(memo, plugin, "accepts", _fold(memo, plugin, "base_path", 1, ())):
             raise _Reject("root-class")
         return
+    # Edge order, so the first failing check does not depend on the order
+    # in which the view lists its labels.
     decoded: Dict[Edge, DecodedLabel] = {}
-    for e, bits in view.labels.items():
+    for e, bits in sorted(view.labels.items()):
         try:
-            decoded[e] = decode_cached(bits, cache)
+            decoded[e] = decode_cached(bits, memo)
         except DecodeError:
             raise _Reject("decode")
     headers = {(lab.n, lab.w) for lab in decoded.values()}

@@ -103,11 +103,11 @@ def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bit
     """bits with one route section's ranks or endpoints edited.  With the
     campaign's cache, the decoded label is the one the verifier decoded (or
     will), shared, so the edit goes to a copy of the chosen route section
-    and changes nothing cached.  Every other section, and the edited
-    section's map and relayed chain, is framed again as it is, not
-    re-encoded."""
+    and changes nothing cached; without one, a fresh memo lasts for this
+    call.  Every other section, and the edited section's map and relayed
+    chain, is framed again as it is, not re-encoded."""
     try:
-        lab = decode_cached(bits, cache)
+        lab = decode_cached(bits, {} if cache is None else cache)
     except DecodeError:
         return _flip_bits(bits, rng)
     if not lab.routes:

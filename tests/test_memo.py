@@ -142,7 +142,7 @@ def _small_label(secs, tnodes=None) -> Bits:
     out = [(SEC_HEADER, hw.getvalue())] + secs[1:]
     if tnodes is not None:
         m_own = BitReader(secs[1][1]).read_varint()
-        news = certify._raw_chain(tnodes, id_bits(n), n, certify._index_bits(m_own), None)[1]
+        news = certify._raw_chain(tnodes, id_bits(n), n, certify._index_bits(m_own), {})[1]
         entries = iter(
             certify._enc_entry((1, 0, term), id_bits(5), w_lanes) for term in range(m_own)
         )
@@ -179,7 +179,7 @@ def test_memo_keeps_sections_apart_by_n():
             lab = decode_label(bits)
             tr = BitReader(secs[1][1])
             m_own = tr.read_varint()
-            news = certify._raw_chain(payloads, id_bits(lab.n), lab.n, certify._index_bits(m_own), None)[1]
+            news = certify._raw_chain(payloads, id_bits(lab.n), lab.n, certify._index_bits(m_own), {})[1]
 
             def table_decodes(table_memo):
                 r = BitReader(secs[1][1])
@@ -190,8 +190,8 @@ def test_memo_keeps_sections_apart_by_n():
                     return False
                 return True
 
-            assert table_decodes(memo) == table_decodes(None)
-            failing["tables"] += not table_decodes(None)
+            assert table_decodes(memo) == table_decodes({})
+            failing["tables"] += not table_decodes({})
         assert failing["sections"] > 0 and failing["records"] > 0 and failing["tables"] > 0
 
 
@@ -602,8 +602,8 @@ def _tagged_cycle(n):
 def test_verdict_table_equals_fresh_verdicts(monkeypatch, g, prop, k):
     # Under one table, each view and each of its one-respect variants gets
     # the verdict verify_vertex gives it with a fresh memo, twice over (the
-    # second time from the table), and some variants that only reorder the
-    # labels get a different reason, so the table must keep them apart.
+    # second time from the table), and a variant that only reorders the
+    # labels gets the same verdict, reason included.
     checks = []
     orig = certify._verify_vertex
 
@@ -627,7 +627,7 @@ def test_verdict_table_equals_fresh_verdicts(monkeypatch, g, prop, k):
     for _ in range(2):
         assert [verify_vertex(view, prop, k, cache) for view in views] == fresh
     assert 0 < len(checks) == len(cache[certify._VERDICTS]) <= len(views)
-    assert any(fresh[i] != fresh[j] for i, j in reordered)
+    assert reordered and all(fresh[i] == fresh[j] for i, j in reordered)
 
 
 def test_verdict_table_keys_on_edge_tags():
@@ -778,6 +778,44 @@ def test_verify_all_decodes_each_part_once(monkeypatch):
         assert counts and set(counts.values()) == {1}
     assert len(relays) < carried / 2
     assert len(entries) < named / 4
+
+
+def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
+    # One verify_vertex call without a cache, as a vertex verifies alone:
+    # each distinct element record among its incident labels, in their own
+    # chains and the chains they relay, is decoded once, though the labels
+    # repeat records (shared root sections, one chain relayed by two
+    # carriers).
+    g, ir = generate(GeneratorSpec("random-ops", 60, 3, 0.3), 0)
+    labels = prove(g, "parity", 3, ir=ir)
+    b = id_bits(g.n)
+    views, expected, repeats = list(local_views(g, labels)), [], 0
+    for view in views:
+        keys = []
+        for bits in view.labels.values():
+            lab = decode_label(bits)
+            for chain in [lab.tnodes] + [rs.tnodes for rs in lab.routes]:
+                payloads, slots, _ = certify._enc_chain(chain, b)
+                sw = certify._index_bits(len(slots))
+                keys += [
+                    (g.n, sw, _split_tnode(p, sw, pos > 0)[1]) for pos, p in enumerate(payloads)
+                ]
+        expected.append(set(keys))
+        repeats += len(keys) > len(set(keys))
+    assert repeats > len(views) / 2
+    records = []
+    orig = certify._dec_elem
+
+    def elem(r, b, n, sw):
+        rest = r.remaining()
+        records.append((n, sw, Bits(r.bits.value & ((1 << rest) - 1), rest)))
+        return orig(r, b, n, sw)
+
+    monkeypatch.setattr(certify, "_dec_elem", elem)
+    for view, keys in zip(views, expected):
+        records.clear()
+        assert verify_vertex(view, "parity", 3).accept
+        assert len(records) == len(keys) and set(records) == keys, view.vid
 
 
 def _split_tnode(payload: Bits, sw: int, nested: bool):

@@ -18,7 +18,9 @@ root-class check are memoized by value, so a class that repeats
 across elements, vertices and labelings is composed once.  The verifier
 decodes each distinct element record once and folds it once
 (``_fold_record``), so the glue checks inside ``_recompute_sub`` run once
-per distinct record per run.  The checks against a vertex's own view
+per distinct record per run; a fold's result is the equal table entry when
+there is one, so comparing it with the labels' claims is an identity test.
+The checks against a vertex's own view
 (``_verify_vertex``, ``_check_pointer``, ``_check_elements``) run at every
 vertex of one labeling; across the labelings of a fuzz campaign they run
 once per distinct view, since ``any_reject`` keeps a verdict table in the
@@ -47,21 +49,36 @@ up, so a nested section carries one side bit (left or right) in place of
 the eid and BasicInfo; ``decode_label`` takes both from that side, as the
 same object, and fails when the record above is not a B record or the side
 is a vertex leaf.  No section carries a root flag: the root is chain
-position 0.  A route section carries its endpoints and ranks, the relayed
-chain's map into the table (its length, the length of its identity prefix,
-the other indices), then the relayed chain's T-node sections.  Each decoded
-label has one wire form, so ``decode_label`` refuses anything out of range
-or out of first-use order, unused and repeated entries, and empty groups.
+position 0.
+
+A route section carries its endpoints and ranks (first, so ``reroute`` can
+replace them alone), then a base: the own chain or the relayed chain of an
+earlier route of the label.  A relayed chain usually runs down the same
+nodes and elements as its base for several levels, where the sections
+differ only in their pointer fields, so the route writes the length q of
+the prefix it shares with the base (the same node eid, BasicInfo and
+record at each position) and the q sections' pointer fields.  The map into
+the table follows, for the slots after the prefix's (the prefix names the
+base's first slots), then T-node frames for sections q onward only; those
+payloads keep the chain's slot numbering, so they are the same bits in
+every label that writes them.  The prefix is the longest one any earlier
+chain of the label shares, and the base the first chain that shares it
+(``_bases``).  Each decoded label has one wire form, so ``decode_label``
+refuses anything out of range or out of first-use order, unused and
+repeated entries, empty groups, and a base or prefix other than that one.
 Payloads, records and entry groups are decoded once per memo (per n and
-slot width), and a relayed chain is resolved once per distinct list of
-entries; only the cheap resolution of slots runs per label.
+slot width); a relayed chain's frame is resolved once per memo and
+distinct sections above it, raw fields and slots' entries, and each
+distinct relayed chain is built once per memo, whichever carrier writes
+which of its frames.  Equal records, and equal relayed chains, are one
+object per memo.
 """
 
 import gc
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
-from operator import ne
+from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .encoding import (
@@ -274,7 +291,9 @@ def _enc_side(w: BitWriter, side: tuple, b: int, slot, sw: int) -> None:
         w.write_uint(slot(side[2]), sw)
 
 
-def _dec_side(r: BitReader, b: int, n: int, sw: int) -> tuple:
+def _dec_side(r: BitReader, b: int, n: int, sw: int, slots: list) -> tuple:
+    """One side of a B record without its BasicInfo: ("V", lane, vertex) or
+    ("T", node eid); a T side's sw-bit slot is appended to slots."""
     if r.read_bit() == 0:
         lane = r.read_varint()
         vertex = r.read_uint(b)
@@ -282,7 +301,8 @@ def _dec_side(r: BitReader, b: int, n: int, sw: int) -> tuple:
             raise DecodeError("bad leaf side")
         return ("V", lane, vertex)
     node_eid = r.read_varint()
-    return ("T", node_eid, r.read_uint(sw))
+    slots.append(r.read_uint(sw))
+    return ("T", node_eid)
 
 
 _KINDS = ("E", "P", "B")
@@ -336,15 +356,18 @@ def _enc_elem(rec: ElementRecord, b: int, slot, sw: int) -> Bits:
     return w.getvalue()
 
 
-def _dec_elem(r: BitReader, b: int, n: int, sw: int) -> ElementRecord:
-    """An element record with sw-bit slot numbers in place of its
-    BasicInfos (see _resolve_elem)."""
+def _dec_elem(r: BitReader, b: int, n: int, sw: int) -> Tuple[tuple, tuple]:
+    """(an element record's fields without its BasicInfos, as _rec_fields
+    gives them, and its sw-bit slots in the order _elem_uses lists its
+    BasicInfos); _resolve_elem makes the record of them.  The fields do not
+    depend on the slot width, so equal records are equal fields."""
     eid = r.read_varint()
     parent = r.read_varint() if r.read_bit() else None
     kidx = r.read_uint(2)
     if kidx > 2:
         raise DecodeError("bad element kind")
     kind = _KINDS[kidx]
+    slots: List[int] = []
     if kind == "E":
         lane = r.read_varint()
         vin = r.read_uint(b)
@@ -368,30 +391,51 @@ def _dec_elem(r: BitReader, b: int, n: int, sw: int) -> ElementRecord:
         bu = r.read_uint(b)
         bv = r.read_uint(b)
         bmark = r.read_bit()
-        left = _dec_side(r, b, n, sw)
-        right = _dec_side(r, b, n, sw)
+        left = _dec_side(r, b, n, sw, slots)
+        right = _dec_side(r, b, n, sw, slots)
         if not bu < bv < n:
             raise DecodeError("bad bridge edge")
         topo = ("B", i, j, (bu, bv), bmark, left, right)
     nc = r.read_varint()
     if nc > n:
         raise DecodeError("bad child count")
-    children = tuple((r.read_varint(), r.read_uint(sw)) for _ in range(nc))
-    if len({c for c, _ in children}) != nc:
+    eids = []
+    for _ in range(nc):
+        eids.append(r.read_varint())
+        slots.append(r.read_uint(sw))
+    if len(set(eids)) != nc:
         raise DecodeError("duplicate child eids")
     if r.remaining():
         raise DecodeError("trailing bits after an element record")
-    return ElementRecord(eid, parent, topo, children)
+    return (eid, parent, topo, *eids), tuple(slots)
 
 
-def _resolve_elem(raw: ElementRecord, basics: List[BasicInfo]) -> ElementRecord:
-    """raw (from _dec_elem) with each slot replaced by its BasicInfo."""
-    t = raw.topo
+def _rec_fields(rec: ElementRecord) -> tuple:
+    """rec's fields without its BasicInfos: its eid, parent eid, topology
+    with each T side's node eid only, and child eids.  With its BasicInfos
+    in the order _elem_uses lists them, they make up the record's value."""
+    t = rec.topo
     if t[0] == "B":
-        t = t[:5] + tuple(s if s[0] == "V" else ("T", s[1], basics[s[2]]) for s in t[5:])
-    return ElementRecord(
-        raw.eid, raw.parent_eid, t, tuple((c, basics[s]) for c, s in raw.children)
-    )
+        left, right = t[5:]
+        t = t[:5] + (left if left[0] == "V" else left[:2], right if right[0] == "V" else right[:2])
+    return (rec.eid, rec.parent_eid, t, *map(itemgetter(0), rec.children))
+
+
+def _resolve_elem(fields: tuple, slots: tuple, basics: List[BasicInfo]) -> ElementRecord:
+    """The record of fields (from _dec_elem) with basics[s] for each of its
+    slots s."""
+    eid, parent, topo = fields[:3]
+    bis = [basics[s] for s in slots]
+    k = 0
+    if topo[0] == "B":
+        sides = []
+        for side in topo[5:]:
+            if side[0] == "T":
+                side = ("T", side[1], bis[k])
+                k += 1
+            sides.append(side)
+        topo = topo[:5] + tuple(sides)
+    return ElementRecord(eid, parent, topo, tuple(zip(fields[3:], bis[k:])))
 
 
 def _side_bit(above: ElementRecord, node_eid: int, basic: BasicInfo) -> int:
@@ -473,14 +517,6 @@ def frame_label(
     return out.getvalue()
 
 
-def _frames(payloads: List[Bits]) -> Bits:
-    """T-node sections framed one after another: a route's relayed chain."""
-    fw = BitWriter()
-    for payload in payloads:
-        write_section(fw, SEC_TNODE, payload)
-    return fw.getvalue()
-
-
 def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int]], List[int]]:
     """The label's table, in order of first use (the own chain's entries,
     then each relayed chain's new ones in route order), each relayed chain's
@@ -503,22 +539,58 @@ def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int
     return table, maps, fresh
 
 
-def _route_payload(head: tuple, idx: List[int], tw: int, frames: Bits, b: int) -> Bits:
-    """A route section payload: endpoints and ranks, the relayed chain's map,
-    the relayed chain's frames.  The map is its length m, the length p of
-    its longest prefix that names table entries 0 .. p - 1 (a relayed chain
-    mostly starts down the same nodes as the carrier's own), then the other
-    m - p table indices, tw bits each."""
-    p = next(compress(count(), map(ne, idx, count())), len(idx))
+def _bases(chains: List[list]) -> List[Tuple[int, int]]:
+    """(base, q) of each chain after the first, a chain given as one token
+    per section that stands for the section and every section above it:
+    two chains share their first i + 1 sections exactly when their tokens
+    at i are equal, so the tokens of a chain that an earlier chain holds
+    are a prefix of it.  q is the length of the longest prefix the chain
+    shares with a chain before it, and base the first of those chains (0
+    when q is 0).  decode_label checks this rule on the routes it reads."""
+    first = dict.fromkeys(chains[0], 0)  # token -> the first chain that holds it
+    out = []
+    for j in range(1, len(chains)):
+        tokens = chains[j]
+        q = len(tokens)
+        while q and tokens[q - 1] not in first:
+            q -= 1
+        out.append((first[tokens[q - 1]] if q else 0, q))
+        for token in tokens[q:]:
+            first[token] = j
+    return out
+
+
+def _pointer_field(dist: int, is_tree: bool, parent_min: bool, b: int) -> int:
+    """One section's pointer fields as a (b + 2)-bit route prefix field, dist
+    in the top b bits; CertifyError for a wider dist."""
+    if dist >> b:
+        raise CertifyError("a relayed dist of %d does not fit in %d bits" % (dist, b))
+    return dist << 2 | is_tree << 1 | parent_min
+
+
+def _route_payload(
+    head: tuple, j: int, base: int, q: int, pointers: int, idx: List[int], tw: int,
+    payloads: List[Bits], b: int,
+) -> Bits:
+    """The payload of a label's route section j: endpoints and ranks; the
+    base, ceil(log2 (j + 1)) bits (0 the own chain, i + 1 the relayed chain
+    of route i < j); the shared prefix, its length q and then its q
+    sections' pointer fields (_pointer_field), packed into the int
+    pointers, first section highest; the map of the slots after the
+    prefix's, its length and then a tw-bit table index each; the T-node
+    sections of the relayed chain's payloads after the prefix."""
     packed = 0
-    for i in idx[p:]:
+    for i in idx:
         packed = packed << tw | i
     rw = BitWriter()
     _write_route_head(rw, *head, b)
+    rw.write_uint(base, j.bit_length())  # an index below j + 1
+    rw.write_varint(q)
+    rw.write_uint(pointers, q * (b + 2))
     rw.write_varint(len(idx))
-    rw.write_varint(p)
-    rw.write_uint(packed, (len(idx) - p) * tw)
-    rw.write_bits(frames)
+    rw.write_uint(packed, len(idx) * tw)
+    for payload in payloads:
+        write_section(rw, SEC_TNODE, payload)
     return rw.getvalue()
 
 
@@ -574,12 +646,31 @@ def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -
     b = id_bits(n)
     own, own_keys, news = _enc_chain(tnodes, b)
     relayed = [_enc_chain(rs.tnodes, b) for rs in routes]
-    table, maps, fresh = _table_and_maps(own_keys, [keys for _, keys, _ in relayed])
+    value = lambda bi: _basic_key(bi, b)
+    shares = []  # per chain, a token per section: its value and the token above
+    for chain in [tnodes] + [rs.tnodes for rs in routes]:
+        token, tokens = None, []
+        for sec in chain:
+            rec = (_rec_fields(sec.elem), *map(value, _elem_uses(sec.elem)))
+            token = (token, sec.node_eid, value(sec.basic), rec)
+            tokens.append(token)
+        shares.append(tokens)
+    bases = _bases(shares)
+    # A prefix's slots name entries its base named before, so only the
+    # slots after it are mapped.
+    table, maps, fresh = _table_and_maps(
+        own_keys, [keys[sum(rnews[:q]):] for (_, keys, rnews), (_, q) in zip(relayed, bases)]
+    )
     tw = _index_bits(len(table))
-    route_payloads = [
-        _route_payload((rs.u, rs.v, rs.fwd, rs.bwd), idx, tw, _frames(payloads), b)
-        for rs, idx, (payloads, _, _) in zip(routes, maps, relayed)
-    ]
+    route_payloads = []
+    for j, (rs, idx, (payloads, _, _), (base, q)) in enumerate(zip(routes, maps, relayed, bases)):
+        pointers = 0
+        for sec in rs.tnodes[:q]:
+            pointers = pointers << (b + 2) | _pointer_field(sec.dist, sec.is_tree, sec.parent_min, b)
+        head = (rs.u, rs.v, rs.fwd, rs.bwd)
+        route_payloads.append(
+            _route_payload(head, j, base, q, pointers, idx, tw, payloads[q:], b)
+        )
     entries = [_enc_entry(key, b, w_lanes) for key in table]
     groups, start = [], 0
     for count in news + fresh:
@@ -594,9 +685,10 @@ def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -
 
 def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tuple:
     """The fields of one T-node section payload with sw-bit slots: (head,
-    dist, is_tree, parent_min, raw element record, its slots), where head is
-    the side bit of a nested section and (node eid, slot) of the root's, and
-    the record's slots are listed in the order they are written.
+    dist, is_tree, parent_min, the element record's fields, its slots),
+    where head is the side bit of a nested section and (node eid, slot) of
+    the root's, and the record is as _dec_elem reads it; its fields are one
+    object per memo, whatever the slot width.
     The element record is the rest of the payload, the same for every edge
     of the element, so each distinct record (per n and slot width) is
     decoded once per memo and shared."""
@@ -612,28 +704,32 @@ def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tu
     key = ("elem", n, sw, tail.value, tail.nbits)
     hit = memo.get(key)
     if hit is None:
-        raw = _dec_elem(BitReader(tail), b, n, sw)
-        hit = memo[key] = (raw, tuple(_elem_uses(raw)))
+        fields, slots = _dec_elem(BitReader(tail), b, n, sw)
+        hit = memo[key] = (memo.setdefault(("fields", fields), fields), slots)
     return (head, dist, is_tree, parent_min) + hit
 
 
-def _raw_chain(payloads: List[Bits], b: int, n: int, sw: int, memo) -> tuple:
+def _raw_chain(
+    payloads: List[Bits], b: int, n: int, sw: int, memo, nested: bool = False, count: int = 0
+) -> tuple:
     """(the raw T-node sections, the number of slots each names first) of
     one chain's payloads; DecodeError unless its slots are numbered by
-    first use."""
+    first use.  nested and count are for payloads that follow a route's
+    shared prefix: the first payload is then nested, and the prefix names
+    the chain's first count slots."""
     raws = []
     news = []
-    count = 0
     for pos, payload in enumerate(payloads):
+        nested = nested or pos > 0
         # n and the slot width set the field widths and the range checks.
         # The entry leaves out the record above and the slots' BasicInfos,
-        # which are resolved per label.
-        key = ("tnode", n, sw, pos > 0, payload.value, payload.nbits)
+        # which are resolved per chain.
+        key = ("tnode", n, sw, nested, payload.value, payload.nbits)
         raw = memo.get(key)
         if raw is None:
-            raw = memo[key] = _dec_tnode(payload, b, n, sw, pos > 0, memo)
+            raw = memo[key] = _dec_tnode(payload, b, n, sw, nested, memo)
         before = count
-        for s in raw[5] if pos else (raw[0][1],) + raw[5]:
+        for s in raw[5] if nested else (raw[0][1],) + raw[5]:
             if s == count:
                 count += 1
             elif s > count:
@@ -648,13 +744,13 @@ def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo],
     slot s, below the section above (None at the root).  A nested section
     takes its node eid and BasicInfo from its side of the record above, as
     the same object; DecodeError when that record is not a B record or that
-    side is a vertex leaf.  Equal records resolved to the same BasicInfos
-    are one object."""
-    head, dist, is_tree, parent_min, rrec, uses = raw
-    key = ("rec", id(rrec), *map(id, map(basics.__getitem__, uses)))
+    side is a vertex leaf.  Equal records are one object, whatever slot
+    width they were written at."""
+    head, dist, is_tree, parent_min, fields, uses = raw
+    key = ("record", id(fields), *map(id, map(basics.__getitem__, uses)))
     rec = memo.get(key)
     if rec is None:
-        rec = memo[key] = _resolve_elem(rrec, basics)
+        rec = memo[key] = _resolve_elem(fields, uses, basics)
     if above is None:
         return TSec(head[0], True, basics[head[1]], dist, is_tree, parent_min, rec)
     if above.elem.kind != "B":
@@ -665,50 +761,101 @@ def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo],
     return TSec(side[1], False, side[2], dist, is_tree, parent_min, rec)
 
 
-def _resolve_chain(raws: tuple, basics: List[BasicInfo], memo, groups=None) -> List[TSec]:
-    """The chain of raw sections with basics[s] for each slot s.  groups,
-    if given, holds per section the interned group of entries it names
-    first (or None): a section is then fixed by the section above, its raw
-    fields and its group, so each distinct one is resolved once."""
+def _share_token(sec: TSec, token: Optional[int], memo) -> int:
+    """The share token of sec below a section whose token is given (None at
+    the root).  Two sections share when their node eids, BasicInfos and
+    records are the same (the latter two are interned, so the same object),
+    and two chains share their first i + 1 sections exactly when their
+    tokens at i are equal.  A token is the id of an interned key, which the
+    memo keeps alive."""
+    key = ("share", token, sec.node_eid, id(sec.basic), id(sec.elem))
+    return id(memo.setdefault(key, key))
+
+
+def _resolve_chain(raws: tuple, basics: List[BasicInfo], groups: list, memo) -> Tuple[List[TSec], list]:
+    """(the own chain's sections, their share tokens): raws with basics[s]
+    for each slot s.  groups holds per section the interned group of
+    entries it names first (or None): a section is then fixed by the
+    section above, its raw fields and its group, so each distinct one is
+    resolved once."""
     tnodes: List[TSec] = []
-    above = None
-    for pos, raw in enumerate(raws):
-        if groups is None:
+    tokens = []
+    above = token = None
+    for raw, group in zip(raws, groups):
+        key = ("sec", id(above), id(raw), id(group))
+        hit = memo.get(key)
+        if hit is None:
             sec = _resolve_section(raw, above, basics, memo)
-        else:
-            key = ("sec", id(above), id(raw), id(groups[pos]))
-            sec = memo.get(key)
-            if sec is None:
-                sec = memo[key] = _resolve_section(raw, above, basics, memo)
-        tnodes.append(sec)
-        above = sec
-    return tnodes
+            hit = memo[key] = (sec, _share_token(sec, token, memo))
+        above, token = hit
+        tnodes.append(above)
+        tokens.append(token)
+    return tnodes, tokens
 
 
-def _relayed_chain(frames: Bits, b: int, n: int, basics: List[BasicInfo], memo) -> List[TSec]:
-    """The chain a route section relays: its T-node frames, with basics as
-    its slots' BasicInfos.  The frames are the same bits in every label that
-    relays the chain, so they are decoded once per memo, and resolved once
-    per distinct list of BasicInfos."""
-    m = len(basics)
-    sw = _index_bits(m)
-    key = ("frames", n, sw, frames.value, frames.nbits)
-    hit = memo.get(key)
-    if hit is None:
-        payloads = []
-        for stype, payload in read_sections(frames):
-            if stype != SEC_TNODE:
-                raise DecodeError("a route relays T-node sections only")
-            payloads.append(payload)
-        hit = memo[key] = _raw_chain(payloads, b, n, sw, memo)
-    raws, news = hit
-    if sum(news) != m:
+def _relayed_sections(prefix: List[TSec], pointers: int, rest: List[TSec], b: int) -> List[TSec]:
+    """A relayed chain: the sections of prefix with the pointer fields the
+    route writes for them (one int, as _route_payload packs them), then
+    rest."""
+    low = (1 << (b + 2)) - 1
+    q = len(prefix)
+    out = []
+    for pos, sec in enumerate(prefix):
+        f = pointers >> (b + 2) * (q - 1 - pos) & low
+        out.append(TSec(sec.node_eid, not pos, sec.basic, f >> 2, bool(f & 2), bool(f & 1), sec.elem))
+    return out + rest
+
+
+def _relayed_chain(
+    frames: Bits, base: tuple, q: int, pointers: int, b: int, n: int,
+    basics: List[BasicInfo], memo,
+) -> tuple:
+    """(the chain a route section relays, its share tokens, the number of
+    slots its first i sections name for each i), given the same three of
+    its base as base.  The chain's first q sections are the base's with the
+    route's q pointer fields; the rest are its T-node frames, with basics as
+    the chain's slots' BasicInfos.  A frame is fixed by its raw fields, its
+    slots' BasicInfos and the sections above it, which one share token
+    stands for, so each distinct one is resolved once per memo, whichever
+    carrier writes it.  The chain's value is its last token and its pointer
+    fields, so equal chains are one object, built once per memo, though
+    their carriers share prefixes of different lengths."""
+    bsecs, btokens, bcounts = base
+    s = bcounts[q]  # the slots the prefix names
+    payloads = []
+    for stype, payload in read_sections(frames):
+        if stype != SEC_TNODE:
+            raise DecodeError("a route relays T-node sections only")
+        payloads.append(payload)
+    raws, news = _raw_chain(payloads, b, n, _index_bits(len(basics)), memo, q > 0, s)
+    if s + sum(news) != len(basics):
         raise DecodeError("the map must name exactly the chain's slots")
-    key = ("chain", id(raws), *map(id, basics))
+    above = bsecs[q - 1] if q else None
+    token = btokens[q - 1] if q else None
+    rest: List[TSec] = []
+    tokens = btokens[:q]
+    packed = pointers  # every section's pointer fields, b + 2 bits each
+    wide = False  # a dist wider than b bits, which packed cannot hold
+    for raw in raws:
+        head, dist, is_tree, parent_min, _, uses = raw
+        slots = uses if token is not None else (head[1],) + uses
+        key = ("rsec", token, id(raw), *map(id, map(basics.__getitem__, slots)))
+        hit = memo.get(key)
+        if hit is None:
+            sec = _resolve_section(raw, above, basics, memo)
+            hit = memo[key] = (sec, _share_token(sec, token, memo))
+        above, token = hit
+        rest.append(above)
+        tokens.append(token)
+        wide = wide or dist >> b
+        packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
+    key = ("chain", token, packed)
+    if wide:  # packed runs the fields into each other: key on them one by one
+        key = ("chain", token, pointers, *[(sec.dist, sec.is_tree, sec.parent_min) for sec in rest])
     chain = memo.get(key)
     if chain is None:
-        chain = memo[key] = _resolve_chain(raws, basics, memo)
-    return chain
+        chain = memo[key] = _relayed_sections(bsecs[:q], pointers, rest, b)
+    return chain, tokens, bcounts[:q] + list(accumulate(news, initial=s))
 
 
 def _dec_entries(bits: Bits, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
@@ -815,40 +962,56 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     if sum(news) != m_own:
         raise DecodeError("the table must open with exactly the chain's slots")
     basics, groups, route_groups = _dec_table(tr, news, b, n, w, memo)
-    tnodes = _resolve_chain(raws, basics[:m_own], memo, groups)
+    tnodes, tokens = _resolve_chain(raws, basics[:m_own], groups, memo)
     table_size = len(basics)
     tw = _index_bits(table_size)
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
     groups_left = iter(route_groups)
     low = (1 << tw) - 1
+    # Each chain so far, the own chain first: its sections, its share
+    # tokens, the number of slots its first i sections name for each i, and
+    # its slots' table indices.
+    chains = [(tnodes, tokens, [0, *accumulate(news)], list(range(m_own)))]
+    shares = [tokens]  # each chain's share tokens
+    written = []  # each route's (base, q) as its wire has them
     routes: List[RSec] = []
-    for _, payload in rest:
+    for j, (_, payload) in enumerate(rest):
         r = BitReader(payload)
         u, v, fwd, bwd = _read_route_head(r, b, n)
+        base = r.read_uint(j.bit_length())  # an index below j + 1
+        q = r.read_varint()
+        if base > j or q > len(chains[base][0]):
+            raise DecodeError("a route's base must be an earlier chain that holds its prefix")
+        pointers = r.read_uint(q * (b + 2))
+        s = chains[base][2][q]  # the slots the prefix names
         m = r.read_varint()
-        p = r.read_varint()
-        if not p <= m <= table_size:
+        if s + m > table_size:
             raise DecodeError("bad map length")
-        packed = r.read_uint((m - p) * tw)
-        idx = list(range(p))
-        idx += [packed >> (tw * j) & low for j in range(m - p - 1, -1, -1)]
-        if p < m and idx[p] == p:
-            raise DecodeError("the map's prefix must be as long as it can be")
-        if len(set(idx)) != m:
+        packed = r.read_uint(m * tw)
+        idx = chains[base][3][:s] + [packed >> (tw * i) & low for i in range(m - 1, -1, -1)]
+        if len(set(idx)) != s + m:
             raise DecodeError("a map names a table entry twice")
         # The entries no map names before this one must come in order, and
         # they make up the next route group.
-        fresh = list(range(named, p)) + [i for i in idx[p:] if i >= named]
+        fresh = [i for i in idx[s:] if i >= named]
         if fresh:
             if fresh != list(range(named, named + len(fresh))):
                 raise DecodeError("table entries must be in order of first use")
             if len(next(groups_left, ())) != len(fresh):
                 raise DecodeError("a route group must hold the entries its map names first")
             named += len(fresh)
-        chain = _relayed_chain(
-            r.read_bits(r.remaining()), b, n, list(map(basics.__getitem__, idx)), memo
+        chain, tokens, counts = _relayed_chain(
+            r.read_bits(r.remaining()), chains[base][:3], q, pointers, b, n,
+            list(map(basics.__getitem__, idx)), memo,
         )
+        chains.append((chain, tokens, counts, idx))
+        shares.append(tokens)
+        written.append((base, q))
         routes.append(RSec(u, v, fwd, bwd, chain))
+    # Each prefix must be the longest one shared with an earlier chain, and
+    # its base the first chain that holds it.
+    if written and _bases(shares) != written:
+        raise DecodeError("a route must share the longest prefix it can, with the first chain")
     if next(groups_left, None) is not None:
         raise DecodeError("a table entry that no slot names")
     return DecodedLabel(n, w, tnodes, routes)
@@ -1073,6 +1236,10 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     payloads: Dict[tuple, Bits] = {}
     tails: Dict[tuple, Bits] = {}  # (state, slot width) -> the record's bits
     chains: Dict[Edge, Tuple[List[Bits], List[int], List[Bits]]] = {}
+    # Per virtual edge and q: the pointer fields of its chain's first q
+    # sections, packed as a route writes them (first section highest), and
+    # the number of slots those sections name.
+    prefixes: Dict[Edge, List[Tuple[int, int]]] = {}
     for e, secs in sections.items():
         if len(secs) > bound:
             raise CertifyError(
@@ -1081,9 +1248,12 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
         order = states[secs[-1]][0]
         sw = _index_bits(len(order))
         chain = []
+        prefix = None if e in real else prefixes.setdefault(e, [(0, 0)])
         for si in secs:
             node_eid, basic, rec, side, ptr = fields[si]
             pf = ptr[e]
+            if prefix is not None:
+                prefix.append((prefix[-1][0] << (b + 2) | _pointer_field(*pf, b), len(states[si][0])))
             key = (si, pf, sw)
             payload = payloads.get(key)
             if payload is None:
@@ -1097,14 +1267,17 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             chain.append(payload)
         chains[e] = (chain, order, states[secs[-1]][2])
     routes: Dict[Edge, List[tuple]] = {e: [] for e in real}
-    frames: Dict[Edge, Bits] = {}
+    # Each real edge's chains as lists of states: its own, then the relayed
+    # one of each route it carries.  A state stands for its section and
+    # every section above it, so _bases compares chains as these lists.
+    relayed_states: Dict[Edge, List[List[int]]] = {e: [sections[e]] for e in real}
     for ve in sorted(set(chains) - real):
-        frames[ve] = _frames(chains[ve][0])
         path = _simplify_path(emb.routes[ve])
         m = len(path) - 1
         for pos in range(m):
             e = edge_key(path[pos], path[pos + 1])
             routes[e].append(((path[0], path[-1], pos + 1, m - pos), ve))
+            relayed_states[e].append(sections[ve])
     h_bound = lane_bounds(k + 1)[2]
     route_groups: Dict[tuple, Bits] = {}  # entry numbers -> their group
     out: Dict[Edge, Bits] = {}
@@ -1114,13 +1287,16 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
                 "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
             )
         own, own_order, groups = chains[e]
-        table, maps, fresh = _table_and_maps(
-            own_order, [chains[ve][1] for _, ve in routes[e]]
-        )
+        bases = _bases(relayed_states[e])
+        # A prefix's slots name entries its base named before, so only the
+        # slots after it are mapped.
+        table, maps, fresh = _table_and_maps(own_order, [
+            chains[ve][1][prefixes[ve][q][1]:] for (_, ve), (_, q) in zip(routes[e], bases)
+        ])
         tw = _index_bits(len(table))
         route_payloads = [
-            _route_payload(head, idx, tw, frames[ve], b)
-            for (head, ve), idx in zip(routes[e], maps)
+            _route_payload(head, j, base, q, prefixes[ve][q][0], idx, tw, chains[ve][0][q:], b)
+            for j, ((head, ve), idx, (base, q)) in enumerate(zip(routes[e], maps, bases))
         ]
         start = len(own_order)
         groups = list(groups)
@@ -1289,15 +1465,20 @@ def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> Ba
     return BasicInfo(t_in, cur_out, cls)
 
 
-def _fold_record(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> BasicInfo:
+def _fold_record(rec: ElementRecord, plugin: PropertyPlugin, memo: dict, n: int) -> BasicInfo:
     """_recompute_sub(rec, plugin, memo), computed once per record object and
     plugin in one run.  decode_label interns equal records in the run's
     memo, so each distinct record is folded once.  The entry keeps rec alive,
-    so its id is not reused, and a failing fold is not stored."""
+    so its id is not reused, and a failing fold is not stored.  When the
+    memo holds a decoded table entry (of labels with n vertices) equal to
+    the result, that entry is returned in its place, so the checks compare
+    it with the labels' BasicInfos by identity."""
     key = ("sub", plugin.name, id(rec))
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (rec, _recompute_sub(rec, plugin, memo))
+        sub = _recompute_sub(rec, plugin, memo)
+        twin = memo.get(("basic", n, *_basic_key(sub, id_bits(n))))
+        hit = memo[key] = (rec, twin if twin is not None and twin == sub else sub)
     return hit[1]
 
 
@@ -1491,7 +1672,7 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
                 if vid not in basic.terminal_ids():
                     raise _Reject("boundary")
         _check_pointer(vid, basic, entries)
-        _check_elements(vid, node_eid, basic, entries, gedges, w_lanes, plugin, memo)
+        _check_elements(vid, node_eid, basic, entries, gedges, n, w_lanes, plugin, memo)
     if not _fold(memo, plugin, "accepts", root_basic.cls):
         raise _Reject("root-class")
 
@@ -1520,7 +1701,7 @@ def _check_pointer(vid, basic: BasicInfo, entries) -> None:
             raise _Reject("pointer")
 
 
-def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin, memo):
+def _check_elements(vid, node_eid, node_basic, entries, gedges, n, w_lanes, plugin, memo):
     # The memo interns decoded records and BasicInfos, so most compares
     # below are of one object with itself; `is` skips the dataclass's
     # field-by-field compare for those.
@@ -1533,7 +1714,7 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, w_lanes, plugin,
             raise _Reject("elem-shared")
 
     def sub_of(eid):
-        return _fold_record(recs[eid], plugin, memo)
+        return _fold_record(recs[eid], plugin, memo, n)
 
     for rec in recs.values():
         own = sub_of(rec.eid)

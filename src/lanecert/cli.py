@@ -208,11 +208,11 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps([asdict(r) for r in rows]))
     else:
-        print("family n edges max_bits mean_bits ratio")
+        print("family n w edges max_bits mean_bits ratio")
         for r in rows:
             print(
-                "%s %d %d %d %.1f %.2f"
-                % (r.family, r.n, r.edges, r.max_bits, r.mean_bits, r.ratio)
+                "%s %d %d %d %d %.1f %.2f"
+                % (r.family, r.n, r.w, r.edges, r.max_bits, r.mean_bits, r.ratio)
             )
     if len(rows) > 1 and rows[-1].ratio > 1.25 * rows[0].ratio:
         print("ratio growth exceeds 1.25x", file=sys.stderr)

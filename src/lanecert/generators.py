@@ -19,7 +19,7 @@ from .recursive import (
     op_sequence_to_completion,
 )
 
-FAMILIES = ("path", "cycle", "caterpillar", "random-ops")
+FAMILIES = ("path", "cycle", "caterpillar", "grid", "random-ops")
 
 
 class GeneratorError(ValueError):
@@ -64,6 +64,18 @@ def _caterpillar(n: int) -> Tuple[Graph, IntervalRepresentation]:
             ivs[v] = Interval(v, v)
     g = build_graph(n, edges)
     return g, IntervalRepresentation(ivs)
+
+
+def _grid(n: int, r: int) -> Tuple[Graph, IntervalRepresentation]:
+    """r rows filled column by column: vertex v is row v mod r of column
+    v div r, joined to the next vertex of its column and to the same row of
+    the next column.  Vertex v's interval is [v, min(v + r, n - 1)], so the
+    width is at most r + 1 whatever n is; the graph is bipartite."""
+    if r < 1:
+        raise GeneratorError("grids need k >= 1 rows")
+    edges = [(v, v + 1) for v in range(n - 1) if (v + 1) % r] + [(v, v + r) for v in range(n - r)]
+    g = build_graph(n, edges)
+    return g, IntervalRepresentation([Interval(v, min(v + r, n - 1)) for v in range(n)])
 
 
 def random_ops_sequence(
@@ -124,6 +136,8 @@ def generate(
         g, ir = _cycle(spec.n)
     elif spec.family == "caterpillar":
         g, ir = _caterpillar(spec.n)
+    elif spec.family == "grid":
+        g, ir = _grid(spec.n, spec.k)
     elif spec.family == "random-ops":
         rng = random.Random(seed)
         g, ir = _from_ops(random_ops_sequence(rng, spec.n, spec.k, spec.density))

@@ -222,8 +222,15 @@ def test_soundness_fuzz_at_scale():
 
 
 def test_label_size_scaling():
-    for fam, prop, k in (("cycle", "bipartite", 2), ("path", "acyclic", 1)):
-        rows = bench_label_size(fam, [100, 1000, 10000], prop, k)
+    # The 3 x m grid keeps its lane count w fixed as n grows, where the
+    # O(log n) bound applies; its sizes are smaller to keep the run short.
+    for fam, prop, k, sizes in (
+        ("cycle", "bipartite", 2, [100, 1000, 10000]),
+        ("path", "acyclic", 1, [100, 1000, 10000]),
+        ("grid", "bipartite", 3, [100, 300, 1000]),
+    ):
+        rows = bench_label_size(fam, sizes, prop, k)
+        assert len({r.w for r in rows}) == 1, (fam, rows)
         ratios = [r.ratio for r in rows]
         # Empirical O(log n): the normalized size must not grow across the
         # sweep by more than 25% (it shrinks in practice as the additive

@@ -7,6 +7,9 @@ from lanecert.certify import (
     SEC_ROUTE,
     SEC_TNODE,
     CertifyError,
+    ElementRecord,
+    RSec,
+    TSec,
     all_accept,
     decode_label,
     encode_label,
@@ -359,23 +362,41 @@ def _tnode_payloads(bits):
     return [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
 
 
+def _route_base(payload, j, n):
+    """(base, q) of a label's route section j, as its payload writes them."""
+    r = BitReader(payload)
+    certify._read_route_head(r, id_bits(n), n)
+    base = r.read_uint(j.bit_length())
+    return base, r.read_varint()
+
+
 def _relayed_parts(bits):
-    """(section index, head and map, relayed chain's payloads, relayed
-    chain) of each route section of bits.  The relayed chain's frames end
-    the section; the payloads are what encoding the decoded chain gives."""
+    """(section index, the payload before its frames, relayed chain's
+    payloads, relayed chain, prefix length q) of each route section of
+    bits.  The payloads are what encoding the decoded chain gives; the
+    section's frames, which end it, are those after the first q."""
     lab = decode_label(bits)
     b = id_bits(lab.n)
     secs = read_sections(bits)
     at = [i for i, (stype, _) in enumerate(secs) if stype == SEC_ROUTE]
     out = []
-    for i, rs in zip(at, lab.routes):
+    for j, (i, rs) in enumerate(zip(at, lab.routes)):
         payloads = certify._enc_chain(rs.tnodes, b)[0]
-        frames = certify._frames(payloads)
+        q = _route_base(secs[i][1], j, lab.n)[1]
+        frames = _frames(payloads[q:])
         whole = secs[i][1]
         assert whole.value & ((1 << frames.nbits) - 1) == frames.value
         out.append((i, Bits(whole.value >> frames.nbits, whole.nbits - frames.nbits),
-                    payloads, rs.tnodes))
+                    payloads, rs.tnodes, q))
     return out
+
+
+def _frames(payloads):
+    """T-node sections framed one after another, as a route section ends."""
+    w = BitWriter()
+    for payload in payloads:
+        write_section(w, SEC_TNODE, payload)
+    return w.getvalue()
 
 
 def _join_bits(*parts):
@@ -404,11 +425,12 @@ def _reframe(bits, replace):
 
 
 def _forged_chain(payloads, chain, nested_payload):
-    """(forged payloads, kind) for each way to lie about a nested section of
-    a chain: its side bit turned to a vertex-leaf side of the B record above
-    ("V-side"), or a nested payload after a last E or P record ("after-E",
-    "after-P"): the chain's own second one, whose slots the chain already
-    numbers, or else nested_payload."""
+    """(forged payloads, position of the first forged one, kind) for each
+    way to lie about a nested section of a chain: its side bit turned to a
+    vertex-leaf side of the B record above ("V-side"), or a nested payload
+    after a last E or P record ("after-E", "after-P"): the chain's own
+    second one, whose slots the chain already numbers, or else
+    nested_payload."""
     edits = []
     for pos in range(1, len(payloads)):
         payload = payloads[pos]
@@ -422,38 +444,42 @@ def _forged_chain(payloads, chain, nested_payload):
     for kind, pos, payload in edits:
         bad = list(payloads)
         if pos is None:
+            pos = len(bad)
             bad.append(payload)
         else:
             bad[pos] = payload
-        yield bad, kind
+        yield bad, pos, kind
 
 
 def _forgeries(labels):
     """(vertices that decode the forged label, forged labels, kind) for the
     forged chains of every real label and of every relayed chain; a relayed
-    one is replaced in every route section that carries it."""
+    one is replaced in every route section that carries it and writes the
+    forged payload in its frames (a carrier whose shared prefix covers it
+    has no such payload)."""
     nested = next(p for bits in labels.values() for p in _tnode_payloads(bits)[1:])
     relayed = {}
     for e, bits in labels.items():
-        for i, head, payloads, chain in _relayed_parts(bits):
+        for i, head, payloads, chain, q in _relayed_parts(bits):
             relayed.setdefault(tuple(payloads), chain)
     for e in sorted(labels):
         lab = decode_label(labels[e])
-        for forged, kind in _forged_chain(_tnode_payloads(labels[e]), lab.tnodes, nested):
+        for forged, _, kind in _forged_chain(_tnode_payloads(labels[e]), lab.tnodes, nested):
             yield set(e), {**labels, e: _reframe(labels[e], {SEC_TNODE: forged})}, kind
     for payloads, chain in relayed.items():
-        for forged, kind in _forged_chain(list(payloads), chain, nested):
+        for forged, pos, kind in _forged_chain(list(payloads), chain, nested):
             bad, readers = dict(labels), set()
             for e, bits in labels.items():
                 swap = {
-                    i: (SEC_ROUTE, _join_bits(head, certify._frames(forged)))
-                    for i, head, ps, _ in _relayed_parts(bits)
-                    if tuple(ps) == payloads
+                    i: (SEC_ROUTE, _join_bits(head, _frames(forged[q:])))
+                    for i, head, ps, _, q in _relayed_parts(bits)
+                    if tuple(ps) == payloads and q <= pos
                 }
                 if swap:
                     bad[e] = _reframe(bits, swap)
                     readers |= set(e)
-            yield readers, bad, kind
+            if readers:
+                yield readers, bad, kind
 
 
 def test_forged_nested_sections_are_rejected():
@@ -531,33 +557,48 @@ TABLE_CASES = [("cycle", 30, 2, "bipartite"), ("random-ops", 40, 3, "parity")]
 def _label_parts(bits):
     """The pieces encode_label makes of a label's decoded form: its own
     chain's payloads, slot count and per-section new slots, the table as
-    entry keys, each route's map and relayed frames, and how many entries
-    each map names first."""
+    entry keys, each route's map, relayed payloads, per-section new slots
+    and (base, q) as the label writes them, and how many entries each map
+    names first."""
     lab = decode_label(bits)
     b = id_bits(lab.n)
     own, own_keys, news = certify._enc_chain(lab.tnodes, b)
     relayed = [certify._enc_chain(rs.tnodes, b) for rs in lab.routes]
     table, maps, fresh = certify._table_and_maps(own_keys, [keys for _, keys, _ in relayed])
+    routes = [payload for stype, payload in read_sections(bits) if stype == SEC_ROUTE]
     return {
         "lab": lab, "b": b, "own": own, "m_own": len(own_keys), "news": news,
         "table": table, "maps": maps, "fresh": fresh,
-        "frames": [certify._frames(payloads) for payloads, _, _ in relayed],
+        "relayed": [(payloads, rnews) for payloads, _, rnews in relayed],
+        "bases": [_route_base(payload, j, lab.n) for j, payload in enumerate(routes)],
         "entries": [certify._enc_entry(key, b, lab.w) for key in table],
     }
 
 
-def _assemble(parts, entries=None, maps=None, own=None, extra=()):
+def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, pointers=None):
     """encode_label's last steps on parts, with the table's entry bits, the
-    maps or the own payloads replaced, and extra groups of entries put at
-    the end of the basic section."""
+    maps, the own payloads or the routes' (base, q) replaced, and extra
+    groups of entries put at the end of the basic section.  A route's
+    prefix holds the pointer fields of its relayed chain's first q
+    sections, padded with zeros past its end, or pointers[j] for route j,
+    and its map the indices after the slots those sections name."""
     lab, b = parts["lab"], parts["b"]
     entries = parts["entries"] if entries is None else entries
     maps = parts["maps"] if maps is None else maps
+    bases = parts["bases"] if bases is None else bases
     tw = certify._index_bits(len(entries) + sum(len(group) for group in extra))
-    routes = [
-        certify._route_payload((rs.u, rs.v, rs.fwd, rs.bwd), idx, tw, frames, b)
-        for rs, idx, frames in zip(lab.routes, maps, parts["frames"])
-    ]
+    routes = []
+    for j, (rs, idx, (payloads, rnews), (base, q)) in enumerate(
+        zip(lab.routes, maps, parts["relayed"], bases)
+    ):
+        fields = [(sec.dist, sec.is_tree, sec.parent_min) for sec in rs.tnodes[:q]]
+        fields = (pointers or {}).get(j, fields + [(0, False, False)] * (q - len(fields)))
+        packed = 0
+        for field in fields:
+            packed = packed << (b + 2) | certify._pointer_field(*field, b)
+        s = sum(rnews[:q])
+        head = (rs.u, rs.v, rs.fwd, rs.bwd)
+        routes.append(certify._route_payload(head, j, base, q, packed, idx[s:], tw, payloads[q:], b))
     groups, start = [], 0
     for count in list(parts["news"]) + parts["fresh"]:
         if count:
@@ -570,8 +611,8 @@ def _assemble(parts, entries=None, maps=None, own=None, extra=()):
 
 def _table_lies(bits):
     """(kind, forged label) for each local lie about bits's table that can
-    be written: a slot index >= m, a map index >= T, a map prefix shorter
-    than it could be, an entry no slot names, a repeated entry."""
+    be written: a slot index >= m, a map index >= T, a map shorter than
+    its chain's slots, an entry no slot names, a repeated entry."""
     parts = _label_parts(bits)
     assert _assemble(parts) == bits
     m, table = parts["m_own"], parts["table"]
@@ -584,23 +625,18 @@ def _table_lies(bits):
         value = root.value & ~(((1 << sw) - 1) << shift) | m << shift
         yield "slot>=m", _assemble(parts, own=[Bits(value, root.nbits)] + parts["own"][1:])
     tw = certify._index_bits(len(table))
-    if parts["maps"] and len(table) < 1 << tw:
+    written = [  # routes whose map writes an index (one past the prefix's slots)
+        j for j, ((_, rnews), (_, q)) in enumerate(zip(parts["relayed"], parts["bases"]))
+        if sum(rnews[:q]) < len(parts["maps"][j])
+    ]
+    if written and len(table) < 1 << tw:
         maps = [list(idx) for idx in parts["maps"]]
-        maps[0][-1] = len(table)
+        maps[written[0]][-1] = len(table)
         yield "map>=T", _assemble(parts, maps=maps)
-    if parts["maps"]:
-        idx, rs = parts["maps"][0], parts["lab"].routes[0]
-        p = next((j for j, i in enumerate(idx) if i != j), len(idx))
-        if p:  # the map's identity prefix written one shorter than it is
-            rw = BitWriter()
-            certify._write_route_head(rw, rs.u, rs.v, rs.fwd, rs.bwd, parts["b"])
-            rw.write_varint(len(idx))
-            rw.write_varint(p - 1)
-            for i in idx[p - 1:]:
-                rw.write_uint(i, tw)
-            rw.write_bits(parts["frames"][0])
-            at = 2 + len(parts["own"])  # the first route section
-            yield "short-prefix", _reframe(bits, {at: (SEC_ROUTE, rw.getvalue())})
+    if written:  # the map one index short of the chain's slots
+        maps = [list(idx) for idx in parts["maps"]]
+        del maps[written[0]][-1]
+        yield "map<m", _assemble(parts, maps=maps)
     mask, ids, _ = table[0]
     unused = certify._enc_entry((mask, ids, 99), parts["b"], parts["lab"].w)
     yield "unused", _assemble(parts, extra=[[unused]])
@@ -623,40 +659,81 @@ def test_table_lies_are_rejected_at_an_endpoint(family, n, k, prop):
                 if view.vid in e:
                     for memo in (None, {}, shared):
                         assert verify_vertex(view, prop, k, memo).reason == "decode", (e, kind)
-    assert set(kinds) == {"slot>=m", "map>=T", "short-prefix", "unused", "repeated"}, kinds
+    assert set(kinds) == {"slot>=m", "map>=T", "map<m", "unused", "repeated"}, kinds
+
+
+def _repointed(parts, j, old, new):
+    """The label of parts with route j's map naming table entry new in
+    place of entry old, one of the slots it writes: every use of old's
+    BasicInfo in the relayed chain's sections after its prefix becomes
+    new's.  old drops out of the table if no other slot names it."""
+    lab, b = parts["lab"], parts["b"]
+    chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
+    objs = {certify._basic_key(bi, b): bi for chain in chains for sec in chain
+            for bi in [sec.basic, *certify._elem_uses(sec.elem)]}
+    old_key, by = parts["table"][old], objs[parts["table"][new]]
+    swap = lambda bi: by if certify._basic_key(bi, b) == old_key else bi
+    rs, q = lab.routes[j], parts["bases"][j][1]
+    chain = list(rs.tnodes[:q])
+    for sec in rs.tnodes[q:]:
+        rec = sec.elem
+        topo = rec.topo
+        if topo[0] == "B":
+            topo = topo[:5] + tuple(side if side[0] == "V" else side[:2] + (swap(side[2]),) for side in topo[5:])
+        rec = ElementRecord(rec.eid, rec.parent_eid, topo, tuple((c, swap(bi)) for c, bi in rec.children))
+        chain.append(TSec(sec.node_eid, sec.is_root, swap(sec.basic), sec.dist, sec.is_tree, sec.parent_min, rec))
+    routes = list(lab.routes)
+    routes[j] = RSec(rs.u, rs.v, rs.fwd, rs.bwd, chain)
+    return encode_label(lab.n, lab.w, lab.tnodes, routes)
 
 
 @pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
 def test_repointed_route_map_is_rejected_inside_the_route(family, n, k, prop):
-    # One carrier's map names another of its own chain's entries in place of
-    # one it shares with the route's other carriers: the label still decodes,
-    # and a vertex inside the route sees two relayed chains that differ.
+    # One carrier lies about the chain it shares with a neighbouring carrier
+    # of the route: its map names another entry of the label's earlier
+    # chains in place of one of the slots it writes ("map"), or its shared
+    # prefix carries another distance ("prefix").  The label still decodes,
+    # and the vertex between the two carriers sees two relayed chains that
+    # differ.
     g, labels = _layout_instance(family, n, k, prop)
     carriers = {}
     for e, bits in labels.items():
         for j, rs in enumerate(decode_label(bits).routes):
             carriers.setdefault((rs.u, rs.v), {})[rs.fwd] = (e, j)
-    forged = 0
-    for (u, v), by_rank in sorted(carriers.items()):
-        if 1 not in by_rank or 2 not in by_rank:
-            continue
-        (e, j), (e2, _) = by_rank[1], by_rank[2]
+    kinds = {}
+    pairs = [  # consecutive carriers of one route, the forged one first
+        ((u, v), *pair)
+        for (u, v), by_rank in sorted(carriers.items())
+        for f in sorted(by_rank) if f + 1 in by_rank
+        for pair in ((by_rank[f], by_rank[f + 1]), (by_rank[f + 1], by_rank[f]))
+    ]
+    for (u, v), (e, j), (e2, _) in pairs:
         parts = _label_parts(labels[e])
         idx = parts["maps"][j]
-        spare = [i for i in range(parts["m_own"]) if i not in idx]
-        shared_pos = [p for p, i in enumerate(idx) if i < parts["m_own"]]
-        if not spare or not shared_pos:
-            continue
-        maps = [list(x) for x in parts["maps"]]
-        maps[j][shared_pos[-1]] = spare[0]
-        bad = {**labels, e: _assemble(parts, maps=maps)}
-        decode_label(bad[e])
-        (inner,) = set(e) & set(e2)
-        view = next(view for view in local_views(g, bad) if view.vid == inner)
-        for memo in (None, {}):
-            assert verify_vertex(view, prop, k, memo).reason == "route-payload", (u, v)
-        forged += 1
-    assert forged >= 3
+        q = parts["bases"][j][1]
+        # The entries earlier chains of the label name; the map writes the
+        # indices after the slots of the shared prefix.
+        named = parts["m_own"] + sum(parts["fresh"][:j])
+        s = sum(parts["relayed"][j][1][:q])
+        spare = [i for i in range(named) if i not in idx]
+        forgeries = []
+        if spare and s < len(idx):
+            forgeries.append(("map", _repointed(parts, j, idx[-1], spare[0])))
+        if q:
+            pointers = {j: [(sec.dist, sec.is_tree, sec.parent_min)
+                            for sec in parts["lab"].routes[j].tnodes[:q]]}
+            dist, is_tree, parent_min = pointers[j][-1]
+            pointers[j][-1] = (dist ^ 1, is_tree, parent_min)
+            forgeries.append(("prefix", _assemble(parts, pointers=pointers)))
+        for kind, forged in forgeries:
+            bad = {**labels, e: forged}
+            decode_label(bad[e])
+            (inner,) = set(e) & set(e2)
+            view = next(view for view in local_views(g, bad) if view.vid == inner)
+            for memo in (None, {}):
+                assert verify_vertex(view, prop, k, memo).reason == "route-payload", (u, v, kind)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("map", 0) >= 3 and kinds.get("prefix", 0) >= 3, kinds
 
 
 @pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
@@ -680,3 +757,78 @@ def test_relayed_chain_under_different_tables_is_accepted(family, n, k, prop):
                 seen[key] = (parts["maps"][j], parts["table"], rs.tnodes)
     assert differing > 0
     assert all_accept(verify_all(g, labels, prop, k))
+
+
+# --- route prefixes: one base and one length per route -----------------------
+
+
+def _shared(a, b):
+    """How many sections chains a and b share from the root: the same node
+    eid, BasicInfo and element record, compared by value."""
+    q = 0
+    for x, y in zip(a, b):
+        if (x.node_eid, x.basic, x.elem) != (y.node_eid, y.basic, y.elem):
+            break
+        q += 1
+    return q
+
+
+def _route_lies(bits):
+    """(kind, forged label) for each lie about a route's base or shared
+    prefix that can be written: a prefix shorter than the longest any base
+    shares ("shorter-base"), a base that is the route itself or a later one
+    ("self-base", "later-base"), a prefix longer than its base
+    ("past-base"), a prefix whose next section its base still shares
+    ("next-shared"), and a tie resolved to a later base ("tie-later")."""
+    parts = _label_parts(bits)
+    assert _assemble(parts) == bits
+    lab = parts["lab"]
+    chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
+    for j, (base, q) in enumerate(parts["bases"]):
+        shares = [_shared(chains[j + 1], c) for c in chains[:j + 1]]
+        # The label writes the longest prefix, from the earliest chain.
+        assert (base, q) == (shares.index(max(shares)), max(shares))
+        lies = []
+        shorter = [o for o, shared in enumerate(shares) if shared < q]
+        if shorter:
+            lies.append(("shorter-base", shorter[0], shares[shorter[0]]))
+        for own_or_later, kind in ((j + 1, "self-base"), (j + 2, "later-base")):
+            if own_or_later < 1 << j.bit_length():  # the base field's width
+                lies.append((kind, own_or_later, q))
+        lies.append(("past-base", base, len(chains[base]) + 1))
+        if q:
+            lies.append(("next-shared", base, q - 1))
+        later = [o for o, shared in enumerate(shares) if o > base and shared == q]
+        if later:
+            lies.append(("tie-later", later[0], q))
+        for kind, forged_base, forged_q in lies:
+            bases = list(parts["bases"])
+            bases[j] = (forged_base, forged_q)
+            yield kind, _assemble(parts, bases=bases)
+
+
+def test_route_prefix_lies_are_rejected_at_an_endpoint():
+    # A route section's base and prefix length have one value: the longest
+    # prefix its relayed chain shares with an earlier chain of the label,
+    # from the earliest such chain.  Any other does not decode, and both
+    # endpoints of the edge reject it, with or without a memo.  (A later
+    # base needs a label with five routes, which the n = 60 instance has.)
+    kinds = {}
+    for case in LAYOUT_CASES + [("random-ops", 60, 3, "parity")]:
+        family, n, k, prop = case
+        g, labels = _layout_instance(family, n, k, prop)
+        shared = {}
+        for e in sorted(labels):
+            for kind, forged in _route_lies(labels[e]):
+                with pytest.raises(DecodeError):
+                    decode_label(forged)
+                kinds[kind] = kinds.get(kind, 0) + 1
+                bad = {**labels, e: forged}
+                for view in local_views(g, bad):
+                    if view.vid in e:
+                        for memo in (None, {}, shared):
+                            assert verify_vertex(view, prop, k, memo).reason == "decode", (
+                                case, e, kind)
+    assert set(kinds) == {
+        "shorter-base", "self-base", "later-base", "past-base", "next-shared", "tie-later"
+    }, kinds

@@ -257,6 +257,14 @@ def test_bench_command(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["n"] for r in rows] == [16, 64]
+    assert [r["w"] for r in rows] == [2, 2]  # a path's lane count, from the header
+    code, out, _ = run(
+        capsys, "bench", "--family", "grid", "--sizes", "30", "--property", "bipartite",
+        "--k", "3",
+    )
+    assert code == 0
+    head, row = out.splitlines()
+    assert head.split()[:3] == ["family", "n", "w"] and row.split()[:3] == ["grid", "30", "7"]
 
 
 def test_bench_refusal_exit_code(capsys):

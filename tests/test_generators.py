@@ -40,6 +40,22 @@ def test_caterpillar_family():
             assert brute_force_property(g, "matching")
 
 
+def test_grid_family():
+    # r = k rows filled column by column; the witness keeps width k + 1
+    # whatever n is, and the grid is bipartite.
+    for k in (1, 2, 3, 4):
+        for n in range(1, 3 * k + 5):
+            g, ir = generate(GeneratorSpec("grid", n, k), 0)
+            cols, last = divmod(n, k)
+            assert len(g.edges) == (n - cols - (last > 0)) + max(0, n - k)
+            assert is_connected(g)
+            assert width(ir) == min(n, k + 1)
+            if n <= 10:
+                assert brute_force_property(g, "bipartite")
+    with pytest.raises(GeneratorError):
+        generate(GeneratorSpec("grid", 6, 0), 0)
+
+
 def test_random_families_connected_and_witnessed():
     rng = random.Random(60)
     for _ in range(60):

@@ -21,6 +21,11 @@ def _name(path: Path) -> str:
     return str(path.relative_to(ROOT))
 
 
+def assert_lines(tree: ast.Module):
+    """The line numbers of the tree's assert statements."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
 def unused_imports(tree: ast.Module):
     """Names bound by an import that the module never reads."""
     imported = {}
@@ -114,8 +119,13 @@ def module_state_mutations(tree: ast.Module):
 
 @pytest.mark.parametrize("path", SRC, ids=_name)
 def test_no_assert_in_src(path):
-    lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
+    lines = assert_lines(_tree(path))
     assert not lines, "assert statements at lines %s (python -O strips them)" % lines
+
+
+def test_assert_detector():
+    tree = ast.parse("def f(x):\n    assert x > 0\n    return x\n")
+    assert assert_lines(tree) == [2]
 
 
 @pytest.mark.parametrize(

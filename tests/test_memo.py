@@ -44,6 +44,7 @@ from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, id_bits
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
+from tests.test_certify import _route_base
 from tests.test_graph import cycle_graph, path_graph
 
 FALSE_STATEMENTS = {
@@ -112,12 +113,38 @@ def test_decode_label_results_are_unshared():
         assert all_accept(verify_all(g, labels, prop, k))
 
 
+# The layout families at k = 3, with a property each holds.
+K3_LAYOUTS = (("cycle", 30, "bipartite"), ("caterpillar", 30, "acyclic"), ("random-ops", 40, "parity"))
+
+
 def test_honest_labels_reencode_exactly():
-    for g, ir, prop, k in _true_statements():
+    k3 = [(*generate(GeneratorSpec(family, n, 3, 0.3), 0), prop, 3) for family, n, prop in K3_LAYOUTS]
+    for g, ir, prop, k in _true_statements() + k3:
         memo = {}
         for bits in prove(g, prop, k, ir=ir).values():
             for lab in (decode_label(bits), decode_label(bits, memo)):
                 assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes) == bits
+
+
+def test_one_record_object_per_element():
+    # Under one memo every element is one record object, though labels
+    # write some records at more than one slot width (a relayed chain's
+    # and a carrier's own chain number their slots apart).
+    g, ir = generate(GeneratorSpec("random-ops", 60, 3, 0.3), 0)
+    labels = prove(g, "parity", 3, ir=ir)
+    memo = {}
+    records = {}  # eid -> the record objects of that element
+    for bits in labels.values():
+        lab = decode_label(bits, memo)
+        for chain in [lab.tnodes] + [rs.tnodes for rs in lab.routes]:
+            for sec in chain:
+                records.setdefault(sec.elem.eid, set()).add(id(sec.elem))
+    widths = {}  # eid -> the slot widths its record was decoded at
+    for key, hit in memo.items():
+        if isinstance(key, tuple) and key[0] == "elem":
+            widths.setdefault(hit[0][0], set()).add(key[2])  # the record's eid
+    assert {len(ids) for ids in records.values()} == {1}
+    assert max(map(len, widths.values())) > 1
 
 
 def _decodes(bits, memo=None) -> bool:
@@ -193,6 +220,37 @@ def test_memo_keeps_sections_apart_by_n():
             assert table_decodes(memo) == table_decodes({})
             failing["tables"] += not table_decodes({})
         assert failing["sections"] > 0 and failing["records"] > 0 and failing["tables"] > 0
+
+
+def test_wide_relayed_dist_keeps_chains_apart():
+    # A relayed frame writes its dist as a varint, so a forged one can be
+    # wider than the b bits of a prefix's pointer field.  Two labels whose
+    # relayed chains differ only in the last prefix section's parent_min,
+    # above a frame whose dist is 2^b, decode under one memo as they do
+    # alone, though their pointer fields packed into one int are equal.
+    g, ir = generate(GeneratorSpec("cycle", 30, 2, 0.3), 0)
+    labels = prove(g, "bipartite", 2, ir=ir)
+    b = id_bits(g.n)
+    forged = []
+    for bits in labels.values():
+        lab = decode_label(bits)
+        payloads = [p for stype, p in read_sections(bits) if stype == certify.SEC_ROUTE]
+        for j, (rs, payload) in enumerate(zip(lab.routes, payloads)):
+            q = _route_base(payload, j, g.n)[1]
+            if 0 < q < len(rs.tnodes):
+                for parent_min in (False, True):
+                    chain = list(rs.tnodes)
+                    chain[q - 1] = replace(chain[q - 1], parent_min=parent_min)
+                    chain[q] = replace(chain[q], dist=1 << b)
+                    routes = list(lab.routes)
+                    routes[j] = replace(rs, tnodes=chain)
+                    forged.append(encode_label(lab.n, lab.w, lab.tnodes, routes))
+                break
+        if forged:
+            break
+    memo = {}
+    for bits in forged:
+        assert decode_label(bits, memo) == decode_label(bits)
 
 
 def test_nested_payload_takes_each_labels_own_parent():
@@ -719,8 +777,8 @@ def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, 
         tails[(n, sw, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
         return orig_dec(r, b, n, sw)
 
-    def res(raw, basics):
-        rec = orig_res(raw, basics)
+    def res(fields, slots, basics):
+        rec = orig_res(fields, slots, basics)
         resolved[id(rec)] = rec
         return rec
 
@@ -740,8 +798,9 @@ def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, 
 
 def test_verify_all_decodes_each_part_once(monkeypatch):
     # One verify_all parses each distinct table entry once, decodes each
-    # distinct T-node payload and element record once, and resolves each
-    # relayed chain once, not once per label that relays it.
+    # distinct T-node payload and element record once, and builds each
+    # relayed chain once, not once per label that relays it, though its
+    # carriers share prefixes of different lengths with their own chains.
     g, ir = generate(GeneratorSpec("random-ops", 60, 3, 0.3), 0)
     labels = prove(g, "parity", 3, ir=ir)
     decoded = [decode_label(bits) for bits in labels.values()]
@@ -749,7 +808,7 @@ def test_verify_all_decodes_each_part_once(monkeypatch):
     named = sum(len(list(certify._elem_uses(sec.elem))) + 1 for lab in decoded for sec in lab.tnodes)
     entries, payloads, records, relays = Counter(), Counter(), Counter(), Counter()
     orig_basic, orig_tnode = certify._basic_of, certify._dec_tnode
-    orig_elem, orig_chain = certify._dec_elem, certify._resolve_chain
+    orig_elem, orig_chain = certify._dec_elem, certify._relayed_sections
 
     def basic(mask, maps, term, b, n):
         entries[(n, mask, maps, term)] += 1
@@ -764,15 +823,15 @@ def test_verify_all_decodes_each_part_once(monkeypatch):
         records[(n, sw, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
         return orig_elem(r, b, n, sw)
 
-    def chain(raws, basics, memo, groups=None):
-        if groups is None:  # a relayed chain
-            relays[id(raws)] += 1
-        return orig_chain(raws, basics, memo, groups)
+    def chain(prefix, pointers, rest, b):
+        got = orig_chain(prefix, pointers, rest, b)
+        relays[tuple((s.node_eid, id(s.basic), id(s.elem), s.dist, s.is_tree, s.parent_min) for s in got)] += 1
+        return got
 
     monkeypatch.setattr(certify, "_basic_of", basic)
     monkeypatch.setattr(certify, "_dec_tnode", tnode)
     monkeypatch.setattr(certify, "_dec_elem", elem)
-    monkeypatch.setattr(certify, "_resolve_chain", chain)
+    monkeypatch.setattr(certify, "_relayed_sections", chain)
     assert all_accept(verify_all(g, labels, "parity", 3))
     for counts in (entries, payloads, records, relays):
         assert counts and set(counts.values()) == {1}
@@ -783,9 +842,9 @@ def test_verify_all_decodes_each_part_once(monkeypatch):
 def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
     # One verify_vertex call without a cache, as a vertex verifies alone:
     # each distinct element record among its incident labels, in their own
-    # chains and the chains they relay, is decoded once, though the labels
-    # repeat records (shared root sections, one chain relayed by two
-    # carriers).
+    # chains and the sections of relayed chains they write, is decoded
+    # once, though the labels repeat records (shared root sections, one
+    # chain relayed by two carriers).
     g, ir = generate(GeneratorSpec("random-ops", 60, 3, 0.3), 0)
     labels = prove(g, "parity", 3, ir=ir)
     b = id_bits(g.n)
@@ -794,11 +853,18 @@ def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
         keys = []
         for bits in view.labels.values():
             lab = decode_label(bits)
-            for chain in [lab.tnodes] + [rs.tnodes for rs in lab.routes]:
+            # A route writes its relayed chain's sections after the prefix
+            # it shares with an earlier chain of the label, q of them.
+            routes = [p for stype, p in read_sections(bits) if stype == certify.SEC_ROUTE]
+            written = [(lab.tnodes, 0)] + [
+                (rs.tnodes, _route_base(p, j, g.n)[1]) for j, (rs, p) in enumerate(zip(lab.routes, routes))
+            ]
+            for chain, q in written:
                 payloads, slots, _ = certify._enc_chain(chain, b)
                 sw = certify._index_bits(len(slots))
                 keys += [
-                    (g.n, sw, _split_tnode(p, sw, pos > 0)[1]) for pos, p in enumerate(payloads)
+                    (g.n, sw, _split_tnode(p, sw, pos > 0)[1])
+                    for pos, p in enumerate(payloads) if pos >= q
                 ]
         expected.append(set(keys))
         repeats += len(keys) > len(set(keys))

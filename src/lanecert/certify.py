@@ -37,7 +37,8 @@ virtual edge whose route runs over the edge.
 
 The table writes each distinct BasicInfo of the label once: a w-bit lane
 mask, both terminal maps in one field, the class term (an int, or a tuple of
-ints as one packed field; see ``encoding``).  Everywhere else a
+ints as one packed field; see ``encoding``); a derived entry (below) is its
+class term alone.  Everywhere else a
 BasicInfo is a slot, numbered by first use within its chain, so a chain's
 payloads are the same bits in every label that carries it.  The table lists
 the own chain's m entries (m opens the section), then each relayed chain's
@@ -51,6 +52,20 @@ same object, and fails when the record above is not a B record or the side
 is a vertex leaf.  No section carries a root flag: the root is chain
 position 0.
 
+A nested section whose record is its node's root element derives that
+node's BasicInfo (``_derivation``): its table entry is the class term
+alone, and ``decode_label`` computes the lanes and terminal maps from the
+record (``_glue``, the structural half of the class fold) over the
+BasicInfos it names, deepest first (``_derive``).  An entry a deriving
+record names as a child is written in full (``_derived``), so on honest
+labels a derivation leans on derived entries only through T sides, which
+have fewer lanes, and never needs its own entry.  The decoder refuses a
+derivation that fails a glue check, names a lane above w, needs its own
+entry, or differs from another derivation of the entry.  Which entries are
+derived follows from the raw chains, so the table is read after the route
+sections' maps, and a derived entry is the same object as the decoded
+entry of its value, which is ``_fold_record``'s twin.
+
 A route section carries its endpoints and ranks (first, so ``reroute`` can
 replace them alone), then a base: the own chain or the relayed chain of an
 earlier route of the label.  A relayed chain usually runs down the same
@@ -59,19 +74,21 @@ differ only in their pointer fields, so the route writes the length q of
 the prefix it shares with the base (the same node eid, BasicInfo and
 record at each position) and the q sections' pointer fields.  The map into
 the table follows, for the slots after the prefix's (the prefix names the
-base's first slots), then T-node frames for sections q onward only; those
+base's first slots), its length m and then m indices wide enough for the
+entries earlier chains of the label name and m more, then T-node frames
+for sections q onward only; those
 payloads keep the chain's slot numbering, so they are the same bits in
 every label that writes them.  The prefix is the longest one any earlier
 chain of the label shares, and the base the first chain that shares it
 (``_bases``).  Each decoded label has one wire form, so ``decode_label``
 refuses anything out of range or out of first-use order, unused and
 repeated entries, empty groups, and a base or prefix other than that one.
-Payloads, records and entry groups are decoded once per memo (per n and
-slot width); a relayed chain's frame is resolved once per memo and
-distinct sections above it, raw fields and slots' entries, and each
-distinct relayed chain is built once per memo, whichever carrier writes
-which of its frames.  Equal records, and equal relayed chains, are one
-object per memo.
+Payloads, records, entry groups, derivations and a route's frames are
+decoded once per memo (per n and slot width); a relayed chain's frame is
+resolved once per memo and distinct sections above it, raw fields and
+slots' entries, and each distinct relayed chain is built once per memo,
+whichever carrier writes which of its frames.  Equal records,
+and equal relayed chains, are one object per memo.
 """
 
 import gc
@@ -226,27 +243,35 @@ def _index_bits(count: int) -> int:
     return max(count - 1, 0).bit_length()
 
 
-def _basic_key(bi: BasicInfo, b: int) -> tuple:
-    """The fields of bi's table entry: (lane mask, terminal maps, class
-    term).  Lane l is bit l - 1 of the mask; the maps are t_in then t_out
-    over the lanes in increasing order, b bits per id, as one int."""
-    lanes = sorted(bi.t_in)
+def _maps_key(t_in: Dict[int, int], t_out: Dict[int, int], b: int) -> Tuple[int, int]:
+    """(lane mask, terminal maps) of a table entry: lane l is bit l - 1 of
+    the mask; the maps are t_in then t_out over the lanes in increasing
+    order, b bits per id, as one int."""
+    lanes = sorted(t_in)
     mask = maps = 0
     for lane in lanes:
         mask |= 1 << (lane - 1)
-        maps = (maps << b) | bi.t_in[lane]
+        maps = (maps << b) | t_in[lane]
     for lane in lanes:
-        maps = (maps << b) | bi.t_out[lane]
-    return mask, maps, bi.cls.term
+        maps = (maps << b) | t_out[lane]
+    return mask, maps
 
 
-def _enc_entry(key: tuple, b: int, w_lanes: int) -> Bits:
+def _basic_key(bi: BasicInfo, b: int) -> tuple:
+    """The fields of bi's table entry: (lane mask, terminal maps, class
+    term), as _maps_key gives the first two."""
+    return (*_maps_key(bi.t_in, bi.t_out, b), bi.cls.term)
+
+
+def _enc_entry(key: tuple, b: int, w_lanes: int, derived: bool = False) -> Bits:
     """One table entry: the lane set as a w-bit mask, both terminal maps in
-    one 2bc-bit field (c lanes), the class term."""
+    one 2bc-bit field (c lanes), the class term; a derived entry (see
+    _derivation) is its class term alone."""
     mask, maps, term = key
     bw = BitWriter()
-    bw.write_uint(mask, w_lanes)
-    bw.write_uint(maps, 2 * b * bin(mask).count("1"))
+    if not derived:
+        bw.write_uint(mask, w_lanes)
+        bw.write_uint(maps, 2 * b * bin(mask).count("1"))
     write_term(bw, term)
     return bw.getvalue()
 
@@ -641,14 +666,151 @@ def _enc_chain(tnodes: List[TSec], b: int) -> Tuple[List[Bits], List[tuple], Lis
     return payloads, list(slots), news
 
 
+# --- derived table entries ---------------------------------------------------
+
+
+def _derivation(above: tuple, below: tuple) -> Optional[tuple]:
+    """The rule that decides which table entries are derived, on two
+    consecutive sections of a chain, each given as (head, record fields,
+    slots): the head as the wire has it (a nested section's side bit), the
+    fields as _rec_fields gives them (of which it reads the eid, the T
+    sides' node eids and the number of children), and the slots of the
+    BasicInfos the record names, in _elem_uses order.  The decoder's raw
+    sections start so; the encoders give entry numbers or keys as slots.
+    When below's record is the root element of its node, which is the T
+    side of above's record that below names, below's section derives that
+    node's BasicInfo: the result is (that BasicInfo's slot, the slots
+    below's record names as children), else None.  A derived entry is
+    written as its class term alone; _derive computes the rest from the
+    record."""
+    topo = above[1][2]
+    if topo[0] == "B":
+        head, fields = below[0], below[1]
+        side = topo[5 + head]
+        if side[0] == "T" and side[1] == fields[0]:
+            # A record's slots list its T sides first, then its children.
+            slots = below[2]
+            return above[2][head and topo[5][0] == "T"], slots[len(slots) + 3 - len(fields):]
+    return None
+
+
+def _derived(written: list) -> Dict:
+    """The derived entries of a label, each with the derivations (record
+    fields, slots, idx) of the sections that derive it: written holds per
+    chain (idx, its derivations as _raw_chain gives them), where idx[s] is
+    the table index of the chain's slot s.  An entry that a deriving record
+    names as a child is written in full, so a derivation needs only the T
+    sides' entries besides explicit ones; on honest labels those have fewer
+    lanes than the record, so no derivation needs its own entry."""
+    kids = set()
+    for idx, derivations in written:
+        for _, named, _, _ in derivations:
+            kids.update(map(idx.__getitem__, named))
+    out: Dict = {}
+    for idx, derivations in written:
+        for slot, _, fields, slots in derivations:
+            entry = idx[slot]
+            if entry not in kids:
+                out.setdefault(entry, []).append((fields, slots, idx))
+    return out
+
+
+def _chain_derivations(chains: List[List[TSec]], qs: List[int], table: List[tuple], b: int) -> Dict:
+    """_derived of a label's decoded chains, the own one first: each
+    derived entry's table index with the derivation (record fields, slots,
+    idx) of each section after chain c's first qs[c] (the shared prefix,
+    which its base covers) that derives it, the slots as table indices.
+    table holds the entries' keys in table order."""
+    index = dict(zip(table, range(len(table))))
+    derivations = []
+    for chain, q in zip(chains, qs):
+        raws = []
+        for pos, sec in enumerate(chain):
+            side = _side_bit(chain[pos - 1].elem, sec.node_eid, sec.basic) if pos else None
+            slots = [index[_basic_key(bi, b)] for bi in _elem_uses(sec.elem)]
+            raws.append((side, _rec_fields(sec.elem), slots))
+            got = _derivation(raws[pos - 1], raws[pos]) if pos >= max(q, 1) else None
+            if got is not None:
+                derivations.append((*got, *raws[pos][1:]))
+    return _derived([(range(len(table)), derivations)])
+
+
+def _derive(derivs: Dict, table: list, b: int, n: int, w_lanes: int, memo) -> None:
+    """Put in table each derived entry, which it holds as its class term:
+    derivs gives its index the (record fields, slots, idx) of each section
+    that derives it, where the table index of slot s is idx[s].  The entry
+    is the decoded entry (_entry) of the lanes and terminal maps of the
+    record's fragment with its children glued on (_glue) and its class
+    term, so it is _fold_record's twin.  An entry is derived once the
+    derived entries its records name are.  DecodeError when that never
+    happens (a derivation that needs its own entry), when a record fails a
+    glue check or names a lane above w or maps that are not injective, and
+    when two derivations of one entry differ.  Each distinct record and
+    term is derived once per memo."""
+    terms = {}
+    for t in derivs:
+        terms[t] = table[t]
+        table[t] = None  # not derived yet
+    pending = id(None)
+    todo = list(reversed(derivs))  # the deepest sections first: they need no other
+    while todo:
+        later = []
+        for t in todo:
+            got = None
+            for fields, slots, idx in derivs[t]:
+                ids = list(map(id, map(table.__getitem__, map(idx.__getitem__, slots))))
+                if pending in ids:
+                    break
+                key = ("derived", n, w_lanes, id(fields), terms[t], *ids)
+                basic = memo.get(key)
+                if basic is None:
+                    # The lanes and terminal maps of the record's fragment
+                    # with its children glued on, and the class term.
+                    try:
+                        t_in, t_out = _glue(_record(fields, [idx[s] for s in slots], table, memo))
+                    except _Reject as rj:
+                        raise DecodeError("a derived entry's record fails its glue: %s" % rj.code)
+                    if max(t_in, default=0) > w_lanes:
+                        raise DecodeError("a derived entry has a lane above w")
+                    basic = memo[key] = _entry(*_maps_key(t_in, t_out, b), terms[t], b, n, memo)
+                if got is None:
+                    got = basic
+                elif basic is not got:
+                    raise DecodeError("two derivations of one entry differ")
+            else:
+                table[t] = got
+                continue
+            later.append(t)
+        if len(later) == len(todo):
+            raise DecodeError("a derived entry's derivation needs that entry")
+        todo = later
+
+
+def _check_derived(chains: List[List[TSec]], derivs: Dict, table: List[tuple], b: int, n: int, w_lanes: int) -> None:
+    """CertifyError unless each derived entry of a label's decoded chains
+    is the entry decode_label derives for it (derivs and table as
+    encode_label has them): the wire carries its class term alone."""
+    given = {_basic_key(bi, b): bi for chain in chains for sec in chain
+             for bi in (sec.basic, *_elem_uses(sec.elem))}
+    found = [key[2] if t in derivs else given[key] for t, key in enumerate(table)]
+    try:
+        _derive(derivs, found, b, n, w_lanes, {})
+    except DecodeError as exc:
+        raise CertifyError("a derived entry cannot be derived: %s" % exc)
+    if any(_basic_key(found[t], b) != table[t] for t in derivs):
+        raise CertifyError("a derived entry differs from the one its record derives")
+
+
 def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
-    """The label of a decoded form (see _enc_chain for what it refuses)."""
+    """The label of a decoded form (see _enc_chain for what it refuses; it
+    also refuses a derived entry other than its records derive)."""
     b = id_bits(n)
     own, own_keys, news = _enc_chain(tnodes, b)
     relayed = [_enc_chain(rs.tnodes, b) for rs in routes]
     value = lambda bi: _basic_key(bi, b)
+    chains = [tnodes] + [rs.tnodes for rs in routes]
     shares = []  # per chain, a token per section: its value and the token above
-    for chain in [tnodes] + [rs.tnodes for rs in routes]:
+    for chain in chains:
         token, tokens = None, []
         for sec in chain:
             rec = (_rec_fields(sec.elem), *map(value, _elem_uses(sec.elem)))
@@ -661,17 +823,23 @@ def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -
     table, maps, fresh = _table_and_maps(
         own_keys, [keys[sum(rnews[:q]):] for (_, keys, rnews), (_, q) in zip(relayed, bases)]
     )
-    tw = _index_bits(len(table))
+    derivs = _chain_derivations(chains, [0] + [q for _, q in bases], table, b)
+    _check_derived(chains, derivs, table, b, n, w_lanes)
     route_payloads = []
-    for j, (rs, idx, (payloads, _, _), (base, q)) in enumerate(zip(routes, maps, relayed, bases)):
+    named = len(own_keys)  # the entries earlier chains name
+    for j, (rs, idx, (payloads, _, _), (base, q), count) in enumerate(
+        zip(routes, maps, relayed, bases, fresh)
+    ):
         pointers = 0
         for sec in rs.tnodes[:q]:
             pointers = pointers << (b + 2) | _pointer_field(sec.dist, sec.is_tree, sec.parent_min, b)
         head = (rs.u, rs.v, rs.fwd, rs.bwd)
+        tw = _index_bits(named + len(idx))
         route_payloads.append(
             _route_payload(head, j, base, q, pointers, idx, tw, payloads[q:], b)
         )
-    entries = [_enc_entry(key, b, w_lanes) for key in table]
+        named += count
+    entries = [_enc_entry(key, b, w_lanes, t in derivs) for t, key in enumerate(table)]
     groups, start = [], 0
     for count in news + fresh:
         if count:
@@ -685,7 +853,7 @@ def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -
 
 def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tuple:
     """The fields of one T-node section payload with sw-bit slots: (head,
-    dist, is_tree, parent_min, the element record's fields, its slots),
+    the element record's fields, its slots, dist, is_tree, parent_min),
     where head is the side bit of a nested section and (node eid, slot) of
     the root's, and the record is as _dec_elem reads it; its fields are one
     object per memo, whatever the slot width.
@@ -706,21 +874,26 @@ def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tu
     if hit is None:
         fields, slots = _dec_elem(BitReader(tail), b, n, sw)
         hit = memo[key] = (memo.setdefault(("fields", fields), fields), slots)
-    return (head, dist, is_tree, parent_min) + hit
+    return (head, *hit, dist, is_tree, parent_min)
 
 
 def _raw_chain(
-    payloads: List[Bits], b: int, n: int, sw: int, memo, nested: bool = False, count: int = 0
+    payloads: List[Bits], b: int, n: int, sw: int, memo, above: Optional[tuple] = None,
+    count: int = 0,
 ) -> tuple:
-    """(the raw T-node sections, the number of slots each names first) of
-    one chain's payloads; DecodeError unless its slots are numbered by
-    first use.  nested and count are for payloads that follow a route's
-    shared prefix: the first payload is then nested, and the prefix names
-    the chain's first count slots."""
+    """(the raw T-node sections, the number of slots each names first, the
+    derivations of its sections) of one chain's payloads; DecodeError unless
+    its slots are numbered by first use.  above and count are for payloads
+    that follow a route's shared prefix: the raw section above the first
+    payload, which is then nested, and the number of slots the prefix
+    names.  A derivation is (the derived entry's slot, the slots its record
+    names as children, the record's fields, its slots), one per section
+    that derives an entry (_derivation)."""
     raws = []
     news = []
-    for pos, payload in enumerate(payloads):
-        nested = nested or pos > 0
+    derivations = []
+    for payload in payloads:
+        nested = above is not None
         # n and the slot width set the field widths and the range checks.
         # The entry leaves out the record above and the slots' BasicInfos,
         # which are resolved per chain.
@@ -729,14 +902,47 @@ def _raw_chain(
         if raw is None:
             raw = memo[key] = _dec_tnode(payload, b, n, sw, nested, memo)
         before = count
-        for s in raw[5] if nested else (raw[0][1],) + raw[5]:
+        for s in raw[2] if nested else (raw[0][1],) + raw[2]:
             if s == count:
                 count += 1
             elif s > count:
                 raise DecodeError("slots must be numbered by first use")
+        if nested:
+            got = _derivation(above, raw)
+            if got is not None:
+                derivations.append((*got, raw[1], raw[2]))
         raws.append(raw)
         news.append(count - before)
-    return tuple(raws), tuple(news)
+        above = raw
+    return raws, news, derivations
+
+
+def _raw_frames(frames: Bits, b: int, n: int, sw: int, memo, above: Optional[tuple], count: int) -> tuple:
+    """_raw_chain of the T-node frames that end a route section, below the
+    raw section above (None when the route shares no prefix), the prefix
+    naming count slots.  Carriers of a route often write the same frames, so
+    each distinct one is read once per memo."""
+    key = ("frames", n, sw, count, id(above), frames.value, frames.nbits)
+    got = memo.get(key)
+    if got is None:
+        payloads = []
+        for stype, payload in read_sections(frames):
+            if stype != SEC_TNODE:
+                raise DecodeError("a route relays T-node sections only")
+            payloads.append(payload)
+        got = memo[key] = _raw_chain(payloads, b, n, sw, memo, above, count)
+    return got
+
+
+def _record(fields: tuple, slots, basics: List[BasicInfo], memo) -> ElementRecord:
+    """The record of fields (from _dec_elem) with basics[s] for each of its
+    slots s.  Equal records are one object per memo, whatever slot width
+    they were written at."""
+    key = ("record", id(fields), *map(id, map(basics.__getitem__, slots)))
+    rec = memo.get(key)
+    if rec is None:
+        rec = memo[key] = _resolve_elem(fields, slots, basics)
+    return rec
 
 
 def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo], memo) -> TSec:
@@ -744,13 +950,9 @@ def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo],
     slot s, below the section above (None at the root).  A nested section
     takes its node eid and BasicInfo from its side of the record above, as
     the same object; DecodeError when that record is not a B record or that
-    side is a vertex leaf.  Equal records are one object, whatever slot
-    width they were written at."""
-    head, dist, is_tree, parent_min, fields, uses = raw
-    key = ("record", id(fields), *map(id, map(basics.__getitem__, uses)))
-    rec = memo.get(key)
-    if rec is None:
-        rec = memo[key] = _resolve_elem(fields, uses, basics)
+    side is a vertex leaf."""
+    head, fields, uses, dist, is_tree, parent_min = raw
+    rec = _record(fields, uses, basics, memo)
     if above is None:
         return TSec(head[0], True, basics[head[1]], dist, is_tree, parent_min, rec)
     if above.elem.kind != "B":
@@ -772,25 +974,26 @@ def _share_token(sec: TSec, token: Optional[int], memo) -> int:
     return id(memo.setdefault(key, key))
 
 
-def _resolve_chain(raws: tuple, basics: List[BasicInfo], groups: list, memo) -> Tuple[List[TSec], list]:
-    """(the own chain's sections, their share tokens): raws with basics[s]
-    for each slot s.  groups holds per section the interned group of
-    entries it names first (or None): a section is then fixed by the
-    section above, its raw fields and its group, so each distinct one is
-    resolved once."""
-    tnodes: List[TSec] = []
+def _resolve(raws: list, above: Optional[TSec], token: Optional[int], basics: List[BasicInfo], memo) -> tuple:
+    """(the sections of raws, their share tokens), below the section above
+    whose token is given (both None for a chain's root section), with
+    basics[s] for each slot s.  A section is fixed by its raw fields, its
+    slots' BasicInfos and the sections above it, which one share token
+    stands for, so each distinct one is resolved once per memo, whichever
+    label or carrier writes it."""
+    secs: List[TSec] = []
     tokens = []
-    above = token = None
-    for raw, group in zip(raws, groups):
-        key = ("sec", id(above), id(raw), id(group))
+    for raw in raws:
+        slots = raw[2] if token is not None else (raw[0][1],) + raw[2]
+        key = ("sec", token, id(raw), *map(id, map(basics.__getitem__, slots)))
         hit = memo.get(key)
         if hit is None:
             sec = _resolve_section(raw, above, basics, memo)
             hit = memo[key] = (sec, _share_token(sec, token, memo))
         above, token = hit
-        tnodes.append(above)
+        secs.append(above)
         tokens.append(token)
-    return tnodes, tokens
+    return secs, tokens
 
 
 def _relayed_sections(prefix: List[TSec], pointers: int, rest: List[TSec], b: int) -> List[TSec]:
@@ -806,73 +1009,62 @@ def _relayed_sections(prefix: List[TSec], pointers: int, rest: List[TSec], b: in
     return out + rest
 
 
-def _relayed_chain(
-    frames: Bits, base: tuple, q: int, pointers: int, b: int, n: int,
-    basics: List[BasicInfo], memo,
-) -> tuple:
-    """(the chain a route section relays, its share tokens, the number of
-    slots its first i sections name for each i), given the same three of
-    its base as base.  The chain's first q sections are the base's with the
-    route's q pointer fields; the rest are its T-node frames, with basics as
-    the chain's slots' BasicInfos.  A frame is fixed by its raw fields, its
-    slots' BasicInfos and the sections above it, which one share token
-    stands for, so each distinct one is resolved once per memo, whichever
-    carrier writes it.  The chain's value is its last token and its pointer
-    fields, so equal chains are one object, built once per memo, though
-    their carriers share prefixes of different lengths."""
-    bsecs, btokens, bcounts = base
-    s = bcounts[q]  # the slots the prefix names
-    payloads = []
-    for stype, payload in read_sections(frames):
-        if stype != SEC_TNODE:
-            raise DecodeError("a route relays T-node sections only")
-        payloads.append(payload)
-    raws, news = _raw_chain(payloads, b, n, _index_bits(len(basics)), memo, q > 0, s)
-    if s + sum(news) != len(basics):
-        raise DecodeError("the map must name exactly the chain's slots")
-    above = bsecs[q - 1] if q else None
-    token = btokens[q - 1] if q else None
-    rest: List[TSec] = []
-    tokens = btokens[:q]
+def _relayed_chain(raws: list, base: tuple, q: int, pointers: int, b: int, basics: List[BasicInfo], memo) -> tuple:
+    """(the chain a route section relays, its share tokens), given the same
+    two of its base as base.  The chain's first q sections are the base's
+    with the route's q pointer fields; the rest are its T-node frames, raws,
+    with basics as the chain's slots' BasicInfos.  The chain's value is its
+    last token and its pointer fields, so equal chains are one object, built
+    once per memo, though their carriers share prefixes of different
+    lengths."""
+    bsecs, btokens = base
+    above = btokens[q - 1] if q else None
+    rest, tokens = _resolve(raws, bsecs[q - 1] if q else None, above, basics, memo)
     packed = pointers  # every section's pointer fields, b + 2 bits each
     wide = False  # a dist wider than b bits, which packed cannot hold
     for raw in raws:
-        head, dist, is_tree, parent_min, _, uses = raw
-        slots = uses if token is not None else (head[1],) + uses
-        key = ("rsec", token, id(raw), *map(id, map(basics.__getitem__, slots)))
-        hit = memo.get(key)
-        if hit is None:
-            sec = _resolve_section(raw, above, basics, memo)
-            hit = memo[key] = (sec, _share_token(sec, token, memo))
-        above, token = hit
-        rest.append(above)
-        tokens.append(token)
+        dist, is_tree, parent_min = raw[3:]
         wide = wide or dist >> b
         packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
-    key = ("chain", token, packed)
+    key = ("chain", tokens[-1] if tokens else above, packed)
     if wide:  # packed runs the fields into each other: key on them one by one
-        key = ("chain", token, pointers, *[(sec.dist, sec.is_tree, sec.parent_min) for sec in rest])
+        key = ("chain", key[1], pointers, *[(sec.dist, sec.is_tree, sec.parent_min) for sec in rest])
     chain = memo.get(key)
     if chain is None:
         chain = memo[key] = _relayed_sections(bsecs[:q], pointers, rest, b)
-    return chain, tokens, bcounts[:q] + list(accumulate(news, initial=s))
+    return chain, btokens[:q] + tokens
 
 
-def _dec_entries(bits: Bits, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
-    """The table entries that make up bits.  Equal entries decode to one
-    shared BasicInfo, built and validated when first seen.
+def _entry(mask: int, maps: int, term, b: int, n: int, memo) -> BasicInfo:
+    """The BasicInfo of one table entry's fields (of labels with n
+    vertices), built and validated once per memo: equal entries, written or
+    derived, are one object."""
+    key = ("basic", n, mask, maps, term)
+    basic = memo.get(key)
+    if basic is None:
+        basic = memo[key] = _basic_of(mask, maps, term, b, n)
+    return basic
+
+
+def _dec_entries(bits: Bits, derived: int, b: int, n: int, w_lanes: int, memo) -> list:
+    """The table entries that make up bits: entry i is derived when bit i of
+    derived is set, and is then its class term alone, which stands in the
+    list for the entry.  Equal entries decode to one shared BasicInfo.
     Entries are short, so their fields are cut from the int here rather
     than through a reader's calls."""
     value, end = bits.value, bits.nbits
     wmask = (1 << w_lanes) - 1
-    basics = []
+    out = []
     pos = 0
     while pos < end:
-        pos += w_lanes
-        if pos > end:
-            raise DecodeError("read past end of bitstring")
-        mask = value >> (end - pos) & wmask
-        width = 2 * b * bin(mask).count("1")
+        written = not derived >> len(out) & 1
+        width = 0
+        if written:
+            pos += w_lanes
+            if pos > end:
+                raise DecodeError("read past end of bitstring")
+            mask = value >> (end - pos) & wmask
+            width = 2 * b * bin(mask).count("1")
         pos += width + 9
         if pos <= end and not value >> (end - pos) & 0x180:
             # The usual class term: an int below 128 (tag 0, one varint byte).
@@ -884,52 +1076,33 @@ def _dec_entries(bits: Bits, b: int, n: int, w_lanes: int, memo) -> List[BasicIn
             maps = r.read_uint(width)
             term = read_term(r)
             pos = r.pos
-        key = ("basic", n, mask, maps, term)
-        basic = memo.get(key)
-        if basic is None:
-            basic = memo[key] = _basic_of(mask, maps, term, b, n)
-        basics.append(basic)
-    return basics
+        out.append(_entry(mask, maps, term, b, n, memo) if written else term)
+    return out
 
 
-def _dec_group(r: BitReader, b: int, n: int, w_lanes: int, memo) -> List[BasicInfo]:
-    """The group of table entries at r.  Each distinct group is decoded once
-    per memo, as one shared list."""
-    group = r.read_bits(r.read_varint())
-    key = ("group", n, w_lanes, group.value, group.nbits)
-    got = memo.get(key)
-    if got is None:
-        got = _dec_entries(group, b, n, w_lanes, memo)
-        if not got:
-            raise DecodeError("empty group")
-        memo[key] = got
-    return got
-
-
-def _dec_table(r: BitReader, news: tuple, b: int, n: int, w_lanes: int, memo) -> tuple:
-    """(the table's BasicInfos, the own chain's groups, the route groups)
-    of the basic section at r, after its slot count.  The own chain's
-    sections that name entries first each have a group (news has their
-    counts; the section's item of the own groups is None when it names
-    none), and the rest of the section is route groups."""
-    basics: List[BasicInfo] = []
-    own_groups = []
-    for count in news:
-        got = None
-        if count:
-            got = _dec_group(r, b, n, w_lanes, memo)
-            if len(got) != count:
-                raise DecodeError("a group must hold the entries its section names first")
-            basics.extend(got)
-        own_groups.append(got)
-    route_groups = []
-    while r.remaining():
-        route_groups.append(_dec_group(r, b, n, w_lanes, memo))
-        basics.extend(route_groups[-1])
-    # Equal entries are one object, so ids tell them apart.
-    if len(set(map(id, basics))) != len(basics):
-        raise DecodeError("repeated table entry")
-    return basics, own_groups, route_groups
+def _dec_table(r: BitReader, counts: list, derived: Dict, b: int, n: int, w_lanes: int, memo) -> list:
+    """The table of the basic section at r, after its slot count: a group
+    per item of counts, holding that many entries, in table order; an entry
+    whose index is in derived is its class term until _derive puts the
+    entry in its place.  Each distinct group is decoded once per memo, as
+    one shared list."""
+    table: list = []
+    marks = 0  # bit t: entry t is derived
+    for t in derived:
+        marks |= 1 << t
+    for count in counts:
+        flags = marks >> len(table) & ((1 << count) - 1)  # the group's derived entries
+        group = r.read_bits(r.read_varint())
+        key = ("group", n, w_lanes, flags, group.value, group.nbits)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _dec_entries(group, flags, b, n, w_lanes, memo)
+        if len(got) != count:
+            raise DecodeError("a group must hold the entries its section or route names first")
+        table.extend(got)
+    if r.remaining():
+        raise DecodeError("a table entry that no slot names")
+    return table
 
 
 def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
@@ -940,7 +1113,10 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     objects: each table entry is one BasicInfo, shared by every slot naming
     it, and a nested section's BasicInfo is the side object of the record
     above it.  With a run's memo (the verifier's cache) the objects are
-    shared across the run, and the caller must not mutate them."""
+    shared across the run, and the caller must not mutate them.
+    The label is read in two passes: first every chain's raw sections and
+    slots' table indices, which tell the derived entries (_derivation), and
+    the table's groups; then the derived entries and the sections."""
     if memo is None:
         memo = {}
     secs = read_sections(bits)
@@ -958,37 +1134,34 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
         raise DecodeError("T-node sections, then route sections, are all a label may hold")
     tr = BitReader(secs[1][1])
     m_own = tr.read_varint()
-    raws, news = _raw_chain(own, b, n, _index_bits(m_own), memo)
+    raws, news, derivations = _raw_chain(own, b, n, _index_bits(m_own), memo)
     if sum(news) != m_own:
         raise DecodeError("the table must open with exactly the chain's slots")
-    basics, groups, route_groups = _dec_table(tr, news, b, n, w, memo)
-    tnodes, tokens = _resolve_chain(raws, basics[:m_own], groups, memo)
-    table_size = len(basics)
-    tw = _index_bits(table_size)
+    # Each chain so far, the own chain first: its raw sections, the number
+    # of slots its first i sections name for each i, and its slots' table
+    # indices; and (table indices, derivations) of each chain's sections
+    # that the wire writes (a route's after its shared prefix).
+    chains = [(raws, [0, *accumulate(news)], list(range(m_own)))]
+    written = [(chains[0][2], derivations)]
+    counts = [count for count in news if count]  # each group's entries
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
-    groups_left = iter(route_groups)
-    low = (1 << tw) - 1
-    # Each chain so far, the own chain first: its sections, its share
-    # tokens, the number of slots its first i sections name for each i, and
-    # its slots' table indices.
-    chains = [(tnodes, tokens, [0, *accumulate(news)], list(range(m_own)))]
-    shares = [tokens]  # each chain's share tokens
-    written = []  # each route's (base, q) as its wire has them
-    routes: List[RSec] = []
+    heads = []  # each route's endpoints and ranks, base, q and pointer fields
     for j, (_, payload) in enumerate(rest):
         r = BitReader(payload)
-        u, v, fwd, bwd = _read_route_head(r, b, n)
+        head = _read_route_head(r, b, n)
         base = r.read_uint(j.bit_length())  # an index below j + 1
         q = r.read_varint()
         if base > j or q > len(chains[base][0]):
             raise DecodeError("a route's base must be an earlier chain that holds its prefix")
         pointers = r.read_uint(q * (b + 2))
-        s = chains[base][2][q]  # the slots the prefix names
+        braws, bcounts, bidx = chains[base]
+        s = bcounts[q]  # the slots the prefix names
         m = r.read_varint()
-        if s + m > table_size:
-            raise DecodeError("bad map length")
+        # An index names an entry earlier chains name or one of the next m.
+        tw = _index_bits(named + m)
         packed = r.read_uint(m * tw)
-        idx = chains[base][3][:s] + [packed >> (tw * i) & low for i in range(m - 1, -1, -1)]
+        low = (1 << tw) - 1
+        idx = bidx[:s] + [packed >> (tw * i) & low for i in range(m - 1, -1, -1)]
         if len(set(idx)) != s + m:
             raise DecodeError("a map names a table entry twice")
         # The entries no map names before this one must come in order, and
@@ -997,24 +1170,35 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
         if fresh:
             if fresh != list(range(named, named + len(fresh))):
                 raise DecodeError("table entries must be in order of first use")
-            if len(next(groups_left, ())) != len(fresh):
-                raise DecodeError("a route group must hold the entries its map names first")
+            counts.append(len(fresh))
             named += len(fresh)
-        chain, tokens, counts = _relayed_chain(
-            r.read_bits(r.remaining()), chains[base][:3], q, pointers, b, n,
-            list(map(basics.__getitem__, idx)), memo,
+        fraws, fnews, derivations = _raw_frames(
+            r.read_bits(r.remaining()), b, n, _index_bits(s + m), memo, braws[q - 1] if q else None, s
         )
-        chains.append((chain, tokens, counts, idx))
-        shares.append(tokens)
-        written.append((base, q))
+        if sum(fnews) != m:
+            raise DecodeError("the map must name exactly the chain's slots")
+        chains.append((braws[:q] + fraws, bcounts[:q] + list(accumulate(fnews, initial=s)), idx))
+        written.append((idx, derivations))
+        heads.append((*head, base, q, pointers, fraws))
+    derivs = _derived(written)
+    table = _dec_table(tr, counts, derivs, b, n, w, memo)
+    _derive(derivs, table, b, n, w, memo)
+    # Equal entries are one object, so ids tell them apart.
+    if len(set(map(id, table))) != len(table):
+        raise DecodeError("repeated table entry")
+    resolved = [_resolve(raws, None, None, table, memo)]  # each chain and its share tokens
+    routes: List[RSec] = []
+    for (u, v, fwd, bwd, base, q, pointers, fraws), (_, _, idx) in zip(heads, chains[1:]):
+        chain, tokens = _relayed_chain(
+            fraws, resolved[base], q, pointers, b, list(map(table.__getitem__, idx)), memo
+        )
+        resolved.append((chain, tokens))
         routes.append(RSec(u, v, fwd, bwd, chain))
     # Each prefix must be the longest one shared with an earlier chain, and
     # its base the first chain that holds it.
-    if written and _bases(shares) != written:
+    if heads and _bases([tokens for _, tokens in resolved]) != [h[4:6] for h in heads]:
         raise DecodeError("a route must share the longest prefix it can, with the first chain")
-    if next(groups_left, None) is not None:
-        raise DecodeError("a table entry that no slot names")
-    return DecodedLabel(n, w, tnodes, routes)
+    return DecodedLabel(n, w, resolved[0][0], routes)
 
 
 # --- prover ------------------------------------------------------------------
@@ -1161,10 +1345,13 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     w_lanes = lp.k
     real = g.edge_set()
     # Table entries by value: each BasicInfo object gets the number of its
-    # value's entry, and each entry is encoded once.
+    # value's entry, and each entry is encoded once in full and, if some
+    # label derives it, once as its class term.
     numbers: Dict[int, int] = {}  # id(BasicInfo) -> entry number
     by_key: Dict[tuple, int] = {}
+    keys: List[tuple] = []
     entries: List[Bits] = []
+    terms: Dict[int, Bits] = {}
 
     def number(bi: BasicInfo) -> int:
         no = numbers.get(id(bi))
@@ -1173,20 +1360,27 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             no = by_key.get(key)
             if no is None:
                 no = by_key[key] = len(entries)
+                keys.append(key)
                 entries.append(_enc_entry(key, b, w_lanes))
             numbers[id(bi)] = no
         return no
 
     # A chain's slots after one of its sections: the entry numbers in slot
     # order, each one's slot, and the groups of the basic section so far (a
-    # group per section that names entries first).  They depend only on the
-    # sections so far, which the section's element fixes (an element lies in
-    # one node, which is a side of one B record above), so each element has
-    # one state.
-    states: List[Tuple[List[int], Dict[int, int], List[Bits]]] = []
+    # group per section that names entries first: its entry numbers, first
+    # slot and a mask of its width).
+    # They depend only on the sections so far, which the section's element
+    # fixes (an element lies in one node, which is a side of one B record
+    # above), so each element has one state.
+    states: List[Tuple[List[int], Dict[int, int], List[tuple]]] = []
     # Per state, its section's node eid, BasicInfo, record, side bit and the
     # node's pointer fields by edge.
     fields: List[tuple] = []
+    # Per state, the entry numbers of the BasicInfos its record names, in
+    # _elem_uses order, and the entries the sections down to it derive and
+    # the ones their deriving records name as children (_derivation).
+    names: List[List[int]] = []
+    derives: List[Tuple[tuple, tuple]] = []
     # Each edge's chain, root first, as the states of its sections (ints, so
     # that the lists hold nothing the garbage collector has to scan).
     sections: Dict[Edge, List[int]] = {}
@@ -1199,10 +1393,12 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             if not el.edges:
                 continue
             rec = ann.records[el.eid]
+            nos = [number(bi) for bi in _elem_uses(rec)]
             if node is hd.root:
                 side = None
                 order, slots, groups = [], {}, []
-                uses = [basic, *_elem_uses(rec)]
+                uses = [number(basic)] + nos
+                derived = ((), ())
             else:
                 up = above[next(iter(el.edges))]
                 if any(above[e] is not up for e in el.edges):
@@ -1210,18 +1406,29 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
                 side = _side_bit(up[1], node_eid, basic)
                 order, slots, groups = states[up[0]]
                 order, slots, groups = list(order), dict(slots), list(groups)
-                uses = list(_elem_uses(rec))
+                uses = nos
+                # The records' fields as _derivation reads them: the eid, the
+                # topology and as many items as children.
+                got = _derivation(
+                    (None, (up[1].eid, None, up[1].topo), names[up[0]]),
+                    (side, (rec.eid, None, rec.topo, *rec.children), nos),
+                )
+                derived = derives[up[0]]
+                if got is not None:
+                    derived = (derived[0] + (got[0],), derived[1] + tuple(got[1]))
             before = len(order)
-            for bi in uses:
-                no = number(bi)
+            for no in uses:
                 if no not in slots:
                     slots[no] = len(order)
                     order.append(no)
             if len(order) > before:
-                groups.append(_join([entries[no] for no in order[before:]]))
+                # The group's entry numbers, its first slot and its width.
+                groups.append((tuple(order[before:]), before, (1 << len(order) - before) - 1))
             si = len(states)
             states.append((order, slots, groups))
             fields.append((node_eid, basic, rec, side, ptr))
+            names.append(nos)
+            derives.append(derived)
             here = (si, rec)
             for e in el.edges:
                 if side is None:
@@ -1235,7 +1442,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
     bound = 2 * max(1, w_lanes)
     payloads: Dict[tuple, Bits] = {}
     tails: Dict[tuple, Bits] = {}  # (state, slot width) -> the record's bits
-    chains: Dict[Edge, Tuple[List[Bits], List[int], List[Bits]]] = {}
+    chains: Dict[Edge, Tuple[List[Bits], List[int], List[tuple]]] = {}
     # Per virtual edge and q: the pointer fields of its chain's first q
     # sections, packed as a route writes them (first section highest), and
     # the number of slots those sections name.
@@ -1279,35 +1486,66 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             routes[e].append(((path[0], path[-1], pos + 1, m - pos), ve))
             relayed_states[e].append(sections[ve])
     h_bound = lane_bounds(k + 1)[2]
-    route_groups: Dict[tuple, Bits] = {}  # entry numbers -> their group
+    group_bits: Dict[tuple, Bits] = {}  # (entry numbers, derived ones) -> the group
+
+    def encode_group(nos: tuple, flags: int) -> Bits:
+        """The group of entries nos, nos[i] derived when bit i of flags is
+        set: a derived entry is the class term that ends its full form."""
+        parts = []
+        for i, no in enumerate(nos):
+            if flags >> i & 1:
+                if no not in terms:
+                    full = entries[no]
+                    width = full.nbits - w_lanes - 2 * b * bin(keys[no][0]).count("1")
+                    terms[no] = Bits(full.value & ((1 << width) - 1), width)
+                parts.append(terms[no])
+            else:
+                parts.append(entries[no])
+        return _join(parts)
+
     out: Dict[Edge, Bits] = {}
     for e in real:
         if len(routes[e]) > h_bound:
             raise CertifyError(
                 "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
             )
-        own, own_order, groups = chains[e]
+        own, own_order, own_groups = chains[e]
         bases = _bases(relayed_states[e])
         # A prefix's slots name entries its base named before, so only the
         # slots after it are mapped.
         table, maps, fresh = _table_and_maps(own_order, [
             chains[ve][1][prefixes[ve][q][1]:] for (_, ve), (_, q) in zip(routes[e], bases)
         ])
-        tw = _index_bits(len(table))
-        route_payloads = [
-            _route_payload(head, j, base, q, prefixes[ve][q][0], idx, tw, chains[ve][0][q:], b)
-            for j, ((head, ve), idx, (base, q)) in enumerate(zip(routes[e], maps, bases))
-        ]
+        route_payloads = []
+        named = len(own_order)  # the entries earlier chains name
+        for j, ((head, ve), idx, (base, q), count) in enumerate(zip(routes[e], maps, bases, fresh)):
+            tw = _index_bits(named + len(idx))
+            route_payloads.append(
+                _route_payload(head, j, base, q, prefixes[ve][q][0], idx, tw, chains[ve][0][q:], b)
+            )
+            named += count
+        # The label's derived entries, as _derived selects them: those its
+        # chains' sections derive, but for children of deriving records.
+        xs, kids = zip(*[derives[chain[-1]] for chain in relayed_states[e]])
+        derived = frozenset().union(*xs).difference(*kids)
+        flags = 0  # bit t: table entry t is derived
+        if derived:
+            index = dict(zip(table, range(len(table))))
+            for no in derived.intersection(index):
+                flags |= 1 << index[no]
+        spans = list(own_groups)  # each group's entry numbers, first index and width
         start = len(own_order)
-        groups = list(groups)
         for count in fresh:
             if count:
-                nos = tuple(table[start:start + count])
-                group = route_groups.get(nos)
-                if group is None:
-                    group = route_groups[nos] = _join([entries[no] for no in nos])
-                groups.append(group)
+                spans.append((tuple(table[start:start + count]), start, (1 << count) - 1))
             start += count
+        groups = []
+        for nos, start, width in spans:
+            f = flags >> start & width
+            got = group_bits.get((nos, f))
+            if got is None:
+                got = group_bits[(nos, f)] = encode_group(nos, f)
+            groups.append(got)
         out[e] = frame_label(n, w_lanes, _enc_table(len(own_order), groups), own, route_payloads)
     return out
 
@@ -1409,60 +1647,68 @@ def _fold(memo: dict, plugin: PropertyPlugin, op: str, *args):
     return out
 
 
-def _own_terms(rec: ElementRecord, plugin: PropertyPlugin, memo: dict):
-    """(t_in, t_out, own class) of an element record's own fragment."""
+def _side_maps(side: tuple) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(t_in, t_out) of one side of a B record."""
+    if side[0] == "V":
+        return {side[1]: side[2]}, {side[1]: side[2]}
+    return side[2].t_in, side[2].t_out
+
+
+def _glue(rec: ElementRecord) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(t_in, t_out) of an element record's fragment with its children glued
+    on, checking the glue conditions the terminal ids impose: the
+    structural half of _recompute_sub, and all a derived table entry needs
+    besides its class term.  The dicts are new ones."""
     t = rec.topo
     if t[0] == "E":
-        _, lane, vin, vout, mark = t
-        return {lane: vin}, {lane: vout}, _fold(memo, plugin, "base_edge", lane, mark)
-    if t[0] == "P":
-        _, vids, marks = t
-        tm = {i + 1: v for i, v in enumerate(vids)}
-        return tm, dict(tm), _fold(memo, plugin, "base_path", len(vids), marks)
-    _, i, j, bridge, bmark, left, right = t
-
-    def side_maps(side):
-        if side[0] == "V":
-            return ({side[1]: side[2]}, {side[1]: side[2]},
-                    _fold(memo, plugin, "base_vleaf", side[1]))
-        basic = side[2]
-        return dict(basic.t_in), dict(basic.t_out), basic.cls
-
-    lin, lout, lcls = side_maps(left)
-    rin, rout, rcls = side_maps(right)
-    if set(lin) & set(rin):
-        raise _Reject("bridge-lanes")
-    if i not in lout or j not in rout:
-        raise _Reject("bridge-lanes")
-    if edge_key(lout[i], rout[j]) != bridge:
-        raise _Reject("bridge-endpoints")
-    cls = _fold(memo, plugin, "compose_bridge", lcls, rcls, i, j, bmark)
-    return {**lin, **rin}, {**lout, **rout}, cls
+        t_in, t_out = {t[1]: t[2]}, {t[1]: t[3]}
+    elif t[0] == "P":
+        t_in = {i + 1: v for i, v in enumerate(t[1])}
+        t_out = dict(t_in)
+    else:
+        _, i, j, bridge, _, left, right = t
+        lin, lout = _side_maps(left)
+        rin, rout = _side_maps(right)
+        if lin.keys() & rin.keys() or i not in lout or j not in rout:
+            raise _Reject("bridge-lanes")
+        if edge_key(lout[i], rout[j]) != bridge:
+            raise _Reject("bridge-endpoints")
+        t_in, t_out = {**lin, **rin}, {**lout, **rout}
+    seen_lanes: set = set()
+    for _, csub in rec.children:
+        clanes = csub.t_in.keys()
+        if not clanes <= t_in.keys():
+            raise _Reject("child-lanes")
+        if clanes & seen_lanes:
+            raise _Reject("sibling-lanes")
+        seen_lanes.update(clanes)
+        for lane in clanes:
+            if csub.t_in[lane] != t_out[lane]:
+                raise _Reject("glue")
+        for lane in clanes:
+            t_out[lane] = csub.t_out[lane]
+    return t_in, t_out
 
 
 def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> BasicInfo:
     """Fold the claimed child subtree infos onto the element's own fragment,
-    checking the glue conditions the terminal ids impose.  memo is the run's
-    dict (see _fold): the class operations are computed once per distinct
-    argument tuple, and the glue checks run on every call."""
-    t_in, t_out, cls = _own_terms(rec, plugin, memo)
-    lanes = set(t_in)
-    seen_lanes: set = set()
-    cur_out = dict(t_out)
+    checking the glue conditions the terminal ids impose (_glue).  memo is
+    the run's dict (see _fold): the class operations are computed once per
+    distinct argument tuple, and the glue checks run on every call."""
+    t_in, t_out = _glue(rec)
+    t = rec.topo
+    if t[0] == "E":
+        cls = _fold(memo, plugin, "base_edge", t[1], t[4])
+    elif t[0] == "P":
+        cls = _fold(memo, plugin, "base_path", len(t[1]), t[2])
+    else:
+        left, right = t[5], t[6]
+        lcls = left[2].cls if left[0] == "T" else _fold(memo, plugin, "base_vleaf", left[1])
+        rcls = right[2].cls if right[0] == "T" else _fold(memo, plugin, "base_vleaf", right[1])
+        cls = _fold(memo, plugin, "compose_bridge", lcls, rcls, t[1], t[2], t[4])
     for _, csub in rec.children:
-        clanes = set(csub.t_in)
-        if not clanes <= lanes:
-            raise _Reject("child-lanes")
-        if clanes & seen_lanes:
-            raise _Reject("sibling-lanes")
-        seen_lanes |= clanes
-        for lane in clanes:
-            if csub.t_in[lane] != cur_out[lane]:
-                raise _Reject("glue")
         cls = _fold(memo, plugin, "compose_parent", csub.cls, cls)
-        for lane in clanes:
-            cur_out[lane] = csub.t_out[lane]
-    return BasicInfo(t_in, cur_out, cls)
+    return BasicInfo(t_in, t_out, cls)
 
 
 def _fold_record(rec: ElementRecord, plugin: PropertyPlugin, memo: dict, n: int) -> BasicInfo:

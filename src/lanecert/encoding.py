@@ -80,6 +80,18 @@ class Bits:
         return cls.from_bytes(data)
 
 
+_new = object.__new__
+
+
+def _slice(value: int, nbits: int) -> Bits:
+    """Bits(value, nbits) without the check that value fits: for slices a
+    reader cuts, which are masked to nbits bits, so the check cannot fail."""
+    out = _new(Bits)
+    out.value = value
+    out.nbits = nbits
+    return out
+
+
 def _leb128(v: int) -> bytes:
     out = bytearray()
     while v >= 0x80:
@@ -217,7 +229,7 @@ class BitReader:
             shift += 7
 
     def read_bits(self, width: int) -> Bits:
-        return Bits(self.read_uint(width), width)
+        return _slice(self.read_uint(width), width)
 
 
 def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
@@ -255,7 +267,7 @@ def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
         pos += n
         if pos > end:
             raise DecodeError("read past end of bitstring")
-        out.append((stype, Bits(value >> (end - pos) & ((1 << n) - 1), n)))
+        out.append((stype, _slice(value >> (end - pos) & ((1 << n) - 1), n)))
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -558,21 +559,30 @@ def _label_parts(bits):
     """The pieces encode_label makes of a label's decoded form: its own
     chain's payloads, slot count and per-section new slots, the table as
     entry keys, each route's map, relayed payloads, per-section new slots
-    and (base, q) as the label writes them, and how many entries each map
-    names first."""
+    and (base, q) as the label writes them, how many entries each map
+    names first, and the derived entries' indices."""
     lab = decode_label(bits)
     b = id_bits(lab.n)
     own, own_keys, news = certify._enc_chain(lab.tnodes, b)
     relayed = [certify._enc_chain(rs.tnodes, b) for rs in lab.routes]
     table, maps, fresh = certify._table_and_maps(own_keys, [keys for _, keys, _ in relayed])
     routes = [payload for stype, payload in read_sections(bits) if stype == SEC_ROUTE]
+    bases = [_route_base(payload, j, lab.n) for j, payload in enumerate(routes)]
+    chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
+    derived = set(certify._chain_derivations(chains, [0] + [q for _, q in bases], table, b))
     return {
         "lab": lab, "b": b, "own": own, "m_own": len(own_keys), "news": news,
         "table": table, "maps": maps, "fresh": fresh,
         "relayed": [(payloads, rnews) for payloads, _, rnews in relayed],
-        "bases": [_route_base(payload, j, lab.n) for j, payload in enumerate(routes)],
-        "entries": [certify._enc_entry(key, b, lab.w) for key in table],
+        "bases": bases, "derived": derived,
+        "entries": [certify._enc_entry(key, b, lab.w, t in derived) for t, key in enumerate(table)],
     }
+
+
+def _route_tw(parts, j, written):
+    """The index width of route j's map when it writes that many indices:
+    enough for the entries earlier chains name and as many new ones."""
+    return certify._index_bits(parts["m_own"] + sum(parts["fresh"][:j]) + written)
 
 
 def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, pointers=None):
@@ -586,7 +596,6 @@ def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, po
     entries = parts["entries"] if entries is None else entries
     maps = parts["maps"] if maps is None else maps
     bases = parts["bases"] if bases is None else bases
-    tw = certify._index_bits(len(entries) + sum(len(group) for group in extra))
     routes = []
     for j, (rs, idx, (payloads, rnews), (base, q)) in enumerate(
         zip(lab.routes, maps, parts["relayed"], bases)
@@ -598,6 +607,9 @@ def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, po
             packed = packed << (b + 2) | certify._pointer_field(*field, b)
         s = sum(rnews[:q])
         head = (rs.u, rs.v, rs.fwd, rs.bwd)
+        # Wide enough for the indices also where a forged prefix leaves
+        # fewer to write than they need (the decoder refuses its q first).
+        tw = max(_route_tw(parts, j, len(idx) - s), certify._index_bits(max(idx[s:], default=0) + 1))
         routes.append(certify._route_payload(head, j, base, q, packed, idx[s:], tw, payloads[q:], b))
     groups, start = [], 0
     for count in list(parts["news"]) + parts["fresh"]:
@@ -624,11 +636,14 @@ def _table_lies(bits):
         shift = root.nbits - r.pos - sw
         value = root.value & ~(((1 << sw) - 1) << shift) | m << shift
         yield "slot>=m", _assemble(parts, own=[Bits(value, root.nbits)] + parts["own"][1:])
-    tw = certify._index_bits(len(table))
     written = [  # routes whose map writes an index (one past the prefix's slots)
         j for j, ((_, rnews), (_, q)) in enumerate(zip(parts["relayed"], parts["bases"]))
         if sum(rnews[:q]) < len(parts["maps"][j])
     ]
+    if written:
+        j = written[0]
+        s = sum(parts["relayed"][j][1][:parts["bases"][j][1]])
+        tw = _route_tw(parts, j, len(parts["maps"][j]) - s)
     if written and len(table) < 1 << tw:
         maps = [list(idx) for idx in parts["maps"]]
         maps[written[0]][-1] = len(table)
@@ -640,8 +655,13 @@ def _table_lies(bits):
     mask, ids, _ = table[0]
     unused = certify._enc_entry((mask, ids, 99), parts["b"], parts["lab"].w)
     yield "unused", _assemble(parts, extra=[[unused]])
-    if len(table) > 1:
-        yield "repeated", _assemble(parts, entries=parts["entries"][:-1] + parts["entries"][:1])
+    # The last entry written in full repeats the first (the root's, which
+    # is never derived).
+    last = max(set(range(1, len(table))) - parts["derived"], default=None)
+    if last is not None:
+        entries = list(parts["entries"])
+        entries[last] = entries[0]
+        yield "repeated", _assemble(parts, entries=entries)
 
 
 @pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
@@ -717,8 +737,15 @@ def test_repointed_route_map_is_rejected_inside_the_route(family, n, k, prop):
         s = sum(parts["relayed"][j][1][:q])
         spare = [i for i in range(named) if i not in idx]
         forgeries = []
-        if spare and s < len(idx):
-            forgeries.append(("map", _repointed(parts, j, idx[-1], spare[0])))
+        # The first repointing, from the last slot the map writes back, that
+        # the wire can carry: a derived entry must stay what its record
+        # derives.
+        for old, new in ((old, new) for old in reversed(idx[s:]) for new in spare):
+            try:
+                forgeries.append(("map", _repointed(parts, j, old, new)))
+                break
+            except CertifyError:
+                pass
         if q:
             pointers = {j: [(sec.dist, sec.is_tree, sec.parent_min)
                             for sec in parts["lab"].routes[j].tnodes[:q]]}
@@ -832,3 +859,167 @@ def test_route_prefix_lies_are_rejected_at_an_endpoint():
     assert set(kinds) == {
         "shorter-base", "self-base", "later-base", "past-base", "next-shared", "tie-later"
     }, kinds
+
+
+# --- derived table entries: what the decoder derives, and what it refuses ---
+
+
+def _derives(chain, pos, b):
+    """Whether section pos of a decoded chain derives its node's BasicInfo:
+    it is nested, its record is the node's root element, and the record
+    names no child with that BasicInfo's value."""
+    sec = chain[pos]
+    key = lambda bi: certify._basic_key(bi, b)
+    return pos > 0 and sec.elem.eid == sec.node_eid and key(sec.basic) not in {
+        key(csub) for _, csub in sec.elem.children
+    }
+
+
+def _retargeted(rec, n):
+    """rec with its own terminal on the lane where its first child glues
+    on moved to a vertex rec does not hold, or None when a T side gives
+    that terminal."""
+    lane = min(rec.children[0][1].t_in)
+    t = rec.topo
+    held = {v for side in t[5:] if side[0] == "V" for v in side[2:]} if t[0] == "B" else set()
+    held |= set(t[1]) if t[0] == "P" else set(t[2:4]) if t[0] == "E" else set(t[3])
+    fresh = min(set(range(n)) - held)
+    if t[0] == "E" and t[1] == lane:
+        return replace(rec, topo=t[:3] + (fresh,) + t[4:])
+    if t[0] == "P":
+        vids = list(t[1])
+        vids[lane - 1] = fresh
+        return replace(rec, topo=("P", tuple(vids), t[2]))
+    if t[0] == "B":
+        sides = [("V", lane, fresh) if side[:2] == ("V", lane) else side for side in t[5:]]
+        if sides != list(t[5:]):
+            return replace(rec, topo=t[:5] + tuple(sides))
+    return None
+
+
+def _derived_lies(lab):
+    """(kind, forged own chain, forged routes) for each lie about a section
+    of lab that derives an entry: in the own chain, its record with a
+    second child over the first one's lanes ("sibling-lanes"), a child with
+    the root's lanes ("child-lanes"), the terminal the first child glues on
+    moved ("glue"), a vertex-leaf side moved to lane w + 1 ("lane>w"), or a
+    T side named with the derived entry itself ("loop");
+    and a relayed chain's deriving section made to derive an entry the own
+    chain derives ("differ")."""
+    chain, b = lab.tnodes, id_bits(lab.n)
+    spare = 10 ** 6  # an element id no record uses
+    at = [pos for pos in range(len(chain)) if _derives(chain, pos, b)]
+    for pos in at:
+        sec = chain[pos]
+        rec = sec.elem
+
+        def with_rec(new, pos=pos):
+            return chain[:pos] + [replace(chain[pos], elem=new)] + chain[pos + 1:]
+
+        if rec.children:
+            yield "sibling-lanes", with_rec(replace(rec, children=rec.children + ((spare, rec.children[0][1]),))), lab.routes
+            moved = _retargeted(rec, lab.n)
+            if moved is not None:
+                yield "glue", with_rec(moved), lab.routes
+        yield "child-lanes", with_rec(replace(rec, children=rec.children + ((spare, chain[0].basic),))), lab.routes
+        for i, side in enumerate(rec.topo[5:] if rec.kind == "B" else ()):
+            # A vertex-leaf side, the bridge's end on that side, moved to
+            # lane w + 1 where no child glues on its old lane.
+            if side[0] == "V" and all(side[1] not in csub.t_in for _, csub in rec.children):
+                topo = list(rec.topo)
+                topo[1 + i] = lab.w + 1
+                topo[5 + i] = ("V", lab.w + 1, side[2])
+                yield "lane>w", with_rec(replace(rec, topo=tuple(topo))), lab.routes
+        for i, side in enumerate(rec.topo[5:] if rec.kind == "B" else ()):
+            if side[0] == "T":
+                topo = list(rec.topo)
+                topo[5 + i] = side[:2] + (sec.basic,)
+                forged = with_rec(replace(rec, topo=tuple(topo)))
+                if pos + 1 < len(chain) and chain[pos + 1].node_eid == side[1]:
+                    forged[pos + 1] = replace(chain[pos + 1], basic=sec.basic)
+                yield "loop", forged, lab.routes
+    # A relayed chain's deriving section made to derive an entry of the
+    # own chain, from a record of other maps (within one chain, the record
+    # above a deeper section would name the upper entry, which its own
+    # derivation then needs).
+    for j, rs in enumerate(lab.routes):
+        relayed = rs.tnodes
+        for lower in range(1, len(relayed)):
+            if not _derives(relayed, lower, b):
+                continue
+            for upper in at:
+                entry = chain[upper].basic
+                key = lambda bi: certify._basic_key(bi, b)
+                if key(entry) == key(relayed[lower].basic):
+                    continue
+                above = relayed[lower - 1].elem
+                side = 5 + certify._side_bit(above, relayed[lower].node_eid, relayed[lower].basic)
+                topo = list(above.topo)
+                topo[side] = topo[side][:2] + (entry,)
+                forged = list(relayed)
+                forged[lower - 1] = replace(relayed[lower - 1], elem=replace(above, topo=tuple(topo)))
+                forged[lower] = replace(relayed[lower], basic=entry)
+                routes = list(lab.routes)
+                routes[j] = replace(rs, tnodes=forged)
+                yield "differ", chain, routes
+
+
+DERIVED_ERRORS = {
+    "sibling-lanes": "sibling-lanes", "child-lanes": "child-lanes", "glue": "glue",
+    "loop": "needs that entry", "differ": "two derivations of one entry differ",
+    "lane>w": "lane above w",
+}
+
+
+def test_derived_entry_lies_are_rejected_at_an_endpoint(monkeypatch):
+    # A derived entry is written as its class term alone, and the decoder
+    # derives the rest from the record of the section that derives it.  A
+    # record whose children overlap, stray outside its lanes or do not glue
+    # on, one on a lane above w, a derivation that needs its own entry, and
+    # two derivations of one entry that differ: each is a DecodeError at
+    # decode_label, and both
+    # endpoints of the edge reject it as "decode", with memo None, {} and a
+    # shared one.  (encode_label refuses such a decoded form, so the
+    # forgeries are written with its check of derived entries off.)
+    honest = {}
+    for case in LAYOUT_CASES + [("random-ops", 60, 3, "parity")]:
+        honest[case] = _layout_instance(*case)
+    monkeypatch.setattr(certify, "_check_derived", lambda *args: None)
+    kinds = {}
+    for (family, n, k, prop), (g, labels) in honest.items():
+        shared = {}
+        for e in sorted(labels):
+            lab = decode_label(labels[e])
+            for kind, chain, routes in _derived_lies(lab):
+                forged = encode_label(lab.n, lab.w, chain, routes)
+                try:
+                    decode_label(forged)
+                except DecodeError as exc:
+                    if DERIVED_ERRORS[kind] not in str(exc):
+                        continue  # another check caught it first
+                else:
+                    assert kind == "differ", (family, e, kind)  # equal maps derive alike
+                    continue
+                kinds[kind] = kinds.get(kind, 0) + 1
+                bad = {**labels, e: forged}
+                for view in local_views(g, bad):
+                    if view.vid in e:
+                        for memo in (None, {}, shared):
+                            assert verify_vertex(view, prop, k, memo).reason == "decode", (family, e, kind)
+    assert set(kinds) == set(DERIVED_ERRORS), kinds
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_encode_label_refuses_a_derived_entry_its_record_does_not_derive():
+    # The wire carries a derived entry's class term alone, so encode_label
+    # refuses a decoded form whose derived entry differs from what its
+    # record derives, or whose derivation fails.
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    refused = 0
+    for bits in labels.values():
+        lab = decode_label(bits)
+        for kind, chain, routes in _derived_lies(lab):
+            with pytest.raises(CertifyError):
+                encode_label(lab.n, lab.w, chain, routes)
+            refused += 1
+    assert refused > 0

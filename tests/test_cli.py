@@ -267,6 +267,24 @@ def test_bench_command(capsys):
     assert head.split()[:3] == ["family", "n", "w"] and row.split()[:3] == ["grid", "30", "7"]
 
 
+def test_bench_reports_bits_by_section(capsys):
+    # Each row splits the mean label into its sections, in --json and in
+    # the text table, and the parts add up to the mean label.
+    args = ("bench", "--family", "random-ops", "--sizes", "40", "--property", "parity", "--k", "3")
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    (row,) = json.loads(out)
+    parts = row["mean_bits_by_section"]
+    assert list(parts) == ["header", "basic", "tnode", "route", "framing"]
+    assert all(parts[name] > 0 for name in parts)
+    assert sum(parts.values()) == pytest.approx(row["mean_bits"])
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    head, line = out.splitlines()
+    cells = dict(zip(head.split(), line.split()))
+    assert {name: float(cells[name]) for name in parts} == pytest.approx(parts, abs=0.05)
+
+
 def test_bench_refusal_exit_code(capsys):
     code, out, err = run(capsys, "bench", "--family", "cycle", "--sizes", "10,20",
                          "--property", "acyclic", "--k", "2")

@@ -120,6 +120,31 @@ def test_reader_overrun():
         r.read_uint(2)
 
 
+@pytest.mark.parametrize("value,nbits", [(2, 1), (1, 0), (-1, 4), (0, -1), (1 << 70, 70)])
+def test_bits_refuse_a_value_that_does_not_fit(value, nbits):
+    # Readers cut their slices without this check (they mask them to fit);
+    # the public constructor keeps it, also under python -O.
+    with pytest.raises(ValueError):
+        Bits(value, nbits)
+
+
+def test_reader_slices_equal_checked_bits():
+    rng = random.Random(2)
+    for _ in range(200):
+        nbits = rng.randrange(0, 120)
+        whole = Bits(rng.getrandbits(nbits) if nbits else 0, nbits)
+        r = BitReader(whole)
+        cut = rng.randrange(0, nbits + 1)
+        head, tail = r.read_bits(cut), r.read_bits(r.remaining())
+        assert head == Bits(whole.value >> (nbits - cut), cut)
+        assert tail == Bits(whole.value & ((1 << (nbits - cut)) - 1), nbits - cut)
+        assert hash(head) == hash(Bits(head.value, head.nbits))
+    w = BitWriter()
+    write_section(w, 5, Bits(0b110, 3))
+    ((stype, payload),) = read_sections(w.getvalue())
+    assert (stype, payload) == (5, Bits(0b110, 3)) and type(payload) is Bits
+
+
 def test_sections_roundtrip():
     w = BitWriter()
     p1 = Bits(0b1011, 4)

@@ -241,9 +241,9 @@ def unreferenced_definitions(defined, using):
 
 # Definitions that no src/ or perfbench/ code uses yet, with why each stays.
 TEST_ONLY_ALLOWED = {
-    "degeneracy_orientation": "vertex-label transform, wired in by ROADMAP item 6",
-    "edge_labels_to_vertex_labels": "vertex-label transform, ROADMAP item 6",
-    "vertex_labels_to_edge_labels": "vertex-label transform, ROADMAP item 6",
+    "degeneracy_orientation": "vertex-label transform, wired in by ROADMAP item 4",
+    "edge_labels_to_vertex_labels": "vertex-label transform, ROADMAP item 4",
+    "vertex_labels_to_edge_labels": "vertex-label transform, ROADMAP item 4",
 }
 
 

@@ -44,7 +44,7 @@ from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, id_bits
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
-from tests.test_certify import _route_base
+from tests.test_certify import _label_parts, _route_base
 from tests.test_graph import cycle_graph, path_graph
 
 FALSE_STATEMENTS = {
@@ -118,12 +118,17 @@ K3_LAYOUTS = (("cycle", 30, "bipartite"), ("caterpillar", 30, "acyclic"), ("rand
 
 
 def test_honest_labels_reencode_exactly():
+    # Every layout family at k = 3 writes derived table entries, and its
+    # labels re-encode to the same bits.
     k3 = [(*generate(GeneratorSpec(family, n, 3, 0.3), 0), prop, 3) for family, n, prop in K3_LAYOUTS]
-    for g, ir, prop, k in _true_statements() + k3:
+    for i, (g, ir, prop, k) in enumerate(k3 + _true_statements()):
         memo = {}
+        derived = 0
         for bits in prove(g, prop, k, ir=ir).values():
             for lab in (decode_label(bits), decode_label(bits, memo)):
                 assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes) == bits
+            derived += len(_label_parts(bits)["derived"])
+        assert i >= len(k3) or derived > 0, K3_LAYOUTS[i]
 
 
 def test_one_record_object_per_element():
@@ -169,9 +174,11 @@ def _small_label(secs, tnodes=None) -> Bits:
     out = [(SEC_HEADER, hw.getvalue())] + secs[1:]
     if tnodes is not None:
         m_own = BitReader(secs[1][1]).read_varint()
-        news = certify._raw_chain(tnodes, id_bits(n), n, certify._index_bits(m_own), {})[1]
+        _, news, found = certify._raw_chain(tnodes, id_bits(n), n, certify._index_bits(m_own), {})
+        derived = certify._derived([(range(m_own), found)])
         entries = iter(
-            certify._enc_entry((1, 0, term), id_bits(5), w_lanes) for term in range(m_own)
+            certify._enc_entry((1, 0, term), id_bits(5), w_lanes, term in derived)
+            for term in range(m_own)
         )
         groups = [certify._join([next(entries) for _ in range(c)]) for c in news if c]
         table = certify._enc_table(m_own, groups)
@@ -203,16 +210,16 @@ def test_memo_keeps_sections_apart_by_n():
                     assert _decodes(small, memo) == _decodes(small), kind
                     failing[kind] += not _decodes(small)
             # And the label's table alone, its groups read under n = 5.
-            lab = decode_label(bits)
+            parts = _label_parts(bits)
+            counts = [count for count in list(parts["news"]) + parts["fresh"] if count]
             tr = BitReader(secs[1][1])
-            m_own = tr.read_varint()
-            news = certify._raw_chain(payloads, id_bits(lab.n), lab.n, certify._index_bits(m_own), {})[1]
+            tr.read_varint()
 
             def table_decodes(table_memo):
                 r = BitReader(secs[1][1])
                 r.pos = tr.pos
                 try:
-                    certify._dec_table(r, news, id_bits(5), 5, lab.w, table_memo)
+                    certify._dec_table(r, counts, parts["derived"], id_bits(5), 5, parts["lab"].w, table_memo)
                 except DecodeError:
                     return False
                 return True

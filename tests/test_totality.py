@@ -34,6 +34,7 @@ from lanecert.generators import FAMILIES, GeneratorError, GeneratorSpec, generat
 from lanecert.graph import edge_key
 from lanecert.intervals import width
 from lanecert.properties import PLUGINS, HomClass
+from tests.test_certify import _relayed_parts
 from tests.test_graph import cycle_graph
 
 PROPS = ("parity", "bipartite", "acyclic", "matching", "marked-bipartite")
@@ -114,6 +115,53 @@ def test_verify_total_on_replaced_section(data, name):
     for view in local_views(g, bad):
         if view.vid in e:
             assert verify_vertex(view, prop, k) == verdicts[view.vid]
+
+
+@functools.lru_cache(maxsize=None)
+def _derived_sites(name):
+    """(edge, section index, first bit) of the payload bits of _honest(name)'s
+    labels that hold a section deriving a table entry: an own chain's
+    nested T-node section whose record is its node's root element, from its
+    first bit, or a route section whose frames hold one, from the frames'
+    first bit."""
+    g, prop, k, labels = _honest(name)
+    sites = []
+    for e, bits in sorted(labels.items()):
+        for pos, sec in enumerate(decode_label(bits).tnodes):
+            if pos and sec.elem.eid == sec.node_eid:
+                sites.append((e, 2 + pos, 0))
+        for i, head, _, chain, q in _relayed_parts(bits):
+            if any(sec.elem.eid == sec.node_eid for sec in chain[max(q, 1):]):
+                sites.append((e, i, head.nbits))
+    assert sites
+    return sites
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(("C6", "ops16")))
+def test_verify_total_on_derived_section_edits(data, name):
+    # One to three bits flipped inside a section that derives a table entry
+    # (its record, or a relayed chain's frames): every vertex gives a
+    # verdict, and an endpoint's verdict does not depend on the memo.
+    g, prop, k, labels = _honest(name)
+    e, i, start = data.draw(st.sampled_from(_derived_sites(name)))
+    secs = read_sections(labels[e])
+    payload = secs[i][1]
+    flips = data.draw(st.lists(st.integers(start, payload.nbits - 1), min_size=1, max_size=3))
+    value = payload.value
+    for pos in flips:
+        value ^= 1 << (payload.nbits - 1 - pos)
+    secs[i] = (secs[i][0], Bits(value, payload.nbits))
+    w = BitWriter()
+    for stype, part in secs:
+        write_section(w, stype, part)
+    bad = {**labels, e: w.getvalue()}
+    verdicts = verify_all(g, bad, prop, k)
+    assert all(isinstance(v, Verdict) for v in verdicts.values())
+    for view in local_views(g, bad):
+        if view.vid in e:
+            assert verify_vertex(view, prop, k) == verdicts[view.vid]
+            assert verify_vertex(view, prop, k, {}) == verdicts[view.vid]
 
 
 @settings(max_examples=25, deadline=None)

@@ -542,11 +542,12 @@ def frame_label(
     return out.getvalue()
 
 
-def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int]], List[int]]:
+def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int]], List[int], Dict]:
     """The label's table, in order of first use (the own chain's entries,
     then each relayed chain's new ones in route order), each relayed chain's
-    map into it, and how many entries each map names first.  Entries are
-    hashable keys, equal when the entries are."""
+    map into it, how many entries each map names first, and each entry's
+    index in the table.  Entries are hashable keys, equal when the entries
+    are."""
     table = list(own)
     index = dict(zip(table, range(len(table))))
     maps = []
@@ -561,7 +562,7 @@ def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int
                     table.append(keys[j])
         maps.append(idx)
         fresh.append(len(table) - before)
-    return table, maps, fresh
+    return table, maps, fresh, index
 
 
 def _bases(chains: List[list]) -> List[Tuple[int, int]]:
@@ -820,7 +821,7 @@ def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -
     bases = _bases(shares)
     # A prefix's slots name entries its base named before, so only the
     # slots after it are mapped.
-    table, maps, fresh = _table_and_maps(
+    table, maps, fresh, _ = _table_and_maps(
         own_keys, [keys[sum(rnews[:q]):] for (_, keys, rnews), (_, q) in zip(relayed, bases)]
     )
     derivs = _chain_derivations(chains, [0] + [q for _, q in bases], table, b)
@@ -1407,12 +1408,14 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
                 order, slots, groups = states[up[0]]
                 order, slots, groups = list(order), dict(slots), list(groups)
                 uses = nos
-                # The records' fields as _derivation reads them: the eid, the
-                # topology and as many items as children.
-                got = _derivation(
-                    (None, (up[1].eid, None, up[1].topo), names[up[0]]),
-                    (side, (rec.eid, None, rec.topo, *rec.children), nos),
-                )
+                got = None
+                if rec.eid == node_eid:  # else the section derives nothing
+                    # The records' fields as _derivation reads them: the
+                    # eid, the topology and as many items as children.
+                    got = _derivation(
+                        (None, (up[1].eid, None, up[1].topo), names[up[0]]),
+                        (side, (rec.eid, None, rec.topo, *rec.children), nos),
+                    )
                 derived = derives[up[0]]
                 if got is not None:
                     derived = (derived[0] + (got[0],), derived[1] + tuple(got[1]))
@@ -1513,7 +1516,7 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
         bases = _bases(relayed_states[e])
         # A prefix's slots name entries its base named before, so only the
         # slots after it are mapped.
-        table, maps, fresh = _table_and_maps(own_order, [
+        table, maps, fresh, index = _table_and_maps(own_order, [
             chains[ve][1][prefixes[ve][q][1]:] for (_, ve), (_, q) in zip(routes[e], bases)
         ])
         route_payloads = []
@@ -1526,13 +1529,14 @@ def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
             named += count
         # The label's derived entries, as _derived selects them: those its
         # chains' sections derive, but for children of deriving records.
-        xs, kids = zip(*[derives[chain[-1]] for chain in relayed_states[e]])
-        derived = frozenset().union(*xs).difference(*kids)
+        derived, kids = set(), set()
+        for chain in relayed_states[e]:
+            got = derives[chain[-1]]
+            derived.update(got[0])
+            kids.update(got[1])
         flags = 0  # bit t: table entry t is derived
-        if derived:
-            index = dict(zip(table, range(len(table))))
-            for no in derived.intersection(index):
-                flags |= 1 << index[no]
+        for no in derived - kids:
+            flags |= 1 << index[no]
         spans = list(own_groups)  # each group's entry numbers, first index and width
         start = len(own_order)
         for count in fresh:

@@ -565,7 +565,7 @@ def _label_parts(bits):
     b = id_bits(lab.n)
     own, own_keys, news = certify._enc_chain(lab.tnodes, b)
     relayed = [certify._enc_chain(rs.tnodes, b) for rs in lab.routes]
-    table, maps, fresh = certify._table_and_maps(own_keys, [keys for _, keys, _ in relayed])
+    table, maps, fresh, _ = certify._table_and_maps(own_keys, [keys for _, keys, _ in relayed])
     routes = [payload for stype, payload in read_sections(bits) if stype == SEC_ROUTE]
     bases = [_route_base(payload, j, lab.n) for j, payload in enumerate(routes)]
     chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]

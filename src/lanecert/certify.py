@@ -29,6 +29,14 @@ contents alone (its labels are checked in edge order).  A failing fold or
 operation is not stored, so it runs again wherever it recurs.  Plugins
 themselves stay stateless.
 
+One encoder writes every label.  The prover builds each real edge's
+decoded form (``_forms``) of the objects ``annotate_classes`` shares and
+hands it to ``encode_label`` with one memo for the run.  The memo keeps,
+per label header, a tree of section states (``_SecState``): a state is a
+section with every section above it, with the slot order and derivations
+down to it and its payloads by pointer fields and slot width; entries,
+groups and relayed chains are kept per header.  It changes no label.
+
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count w) and a basic section (the label's BasicInfo
 table), followed by one T-node section per decomposition node containing
@@ -203,7 +211,7 @@ class ElementRecord:
         return [(t[3], t[4])]
 
 
-@dataclass
+@dataclass(slots=True)
 class TSec:
     node_eid: int
     is_root: bool
@@ -214,7 +222,7 @@ class TSec:
     elem: ElementRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class RSec:
     """A route section: the virtual edge's endpoints, this host edge's ranks
     along its route, and the relayed chain (the virtual edge's T-node
@@ -524,24 +532,6 @@ def reroute(payload: Bits, rs: RSec, n: int) -> Bits:
     return rw.getvalue()
 
 
-def frame_label(
-    n: int, w_lanes: int, table: Bits, tnodes: List[Bits], routes: List[Bits]
-) -> Bits:
-    """A label from its header fields and its section payloads: the basic
-    table, the T-node sections, the route sections."""
-    out = BitWriter()
-    hw = BitWriter()
-    hw.write_varint(n)
-    hw.write_varint(w_lanes)
-    write_section(out, SEC_HEADER, hw.getvalue())
-    write_section(out, SEC_BASIC, table)
-    for payload in tnodes:
-        write_section(out, SEC_TNODE, payload)
-    for payload in routes:
-        write_section(out, SEC_ROUTE, payload)
-    return out.getvalue()
-
-
 def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int]], List[int], Dict]:
     """The label's table, in order of first use (the own chain's entries,
     then each relayed chain's new ones in route order), each relayed chain's
@@ -586,53 +576,6 @@ def _bases(chains: List[list]) -> List[Tuple[int, int]]:
     return out
 
 
-def _pointer_field(dist: int, is_tree: bool, parent_min: bool, b: int) -> int:
-    """One section's pointer fields as a (b + 2)-bit route prefix field, dist
-    in the top b bits; CertifyError for a wider dist."""
-    if dist >> b:
-        raise CertifyError("a relayed dist of %d does not fit in %d bits" % (dist, b))
-    return dist << 2 | is_tree << 1 | parent_min
-
-
-def _route_payload(
-    head: tuple, j: int, base: int, q: int, pointers: int, idx: List[int], tw: int,
-    payloads: List[Bits], b: int,
-) -> Bits:
-    """The payload of a label's route section j: endpoints and ranks; the
-    base, ceil(log2 (j + 1)) bits (0 the own chain, i + 1 the relayed chain
-    of route i < j); the shared prefix, its length q and then its q
-    sections' pointer fields (_pointer_field), packed into the int
-    pointers, first section highest; the map of the slots after the
-    prefix's, its length and then a tw-bit table index each; the T-node
-    sections of the relayed chain's payloads after the prefix."""
-    packed = 0
-    for i in idx:
-        packed = packed << tw | i
-    rw = BitWriter()
-    _write_route_head(rw, *head, b)
-    rw.write_uint(base, j.bit_length())  # an index below j + 1
-    rw.write_varint(q)
-    rw.write_uint(pointers, q * (b + 2))
-    rw.write_varint(len(idx))
-    rw.write_uint(packed, len(idx) * tw)
-    for payload in payloads:
-        write_section(rw, SEC_TNODE, payload)
-    return rw.getvalue()
-
-
-def _enc_table(m_own: int, groups: List[Bits]) -> Bits:
-    """The basic section: the own chain's slot count m, then every table
-    entry in groups, each group its length in bits and then its entries.
-    The own chain has a group per section that names entries first, and a
-    route one per relayed chain that names entries first."""
-    tw = BitWriter()
-    tw.write_varint(m_own)
-    for group in groups:
-        tw.write_varint(group.nbits)
-        tw.write_bits(group)
-    return tw.getvalue()
-
-
 def _join(parts: List[Bits]) -> Bits:
     jw = BitWriter()
     for part in parts:
@@ -640,31 +583,132 @@ def _join(parts: List[Bits]) -> Bits:
     return jw.getvalue()
 
 
-def _enc_chain(tnodes: List[TSec], b: int) -> Tuple[List[Bits], List[tuple], List[int]]:
-    """(section payloads, entry keys in slot order, the number of slots
-    each section names first) of one chain.  Slots are numbered by first
-    use; CertifyError when the chain has a field the wire cannot carry: a
-    root flag off position 0, or a nested section that is not a T side of
-    the record above it."""
-    slots: Dict[tuple, int] = {}
-    news = []
+class _SecState:
+    """A chain section with every section above it, in labels of one n and
+    w: what encode_label needs of it besides its pointer fields.  side is
+    its side bit (None at the root); rec is its record and uses the
+    record's entry tokens (_Header.entry); order holds the tokens of the
+    chain's slots down to it, new those it names first;
+    derived and kids are the entries the sections down to it derive
+    (_derivation) and those their deriving records name as children, and
+    faults (entry, reason) for each of those derivations that fails.  below
+    maps each section below it, by its node eid, BasicInfo and record
+    objects, to (its state, the section), and equal lists them by node
+    and record eid, so equal sections below equal ones are one state, a
+    share token for _bases.  bits holds the payloads by pointer fields and
+    slot width, and the record's bits by slot width."""
+
+    __slots__ = ("side", "rec", "uses", "order", "new", "derived", "kids", "faults", "below", "equal", "bits")
+
+    def __init__(self, up, side, rec, uses, named):
+        self.side, self.rec, self.uses = side, rec, uses
+        order = up.order if up else ()
+        self.new = tuple(dict.fromkeys(t for t in named if t not in order))
+        self.order = order + self.new
+        self.derived, self.kids, self.faults = (up.derived, up.kids, up.faults) if up else ((), (), ())
+        self.below, self.equal, self.bits = {}, {}, {}
+
+
+class _Header(_SecState):
+    """The state above each chain's root section in labels of n vertices
+    and w lanes, with what those labels share: each BasicInfo's entry, the
+    groups by entries and derived flags, relayed chains by object id, and
+    the header section."""
+
+    __slots__ = ("b", "w", "entries", "values", "groups", "relayed", "header")
+
+    def __init__(self, n: int, w_lanes: int):
+        super().__init__(None, None, None, (), ())
+        self.b, self.w = id_bits(n), w_lanes
+        self.entries, self.values, self.groups, self.relayed = {}, {}, {}, {}
+        hw, out = BitWriter(), BitWriter()
+        hw.write_varint(n)
+        hw.write_varint(w_lanes)
+        write_section(out, SEC_HEADER, hw.getvalue())
+        self.header = out.getvalue()  # the header section, framed
+
+    def entry(self, bi: BasicInfo) -> int:
+        """The token of bi's table entry: the id of the first BasicInfo of
+        its value, so equal entries have one; entries[token] is (that
+        BasicInfo, token, _basic_key)."""
+        hit = self.entries.get(id(bi))
+        if hit is None:
+            key = _basic_key(bi, self.b)
+            hit = self.entries[id(bi)] = (bi, id(self.values.setdefault(key, bi)), key)
+        return hit[1]
+
+    def entry_bits(self, token: int, derived: int) -> Bits:
+        """_enc_entry of token's entry, once per header (in bits, which the
+        header, a state without payloads, has free)."""
+        bits = self.bits.get((token, derived))
+        if bits is None:
+            bits = self.bits[(token, derived)] = _enc_entry(self.entries[token][2], self.b, self.w, derived)
+        return bits
+
+
+def _enc_chain(tnodes: List[TSec], head: _Header) -> List[_SecState]:
+    """The states of a chain's sections, each made once per header;
+    CertifyError for a field the wire cannot carry: a root flag off
+    position 0, or a nested section that is not a T side of the record
+    above it."""
+    states: List[_SecState] = []
+    up = head
     for pos, sec in enumerate(tnodes):
         if sec.is_root != (pos == 0):
             raise CertifyError("only the first T-node section is the root")
-        before = len(slots)
-        uses = list(_elem_uses(sec.elem))
-        for bi in [sec.basic] + uses if pos == 0 else uses:
-            slots.setdefault(_basic_key(bi, b), len(slots))
-        news.append(len(slots) - before)
-    sw = _index_bits(len(slots))
-    slot = lambda bi: slots[_basic_key(bi, b)]
+        key = (sec.node_eid, id(sec.basic), id(sec.elem))
+        hit = up.below.get(key)
+        if hit is None:
+            rec = sec.elem
+            uses = tuple([head.entry(bi) for bi in _elem_uses(rec)])
+            basic = head.entry(sec.basic)
+            # Equal sections have equal node and record eids.
+            same = up.equal.setdefault((sec.node_eid, rec.eid), [])
+            for st, other in same:
+                if (basic, uses) == (head.entry(other.basic), st.uses) and _rec_fields(rec) == _rec_fields(other.elem):
+                    break
+            else:
+                if pos == 0:
+                    st = _SecState(up, None, rec, uses, (basic,) + uses)
+                else:
+                    st = _SecState(up, _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic), rec, uses, uses)
+                    # The fields of the two records that _derivation reads.
+                    got = rec.eid == sec.node_eid and _derivation(
+                        (None, (up.rec.eid, None, up.rec.topo), up.uses), (st.side, (rec.eid, None, rec.topo, *rec.children), uses)
+                    )
+                    if got:
+                        st.derived += (got[0],)
+                        st.kids += got[1]
+                        fault = _derivation_fault(sec, head.w)
+                        if fault is not None:
+                            st.faults += ((got[0], fault),)
+                same.append((st, sec))
+            hit = up.below[key] = (st, sec)  # keeps the objects of key alive
+        up = hit[0]
+        states.append(up)
+    return states
+
+
+def _payloads(tnodes: List[TSec], states: List[_SecState], head: _Header, start: int = 0) -> List[Bits]:
+    """The payloads of a chain's sections from start on, slots numbered by
+    first use, each encoded once per header."""
+    order = states[-1].order if states else ()
+    sw = _index_bits(len(order))
+    slots = None
     payloads = []
-    for pos, sec in enumerate(tnodes):
-        side = None
-        if pos:
-            side = _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic)
-        payloads.append(_enc_tnode(sec, side, slot, sw, _enc_elem(sec.elem, b, slot, sw)))
-    return payloads, list(slots), news
+    for sec, st in zip(tnodes[start:], states[start:]) if start else zip(tnodes, states):
+        key = (sec.dist, sec.is_tree, sec.parent_min, sw)
+        payload = st.bits.get(key)
+        if payload is None:
+            if slots is None:
+                slots = dict(zip(order, range(len(order))))
+            slot = lambda bi: slots[head.entry(bi)]
+            tail = st.bits.get(sw)
+            if tail is None:
+                tail = st.bits[sw] = _enc_elem(sec.elem, head.b, slot, sw)
+            payload = st.bits[key] = _enc_tnode(sec, st.side, slot, sw, tail)
+        payloads.append(payload)
+    return payloads
 
 
 # --- derived table entries ---------------------------------------------------
@@ -677,7 +721,7 @@ def _derivation(above: tuple, below: tuple) -> Optional[tuple]:
     fields as _rec_fields gives them (of which it reads the eid, the T
     sides' node eids and the number of children), and the slots of the
     BasicInfos the record names, in _elem_uses order.  The decoder's raw
-    sections start so; the encoders give entry numbers or keys as slots.
+    sections start so; the encoder gives entry tokens as slots.
     When below's record is the root element of its node, which is the T
     side of above's record that below names, below's section derives that
     node's BasicInfo: the result is (that BasicInfo's slot, the slots
@@ -714,26 +758,6 @@ def _derived(written: list) -> Dict:
             if entry not in kids:
                 out.setdefault(entry, []).append((fields, slots, idx))
     return out
-
-
-def _chain_derivations(chains: List[List[TSec]], qs: List[int], table: List[tuple], b: int) -> Dict:
-    """_derived of a label's decoded chains, the own one first: each
-    derived entry's table index with the derivation (record fields, slots,
-    idx) of each section after chain c's first qs[c] (the shared prefix,
-    which its base covers) that derives it, the slots as table indices.
-    table holds the entries' keys in table order."""
-    index = dict(zip(table, range(len(table))))
-    derivations = []
-    for chain, q in zip(chains, qs):
-        raws = []
-        for pos, sec in enumerate(chain):
-            side = _side_bit(chain[pos - 1].elem, sec.node_eid, sec.basic) if pos else None
-            slots = [index[_basic_key(bi, b)] for bi in _elem_uses(sec.elem)]
-            raws.append((side, _rec_fields(sec.elem), slots))
-            got = _derivation(raws[pos - 1], raws[pos]) if pos >= max(q, 1) else None
-            if got is not None:
-                derivations.append((*got, *raws[pos][1:]))
-    return _derived([(range(len(table)), derivations)])
 
 
 def _derive(derivs: Dict, table: list, b: int, n: int, w_lanes: int, memo) -> None:
@@ -787,66 +811,124 @@ def _derive(derivs: Dict, table: list, b: int, n: int, w_lanes: int, memo) -> No
         todo = later
 
 
-def _check_derived(chains: List[List[TSec]], derivs: Dict, table: List[tuple], b: int, n: int, w_lanes: int) -> None:
-    """CertifyError unless each derived entry of a label's decoded chains
-    is the entry decode_label derives for it (derivs and table as
-    encode_label has them): the wire carries its class term alone."""
-    given = {_basic_key(bi, b): bi for chain in chains for sec in chain
-             for bi in (sec.basic, *_elem_uses(sec.elem))}
-    found = [key[2] if t in derivs else given[key] for t, key in enumerate(table)]
+def _derivation_fault(sec: TSec, w_lanes: int) -> Optional[str]:
+    """Why decode_label would not derive sec's BasicInfo from sec's record
+    (_derive), or None: the record fails its glue, or its fragment with its
+    children glued on has a lane above w or other terminal maps."""
     try:
-        _derive(derivs, found, b, n, w_lanes, {})
-    except DecodeError as exc:
-        raise CertifyError("a derived entry cannot be derived: %s" % exc)
-    if any(_basic_key(found[t], b) != table[t] for t in derivs):
-        raise CertifyError("a derived entry differs from the one its record derives")
+        t_in, t_out = _glue(sec.elem)
+    except _Reject as rj:
+        return "a derived entry's record fails its glue: %s" % rj.code
+    if max(t_in, default=0) > w_lanes:
+        return "a derived entry has a lane above w"
+    if t_in != sec.basic.t_in or t_out != sec.basic.t_out:
+        return "a derived entry differs from the one its record derives"
+    return None
 
 
-def encode_label(n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec]) -> Bits:
-    """The label of a decoded form (see _enc_chain for what it refuses; it
-    also refuses a derived entry other than its records derive)."""
-    b = id_bits(n)
-    own, own_keys, news = _enc_chain(tnodes, b)
-    relayed = [_enc_chain(rs.tnodes, b) for rs in routes]
-    value = lambda bi: _basic_key(bi, b)
-    chains = [tnodes] + [rs.tnodes for rs in routes]
-    shares = []  # per chain, a token per section: its value and the token above
-    for chain in chains:
-        token, tokens = None, []
-        for sec in chain:
-            rec = (_rec_fields(sec.elem), *map(value, _elem_uses(sec.elem)))
-            token = (token, sec.node_eid, value(sec.basic), rec)
-            tokens.append(token)
-        shares.append(tokens)
-    bases = _bases(shares)
+def _check_derived(derived: set, lasts: List[_SecState]) -> None:
+    """CertifyError unless each derivation of a derived entry of a label
+    (lasts: the last states of its chains) holds.  Then decode_label
+    derives each as the label has it: a derivation needs only its T sides'
+    derived entries, which have fewer lanes than a glued B record."""
+    for st in lasts:
+        for token, fault in st.faults:
+            if token in derived:
+                raise CertifyError(fault)
+
+
+def encode_label(
+    n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec], memo: Optional[dict] = None
+) -> Bits:
+    """The label of a decoded form; CertifyError for a form the wire cannot
+    carry (_enc_chain) or whose derived entry its record does not derive
+    (_check_derived).  Every encode runs with a memo, a fresh one when none
+    is given.  The memo holds a _Header per n and w, which changes no label
+    and keeps alive every object whose id it keys, so forms encoded under
+    one memo must not be mutated."""
+    if memo is None:
+        memo = {}
+    head = memo.get((n, w_lanes))
+    if head is None:
+        head = memo[(n, w_lanes)] = _Header(n, w_lanes)
+    b = head.b
+    own = _enc_chain(tnodes, head)
+    relayed = []
+    for rs in routes:
+        hit = head.relayed.get(id(rs.tnodes))
+        if hit is None:  # the carriers of a route share its chain
+            hit = head.relayed[id(rs.tnodes)] = (rs.tnodes, _enc_chain(rs.tnodes, head), {})
+        relayed.append(hit)
+    chains = [own] + [hit[1] for hit in relayed]
+    bases = _bases(chains)
+    # The derived entries, as _derived selects them: those the chains'
+    # sections derive, but for children of deriving records.
+    lasts = [states[-1] for states in chains if states]
+    derived = set().union(*[st.derived for st in lasts]) - set().union(*[st.kids for st in lasts])
+    _check_derived(derived, lasts)
     # A prefix's slots name entries its base named before, so only the
     # slots after it are mapped.
-    table, maps, fresh, _ = _table_and_maps(
-        own_keys, [keys[sum(rnews[:q]):] for (_, keys, rnews), (_, q) in zip(relayed, bases)]
-    )
-    derivs = _chain_derivations(chains, [0] + [q for _, q in bases], table, b)
-    _check_derived(chains, derivs, table, b, n, w_lanes)
-    route_payloads = []
-    named = len(own_keys)  # the entries earlier chains name
-    for j, (rs, idx, (payloads, _, _), (base, q), count) in enumerate(
-        zip(routes, maps, relayed, bases, fresh)
-    ):
-        pointers = 0
-        for sec in rs.tnodes[:q]:
-            pointers = pointers << (b + 2) | _pointer_field(sec.dist, sec.is_tree, sec.parent_min, b)
-        head = (rs.u, rs.v, rs.fwd, rs.bwd)
-        tw = _index_bits(named + len(idx))
-        route_payloads.append(
-            _route_payload(head, j, base, q, pointers, idx, tw, payloads[q:], b)
-        )
-        named += count
-    entries = [_enc_entry(key, b, w_lanes, t in derivs) for t, key in enumerate(table)]
-    groups, start = [], 0
-    for count in news + fresh:
+    own_order = own[-1].order if own else ()
+    table, maps, fresh, index = _table_and_maps(own_order, [
+        states[-1].order[len(states[q - 1].order) if q else 0:] if states else ()
+        for states, (_, q) in zip(chains[1:], bases)
+    ])
+    flags = sum(1 << index[token] for token in derived)  # bit t: entry t is derived
+    # The basic section: the own chain's slot count, then each group (per
+    # section and route that names entries first), its length and entries.
+    tw = BitWriter()
+    tw.write_varint(len(own_order))
+    start = 0
+    for count in [len(st.new) for st in own] + fresh:
         if count:
-            groups.append(_join(entries[start:start + count]))
+            tokens, f = tuple(table[start:start + count]), flags >> start & ((1 << count) - 1)
+            group = head.groups.get((tokens, f))
+            if group is None:
+                group = head.groups[(tokens, f)] = _join([
+                    head.entry_bits(t, f >> i & 1) for i, t in enumerate(tokens)
+                ])
+            tw.write_varint(group.nbits)
+            tw.write_bits(group)
         start += count
-    return frame_label(n, w_lanes, _enc_table(len(own_keys), groups), own, route_payloads)
+    out = BitWriter()
+    out.write_bits(head.header)
+    write_section(out, SEC_BASIC, tw.getvalue())
+    for payload in _payloads(tnodes, own, head):
+        write_section(out, SEC_TNODE, payload)
+    # The route sections, laid out as the module docstring says; a map's
+    # indices are wide enough for the entries earlier chains name and as
+    # many more.
+    named = len(own_order)
+    for j, (rs, (_, states, prefixes), (base, q), idx, count) in enumerate(
+        zip(routes, relayed, bases, maps, fresh)
+    ):
+        # The prefix's pointer fields and the payloads after it, which are
+        # all of the chain that the route writes.
+        prefix = prefixes.get(q)
+        if prefix is None:
+            pointers = 0
+            for sec in rs.tnodes[:q]:
+                if sec.dist >> b:
+                    raise CertifyError("a relayed dist of %d does not fit in %d bits" % (sec.dist, b))
+                pointers = pointers << (b + 2) | sec.dist << 2 | sec.is_tree << 1 | sec.parent_min
+            prefix = prefixes[q] = (pointers, _payloads(rs.tnodes, states, head, q))
+        pointers, rpayloads = prefix
+        iw = _index_bits(named + len(idx))
+        packed = 0
+        for i in idx:
+            packed = packed << iw | i
+        rw = BitWriter()
+        _write_route_head(rw, rs.u, rs.v, rs.fwd, rs.bwd, b)
+        rw.write_uint(base, j.bit_length())
+        rw.write_varint(q)
+        rw.write_uint(pointers, q * (b + 2))
+        rw.write_varint(len(idx))
+        rw.write_uint(packed, len(idx) * iw)
+        for payload in rpayloads:
+            write_section(rw, SEC_TNODE, payload)
+        write_section(out, SEC_ROUTE, rw.getvalue())
+        named += count
+    return out.getvalue()
 
 
 # --- decoding ----------------------------------------------------------------
@@ -999,7 +1081,7 @@ def _resolve(raws: list, above: Optional[TSec], token: Optional[int], basics: Li
 
 def _relayed_sections(prefix: List[TSec], pointers: int, rest: List[TSec], b: int) -> List[TSec]:
     """A relayed chain: the sections of prefix with the pointer fields the
-    route writes for them (one int, as _route_payload packs them), then
+    route writes for them (one int, as encode_label packs them), then
     rest."""
     low = (1 << (b + 2)) - 1
     q = len(prefix)
@@ -1313,13 +1395,19 @@ def _annotate(g, prop_name, k, ir):
 
 
 def _emit(g, k, lp, emb, hd, ann) -> Dict[Edge, Bits]:
+    """Each real edge's label: its decoded form (_forms), written by
+    encode_label under one memo for the run."""
     # Emitting allocates many containers but makes no reference cycles, so
     # the cyclic collector would only cost time here (about a tenth of
     # prove on a 1,000-edge cycle).
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _emit_labels(g, k, hd, ann, emb, lp)
+        memo: dict = {}
+        return {
+            e: encode_label(g.n, lp.k, tnodes, routes, memo)
+            for e, (tnodes, routes) in _forms(g, k, hd, ann, emb, lp.k).items()
+        }
     finally:
         if collecting:
             gc.enable()
@@ -1340,218 +1428,56 @@ def _simplify_path(path: List[int]) -> List[int]:
     return out
 
 
-def _emit_labels(g, k, hd, ann, emb: Embedding, lp) -> Dict[Edge, Bits]:
-    n = g.n
-    b = id_bits(n)
-    w_lanes = lp.k
+def _forms(g, k, hd, ann, emb: Embedding, w_lanes: int) -> Dict[Edge, Tuple[List[TSec], List[RSec]]]:
+    """Each real edge's decoded form, its chain and route sections, of the
+    objects annotate_classes shares: a TSec per element and pointer fields,
+    a chain list per edge, which every carrier of a virtual edge's route
+    shares.  CertifyError when an element lies below two records, an edge
+    in more than 2w T-nodes, or a real edge carries more than h routes."""
     real = g.edge_set()
-    # Table entries by value: each BasicInfo object gets the number of its
-    # value's entry, and each entry is encoded once in full and, if some
-    # label derives it, once as its class term.
-    numbers: Dict[int, int] = {}  # id(BasicInfo) -> entry number
-    by_key: Dict[tuple, int] = {}
-    keys: List[tuple] = []
-    entries: List[Bits] = []
-    terms: Dict[int, Bits] = {}
-
-    def number(bi: BasicInfo) -> int:
-        no = numbers.get(id(bi))
-        if no is None:
-            key = _basic_key(bi, b)
-            no = by_key.get(key)
-            if no is None:
-                no = by_key[key] = len(entries)
-                keys.append(key)
-                entries.append(_enc_entry(key, b, w_lanes))
-            numbers[id(bi)] = no
-        return no
-
-    # A chain's slots after one of its sections: the entry numbers in slot
-    # order, each one's slot, and the groups of the basic section so far (a
-    # group per section that names entries first: its entry numbers, first
-    # slot and a mask of its width).
-    # They depend only on the sections so far, which the section's element
-    # fixes (an element lies in one node, which is a side of one B record
-    # above), so each element has one state.
-    states: List[Tuple[List[int], Dict[int, int], List[tuple]]] = []
-    # Per state, its section's node eid, BasicInfo, record, side bit and the
-    # node's pointer fields by edge.
-    fields: List[tuple] = []
-    # Per state, the entry numbers of the BasicInfos its record names, in
-    # _elem_uses order, and the entries the sections down to it derive and
-    # the ones their deriving records name as children (_derivation).
-    names: List[List[int]] = []
-    derives: List[Tuple[tuple, tuple]] = []
-    # Each edge's chain, root first, as the states of its sections (ints, so
-    # that the lists hold nothing the garbage collector has to scan).
-    sections: Dict[Edge, List[int]] = {}
-    above: Dict[Edge, Tuple[int, ElementRecord]] = {}  # each chain's last section
-    for node in reversed(hd.nodes):
+    chains: Dict[Edge, List[TSec]] = {}
+    for node in reversed(hd.nodes):  # each node before the nodes it holds
         node_eid = node.root_element.eid
         basic = ann.sub[node_eid]
+        at_root = node is hd.root
         ptr = _pointer_fields(node.edges, node.t_in[min(node.t_in)])
         for el in node.elements():
-            if not el.edges:
-                continue
             rec = ann.records[el.eid]
-            nos = [number(bi) for bi in _elem_uses(rec)]
-            if node is hd.root:
-                side = None
-                order, slots, groups = [], {}, []
-                uses = [number(basic)] + nos
-                derived = ((), ())
-            else:
-                up = above[next(iter(el.edges))]
-                if any(above[e] is not up for e in el.edges):
+            if not at_root and len(el.edges) > 1:
+                up = chains[next(iter(el.edges))][-1].elem
+                if any(chains[e][-1].elem is not up for e in el.edges):
                     raise CertifyError("element %d lies below two records" % el.eid)
-                side = _side_bit(up[1], node_eid, basic)
-                order, slots, groups = states[up[0]]
-                order, slots, groups = list(order), dict(slots), list(groups)
-                uses = nos
-                got = None
-                if rec.eid == node_eid:  # else the section derives nothing
-                    # The records' fields as _derivation reads them: the
-                    # eid, the topology and as many items as children.
-                    got = _derivation(
-                        (None, (up[1].eid, None, up[1].topo), names[up[0]]),
-                        (side, (rec.eid, None, rec.topo, *rec.children), nos),
-                    )
-                derived = derives[up[0]]
-                if got is not None:
-                    derived = (derived[0] + (got[0],), derived[1] + tuple(got[1]))
-            before = len(order)
-            for no in uses:
-                if no not in slots:
-                    slots[no] = len(order)
-                    order.append(no)
-            if len(order) > before:
-                # The group's entry numbers, its first slot and its width.
-                groups.append((tuple(order[before:]), before, (1 << len(order) - before) - 1))
-            si = len(states)
-            states.append((order, slots, groups))
-            fields.append((node_eid, basic, rec, side, ptr))
-            names.append(nos)
-            derives.append(derived)
-            here = (si, rec)
+            secs: Dict[tuple, TSec] = {}  # the element's sections by pointer fields
             for e in el.edges:
-                if side is None:
-                    sections[e] = [si]
+                pf = ptr[e]
+                sec = secs.get(pf)
+                if sec is None:
+                    sec = secs[pf] = TSec(node_eid, at_root, basic, pf[0], pf[1], pf[2], rec)
+                if at_root:
+                    chains[e] = [sec]
                 else:
-                    sections[e].append(si)
-                above[e] = here
-    # Each edge's section payloads, its slots' entry numbers and its groups.
-    # A payload depends on its state, its pointer fields and the chain's
-    # slot width, so equal ones are encoded once.
+                    chains[e].append(sec)
     bound = 2 * max(1, w_lanes)
-    payloads: Dict[tuple, Bits] = {}
-    tails: Dict[tuple, Bits] = {}  # (state, slot width) -> the record's bits
-    chains: Dict[Edge, Tuple[List[Bits], List[int], List[tuple]]] = {}
-    # Per virtual edge and q: the pointer fields of its chain's first q
-    # sections, packed as a route writes them (first section highest), and
-    # the number of slots those sections name.
-    prefixes: Dict[Edge, List[Tuple[int, int]]] = {}
-    for e, secs in sections.items():
-        if len(secs) > bound:
+    for e, chain in chains.items():
+        if len(chain) > bound:
             raise CertifyError(
-                "edge %s lies in %d T-nodes, above 2w = %d" % (e, len(secs), bound)
+                "edge %s lies in %d T-nodes, above 2w = %d" % (e, len(chain), bound)
             )
-        order = states[secs[-1]][0]
-        sw = _index_bits(len(order))
-        chain = []
-        prefix = None if e in real else prefixes.setdefault(e, [(0, 0)])
-        for si in secs:
-            node_eid, basic, rec, side, ptr = fields[si]
-            pf = ptr[e]
-            if prefix is not None:
-                prefix.append((prefix[-1][0] << (b + 2) | _pointer_field(*pf, b), len(states[si][0])))
-            key = (si, pf, sw)
-            payload = payloads.get(key)
-            if payload is None:
-                slots = states[si][1]
-                slot = lambda bi: slots[number(bi)]
-                tail = tails.get((si, sw))
-                if tail is None:
-                    tail = tails[(si, sw)] = _enc_elem(rec, b, slot, sw)
-                sec = TSec(node_eid, side is None, basic, *pf, rec)
-                payload = payloads[key] = _enc_tnode(sec, side, slot, sw, tail)
-            chain.append(payload)
-        chains[e] = (chain, order, states[secs[-1]][2])
-    routes: Dict[Edge, List[tuple]] = {e: [] for e in real}
-    # Each real edge's chains as lists of states: its own, then the relayed
-    # one of each route it carries.  A state stands for its section and
-    # every section above it, so _bases compares chains as these lists.
-    relayed_states: Dict[Edge, List[List[int]]] = {e: [sections[e]] for e in real}
+    forms = {e: (chains[e], []) for e in real}
     for ve in sorted(set(chains) - real):
         path = _simplify_path(emb.routes[ve])
         m = len(path) - 1
         for pos in range(m):
-            e = edge_key(path[pos], path[pos + 1])
-            routes[e].append(((path[0], path[-1], pos + 1, m - pos), ve))
-            relayed_states[e].append(sections[ve])
+            forms[edge_key(path[pos], path[pos + 1])][1].append(
+                RSec(path[0], path[-1], pos + 1, m - pos, chains[ve])
+            )
     h_bound = lane_bounds(k + 1)[2]
-    group_bits: Dict[tuple, Bits] = {}  # (entry numbers, derived ones) -> the group
-
-    def encode_group(nos: tuple, flags: int) -> Bits:
-        """The group of entries nos, nos[i] derived when bit i of flags is
-        set: a derived entry is the class term that ends its full form."""
-        parts = []
-        for i, no in enumerate(nos):
-            if flags >> i & 1:
-                if no not in terms:
-                    full = entries[no]
-                    width = full.nbits - w_lanes - 2 * b * bin(keys[no][0]).count("1")
-                    terms[no] = Bits(full.value & ((1 << width) - 1), width)
-                parts.append(terms[no])
-            else:
-                parts.append(entries[no])
-        return _join(parts)
-
-    out: Dict[Edge, Bits] = {}
-    for e in real:
-        if len(routes[e]) > h_bound:
+    for e, (_, routes) in forms.items():
+        if len(routes) > h_bound:
             raise CertifyError(
-                "edge %s carries %d routes, above h = %d" % (e, len(routes[e]), h_bound)
+                "edge %s carries %d routes, above h = %d" % (e, len(routes), h_bound)
             )
-        own, own_order, own_groups = chains[e]
-        bases = _bases(relayed_states[e])
-        # A prefix's slots name entries its base named before, so only the
-        # slots after it are mapped.
-        table, maps, fresh, index = _table_and_maps(own_order, [
-            chains[ve][1][prefixes[ve][q][1]:] for (_, ve), (_, q) in zip(routes[e], bases)
-        ])
-        route_payloads = []
-        named = len(own_order)  # the entries earlier chains name
-        for j, ((head, ve), idx, (base, q), count) in enumerate(zip(routes[e], maps, bases, fresh)):
-            tw = _index_bits(named + len(idx))
-            route_payloads.append(
-                _route_payload(head, j, base, q, prefixes[ve][q][0], idx, tw, chains[ve][0][q:], b)
-            )
-            named += count
-        # The label's derived entries, as _derived selects them: those its
-        # chains' sections derive, but for children of deriving records.
-        derived, kids = set(), set()
-        for chain in relayed_states[e]:
-            got = derives[chain[-1]]
-            derived.update(got[0])
-            kids.update(got[1])
-        flags = 0  # bit t: table entry t is derived
-        for no in derived - kids:
-            flags |= 1 << index[no]
-        spans = list(own_groups)  # each group's entry numbers, first index and width
-        start = len(own_order)
-        for count in fresh:
-            if count:
-                spans.append((tuple(table[start:start + count]), start, (1 << count) - 1))
-            start += count
-        groups = []
-        for nos, start, width in spans:
-            f = flags >> start & width
-            got = group_bits.get((nos, f))
-            if got is None:
-                got = group_bits[(nos, f)] = encode_group(nos, f)
-            groups.append(got)
-        out[e] = frame_label(n, w_lanes, _enc_table(len(own_order), groups), own, route_payloads)
-    return out
+    return forms
 
 
 def _make_record(el, sub, emarks) -> ElementRecord:

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +30,7 @@ from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key, id_bits
 from lanecert.intervals import width
 from lanecert.properties import brute_force_property
+from lanecert.recursive import TNode
 from tests.test_graph import cycle_graph, path_graph, star_graph
 from tests.test_lanes import random_interval_instance
 
@@ -67,6 +70,97 @@ def test_prove_bound_checks_are_errors(monkeypatch, bounds):
     monkeypatch.setattr(certify, "lane_bounds", lambda k: bounds)
     with pytest.raises(CertifyError):
         prove(cycle_graph(6), "bipartite", 2)
+
+
+# The prover's own bound checks: honest instances never reach them, so each
+# test below narrows a bound or edits the decomposition.
+
+
+def _ops40():
+    return generate(GeneratorSpec("random-ops", 40, 3, 0.3), 0)
+
+
+class _OneInDepthBound(int):
+    """A lane count w that the prover's chain depth bound, 2 * max(1, w),
+    reads as 1: max keeps 1 against it.  Everything else reads w."""
+
+    def __gt__(self, other):
+        return False
+
+
+def test_prove_refuses_a_chain_above_2w(monkeypatch):
+    g, ir = _ops40()
+    annotate = certify._annotate
+
+    def narrowed(*args):
+        lp, emb, hd, ann = annotate(*args)
+        return SimpleNamespace(k=_OneInDepthBound(lp.k)), emb, hd, ann
+
+    monkeypatch.setattr(certify, "_annotate", narrowed)
+    with pytest.raises(CertifyError, match=r"lies in \d+ T-nodes, above 2w = 2"):
+        prove(g, "parity", 3, ir=ir)
+
+
+def test_prove_refuses_more_routes_than_h(monkeypatch):
+    g, ir = _ops40()
+    bounds = certify.lane_bounds
+    monkeypatch.setattr(certify, "lane_bounds", lambda k: bounds(k)[:2] + (1,))
+    with pytest.raises(CertifyError, match=r"carries \d+ routes, above h = 1"):
+        prove(g, "parity", 3, ir=ir)
+
+
+def _edge_moved_off_its_side(hd):
+    """hd with one edge of a nested element of two or more edges moved, in
+    the node above, from the B element that holds the nested node to
+    another element of that node: the nested element then lies below two
+    records."""
+    for node in hd.nodes:
+        for holder in node.elements():
+            sides = (holder.payload.left, holder.payload.right) if holder.kind == "B" else ()
+            for nested in (side for side in sides if isinstance(side, TNode)):
+                el = next((el for el in nested.elements() if len(el.edges) > 1), None)
+                other = next((o for o in node.elements() if o is not holder and o.edges), None)
+                if el is not None and other is not None:
+                    e = next(iter(el.edges))
+                    holder.edges = holder.edges - {e}
+                    other.edges = other.edges | {e}
+                    return hd
+    raise AssertionError("no nested element to move an edge of")
+
+
+def test_prove_refuses_an_element_below_two_records(monkeypatch):
+    g, ir = _ops40()
+    build = certify.build_hierarchical_decomposition
+    monkeypatch.setattr(certify, "build_hierarchical_decomposition", lambda s: _edge_moved_off_its_side(build(s)))
+    with pytest.raises(CertifyError, match=r"element \d+ lies below two records"):
+        prove(g, "parity", 3, ir=ir)
+
+
+# The wire, pinned: sha256 of the label file of fixed small instances.  A
+# change that moves any label changes a digest.  A deliberate wire change
+# updates the digests here and says so in CHANGES.md.
+WIRE_DIGESTS = {
+    ("cycle", 30, 3, "bipartite"): "f3f99d3ab5cbf49e511d2b7a2b599fa422bc1a6f648d985b5c26ca4e18f4df4f",
+    ("caterpillar", 30, 3, "acyclic"): "79dc373e17e65a90d08246f1373053875abbe482b55983fb582d0a9c2609ce4d",
+    ("random-ops", 40, 3, "parity"): "dc346b06eedf3031695e272cf50bb3432e25f61142fd72fc80d8d98b118ee1d9",
+    ("cycle", 60, 2, "bipartite"): "1661a5c1b9999ae5f86d83d714a0fbad08605a0816eb4fd6eb6d5023143aa931",
+}
+# C7 bipartite, a false statement of the acceptance suite, with forced labels.
+FORCED_C7_DIGEST = "db074316121af875b8283e8a69d2e40b1de9ac3776348d0c94044ef6dd8a12a3"
+
+
+def _wire_digest(labels):
+    return hashlib.sha256(write_label_file(labels).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,n,k,prop", sorted(WIRE_DIGESTS))
+def test_wire_is_pinned(family, n, k, prop):
+    g, ir = generate(GeneratorSpec(family, n, k, 0.3), 0)
+    assert _wire_digest(prove(g, prop, k, ir=ir)) == WIRE_DIGESTS[(family, n, k, prop)]
+
+
+def test_wire_of_forced_labels_is_pinned():
+    assert _wire_digest(prove(cycle_graph(7), "bipartite", 2, force=True)) == FORCED_C7_DIGEST
 
 
 def check_roundtrip(g, prop, k, ir=None):
@@ -382,7 +476,8 @@ def _relayed_parts(bits):
     at = [i for i, (stype, _) in enumerate(secs) if stype == SEC_ROUTE]
     out = []
     for j, (i, rs) in enumerate(zip(at, lab.routes)):
-        payloads = certify._enc_chain(rs.tnodes, b)[0]
+        head = certify._Header(lab.n, lab.w)
+        payloads = certify._payloads(rs.tnodes, certify._enc_chain(rs.tnodes, head), head)
         q = _route_base(secs[i][1], j, lab.n)[1]
         frames = _frames(payloads[q:])
         whole = secs[i][1]
@@ -563,17 +658,23 @@ def _label_parts(bits):
     names first, and the derived entries' indices."""
     lab = decode_label(bits)
     b = id_bits(lab.n)
-    own, own_keys, news = certify._enc_chain(lab.tnodes, b)
-    relayed = [certify._enc_chain(rs.tnodes, b) for rs in lab.routes]
-    table, maps, fresh, _ = certify._table_and_maps(own_keys, [keys for _, keys, _ in relayed])
+    head = certify._Header(lab.n, lab.w)
+    own = certify._enc_chain(lab.tnodes, head)
+    own_payloads = certify._payloads(lab.tnodes, own, head)
+    relayed = []
+    for rs in lab.routes:
+        states = certify._enc_chain(rs.tnodes, head)
+        relayed.append((states, certify._payloads(rs.tnodes, states, head)))
+    tokens, maps, fresh, index = certify._table_and_maps(own[-1].order, [states[-1].order for states, _ in relayed])
     routes = [payload for stype, payload in read_sections(bits) if stype == SEC_ROUTE]
     bases = [_route_base(payload, j, lab.n) for j, payload in enumerate(routes)]
-    chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
-    derived = set(certify._chain_derivations(chains, [0] + [q for _, q in bases], table, b))
+    lasts = [own[-1]] + [states[-1] for states, _ in relayed]
+    derived = {index[t] for t in set().union(*[st.derived for st in lasts]) - set().union(*[st.kids for st in lasts])}
+    table = [head.entries[t][2] for t in tokens]
     return {
-        "lab": lab, "b": b, "own": own, "m_own": len(own_keys), "news": news,
+        "lab": lab, "b": b, "own": own_payloads, "m_own": len(own[-1].order), "news": [len(st.new) for st in own],
         "table": table, "maps": maps, "fresh": fresh,
-        "relayed": [(payloads, rnews) for payloads, _, rnews in relayed],
+        "relayed": [(payloads, [len(st.new) for st in states]) for states, payloads in relayed],
         "bases": bases, "derived": derived,
         "entries": [certify._enc_entry(key, b, lab.w, t in derived) for t, key in enumerate(table)],
     }
@@ -583,6 +684,34 @@ def _route_tw(parts, j, written):
     """The index width of route j's map when it writes that many indices:
     enough for the entries earlier chains name and as many new ones."""
     return certify._index_bits(parts["m_own"] + sum(parts["fresh"][:j]) + written)
+
+
+def _basic_section(m_own, groups):
+    """The basic section encode_label writes: the own chain's slot count,
+    then each group's length in bits and its entries."""
+    w = BitWriter()
+    w.write_varint(m_own)
+    for group in groups:
+        w.write_varint(group.nbits)
+        w.write_bits(group)
+    return w.getvalue()
+
+
+def _route_section(head, j, base, q, pointers, idx, tw, payloads, b):
+    """A route section as encode_label writes it: endpoints and ranks, the
+    base in ceil(log2 (j + 1)) bits, q and the prefix's packed pointer
+    fields, the map's length and its tw-bit indices, the T-node sections."""
+    w = BitWriter()
+    certify._write_route_head(w, *head, b)
+    w.write_uint(base, j.bit_length())
+    w.write_varint(q)
+    w.write_uint(pointers, q * (b + 2))
+    w.write_varint(len(idx))
+    for i in idx:
+        w.write_uint(i, tw)
+    for payload in payloads:
+        write_section(w, SEC_TNODE, payload)
+    return w.getvalue()
 
 
 def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, pointers=None):
@@ -604,21 +733,27 @@ def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, po
         fields = (pointers or {}).get(j, fields + [(0, False, False)] * (q - len(fields)))
         packed = 0
         for field in fields:
-            packed = packed << (b + 2) | certify._pointer_field(*field, b)
+            dist, is_tree, parent_min = field
+            packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
         s = sum(rnews[:q])
         head = (rs.u, rs.v, rs.fwd, rs.bwd)
         # Wide enough for the indices also where a forged prefix leaves
         # fewer to write than they need (the decoder refuses its q first).
         tw = max(_route_tw(parts, j, len(idx) - s), certify._index_bits(max(idx[s:], default=0) + 1))
-        routes.append(certify._route_payload(head, j, base, q, packed, idx[s:], tw, payloads[q:], b))
+        routes.append(_route_section(head, j, base, q, packed, idx[s:], tw, payloads[q:], b))
     groups, start = [], 0
     for count in list(parts["news"]) + parts["fresh"]:
         if count:
             groups.append(certify._join(entries[start:start + count]))
         start += count
     groups += [certify._join(group) for group in extra]
-    table = certify._enc_table(parts["m_own"], groups)
-    return certify.frame_label(lab.n, lab.w, table, parts["own"] if own is None else own, routes)
+    table = _basic_section(parts["m_own"], groups)
+    hw = BitWriter()
+    hw.write_varint(lab.n)
+    hw.write_varint(lab.w)
+    own = parts["own"] if own is None else own
+    return _frame([(certify.SEC_HEADER, hw.getvalue()), (certify.SEC_BASIC, table)]
+                  + [(SEC_TNODE, p) for p in own] + [(SEC_ROUTE, p) for p in routes])
 
 
 def _table_lies(bits):

@@ -4,6 +4,7 @@ and each distinct element record decoded and folded once per run, no state
 left on the plugins, and one memo per fuzz campaign that changes no mutant
 and no verdict."""
 
+import copy
 import pickle
 import random
 from collections import Counter
@@ -44,7 +45,7 @@ from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, id_bits
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
-from tests.test_certify import _label_parts, _route_base
+from tests.test_certify import _basic_section, _label_parts, _route_base
 from tests.test_graph import cycle_graph, path_graph
 
 FALSE_STATEMENTS = {
@@ -120,7 +121,7 @@ K3_LAYOUTS = (("cycle", 30, "bipartite"), ("caterpillar", 30, "acyclic"), ("rand
 def test_honest_labels_reencode_exactly():
     # Every layout family at k = 3 writes derived table entries, and its
     # labels re-encode to the same bits.
-    k3 = [(*generate(GeneratorSpec(family, n, 3, 0.3), 0), prop, 3) for family, n, prop in K3_LAYOUTS]
+    k3 = _k3_layouts()
     for i, (g, ir, prop, k) in enumerate(k3 + _true_statements()):
         memo = {}
         derived = 0
@@ -129,6 +130,57 @@ def test_honest_labels_reencode_exactly():
                 assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes) == bits
             derived += len(_label_parts(bits)["derived"])
         assert i >= len(k3) or derived > 0, K3_LAYOUTS[i]
+
+
+def _k3_layouts():
+    return [(*generate(GeneratorSpec(family, n, 3, 0.3), 0), prop, 3) for family, n, prop in K3_LAYOUTS]
+
+
+def test_encode_memo_changes_no_label():
+    # prove writes every label of a run under one memo.  Each is the label
+    # encode_label writes for the prover's form of the edge with a fresh
+    # memo, and for the decoded label with one memo for all the labels of
+    # the instance and with a fresh memo per call, on forms decoded alone
+    # and on forms that share objects (one decode memo) as the prover's do.
+    for g, ir, prop, k in _k3_layouts() + _true_statements():
+        labels = prove(g, prop, k, ir=ir)
+        lp, emb, hd, ann = certify._annotate(g, prop, k, ir)
+        for e, (tnodes, routes) in certify._forms(g, k, hd, ann, emb, lp.k).items():
+            assert encode_label(g.n, lp.k, tnodes, routes) == labels[e]
+        decoded = {}
+        for forms_memo in (None, decoded):
+            shared = {}
+            for bits in labels.values():
+                lab = decode_label(bits, forms_memo)
+                assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes, shared) == bits
+                assert encode_label(lab.n, lab.w, lab.tnodes, lab.routes, {}) == bits
+
+
+def test_encode_label_keys_sections_by_value():
+    # Each chain of a decoded form copied on its own, so that equal sections
+    # of different chains are distinct objects: the label is the same bits,
+    # since chains share a prefix by value (_bases).
+    for g, ir, prop, k in _k3_layouts()[2:] + _true_statements():
+        for bits in prove(g, prop, k, ir=ir).values():
+            lab = decode_label(bits)
+            routes = [replace(rs, tnodes=copy.deepcopy(rs.tnodes)) for rs in lab.routes]
+            assert encode_label(lab.n, lab.w, copy.deepcopy(lab.tnodes), routes) == bits
+
+
+def test_encode_memo_keeps_labels_apart_by_n():
+    # A memo filled from the honest labels, then given the same forms under
+    # a header with another n (ids as wide, and wider): each label is the
+    # one a fresh memo writes for that n.
+    instances = [(cycle_graph(6), None, "bipartite", 2), (path_graph(8), None, "acyclic", 1)]
+    for g, ir, prop, k in instances + _k3_layouts()[2:]:
+        decoded = {}
+        forms = [decode_label(bits, decoded) for bits in prove(g, prop, k, ir=ir).values()]
+        memo = {}
+        for lab in forms:
+            encode_label(lab.n, lab.w, lab.tnodes, lab.routes, memo)
+        for n in (g.n + 1, 4 * g.n):
+            for lab in forms:
+                assert encode_label(n, lab.w, lab.tnodes, lab.routes, memo) == encode_label(n, lab.w, lab.tnodes, lab.routes)
 
 
 def test_one_record_object_per_element():
@@ -181,7 +233,7 @@ def _small_label(secs, tnodes=None) -> Bits:
             for term in range(m_own)
         )
         groups = [certify._join([next(entries) for _ in range(c)]) for c in news if c]
-        table = certify._enc_table(m_own, groups)
+        table = _basic_section(m_own, groups)
         out = out[:1] + [(SEC_BASIC, table)] + [(SEC_TNODE, p) for p in tnodes]
     w = BitWriter()
     for stype, payload in out:
@@ -774,8 +826,10 @@ def test_each_element_record_decoded_and_folded_once(monkeypatch, family, prop, 
     for bits in labels.values():  # the labels, and the chains they relay
         payloads.update(p for stype, p in read_sections(bits) if stype == SEC_TNODE)
         b = id_bits(g.n)
-        for rs in decode_label(bits).routes:
-            payloads.update(certify._enc_chain(rs.tnodes, b)[0])
+        lab = decode_label(bits)
+        for rs in lab.routes:
+            head = certify._Header(g.n, lab.w)
+            payloads.update(certify._payloads(rs.tnodes, certify._enc_chain(rs.tnodes, head), head))
     tails, resolved, folds, folded = Counter(), {}, Counter(), []
     orig_dec, orig_res, orig_sub = certify._dec_elem, certify._resolve_elem, certify._recompute_sub
 
@@ -867,8 +921,10 @@ def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
                 (rs.tnodes, _route_base(p, j, g.n)[1]) for j, (rs, p) in enumerate(zip(lab.routes, routes))
             ]
             for chain, q in written:
-                payloads, slots, _ = certify._enc_chain(chain, b)
-                sw = certify._index_bits(len(slots))
+                head = certify._Header(g.n, lab.w)
+                states = certify._enc_chain(chain, head)
+                payloads = certify._payloads(chain, states, head)
+                sw = certify._index_bits(len(states[-1].order))
                 keys += [
                     (g.n, sw, _split_tnode(p, sw, pos > 0)[1])
                     for pos, p in enumerate(payloads) if pos >= q

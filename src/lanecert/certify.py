@@ -41,7 +41,11 @@ Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count w) and a basic section (the label's BasicInfo
 table), followed by one T-node section per decomposition node containing
 the edge (the chain, root first), followed by one route section per
-virtual edge whose route runs over the edge.
+virtual edge whose route runs over the edge.  ``read_layout`` and
+``write_layout`` are the only code that frames a label: they map its bits
+to and from a ``Layout`` of these fields, which ``encode_label`` fills and
+``decode_label`` checks.  (``label_size_stats`` and fuzz's section edits
+see bare sections only.)
 
 The table writes each distinct BasicInfo of the label once: a w-bit lane
 mask, both terminal maps in one field, the class term (an int, or a tuple of
@@ -74,13 +78,13 @@ derived follows from the raw chains, so the table is read after the route
 sections' maps, and a derived entry is the same object as the decoded
 entry of its value, which is ``_fold_record``'s twin.
 
-A route section carries its endpoints and ranks (first, so ``reroute`` can
-replace them alone), then a base: the own chain or the relayed chain of an
-earlier route of the label.  A relayed chain usually runs down the same
-nodes and elements as its base for several levels, where the sections
-differ only in their pointer fields, so the route writes the length q of
-the prefix it shares with the base (the same node eid, BasicInfo and
-record at each position) and the q sections' pointer fields.  The map into
+A route section carries its endpoints and ranks, then a base: the own
+chain or the relayed chain of an earlier route of the label.  A relayed
+chain usually runs down the same nodes and elements as its base for several
+levels, where the sections differ only in their pointer fields, so the
+route writes the length q of the prefix it shares with the base (the same
+node eid, BasicInfo and record at each position) and the q sections'
+pointer fields.  The map into
 the table follows, for the slots after the prefix's (the prefix names the
 base's first slots), its length m and then m indices wide enough for the
 entries earlier chains of the label name and m more, then T-node frames
@@ -241,6 +245,108 @@ class DecodedLabel:
     w: int
     tnodes: List[TSec]
     routes: List[RSec]
+
+
+# --- the wire layout: the only code that frames a label ----------------------
+
+
+@dataclass(slots=True)
+class RouteLayout:
+    """A route section's fields as the wire has them: endpoints, ranks,
+    base, q with the prefix's packed pointer fields, the map's indices and
+    their width iw, and the framed T-node sections after the prefix."""
+
+    u: int
+    v: int
+    fwd: int
+    bwd: int
+    base: int
+    q: int
+    pointers: int
+    idx: List[int]
+    iw: int
+    frames: Bits
+
+
+@dataclass(slots=True)
+class Layout:
+    """A label's fields as the wire has them: the header's n and w, the own
+    chain's slot count m, the table's groups, the own chain's payloads and
+    the route sections."""
+
+    n: int
+    w: int
+    m: int
+    groups: List[Bits]
+    tnodes: List[Bits]
+    routes: List[RouteLayout]
+
+
+def read_layout(bits: Bits) -> Layout:
+    """The fields of a label, framing only: DecodeError on bad framing, and
+    decode_label checks what the fields say.  A route's map width follows
+    from the entries that the own chain and earlier maps name."""
+    secs = read_sections(bits)
+    if len(secs) < 2 or secs[0][0] != SEC_HEADER or secs[1][0] != SEC_BASIC:
+        raise DecodeError("label must start with a header and a basic section")
+    r = BitReader(secs[0][1])
+    n, w = r.read_varint(), r.read_varint()
+    if n < 1 or w < 1 or r.remaining():
+        raise DecodeError("bad header")
+    b = id_bits(n)
+    tnodes = [payload for stype, payload in secs[2:] if stype == SEC_TNODE]
+    rest = secs[2 + len(tnodes):]
+    if any(stype != SEC_ROUTE for stype, _ in rest):
+        raise DecodeError("T-node sections, then route sections, are all a label may hold")
+    r = BitReader(secs[1][1])
+    lay = Layout(n, w, r.read_varint(), [], tnodes, [])
+    while r.remaining():
+        lay.groups.append(r.read_bits(r.read_varint()))
+    named = lay.m  # entries 0 .. named - 1 are named by some slot so far
+    for j, (_, payload) in enumerate(rest):
+        r = BitReader(payload)
+        uv = r.read_uint(2 * b)
+        head = (uv >> b, uv & ((1 << b) - 1), r.read_varint(), r.read_varint(), r.read_uint(j.bit_length()))
+        q = r.read_varint()
+        pointers = r.read_uint(q * (b + 2))
+        m = r.read_varint()
+        iw = _index_bits(named + m)
+        packed, low = r.read_uint(m * iw), (1 << iw) - 1
+        idx = [packed >> (iw * i) & low for i in range(m - 1, -1, -1)]
+        named = max(named, max(idx, default=-1) + 1)
+        lay.routes.append(RouteLayout(*head, q, pointers, idx, iw, r.read_bits(r.remaining())))
+    return lay
+
+
+def write_layout(lay: Layout) -> Bits:
+    """The label of lay: the inverse of read_layout."""
+    b = id_bits(lay.n)
+    hw, tw, out = BitWriter(), BitWriter(), BitWriter()
+    hw.write_varint(lay.n)
+    hw.write_varint(lay.w)
+    write_section(out, SEC_HEADER, hw.getvalue())
+    tw.write_varint(lay.m)
+    for group in lay.groups:
+        tw.write_varint(group.nbits)
+        tw.write_bits(group)
+    write_section(out, SEC_BASIC, tw.getvalue())
+    for payload in lay.tnodes:
+        write_section(out, SEC_TNODE, payload)
+    for j, rl in enumerate(lay.routes):
+        rw = BitWriter()
+        rw.write_uint(rl.u, b)
+        rw.write_uint(rl.v, b)
+        rw.write_varint(rl.fwd)
+        rw.write_varint(rl.bwd)
+        rw.write_uint(rl.base, j.bit_length())
+        rw.write_varint(rl.q)
+        rw.write_uint(rl.pointers, rl.q * (b + 2))
+        rw.write_varint(len(rl.idx))
+        for i in rl.idx:
+            rw.write_uint(i, rl.iw)
+        rw.write_bits(rl.frames)
+        write_section(out, SEC_ROUTE, rw.getvalue())
+    return out.getvalue()
 
 
 # --- encoding ----------------------------------------------------------------
@@ -503,35 +609,6 @@ def _enc_tnode(sec: TSec, side: Optional[int], slot, sw: int, tail: Bits) -> Bit
     return pw.getvalue()
 
 
-
-def _write_route_head(w: BitWriter, u: int, v: int, fwd: int, bwd: int, b: int) -> None:
-    w.write_uint(u << b | v, 2 * b)
-    w.write_varint(fwd)
-    w.write_varint(bwd)
-
-
-def _read_route_head(r: BitReader, b: int, n: int) -> tuple:
-    uv = r.read_uint(2 * b)
-    u, v = uv >> b, uv & ((1 << b) - 1)
-    fwd = r.read_varint()
-    bwd = r.read_varint()
-    if u >= n or v >= n or u == v or fwd < 1 or bwd < 1:
-        raise DecodeError("bad route section")
-    return u, v, fwd, bwd
-
-
-def reroute(payload: Bits, rs: RSec, n: int) -> Bits:
-    """A route section payload with its endpoints and ranks replaced by
-    rs's; its map and relayed chain are kept as they are."""
-    b = id_bits(n)
-    r = BitReader(payload)
-    _read_route_head(r, b, n)
-    rw = BitWriter()
-    _write_route_head(rw, rs.u, rs.v, rs.fwd, rs.bwd, b)
-    rw.write_bits(r.read_bits(r.remaining()))
-    return rw.getvalue()
-
-
 def _table_and_maps(own: List, relayed: List[List]) -> Tuple[List, List[List[int]], List[int], Dict]:
     """The label's table, in order of first use (the own chain's entries,
     then each relayed chain's new ones in route order), each relayed chain's
@@ -612,20 +689,14 @@ class _SecState:
 class _Header(_SecState):
     """The state above each chain's root section in labels of n vertices
     and w lanes, with what those labels share: each BasicInfo's entry, the
-    groups by entries and derived flags, relayed chains by object id, and
-    the header section."""
+    groups by entries and derived flags, and relayed chains by object id."""
 
-    __slots__ = ("b", "w", "entries", "values", "groups", "relayed", "header")
+    __slots__ = ("b", "w", "entries", "values", "groups", "relayed")
 
     def __init__(self, n: int, w_lanes: int):
         super().__init__(None, None, None, (), ())
         self.b, self.w = id_bits(n), w_lanes
         self.entries, self.values, self.groups, self.relayed = {}, {}, {}, {}
-        hw, out = BitWriter(), BitWriter()
-        hw.write_varint(n)
-        hw.write_varint(w_lanes)
-        write_section(out, SEC_HEADER, hw.getvalue())
-        self.header = out.getvalue()  # the header section, framed
 
     def entry(self, bi: BasicInfo) -> int:
         """The token of bi's table entry: the id of the first BasicInfo of
@@ -874,10 +945,8 @@ def encode_label(
         for states, (_, q) in zip(chains[1:], bases)
     ])
     flags = sum(1 << index[token] for token in derived)  # bit t: entry t is derived
-    # The basic section: the own chain's slot count, then each group (per
-    # section and route that names entries first), its length and entries.
-    tw = BitWriter()
-    tw.write_varint(len(own_order))
+    # The table's groups, one per section and route that names entries first.
+    groups = []
     start = 0
     for count in [len(st.new) for st in own] + fresh:
         if count:
@@ -887,22 +956,15 @@ def encode_label(
                 group = head.groups[(tokens, f)] = _join([
                     head.entry_bits(t, f >> i & 1) for i, t in enumerate(tokens)
                 ])
-            tw.write_varint(group.nbits)
-            tw.write_bits(group)
+            groups.append(group)
         start += count
-    out = BitWriter()
-    out.write_bits(head.header)
-    write_section(out, SEC_BASIC, tw.getvalue())
-    for payload in _payloads(tnodes, own, head):
-        write_section(out, SEC_TNODE, payload)
     # The route sections, laid out as the module docstring says; a map's
     # indices are wide enough for the entries earlier chains name and as
     # many more.
     named = len(own_order)
-    for j, (rs, (_, states, prefixes), (base, q), idx, count) in enumerate(
-        zip(routes, relayed, bases, maps, fresh)
-    ):
-        # The prefix's pointer fields and the payloads after it, which are
+    layouts = []
+    for rs, (_, states, prefixes), (base, q), idx, count in zip(routes, relayed, bases, maps, fresh):
+        # The prefix's pointer fields and the frames after it, which are
         # all of the chain that the route writes.
         prefix = prefixes.get(q)
         if prefix is None:
@@ -911,24 +973,14 @@ def encode_label(
                 if sec.dist >> b:
                     raise CertifyError("a relayed dist of %d does not fit in %d bits" % (sec.dist, b))
                 pointers = pointers << (b + 2) | sec.dist << 2 | sec.is_tree << 1 | sec.parent_min
-            prefix = prefixes[q] = (pointers, _payloads(rs.tnodes, states, head, q))
-        pointers, rpayloads = prefix
+            fw = BitWriter()
+            for payload in _payloads(rs.tnodes, states, head, q):
+                write_section(fw, SEC_TNODE, payload)
+            prefix = prefixes[q] = (pointers, fw.getvalue())
         iw = _index_bits(named + len(idx))
-        packed = 0
-        for i in idx:
-            packed = packed << iw | i
-        rw = BitWriter()
-        _write_route_head(rw, rs.u, rs.v, rs.fwd, rs.bwd, b)
-        rw.write_uint(base, j.bit_length())
-        rw.write_varint(q)
-        rw.write_uint(pointers, q * (b + 2))
-        rw.write_varint(len(idx))
-        rw.write_uint(packed, len(idx) * iw)
-        for payload in rpayloads:
-            write_section(rw, SEC_TNODE, payload)
-        write_section(out, SEC_ROUTE, rw.getvalue())
+        layouts.append(RouteLayout(rs.u, rs.v, rs.fwd, rs.bwd, base, q, prefix[0], idx, iw, prefix[1]))
         named += count
-    return out.getvalue()
+    return write_layout(Layout(n, w_lanes, len(own_order), groups, _payloads(tnodes, own, head), layouts))
 
 
 # --- decoding ----------------------------------------------------------------
@@ -1163,19 +1215,19 @@ def _dec_entries(bits: Bits, derived: int, b: int, n: int, w_lanes: int, memo) -
     return out
 
 
-def _dec_table(r: BitReader, counts: list, derived: Dict, b: int, n: int, w_lanes: int, memo) -> list:
-    """The table of the basic section at r, after its slot count: a group
-    per item of counts, holding that many entries, in table order; an entry
-    whose index is in derived is its class term until _derive puts the
-    entry in its place.  Each distinct group is decoded once per memo, as
-    one shared list."""
+def _dec_table(groups: List[Bits], counts: list, derived: Dict, b: int, n: int, w_lanes: int, memo) -> list:
+    """The table of a label's groups: counts holds, per group, the entries
+    it must hold, in table order; an entry whose index is in derived is its
+    class term until _derive puts the entry in its place.  Each distinct
+    group is decoded once per memo, as one shared list."""
+    if len(groups) != len(counts):
+        raise DecodeError("a table entry that no slot names" if len(groups) > len(counts) else "a missing table group")
     table: list = []
     marks = 0  # bit t: entry t is derived
     for t in derived:
         marks |= 1 << t
-    for count in counts:
+    for count, group in zip(counts, groups):
         flags = marks >> len(table) & ((1 << count) - 1)  # the group's derived entries
-        group = r.read_bits(r.read_varint())
         key = ("group", n, w_lanes, flags, group.value, group.nbits)
         got = memo.get(key)
         if got is None:
@@ -1183,8 +1235,6 @@ def _dec_table(r: BitReader, counts: list, derived: Dict, b: int, n: int, w_lane
         if len(got) != count:
             raise DecodeError("a group must hold the entries its section or route names first")
         table.extend(got)
-    if r.remaining():
-        raise DecodeError("a table entry that no slot names")
     return table
 
 
@@ -1197,27 +1247,16 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     it, and a nested section's BasicInfo is the side object of the record
     above it.  With a run's memo (the verifier's cache) the objects are
     shared across the run, and the caller must not mutate them.
-    The label is read in two passes: first every chain's raw sections and
-    slots' table indices, which tell the derived entries (_derivation), and
-    the table's groups; then the derived entries and the sections."""
+    The label's layout (read_layout) is read in two passes: first every
+    chain's raw sections and slots' table indices, which tell the derived
+    entries (_derivation), and the table's groups; then the derived entries
+    and the sections."""
     if memo is None:
         memo = {}
-    secs = read_sections(bits)
-    if len(secs) < 2 or secs[0][0] != SEC_HEADER or secs[1][0] != SEC_BASIC:
-        raise DecodeError("label must start with a header and a basic section")
-    hr = BitReader(secs[0][1])
-    n = hr.read_varint()
-    w = hr.read_varint()
-    if n < 1 or w < 1 or hr.remaining():
-        raise DecodeError("bad header")
+    lay = read_layout(bits)
+    n, w, m_own = lay.n, lay.w, lay.m
     b = id_bits(n)
-    own = [payload for stype, payload in secs[2:] if stype == SEC_TNODE]
-    rest = secs[2 + len(own):]
-    if any(stype != SEC_ROUTE for stype, _ in rest):
-        raise DecodeError("T-node sections, then route sections, are all a label may hold")
-    tr = BitReader(secs[1][1])
-    m_own = tr.read_varint()
-    raws, news, derivations = _raw_chain(own, b, n, _index_bits(m_own), memo)
+    raws, news, derivations = _raw_chain(lay.tnodes, b, n, _index_bits(m_own), memo)
     if sum(news) != m_own:
         raise DecodeError("the table must open with exactly the chain's slots")
     # Each chain so far, the own chain first: its raw sections, the number
@@ -1228,58 +1267,51 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     written = [(chains[0][2], derivations)]
     counts = [count for count in news if count]  # each group's entries
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
-    heads = []  # each route's endpoints and ranks, base, q and pointer fields
-    for j, (_, payload) in enumerate(rest):
-        r = BitReader(payload)
-        head = _read_route_head(r, b, n)
-        base = r.read_uint(j.bit_length())  # an index below j + 1
-        q = r.read_varint()
+    for j, rl in enumerate(lay.routes):
+        if rl.u >= n or rl.v >= n or rl.u == rl.v or rl.fwd < 1 or rl.bwd < 1:
+            raise DecodeError("bad route section")
+        base, q = rl.base, rl.q
         if base > j or q > len(chains[base][0]):
             raise DecodeError("a route's base must be an earlier chain that holds its prefix")
-        pointers = r.read_uint(q * (b + 2))
         braws, bcounts, bidx = chains[base]
         s = bcounts[q]  # the slots the prefix names
-        m = r.read_varint()
+        m = len(rl.idx)
         # An index names an entry earlier chains name or one of the next m.
-        tw = _index_bits(named + m)
-        packed = r.read_uint(m * tw)
-        low = (1 << tw) - 1
-        idx = bidx[:s] + [packed >> (tw * i) & low for i in range(m - 1, -1, -1)]
+        idx = bidx[:s] + rl.idx
         if len(set(idx)) != s + m:
             raise DecodeError("a map names a table entry twice")
         # The entries no map names before this one must come in order, and
         # they make up the next route group.
-        fresh = [i for i in idx[s:] if i >= named]
+        fresh = [i for i in rl.idx if i >= named]
         if fresh:
             if fresh != list(range(named, named + len(fresh))):
                 raise DecodeError("table entries must be in order of first use")
             counts.append(len(fresh))
             named += len(fresh)
         fraws, fnews, derivations = _raw_frames(
-            r.read_bits(r.remaining()), b, n, _index_bits(s + m), memo, braws[q - 1] if q else None, s
+            rl.frames, b, n, _index_bits(s + m), memo, braws[q - 1] if q else None, s
         )
         if sum(fnews) != m:
             raise DecodeError("the map must name exactly the chain's slots")
         chains.append((braws[:q] + fraws, bcounts[:q] + list(accumulate(fnews, initial=s)), idx))
         written.append((idx, derivations))
-        heads.append((*head, base, q, pointers, fraws))
     derivs = _derived(written)
-    table = _dec_table(tr, counts, derivs, b, n, w, memo)
+    table = _dec_table(lay.groups, counts, derivs, b, n, w, memo)
     _derive(derivs, table, b, n, w, memo)
     # Equal entries are one object, so ids tell them apart.
     if len(set(map(id, table))) != len(table):
         raise DecodeError("repeated table entry")
     resolved = [_resolve(raws, None, None, table, memo)]  # each chain and its share tokens
     routes: List[RSec] = []
-    for (u, v, fwd, bwd, base, q, pointers, fraws), (_, _, idx) in zip(heads, chains[1:]):
+    for rl, (craws, _, idx) in zip(lay.routes, chains[1:]):
         chain, tokens = _relayed_chain(
-            fraws, resolved[base], q, pointers, b, list(map(table.__getitem__, idx)), memo
+            craws[rl.q:], resolved[rl.base], rl.q, rl.pointers, b, list(map(table.__getitem__, idx)), memo
         )
         resolved.append((chain, tokens))
-        routes.append(RSec(u, v, fwd, bwd, chain))
+        routes.append(RSec(rl.u, rl.v, rl.fwd, rl.bwd, chain))
     # Each prefix must be the longest one shared with an earlier chain, and
     # its base the first chain that holds it.
-    if heads and _bases([tokens for _, tokens in resolved]) != [h[4:6] for h in heads]:
+    if lay.routes and _bases([tokens for _, tokens in resolved]) != [(rl.base, rl.q) for rl in lay.routes]:
         raise DecodeError("a route must share the longest prefix it can, with the first chain")
     return DecodedLabel(n, w, resolved[0][0], routes)
 
@@ -1287,16 +1319,13 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
 # --- prover ------------------------------------------------------------------
 
 
-def resolve_property(name: str) -> Tuple[str, bool, PropertyPlugin]:
-    """(base name, user asked for the marked variant, internal marked plugin).
-
-    Certification always evaluates the marked variant internally: real edges
-    are the marked subset of the completed graph.
-    """
+def resolve_property(name: str) -> Tuple[bool, PropertyPlugin]:
+    """(the name asks for the marked variant, the property's plugin).  The
+    plugin counts the marked edges: every real edge, or for a marked- name
+    those with a nonzero tag, so real edges are the marked subset of the
+    completed graph either way."""
     marked = name.startswith("marked-")
-    base = name[len("marked-"):] if marked else name
-    get_plugin(base)  # existence check with a helpful error
-    return base, marked, get_plugin("marked-" + base)
+    return marked, get_plugin(name[len("marked-"):] if marked else name)
 
 
 def _pointer_fields(edges, target: int) -> Dict[Edge, Tuple[int, bool, bool]]:
@@ -1379,7 +1408,7 @@ def _annotate(g, prop_name, k, ir):
         raise CertifyError("graph must be connected")
     if k < 0:
         raise CertifyError("width bound must be non-negative")
-    base, marked_user, plugin = resolve_property(prop_name)
+    marked_user, plugin = resolve_property(prop_name)
     ir = check_witness(g, k, ir)
     lp, emb = build_lane_partition(g, ir)
     f_bound = lane_bounds(k + 1)[0]
@@ -1691,7 +1720,7 @@ def verify_vertex(
         verdict = table.get(key)
         if verdict is not None:
             return verdict
-    base, marked_user, plugin = resolve_property(prop_name)
+    marked_user, plugin = resolve_property(prop_name)
     try:
         _verify_vertex(view, marked_user, plugin, k, cache)
         verdict = Verdict(view.vid, True)
@@ -2062,7 +2091,8 @@ def write_label_file(labels: Dict[Edge, Bits]) -> str:
 
 
 def read_label_file(text: str) -> Dict[Edge, Bits]:
-    """Parse `u v hex` lines; DecodeError names the first malformed one."""
+    """Parse `u v hex` lines; DecodeError names the first malformed one, or
+    the second line of an edge."""
     out: Dict[Edge, Bits] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -2074,6 +2104,8 @@ def read_label_file(text: str) -> Dict[Edge, Bits]:
                 raise DecodeError("expected 'u v hex'")
             u, v = int(parts[0]), int(parts[1])
             bits = Bits.from_hex(parts[2])
+            if edge_key(u, v) in out:
+                raise DecodeError("a second label of edge %d %d" % edge_key(u, v))
         except ValueError as exc:  # DecodeError is a ValueError
             raise DecodeError("bad label line %r: %s" % (ln, exc)) from None
         out[edge_key(u, v)] = bits

@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate an instance with a width witness")
@@ -238,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--out-graph")
     p.add_argument("--out-intervals")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_gen)
 
@@ -280,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True)
     p.add_argument("--k", type=_k, required=True)
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_fuzz)
 
@@ -288,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, type=_sizes, help="comma-separated n values")
     p.add_argument("--property", required=True)
     p.add_argument("--k", type=_k, required=True)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -238,6 +238,14 @@ def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
     w.write_bits(payload)
 
 
+def write_sections(secs: List[Tuple[int, Bits]]) -> Bits:
+    """The bits of (type, payload) frames: the inverse of read_sections."""
+    w = BitWriter()
+    for sec_type, payload in secs:
+        write_section(w, sec_type, payload)
+    return w.getvalue()
+
+
 def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
     """Split a label into (type, payload) frames; DecodeError on bad framing.
     The frame fields are cut from the label's int here: a label is split

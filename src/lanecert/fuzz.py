@@ -15,24 +15,18 @@ A mutant differs from its base in a few labels, so one campaign keeps one
 verifier memo for all its trials (see ``certify.any_reject``): the base
 labels are decoded and folded once per campaign, not once per trial, and
 each distinct vertex view is verified once per campaign, so a trial checks
-only the views its mutant changed.  Route edits take the decoded label from
-the same memo and edit a copy of the route section they change.
+only the views its mutant changed.  Route edits go through the label's
+layout (``certify.read_layout``): one route's head is edited and the layout
+written back, every other field as it was read.
 """
 
 import random
-from copy import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .certify import (
-    SEC_ROUTE,
-    CertifyError,
-    any_reject,
-    decode_cached,
-    reroute,
-)
+from .certify import CertifyError, any_reject, read_layout, write_layout
 from .certify import prove_forced as prove  # perfbench traces fuzz.prove
-from .encoding import Bits, BitWriter, DecodeError, read_sections, write_section
+from .encoding import Bits, DecodeError, read_sections, write_sections
 from .graph import Edge, Graph
 from .intervals import IntervalRepresentation
 
@@ -74,19 +68,12 @@ def _sections_of(bits: Bits):
         return None
 
 
-def _assemble(secs) -> Bits:
-    w = BitWriter()
-    for stype, payload in secs:
-        write_section(w, stype, payload)
-    return w.getvalue()
-
-
 def _delete_section(bits: Bits, rng: random.Random) -> Bits:
     secs = _sections_of(bits)
     if not secs:
         return _flip_bits(bits, rng)
     del secs[rng.randrange(len(secs))]
-    return _assemble(secs)
+    return write_sections(secs)
 
 
 def _swap_section(a: Bits, b: Bits, rng: random.Random):
@@ -96,24 +83,19 @@ def _swap_section(a: Bits, b: Bits, rng: random.Random):
     ia = rng.randrange(len(sa))
     ib = rng.randrange(len(sb))
     sa[ia], sb[ib] = sb[ib], sa[ia]
-    return _assemble(sa), _assemble(sb)
+    return write_sections(sa), write_sections(sb)
 
 
-def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bits:
-    """bits with one route section's ranks or endpoints edited.  With the
-    campaign's cache, the decoded label is the one the verifier decoded (or
-    will), shared, so the edit goes to a copy of the chosen route section
-    and changes nothing cached; without one, a fresh memo lasts for this
-    call.  Every other section, and the edited section's map and relayed
-    chain, is framed again as it is, not re-encoded."""
+def _perturb_route(bits: Bits, rng: random.Random) -> Bits:
+    """bits with one route section's ranks or endpoints edited in its
+    layout; a label that does not frame gets a bit flip instead."""
     try:
-        lab = decode_cached(bits, {} if cache is None else cache)
+        lay = read_layout(bits)
     except DecodeError:
         return _flip_bits(bits, rng)
-    if not lab.routes:
+    if not lay.routes:
         return _flip_bits(bits, rng)
-    i = rng.randrange(len(lab.routes))
-    rs = copy(lab.routes[i])
+    rs = lay.routes[rng.randrange(len(lay.routes))]
     which = rng.randrange(3)
     if which == 0:
         rs.fwd = max(1, rs.fwd + rng.choice((-1, 1)))
@@ -121,10 +103,7 @@ def _perturb_route(bits: Bits, rng: random.Random, cache: Optional[dict]) -> Bit
         rs.bwd = max(1, rs.bwd + rng.choice((-1, 1)))
     else:
         rs.u, rs.v = rs.v, rs.u
-    secs = read_sections(bits)
-    at = [j for j, (stype, _) in enumerate(secs) if stype == SEC_ROUTE][i]
-    secs[at] = (SEC_ROUTE, reroute(secs[at][1], rs, lab.n))
-    return _assemble(secs)
+    return write_layout(lay)
 
 
 def _random_label(rng: random.Random) -> Bits:
@@ -132,14 +111,8 @@ def _random_label(rng: random.Random) -> Bits:
     return Bits(rng.getrandbits(nb) if nb else 0, nb)
 
 
-def mutate(
-    labels: Dict[Edge, Bits],
-    mutation: str,
-    rng: random.Random,
-    cache: Optional[dict] = None,
-) -> Dict[Edge, Bits]:
-    """A mutant of labels; cache, if given, is the campaign's verifier memo,
-    used to decode routes.  It changes no mutant."""
+def mutate(labels: Dict[Edge, Bits], mutation: str, rng: random.Random) -> Dict[Edge, Bits]:
+    """A mutant of labels."""
     out = dict(labels)
     edges = sorted(out)
     if not edges:
@@ -158,7 +131,7 @@ def mutate(
         e2 = rng.choice(edges)
         out[e], out[e2] = out[e2], out[e]
     elif mutation == "route-rank":
-        out[e] = _perturb_route(out[e], rng, cache)
+        out[e] = _perturb_route(out[e], rng)
     elif mutation == "random-labels":
         for e2 in edges:
             if rng.random() < 0.5:
@@ -193,7 +166,7 @@ def fuzz_soundness(
     cache: dict = {}
     for trial in range(trials):
         mutation = MUTATIONS[trial % len(MUTATIONS)]
-        labels = mutate(rng.choice(pool), mutation, rng, cache)
+        labels = mutate(rng.choice(pool), mutation, rng)
         report.trials += 1
         verdict = any_reject(g, labels, prop_name, k, cache)
         reason = "all-accept" if verdict is None else verdict.reason

@@ -167,6 +167,9 @@ def write_interval_file(ir: IntervalRepresentation) -> str:
 
 
 def read_interval_file(text: str, n: int) -> IntervalRepresentation:
+    """Parse `v lo hi` lines, one per vertex 0 .. n - 1; IntervalError names
+    the first malformed one, or one of a vertex out of range or seen
+    before."""
     found: Dict[int, Interval] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -176,6 +179,10 @@ def read_interval_file(text: str, n: int) -> IntervalRepresentation:
         if len(parts) != 3:
             raise IntervalError("bad interval line: %r" % ln)
         v, lo, hi = parse_ints(parts, IntervalError, ln)
+        if not 0 <= v < n:
+            raise IntervalError("interval line of a vertex out of range: %r" % ln)
+        if v in found:
+            raise IntervalError("second interval line of vertex %d: %r" % (v, ln))
         found[v] = Interval(lo, hi)
     missing = [v for v in range(n) if v not in found]
     if missing:

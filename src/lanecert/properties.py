@@ -26,8 +26,9 @@ one canonical term per state:
   int 0 once an odd cycle closes;
 - matching: the exposed-set bitmasks, sorted.
 
-Every plugin also comes in a "marked" variant that evaluates the property on
-the subgraph formed by edges with a nonzero tag.
+A plugin counts only the edges whose mark is nonzero.  Certification marks
+every real edge for a property, and only the edges with a nonzero tag for its
+``marked-`` variant (``certify.resolve_property``), so one plugin serves both.
 """
 
 from dataclasses import dataclass
@@ -317,13 +318,9 @@ def _group(s, glued, vmap) -> Dict[int, List[int]]:
 class PropertyPlugin:
     """A property's class space plus its leaf and composition functions."""
 
-    def __init__(self, name: str, algebra, marked: bool):
+    def __init__(self, name: str, algebra):
         self.name = name
-        self.marked = marked
         self._alg = algebra
-
-    def _relevant(self, mark: int) -> bool:
-        return mark != 0 if self.marked else True
 
     def _unpack(self, c: HomClass):
         check_atoms(c.atoms)
@@ -339,13 +336,13 @@ class PropertyPlugin:
         return self._leaf(((lane, 0),), ())
 
     def base_edge(self, lane: int, mark: int) -> HomClass:
-        edges = [(0, 1)] if self._relevant(mark) else []
+        edges = [(0, 1)] if mark else []
         return self._leaf(((lane, 1), (lane, 2)), edges)
 
     def base_path(self, w: int, marks) -> HomClass:
         if w < 1 or len(marks) != w - 1:
             raise PropertyError("path leaf needs w-1 edge marks")
-        edges = [(p, p + 1) for p, m in enumerate(marks) if self._relevant(m)]
+        edges = [(p, p + 1) for p, m in enumerate(marks) if m]
         return self._leaf(tuple((i, 0) for i in range(1, w + 1)), edges)
 
     # composition
@@ -389,7 +386,7 @@ class PropertyPlugin:
             raise PropertyError("bridge composition needs disjoint lane sets")
         s1, s2 = self._unpack(c1), self._unpack(c2)
         edge = None
-        if self._relevant(mark):
+        if mark:
             edge = (self._role_atom(c1, i, 2), self._role_atom(c2, j, 2))
         same = {a: a for a in c1.atoms + c2.atoms}
         return self._glue(c1, s1, same, c2, s2, same, edge=edge)
@@ -430,18 +427,17 @@ _BASE_ALGEBRAS = {
 # Plugins are stateless, so one instance per property serves every caller.
 # The fold's memo belongs to one run (see certify._fold), never to a plugin.
 PLUGINS: Dict[str, PropertyPlugin] = {
-    prefix + name: PropertyPlugin(prefix + name, alg(), bool(prefix))
-    for name, alg in _BASE_ALGEBRAS.items()
-    for prefix in ("", "marked-")
+    name: PropertyPlugin(name, alg()) for name, alg in _BASE_ALGEBRAS.items()
 }
 
 
 def get_plugin(name: str) -> PropertyPlugin:
+    """The plugin of a property's name; the error lists every name the
+    certifier accepts, its marked- variants too."""
     plugin = PLUGINS.get(name)
     if plugin is None:
-        raise PropertyError(
-            "unknown property %r (available: %s)" % (name, ", ".join(sorted(PLUGINS)))
-        )
+        names = sorted([*PLUGINS, *("marked-" + p for p in PLUGINS)])
+        raise PropertyError("unknown property %r (available: %s)" % (name, ", ".join(names)))
     return plugin
 
 

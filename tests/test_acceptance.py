@@ -117,9 +117,11 @@ def test_oracle_equivalence_bulk():
         g = build_graph(len(applied.vertices), applied.edges, {}, marks)
         hd = build_hierarchical_decomposition(s)
         for name, plugin in PLUGINS.items():
-            accepted = annotate_classes(hd, plugin, marks).accepted
-            assert accepted == brute_force_property(g, name), (name, s)
-            cases += 1
+            # The property of every edge, then of the marked ones.
+            for prop, folded in ((name, {e: 1 for e in marks}), ("marked-" + name, marks)):
+                accepted = annotate_classes(hd, plugin, folded).accepted
+                assert accepted == brute_force_property(g, prop), (prop, s)
+                cases += 1
     assert cases >= 10_000
 
 

@@ -1,13 +1,13 @@
 import hashlib
 import random
 from dataclasses import replace
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
 
 from lanecert import certify
 from lanecert.certify import (
-    SEC_ROUTE,
     SEC_TNODE,
     CertifyError,
     ElementRecord,
@@ -20,12 +20,14 @@ from lanecert.certify import (
     local_views,
     prove,
     read_label_file,
+    read_layout,
     verify_all,
     verify_vertex,
     write_label_file,
+    write_layout,
     write_verdict_file,
 )
-from lanecert.encoding import Bits, BitReader, BitWriter, DecodeError, read_sections, write_section
+from lanecert.encoding import Bits, BitReader, BitWriter, DecodeError, read_sections, write_section, write_sections
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key, id_bits
 from lanecert.intervals import width
@@ -453,71 +455,18 @@ def test_nested_section_basic_is_the_side_above(family, n, k, prop):
         assert nested > 0
 
 
-def _tnode_payloads(bits):
-    return [p for stype, p in read_sections(bits) if stype == SEC_TNODE]
-
-
-def _route_base(payload, j, n):
-    """(base, q) of a label's route section j, as its payload writes them."""
-    r = BitReader(payload)
-    certify._read_route_head(r, id_bits(n), n)
-    base = r.read_uint(j.bit_length())
-    return base, r.read_varint()
-
-
 def _relayed_parts(bits):
-    """(section index, the payload before its frames, relayed chain's
-    payloads, relayed chain, prefix length q) of each route section of
-    bits.  The payloads are what encoding the decoded chain gives; the
-    section's frames, which end it, are those after the first q."""
+    """(relayed chain's payloads, relayed chain, prefix length q) of each
+    route section of bits.  The payloads are what encoding the decoded
+    chain gives; the section's frames are those after the first q."""
     lab = decode_label(bits)
-    b = id_bits(lab.n)
-    secs = read_sections(bits)
-    at = [i for i, (stype, _) in enumerate(secs) if stype == SEC_ROUTE]
     out = []
-    for j, (i, rs) in enumerate(zip(at, lab.routes)):
+    for rs, rl in zip(lab.routes, read_layout(bits).routes):
         head = certify._Header(lab.n, lab.w)
         payloads = certify._payloads(rs.tnodes, certify._enc_chain(rs.tnodes, head), head)
-        q = _route_base(secs[i][1], j, lab.n)[1]
-        frames = _frames(payloads[q:])
-        whole = secs[i][1]
-        assert whole.value & ((1 << frames.nbits) - 1) == frames.value
-        out.append((i, Bits(whole.value >> frames.nbits, whole.nbits - frames.nbits),
-                    payloads, rs.tnodes, q))
+        assert write_sections([(SEC_TNODE, p) for p in payloads[rl.q:]]) == rl.frames
+        out.append((payloads, rs.tnodes, rl.q))
     return out
-
-
-def _frames(payloads):
-    """T-node sections framed one after another, as a route section ends."""
-    w = BitWriter()
-    for payload in payloads:
-        write_section(w, SEC_TNODE, payload)
-    return w.getvalue()
-
-
-def _join_bits(*parts):
-    w = BitWriter()
-    for part in parts:
-        w.write_bits(part)
-    return w.getvalue()
-
-
-def _reframe(bits, replace):
-    """bits with the sections replace maps from their index to new
-    (type, payload) pairs, and the T-node sections of its own chain given by
-    replace[SEC_TNODE] when it is there."""
-    secs = read_sections(bits)
-    out = []
-    for i, sec in enumerate(secs):
-        if sec[0] == SEC_TNODE and SEC_TNODE in replace:
-            continue
-        out.append(replace.get(i, sec))
-        if i == 1 and SEC_TNODE in replace:  # after the basic section
-            out.extend((SEC_TNODE, p) for p in replace[SEC_TNODE])
-    w = BitWriter()
-    for stype, part in out:
-        write_section(w, stype, part)
-    return w.getvalue()
 
 
 def _forged_chain(payloads, chain, nested_payload):
@@ -553,26 +502,26 @@ def _forgeries(labels):
     one is replaced in every route section that carries it and writes the
     forged payload in its frames (a carrier whose shared prefix covers it
     has no such payload)."""
-    nested = next(p for bits in labels.values() for p in _tnode_payloads(bits)[1:])
+    nested = next(p for bits in labels.values() for p in read_layout(bits).tnodes[1:])
+    parts = {e: _relayed_parts(bits) for e, bits in labels.items()}
     relayed = {}
-    for e, bits in labels.items():
-        for i, head, payloads, chain, q in _relayed_parts(bits):
+    for routes in parts.values():
+        for payloads, chain, _ in routes:
             relayed.setdefault(tuple(payloads), chain)
     for e in sorted(labels):
-        lab = decode_label(labels[e])
-        for forged, _, kind in _forged_chain(_tnode_payloads(labels[e]), lab.tnodes, nested):
-            yield set(e), {**labels, e: _reframe(labels[e], {SEC_TNODE: forged})}, kind
+        lay = read_layout(labels[e])
+        for forged, _, kind in _forged_chain(lay.tnodes, decode_label(labels[e]).tnodes, nested):
+            yield set(e), {**labels, e: write_layout(replace(lay, tnodes=forged))}, kind
     for payloads, chain in relayed.items():
         for forged, pos, kind in _forged_chain(list(payloads), chain, nested):
             bad, readers = dict(labels), set()
             for e, bits in labels.items():
-                swap = {
-                    i: (SEC_ROUTE, _join_bits(head, _frames(forged[q:])))
-                    for i, head, ps, _, q in _relayed_parts(bits)
-                    if tuple(ps) == payloads and q <= pos
-                }
+                lay = read_layout(bits)
+                swap = [rl for rl, (ps, _, q) in zip(lay.routes, parts[e]) if tuple(ps) == payloads and q <= pos]
+                for rl in swap:
+                    rl.frames = write_sections([(SEC_TNODE, p) for p in forged[rl.q:]])
                 if swap:
-                    bad[e] = _reframe(bits, swap)
+                    bad[e] = write_layout(lay)
                     readers |= set(e)
             if readers:
                 yield readers, bad, kind
@@ -651,109 +600,49 @@ TABLE_CASES = [("cycle", 30, 2, "bipartite"), ("random-ops", 40, 3, "parity")]
 
 
 def _label_parts(bits):
-    """The pieces encode_label makes of a label's decoded form: its own
-    chain's payloads, slot count and per-section new slots, the table as
-    entry keys, each route's map, relayed payloads, per-section new slots
-    and (base, q) as the label writes them, how many entries each map
-    names first, and the derived entries' indices."""
+    """A label's decoded form and what encode_label makes of it: each
+    chain's section states and payloads (the own chain's first), the table
+    as entry keys, each relayed chain's map into it, the entries each group
+    holds, those the own chain and earlier maps name before each route, the
+    derived entries' indices, and each route's (base, q)."""
     lab = decode_label(bits)
-    b = id_bits(lab.n)
     head = certify._Header(lab.n, lab.w)
-    own = certify._enc_chain(lab.tnodes, head)
-    own_payloads = certify._payloads(lab.tnodes, own, head)
-    relayed = []
-    for rs in lab.routes:
-        states = certify._enc_chain(rs.tnodes, head)
-        relayed.append((states, certify._payloads(rs.tnodes, states, head)))
-    tokens, maps, fresh, index = certify._table_and_maps(own[-1].order, [states[-1].order for states, _ in relayed])
-    routes = [payload for stype, payload in read_sections(bits) if stype == SEC_ROUTE]
-    bases = [_route_base(payload, j, lab.n) for j, payload in enumerate(routes)]
-    lasts = [own[-1]] + [states[-1] for states, _ in relayed]
-    derived = {index[t] for t in set().union(*[st.derived for st in lasts]) - set().union(*[st.kids for st in lasts])}
-    table = [head.entries[t][2] for t in tokens]
+    chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
+    states = [certify._enc_chain(chain, head) for chain in chains]
+    lasts = [st[-1] for st in states]
+    tokens, maps, fresh, index = certify._table_and_maps(lasts[0].order, [st.order for st in lasts[1:]])
+    derived = set().union(*[st.derived for st in lasts]) - set().union(*[st.kids for st in lasts])
     return {
-        "lab": lab, "b": b, "own": own_payloads, "m_own": len(own[-1].order), "news": [len(st.new) for st in own],
-        "table": table, "maps": maps, "fresh": fresh,
-        "relayed": [(payloads, [len(st.new) for st in states]) for states, payloads in relayed],
-        "bases": bases, "derived": derived,
-        "entries": [certify._enc_entry(key, b, lab.w, t in derived) for t, key in enumerate(table)],
+        "bits": bits, "lab": lab, "b": id_bits(lab.n), "states": states, "maps": maps,
+        "payloads": [certify._payloads(chain, st, head) for chain, st in zip(chains, states)],
+        "table": [head.entries[t][2] for t in tokens], "derived": {index[t] for t in derived},
+        "counts": [c for c in [len(st.new) for st in states[0]] + fresh if c],
+        "named": list(accumulate(fresh, initial=len(lasts[0].order))),
+        "bases": [(rl.base, rl.q) for rl in read_layout(bits).routes],
     }
 
 
-def _route_tw(parts, j, written):
-    """The index width of route j's map when it writes that many indices:
-    enough for the entries earlier chains name and as many new ones."""
-    return certify._index_bits(parts["m_own"] + sum(parts["fresh"][:j]) + written)
+def _map_width(parts, j, idx):
+    """The width of route j's map when it writes idx: enough for the
+    entries earlier chains name and as many new ones, and for idx also
+    where a forged prefix leaves fewer to write than they need."""
+    return max(certify._index_bits(parts["named"][j] + len(idx)), certify._index_bits(max(idx, default=0) + 1))
 
 
-def _basic_section(m_own, groups):
-    """The basic section encode_label writes: the own chain's slot count,
-    then each group's length in bits and its entries."""
-    w = BitWriter()
-    w.write_varint(m_own)
-    for group in groups:
-        w.write_varint(group.nbits)
-        w.write_bits(group)
-    return w.getvalue()
-
-
-def _route_section(head, j, base, q, pointers, idx, tw, payloads, b):
-    """A route section as encode_label writes it: endpoints and ranks, the
-    base in ceil(log2 (j + 1)) bits, q and the prefix's packed pointer
-    fields, the map's length and its tw-bit indices, the T-node sections."""
-    w = BitWriter()
-    certify._write_route_head(w, *head, b)
-    w.write_uint(base, j.bit_length())
-    w.write_varint(q)
-    w.write_uint(pointers, q * (b + 2))
-    w.write_varint(len(idx))
-    for i in idx:
-        w.write_uint(i, tw)
-    for payload in payloads:
-        write_section(w, SEC_TNODE, payload)
-    return w.getvalue()
-
-
-def _assemble(parts, entries=None, maps=None, own=None, extra=(), bases=None, pointers=None):
-    """encode_label's last steps on parts, with the table's entry bits, the
-    maps, the own payloads or the routes' (base, q) replaced, and extra
-    groups of entries put at the end of the basic section.  A route's
-    prefix holds the pointer fields of its relayed chain's first q
-    sections, padded with zeros past its end, or pointers[j] for route j,
-    and its map the indices after the slots those sections name."""
-    lab, b = parts["lab"], parts["b"]
-    entries = parts["entries"] if entries is None else entries
-    maps = parts["maps"] if maps is None else maps
-    bases = parts["bases"] if bases is None else bases
-    routes = []
-    for j, (rs, idx, (payloads, rnews), (base, q)) in enumerate(
-        zip(lab.routes, maps, parts["relayed"], bases)
-    ):
-        fields = [(sec.dist, sec.is_tree, sec.parent_min) for sec in rs.tnodes[:q]]
-        fields = (pointers or {}).get(j, fields + [(0, False, False)] * (q - len(fields)))
-        packed = 0
-        for field in fields:
-            dist, is_tree, parent_min = field
-            packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
-        s = sum(rnews[:q])
-        head = (rs.u, rs.v, rs.fwd, rs.bwd)
-        # Wide enough for the indices also where a forged prefix leaves
-        # fewer to write than they need (the decoder refuses its q first).
-        tw = max(_route_tw(parts, j, len(idx) - s), certify._index_bits(max(idx[s:], default=0) + 1))
-        routes.append(_route_section(head, j, base, q, packed, idx[s:], tw, payloads[q:], b))
-    groups, start = [], 0
-    for count in list(parts["news"]) + parts["fresh"]:
-        if count:
-            groups.append(certify._join(entries[start:start + count]))
-        start += count
-    groups += [certify._join(group) for group in extra]
-    table = _basic_section(parts["m_own"], groups)
-    hw = BitWriter()
-    hw.write_varint(lab.n)
-    hw.write_varint(lab.w)
-    own = parts["own"] if own is None else own
-    return _frame([(certify.SEC_HEADER, hw.getvalue()), (certify.SEC_BASIC, table)]
-                  + [(SEC_TNODE, p) for p in own] + [(SEC_ROUTE, p) for p in routes])
+def _with_prefix(parts, j, base, q):
+    """The label of parts with route j writing base and a prefix of q
+    sections: its relayed chain's first q pointer fields, padded with zeros
+    past its end, then the map and frames after the slots they name."""
+    lay, b = read_layout(parts["bits"]), parts["b"]
+    rl, chain = lay.routes[j], parts["lab"].routes[j].tnodes
+    rl.base, rl.q, rl.pointers = base, q, 0
+    for sec in chain[:q]:
+        rl.pointers = rl.pointers << (b + 2) | sec.dist << 2 | sec.is_tree << 1 | sec.parent_min
+    rl.pointers <<= (b + 2) * max(0, q - len(chain))
+    rl.idx = parts["maps"][j][sum(len(st.new) for st in parts["states"][j + 1][:q]):]
+    rl.iw = _map_width(parts, j, rl.idx)
+    rl.frames = write_sections([(SEC_TNODE, p) for p in parts["payloads"][j + 1][q:]])
+    return write_layout(lay)
 
 
 def _table_lies(bits):
@@ -761,42 +650,41 @@ def _table_lies(bits):
     be written: a slot index >= m, a map index >= T, a map shorter than
     its chain's slots, an entry no slot names, a repeated entry."""
     parts = _label_parts(bits)
-    assert _assemble(parts) == bits
-    m, table = parts["m_own"], parts["table"]
-    sw = certify._index_bits(m)
+    table, b, derived = parts["table"], parts["b"], parts["derived"]
+    lay = read_layout(bits)
+    m, sw = lay.m, certify._index_bits(lay.m)
     if m < 1 << sw:  # the root section's slot, just past the eid varint
-        root = parts["own"][0]
+        root = lay.tnodes[0]
         r = BitReader(root)
         r.read_varint()
         shift = root.nbits - r.pos - sw
-        value = root.value & ~(((1 << sw) - 1) << shift) | m << shift
-        yield "slot>=m", _assemble(parts, own=[Bits(value, root.nbits)] + parts["own"][1:])
-    written = [  # routes whose map writes an index (one past the prefix's slots)
-        j for j, ((_, rnews), (_, q)) in enumerate(zip(parts["relayed"], parts["bases"]))
-        if sum(rnews[:q]) < len(parts["maps"][j])
-    ]
-    if written:
-        j = written[0]
-        s = sum(parts["relayed"][j][1][:parts["bases"][j][1]])
-        tw = _route_tw(parts, j, len(parts["maps"][j]) - s)
-    if written and len(table) < 1 << tw:
-        maps = [list(idx) for idx in parts["maps"]]
-        maps[written[0]][-1] = len(table)
-        yield "map>=T", _assemble(parts, maps=maps)
-    if written:  # the map one index short of the chain's slots
-        maps = [list(idx) for idx in parts["maps"]]
-        del maps[written[0]][-1]
-        yield "map<m", _assemble(parts, maps=maps)
+        lay.tnodes[0] = Bits(root.value & ~(((1 << sw) - 1) << shift) | m << shift, root.nbits)
+        yield "slot>=m", write_layout(lay)
+    # The first route whose map writes an index (one past the prefix's slots).
+    j = next((j for j, rl in enumerate(read_layout(bits).routes) if rl.idx), None)
+    if j is not None:
+        lay = read_layout(bits)
+        rl = lay.routes[j]
+        if len(table) < 1 << rl.iw:
+            rl.idx[-1] = len(table)
+            yield "map>=T", write_layout(lay)
+        rl.idx = read_layout(bits).routes[j].idx[:-1]  # one index short of the chain's slots
+        rl.iw = _map_width(parts, j, rl.idx)
+        yield "map<m", write_layout(lay)
     mask, ids, _ = table[0]
-    unused = certify._enc_entry((mask, ids, 99), parts["b"], parts["lab"].w)
-    yield "unused", _assemble(parts, extra=[[unused]])
+    lay = read_layout(bits)
+    lay.groups.append(certify._enc_entry((mask, ids, 99), b, lay.w))
+    yield "unused", write_layout(lay)
     # The last entry written in full repeats the first (the root's, which
     # is never derived).
-    last = max(set(range(1, len(table))) - parts["derived"], default=None)
+    last = max(set(range(1, len(table))) - derived, default=None)
     if last is not None:
-        entries = list(parts["entries"])
+        entries = [certify._enc_entry(key, b, lay.w, t in derived) for t, key in enumerate(table)]
         entries[last] = entries[0]
-        yield "repeated", _assemble(parts, entries=entries)
+        ends = accumulate(parts["counts"])
+        lay = read_layout(bits)
+        lay.groups = [certify._join(entries[end - count:end]) for count, end in zip(parts["counts"], ends)]
+        yield "repeated", write_layout(lay)
 
 
 @pytest.mark.parametrize("family,n,k,prop", TABLE_CASES)
@@ -868,8 +756,8 @@ def test_repointed_route_map_is_rejected_inside_the_route(family, n, k, prop):
         q = parts["bases"][j][1]
         # The entries earlier chains of the label name; the map writes the
         # indices after the slots of the shared prefix.
-        named = parts["m_own"] + sum(parts["fresh"][:j])
-        s = sum(parts["relayed"][j][1][:q])
+        named = parts["named"][j]
+        s = sum(len(st.new) for st in parts["states"][j + 1][:q])
         spare = [i for i in range(named) if i not in idx]
         forgeries = []
         # The first repointing, from the last slot the map writes back, that
@@ -882,11 +770,9 @@ def test_repointed_route_map_is_rejected_inside_the_route(family, n, k, prop):
             except CertifyError:
                 pass
         if q:
-            pointers = {j: [(sec.dist, sec.is_tree, sec.parent_min)
-                            for sec in parts["lab"].routes[j].tnodes[:q]]}
-            dist, is_tree, parent_min = pointers[j][-1]
-            pointers[j][-1] = (dist ^ 1, is_tree, parent_min)
-            forgeries.append(("prefix", _assemble(parts, pointers=pointers)))
+            lay = read_layout(labels[e])
+            lay.routes[j].pointers ^= 1 << 2  # the low bit of the last prefix section's dist
+            forgeries.append(("prefix", write_layout(lay)))
         for kind, forged in forgeries:
             bad = {**labels, e: forged}
             decode_label(bad[e])
@@ -943,10 +829,10 @@ def _route_lies(bits):
     ("past-base"), a prefix whose next section its base still shares
     ("next-shared"), and a tie resolved to a later base ("tie-later")."""
     parts = _label_parts(bits)
-    assert _assemble(parts) == bits
     lab = parts["lab"]
     chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
     for j, (base, q) in enumerate(parts["bases"]):
+        assert _with_prefix(parts, j, base, q) == bits
         shares = [_shared(chains[j + 1], c) for c in chains[:j + 1]]
         # The label writes the longest prefix, from the earliest chain.
         assert (base, q) == (shares.index(max(shares)), max(shares))
@@ -964,9 +850,7 @@ def _route_lies(bits):
         if later:
             lies.append(("tie-later", later[0], q))
         for kind, forged_base, forged_q in lies:
-            bases = list(parts["bases"])
-            bases[j] = (forged_base, forged_q)
-            yield kind, _assemble(parts, bases=bases)
+            yield kind, _with_prefix(parts, j, forged_base, forged_q)
 
 
 def test_route_prefix_lies_are_rejected_at_an_endpoint():

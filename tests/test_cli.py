@@ -138,7 +138,8 @@ def test_verify_json_reasons(tmp_path, capsys):
 def test_malformed_label_file_is_usage_error(tmp_path, capsys):
     gfile = str(tmp_path / "g.txt")
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
-    for line in ("0 1", "a b 00", "0 1 zz"):  # field count, ids, hex
+    # Field count, ids, hex, and a second label of one edge.
+    for line in ("0 1", "a b 00", "0 1 zz", "0 1 0100\n1 0 0180"):
         lfile = str(tmp_path / "bad.txt")
         with open(lfile, "w") as fh:
             fh.write(line + "\n")
@@ -150,6 +151,33 @@ def test_malformed_label_file_is_usage_error(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", (line, argv[0])
             assert err.startswith("error: bad label line"), err
+
+
+def test_seed_only_where_it_is_read(tmp_path, capsys):
+    # gen, fuzz and bench draw random numbers and take --seed; prove does
+    # not, and refuses it.
+    gfile, lfile = str(tmp_path / "g.txt"), str(tmp_path / "l.txt")
+    assert run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile, "--seed", "1")[0] == 0
+    code, out, err = run(capsys, "prove", "--graph", gfile, "--property", "bipartite", "--k", "2",
+                         "--out", lfile, "--seed", "1")
+    assert code == 2 and out == "" and "--seed" in err, err
+
+
+def test_stray_interval_lines_are_usage_errors(tmp_path, capsys):
+    # A second line of a vertex, and a line of a vertex out of range: prove
+    # and decompose exit 2 and name the line.
+    gfile, ifile = str(tmp_path / "g.txt"), str(tmp_path / "g.iv")
+    run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile, "--out-intervals", ifile)
+    good = open(ifile).read()
+    for bad in ("0 0 1", "7 0 0", "-1 3 3"):
+        with open(ifile, "w") as fh:
+            fh.write(good + bad + "\n")
+        for cmd in ("decompose", "prove"):
+            argv = [cmd, "--graph", gfile, "--intervals", ifile, "--k", "2"]
+            if cmd == "prove":
+                argv += ["--property", "bipartite", "--out", str(tmp_path / "l")]
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and repr(bad) in err, (bad, cmd, err)
 
 
 def test_second_byte_form_of_a_label_is_usage_error(tmp_path, capsys):

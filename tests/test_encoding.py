@@ -10,6 +10,7 @@ from lanecert.encoding import (
     read_sections,
     read_term,
     write_section,
+    write_sections,
     write_term,
 )
 
@@ -152,6 +153,7 @@ def test_sections_roundtrip():
     write_section(w, 3, p1)
     write_section(w, 7, p2)
     assert read_sections(w.getvalue()) == [(3, p1), (7, p2)]
+    assert write_sections([(3, p1), (7, p2)]) == w.getvalue()
 
 
 def test_sections_garbage_rejected():

@@ -145,3 +145,11 @@ def test_greedy_lane_split_properties():
 def test_interval_file_roundtrip():
     ir = c6_intervals()
     assert read_interval_file(write_interval_file(ir), 6).intervals == ir.intervals
+
+
+def test_interval_file_refuses_duplicate_and_stray_lines():
+    # n = 2: a second line of vertex 0, and lines of vertices 7 and -1,
+    # each after two good lines; the error names the line.
+    for bad in ("0 1 2", "7 0 0", "-1 3 3"):
+        with pytest.raises(IntervalError, match=repr(bad)):
+            read_interval_file("0 0 1\n1 1 2\n%s\n" % bad, 2)

@@ -14,8 +14,6 @@ import pytest
 
 from lanecert import certify, fuzz
 from lanecert.certify import (
-    SEC_BASIC,
-    SEC_HEADER,
     SEC_TNODE,
     BasicInfo,
     CertifyError,
@@ -29,23 +27,23 @@ from lanecert.certify import (
     encode_label,
     local_views,
     prove,
+    read_layout,
     resolve_property,
     verify_all,
     verify_vertex,
+    write_layout,
 )
 from lanecert.encoding import (
     BitReader,
     Bits,
-    BitWriter,
     DecodeError,
     read_sections,
-    write_section,
 )
 from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, id_bits
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
-from tests.test_certify import _basic_section, _label_parts, _route_base
+from tests.test_certify import _label_parts
 from tests.test_graph import cycle_graph, path_graph
 
 FALSE_STATEMENTS = {
@@ -132,6 +130,24 @@ def test_honest_labels_reencode_exactly():
         assert i >= len(k3) or derived > 0, K3_LAYOUTS[i]
 
 
+def test_write_layout_inverts_read_layout():
+    # Every honest label, and every label of a fuzz mutant of them that
+    # read_layout accepts, is written back bit for bit from its layout.
+    mutants = 0
+    for g, ir, prop, k in _k3_layouts() + _true_statements():
+        base = prove(g, prop, k, ir=ir)
+        rng = random.Random("layout")
+        for labels in [base] + [mutate(base, mutation, rng) for mutation in MUTATIONS for _ in range(3)]:
+            for e, bits in labels.items():
+                try:
+                    lay = read_layout(bits)
+                except DecodeError:
+                    continue
+                assert write_layout(lay) == bits
+                mutants += bits != base[e]
+    assert mutants > 0
+
+
 def _k3_layouts():
     return [(*generate(GeneratorSpec(family, n, 3, 0.3), 0), prop, 3) for family, n, prop in K3_LAYOUTS]
 
@@ -212,33 +228,23 @@ def _decodes(bits, memo=None) -> bool:
     return True
 
 
-def _small_label(secs, tnodes=None) -> Bits:
-    """A label of the sections secs with header n = 5 (its lane count kept),
-    and, if tnodes is given, only those T-node sections behind a table of
-    entries valid for n = 5: one group per section that names slots first,
-    as many entries as the label's own table had there."""
-    hr = BitReader(secs[0][1])
-    n = hr.read_varint()
-    w_lanes = hr.read_varint()
-    hw = BitWriter()
-    hw.write_varint(5)
-    hw.write_varint(w_lanes)
-    out = [(SEC_HEADER, hw.getvalue())] + secs[1:]
-    if tnodes is not None:
-        m_own = BitReader(secs[1][1]).read_varint()
-        _, news, found = certify._raw_chain(tnodes, id_bits(n), n, certify._index_bits(m_own), {})
-        derived = certify._derived([(range(m_own), found)])
+def _small_label(bits, records=False) -> Bits:
+    """bits under a header with n = 5 (its lane count kept), and, if
+    records, its own T-node sections alone behind a table of entries valid
+    for n = 5: one group per section that names slots first, as many
+    entries as the label's own table had there."""
+    lay = read_layout(bits)
+    n, lay.n = lay.n, 5
+    if records:
+        _, news, found = certify._raw_chain(lay.tnodes, id_bits(n), n, certify._index_bits(lay.m), {})
+        derived = certify._derived([(range(lay.m), found)])
         entries = iter(
-            certify._enc_entry((1, 0, term), id_bits(5), w_lanes, term in derived)
-            for term in range(m_own)
+            certify._enc_entry((1, 0, term), id_bits(5), lay.w, term in derived)
+            for term in range(lay.m)
         )
-        groups = [certify._join([next(entries) for _ in range(c)]) for c in news if c]
-        table = _basic_section(m_own, groups)
-        out = out[:1] + [(SEC_BASIC, table)] + [(SEC_TNODE, p) for p in tnodes]
-    w = BitWriter()
-    for stype, payload in out:
-        write_section(w, stype, payload)
-    return w.getvalue()
+        lay.groups = [certify._join([next(entries) for _ in range(c)]) for c in news if c]
+        lay.routes = []
+    return write_layout(lay)
 
 
 def test_memo_keeps_sections_apart_by_n():
@@ -254,24 +260,17 @@ def test_memo_keeps_sections_apart_by_n():
             decode_label(bits, memo)
         failing = Counter()
         for bits in labels.values():
-            secs = read_sections(bits)
-            payloads = [p for stype, p in secs if stype == SEC_TNODE]
-            smalls = {"sections": [_small_label(secs)], "records": [_small_label(secs, payloads)]}
-            for kind, small_labels in smalls.items():
-                for small in small_labels:
-                    assert _decodes(small, memo) == _decodes(small), kind
-                    failing[kind] += not _decodes(small)
+            for kind, records in (("sections", False), ("records", True)):
+                small = _small_label(bits, records)
+                assert _decodes(small, memo) == _decodes(small), kind
+                failing[kind] += not _decodes(small)
             # And the label's table alone, its groups read under n = 5.
             parts = _label_parts(bits)
-            counts = [count for count in list(parts["news"]) + parts["fresh"] if count]
-            tr = BitReader(secs[1][1])
-            tr.read_varint()
 
             def table_decodes(table_memo):
-                r = BitReader(secs[1][1])
-                r.pos = tr.pos
                 try:
-                    certify._dec_table(r, counts, parts["derived"], id_bits(5), 5, parts["lab"].w, table_memo)
+                    certify._dec_table(read_layout(bits).groups, parts["counts"], parts["derived"], id_bits(5), 5,
+                                       parts["lab"].w, table_memo)
                 except DecodeError:
                     return False
                 return True
@@ -293,9 +292,8 @@ def test_wide_relayed_dist_keeps_chains_apart():
     forged = []
     for bits in labels.values():
         lab = decode_label(bits)
-        payloads = [p for stype, p in read_sections(bits) if stype == certify.SEC_ROUTE]
-        for j, (rs, payload) in enumerate(zip(lab.routes, payloads)):
-            q = _route_base(payload, j, g.n)[1]
+        for j, (rs, rl) in enumerate(zip(lab.routes, read_layout(bits).routes)):
+            q = rl.q
             if 0 < q < len(rs.tnodes):
                 for parent_min in (False, True):
                     chain = list(rs.tnodes)
@@ -421,7 +419,7 @@ def _with_bad_child(rec):
 @pytest.mark.parametrize("name", sorted(FALSE_STATEMENTS))
 def test_fold_memo_equals_unmemoized(name):
     g, prop, k = FALSE_STATEMENTS[name]
-    plugin = resolve_property(prop)[2]
+    plugin = resolve_property(prop)[1]
     base = prove(g, prop, k, force=True)
     rng = random.Random("fold-" + name)
     kinds = Counter()
@@ -540,7 +538,7 @@ def test_fold_failures_are_not_memoized(monkeypatch):
 
 
 def test_failing_accepts_is_not_memoized(monkeypatch):
-    plugin = resolve_property("bipartite")[2]
+    plugin = resolve_property("bipartite")[1]
     calls, raised = Counter(), Counter()
     _count_fold_calls(monkeypatch, calls, raised)
     memo = {}
@@ -582,18 +580,18 @@ def _campaigns():
 
 @pytest.mark.parametrize("name,g,ir,prop,k", [pytest.param(*c, id=c[0]) for c in _campaigns()])
 def test_campaign_memo_equals_fresh_memo(monkeypatch, name, g, ir, prop, k):
-    # Every trial of a real campaign: its mutant equals the one drawn from
-    # the same rng state without the memo, and every vertex's verdict with
+    # Every trial of a real campaign: its mutant equals the one drawn again
+    # from the same rng state, and every vertex's verdict with
     # the campaign's memo equals verify_vertex with a fresh dict.
     caches = []
     bases = []
     mutations = Counter()
     orig_mutate, orig_any_reject = fuzz.mutate, fuzz.any_reject
 
-    def checked_mutate(labels, mutation, rng, cache=None):
+    def checked_mutate(labels, mutation, rng):
         twin = random.Random()
         twin.setstate(rng.getstate())
-        out = orig_mutate(labels, mutation, rng, cache)
+        out = orig_mutate(labels, mutation, rng)
         assert out == orig_mutate(labels, mutation, twin), mutation
         assert twin.getstate() == rng.getstate()
         if labels not in bases:
@@ -678,16 +676,15 @@ def _old_perturb_route(bits, rng):
 
 @pytest.mark.parametrize("name,g,ir,prop,k", [pytest.param(*c, id=c[0]) for c in _campaigns()])
 def test_route_mutant_reframes_tnode_payloads(name, g, ir, prop, k):
-    # Framing the base's T-node payloads as they are gives the label that
-    # re-encoding them gave, with the same draws from the rng.
+    # Writing the base's layout back with one route's head edited gives the
+    # label that re-encoding it gave, with the same draws from the rng.
     base = prove(g, prop, k, ir=ir, force=True)
     rng = random.Random("route-" + name)
-    cache = {}
     for _ in range(3):
         for e in sorted(base):
             twin = random.Random()
             twin.setstate(rng.getstate())
-            assert fuzz._perturb_route(base[e], rng, cache) == _old_perturb_route(base[e], twin)
+            assert fuzz._perturb_route(base[e], rng) == _old_perturb_route(base[e], twin)
             assert twin.getstate() == rng.getstate()
 
 
@@ -916,10 +913,7 @@ def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
             lab = decode_label(bits)
             # A route writes its relayed chain's sections after the prefix
             # it shares with an earlier chain of the label, q of them.
-            routes = [p for stype, p in read_sections(bits) if stype == certify.SEC_ROUTE]
-            written = [(lab.tnodes, 0)] + [
-                (rs.tnodes, _route_base(p, j, g.n)[1]) for j, (rs, p) in enumerate(zip(lab.routes, routes))
-            ]
+            written = [(lab.tnodes, 0)] + [(rs.tnodes, rl.q) for rs, rl in zip(lab.routes, read_layout(bits).routes)]
             for chain, q in written:
                 head = certify._Header(g.n, lab.w)
                 states = certify._enc_chain(chain, head)
@@ -982,37 +976,30 @@ def _part_mutants(labels, rng):
     in its element tail only, or in its prefix only (the root's node eid and
     BasicInfo slot or a nested section's side bit, then the pointer fields),
     by a bit flip or by taking that part of another payload."""
-    parts = []  # (edge, section index, prefix, tail)
+    parts = []  # (edge, chain position, prefix, tail)
     for e in sorted(labels):
         try:
             decode_label(labels[e])
         except DecodeError:
             continue
-        secs = read_sections(labels[e])
-        sw = certify._index_bits(BitReader(secs[1][1]).read_varint())
-        pos = 0  # chain position
-        for i, (stype, payload) in enumerate(secs):
-            if stype != SEC_TNODE:
-                continue
+        lay = read_layout(labels[e])
+        sw = certify._index_bits(lay.m)
+        for pos, payload in enumerate(lay.tnodes):
             split = _split_tnode(payload, sw, pos > 0)
-            pos += 1
             if split is not None and split[1].nbits:
-                parts.append((e, i) + split)
+                parts.append((e, pos) + split)
     out = []
     if not parts:
         return out
     for part in (0, 1):  # 0: the prefix, 1: the element tail
-        e, i, *pt = rng.choice(parts)
+        e, pos, *pt = rng.choice(parts)
         donor = rng.choice(parts)[2:]
         for new in (_flip(pt[part], rng), donor[part]):
             pt2 = list(pt)
             pt2[part] = new
-            secs = read_sections(labels[e])
-            secs[i] = (SEC_TNODE, _join(*pt2))
-            w = BitWriter()
-            for stype, payload in secs:
-                write_section(w, stype, payload)
-            out.append({**labels, e: w.getvalue()})
+            lay = read_layout(labels[e])
+            lay.tnodes[pos] = _join(*pt2)
+            out.append({**labels, e: write_layout(lay)})
     return out
 
 

@@ -12,6 +12,7 @@ from lanecert.certify import (
     decode_label,
     local_views,
     prove,
+    resolve_property,
     verify_all,
     verify_vertex,
 )
@@ -65,7 +66,7 @@ def test_leaf_classes_frozen():
     assert c.atoms == ((3, 1), (3, 2))
     assert c.term == (0, 1)
     # An unmarked edge leaves two parts, each atom its own rep.
-    skipped = PLUGINS["marked-bipartite"].base_edge(3, 0)
+    skipped = bip.base_edge(3, 0)
     assert skipped.term == (0, 2)
     # A 3-path colours its two ends alike.
     assert bip.base_path(3, [1, 1]).term == (0, 1, 0)
@@ -86,7 +87,7 @@ def test_leaf_classes_frozen():
     e = forest.base_edge(2, 1)
     # One part, atom 0 its rep; an unmarked edge leaves two parts.
     assert e.term == (0, 0)
-    assert PLUGINS["marked-acyclic"].base_edge(2, 0).term == (0, 1)
+    assert forest.base_edge(2, 0).term == (0, 1)
     assert forest.base_path(3, [1, 1]).term == (0, 0, 0)
 
 
@@ -113,14 +114,22 @@ def test_marked_variant_ignores_unmarked_edges():
     marks = {e: 1 for e in g.edges}
     # Drop one cycle edge from the marked subgraph: becomes acyclic.
     marks[edge_key(0, 1)] = 0
-    assert fold(hd, PLUGINS["marked-acyclic"], marks)[1]
-    assert not fold(hd, PLUGINS["acyclic"], marks)[1]
+    assert fold(hd, PLUGINS["acyclic"], marks)[1]
+    assert not fold(hd, PLUGINS["acyclic"])[1]
 
 
 def test_get_plugin():
-    assert get_plugin("marked-matching").marked
-    with pytest.raises(PropertyError):
-        get_plugin("planarity")
+    # Both names of a property resolve to its one plugin; an unknown name's
+    # error lists every accepted one.
+    assert resolve_property("marked-matching") == (True, get_plugin("matching"))
+    assert resolve_property("matching") == (False, get_plugin("matching"))
+    for name in ("planarity", "marked-planarity"):
+        with pytest.raises(PropertyError) as exc:
+            resolve_property(name)
+        assert str(exc.value).endswith(
+            "(available: acyclic, bipartite, marked-acyclic, marked-bipartite, "
+            "marked-matching, marked-parity, matching, parity)"
+        )
 
 
 def graph_with_marks(s, marks):
@@ -138,8 +147,8 @@ def test_oracle_agreement():
         g = graph_with_marks(s, marks)
         hd = build_hierarchical_decomposition(s)
         for name, plugin in PLUGINS.items():
-            _, accepted = fold(hd, plugin, marks)
-            assert accepted == brute_force_property(g, name), (name, s)
+            assert fold(hd, plugin)[1] == brute_force_property(g, name), (name, s)
+            assert fold(hd, plugin, marks)[1] == brute_force_property(g, "marked-" + name), (name, s)
 
 
 def test_fold_order_independent():
@@ -220,8 +229,6 @@ def test_class_congruence():
         h1, h2 = (build_hierarchical_decomposition(p) for p in (p1, p2))
         x1, x2 = (build_hierarchical_decomposition(e) for e in (e1, e2))
         for name, plugin in PLUGINS.items():
-            if plugin.marked:
-                continue
             if fold(h1, plugin)[0] == fold(h2, plugin)[0]:
                 matched += 1
                 assert fold(x1, plugin)[1] == fold(x2, plugin)[1], name

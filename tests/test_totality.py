@@ -13,12 +13,15 @@ from lanecert.certify import (
     SEC_TNODE,
     LocalView,
     Verdict,
+    Layout,
     decode_label,
     encode_label,
     local_views,
     prove,
+    read_layout,
     verify_all,
     verify_vertex,
+    write_layout,
 )
 from lanecert.encoding import (
     Bits,
@@ -27,14 +30,14 @@ from lanecert.encoding import (
     DecodeError,
     read_sections,
     read_term,
-    write_section,
+    write_sections,
     write_term,
 )
 from lanecert.generators import FAMILIES, GeneratorError, GeneratorSpec, generate
 from lanecert.graph import edge_key
 from lanecert.intervals import width
-from lanecert.properties import PLUGINS, HomClass
-from tests.test_certify import _relayed_parts
+from lanecert.properties import HomClass
+from tests.test_certify import ALL_PROPS, _relayed_parts
 from tests.test_graph import cycle_graph
 
 PROPS = ("parity", "bipartite", "acyclic", "matching", "marked-bipartite")
@@ -63,10 +66,7 @@ def framed_garbage(draw):
     for _ in range(draw(st.integers(0, 4))):
         stype = draw(st.sampled_from((SEC_HEADER, SEC_BASIC, SEC_TNODE, SEC_ROUTE, 0, 9)))
         secs.append((stype, draw(bitstrings(200))))
-    w = BitWriter()
-    for stype, payload in secs:
-        write_section(w, stype, payload)
-    return w.getvalue()
+    return write_sections(secs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,11 +105,8 @@ def test_verify_total_on_replaced_section(data, name):
     secs = read_sections(labels[e])
     i = data.draw(st.integers(0, len(secs) - 1))
     secs[i] = (secs[i][0], data.draw(bitstrings(secs[i][1].nbits + 16)))
-    w = BitWriter()
-    for stype, payload in secs:
-        write_section(w, stype, payload)
     bad = dict(labels)
-    bad[e] = w.getvalue()
+    bad[e] = write_sections(secs)
     verdicts = verify_all(g, bad, prop, k)
     assert all(isinstance(v, Verdict) for v in verdicts.values())
     for view in local_views(g, bad):
@@ -119,20 +116,19 @@ def test_verify_total_on_replaced_section(data, name):
 
 @functools.lru_cache(maxsize=None)
 def _derived_sites(name):
-    """(edge, section index, first bit) of the payload bits of _honest(name)'s
-    labels that hold a section deriving a table entry: an own chain's
-    nested T-node section whose record is its node's root element, from its
-    first bit, or a route section whose frames hold one, from the frames'
-    first bit."""
+    """(edge, field, index) of the parts of _honest(name)'s label layouts
+    that hold a section deriving a table entry: an own chain's nested T-node
+    section whose record is its node's root element ("tnodes", its chain
+    position), or a route's frames that hold one ("routes", the route)."""
     g, prop, k, labels = _honest(name)
     sites = []
     for e, bits in sorted(labels.items()):
         for pos, sec in enumerate(decode_label(bits).tnodes):
             if pos and sec.elem.eid == sec.node_eid:
-                sites.append((e, 2 + pos, 0))
-        for i, head, _, chain, q in _relayed_parts(bits):
+                sites.append((e, "tnodes", pos))
+        for j, (_, chain, q) in enumerate(_relayed_parts(bits)):
             if any(sec.elem.eid == sec.node_eid for sec in chain[max(q, 1):]):
-                sites.append((e, i, head.nbits))
+                sites.append((e, "routes", j))
     assert sites
     return sites
 
@@ -144,18 +140,18 @@ def test_verify_total_on_derived_section_edits(data, name):
     # (its record, or a relayed chain's frames): every vertex gives a
     # verdict, and an endpoint's verdict does not depend on the memo.
     g, prop, k, labels = _honest(name)
-    e, i, start = data.draw(st.sampled_from(_derived_sites(name)))
-    secs = read_sections(labels[e])
-    payload = secs[i][1]
-    flips = data.draw(st.lists(st.integers(start, payload.nbits - 1), min_size=1, max_size=3))
+    e, where, i = data.draw(st.sampled_from(_derived_sites(name)))
+    lay = read_layout(labels[e])
+    payload = lay.tnodes[i] if where == "tnodes" else lay.routes[i].frames
+    flips = data.draw(st.lists(st.integers(0, payload.nbits - 1), min_size=1, max_size=3))
     value = payload.value
     for pos in flips:
         value ^= 1 << (payload.nbits - 1 - pos)
-    secs[i] = (secs[i][0], Bits(value, payload.nbits))
-    w = BitWriter()
-    for stype, part in secs:
-        write_section(w, stype, part)
-    bad = {**labels, e: w.getvalue()}
+    if where == "tnodes":
+        lay.tnodes[i] = Bits(value, payload.nbits)
+    else:
+        lay.routes[i].frames = Bits(value, payload.nbits)
+    bad = {**labels, e: write_layout(lay)}
     verdicts = verify_all(g, bad, prop, k)
     assert all(isinstance(v, Verdict) for v in verdicts.values())
     for view in local_views(g, bad):
@@ -164,13 +160,33 @@ def test_verify_total_on_derived_section_edits(data, name):
             assert verify_vertex(view, prop, k, {}) == verdicts[view.vid]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    bits=st.one_of(bitstrings(400), framed_garbage()),
+    name=st.sampled_from(("C6", "ops16")),
+)
+def test_read_layout_is_total(data, bits, name):
+    # Arbitrary bitstrings, and honest labels with one to three bits
+    # flipped: read_layout returns a layout or raises DecodeError.
+    labels = _honest(name)[3]
+    honest = labels[data.draw(st.sampled_from(sorted(labels)))]
+    flips = data.draw(st.lists(st.integers(0, honest.nbits - 1), min_size=1, max_size=3, unique=True))
+    flipped = Bits(honest.value ^ sum(1 << pos for pos in flips), honest.nbits)
+    for label in (bits, flipped):
+        try:
+            assert isinstance(read_layout(label), Layout)
+        except DecodeError:
+            pass
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),
     n=st.integers(2, 30),
     k=st.integers(1, 3),
     seed=st.integers(0, 10**6),
-    prop=st.sampled_from(sorted(PLUGINS)),
+    prop=st.sampled_from(sorted(ALL_PROPS)),
 )
 def test_codec_roundtrips_prover_labels(family, n, k, seed, prop):
     try:

@@ -42,8 +42,10 @@ header (n and the lane count w) and a basic section (the label's BasicInfo
 table), followed by one T-node section per decomposition node containing
 the edge (the chain, root first), followed by one route section per
 virtual edge whose route runs over the edge.  ``read_layout`` and
-``write_layout`` are the only code that frames a label: they map its bits
-to and from a ``Layout`` of these fields, which ``encode_label`` fills and
+``write_layout`` are the only code that frames a label or packs a prefix's
+pointer fields: they map its bits to and from a ``Layout`` of the fields'
+values (a route's frames as a list of payloads, its prefix's pointer fields
+as (dist, is_tree, parent_min) triples), which ``encode_label`` fills and
 ``decode_label`` checks.  (``label_size_stats`` and fuzz's section edits
 see bare sections only.)
 
@@ -61,8 +63,8 @@ the edge.  Below the root a node is one side of the B record one section
 up, so a nested section carries one side bit (left or right) in place of
 the eid and BasicInfo; ``decode_label`` takes both from that side, as the
 same object, and fails when the record above is not a B record or the side
-is a vertex leaf.  No section carries a root flag: the root is chain
-position 0.
+is a vertex leaf.  No section, and no TSec, carries a root flag: the root
+is chain position 0.
 
 A nested section whose record is its node's root element derives that
 node's BasicInfo (``_derivation``): its table entry is the class term
@@ -95,11 +97,11 @@ chain of the label shares, and the base the first chain that shares it
 (``_bases``).  Each decoded label has one wire form, so ``decode_label``
 refuses anything out of range or out of first-use order, unused and
 repeated entries, empty groups, and a base or prefix other than that one.
-Payloads, records, entry groups, derivations and a route's frames are
-decoded once per memo (per n and slot width); a relayed chain's frame is
-resolved once per memo and distinct sections above it, raw fields and
-slots' entries, and each distinct relayed chain is built once per memo,
-whichever carrier writes which of its frames.  Equal records,
+Payloads, records, entry groups and derivations are decoded once per memo
+(per n and slot width); a relayed chain's frame is resolved once per memo
+and distinct sections above it, raw fields and slots' entries, and each
+distinct relayed chain is built once per memo, whichever carrier writes
+which of its frames.  Equal records,
 and equal relayed chains, are one object per memo.
 """
 
@@ -218,7 +220,6 @@ class ElementRecord:
 @dataclass(slots=True)
 class TSec:
     node_eid: int
-    is_root: bool
     basic: BasicInfo
     dist: int
     is_tree: bool
@@ -253,19 +254,24 @@ class DecodedLabel:
 @dataclass(slots=True)
 class RouteLayout:
     """A route section's fields as the wire has them: endpoints, ranks,
-    base, q with the prefix's packed pointer fields, the map's indices and
-    their width iw, and the framed T-node sections after the prefix."""
+    base, the prefix's pointer fields (dist, is_tree, parent_min) per
+    section, the map's indices and their width iw, and the payloads of the
+    T-node sections after the prefix."""
 
     u: int
     v: int
     fwd: int
     bwd: int
     base: int
-    q: int
-    pointers: int
+    pointers: List[Tuple[int, bool, bool]]
     idx: List[int]
     iw: int
-    frames: Bits
+    frames: List[Bits]
+
+    @property
+    def q(self) -> int:
+        """The length of the prefix the route shares with its base."""
+        return len(self.pointers)
 
 
 @dataclass(slots=True)
@@ -308,13 +314,19 @@ def read_layout(bits: Bits) -> Layout:
         uv = r.read_uint(2 * b)
         head = (uv >> b, uv & ((1 << b) - 1), r.read_varint(), r.read_varint(), r.read_uint(j.bit_length()))
         q = r.read_varint()
-        pointers = r.read_uint(q * (b + 2))
+        packed, low = r.read_uint(q * (b + 2)), (1 << (b + 2)) - 1
+        fields = [packed >> ((b + 2) * i) & low for i in range(q - 1, -1, -1)]
         m = r.read_varint()
         iw = _index_bits(named + m)
         packed, low = r.read_uint(m * iw), (1 << iw) - 1
         idx = [packed >> (iw * i) & low for i in range(m - 1, -1, -1)]
         named = max(named, max(idx, default=-1) + 1)
-        lay.routes.append(RouteLayout(*head, q, pointers, idx, iw, r.read_bits(r.remaining())))
+        frames = []
+        for stype, frame in read_sections(r.read_bits(r.remaining())):
+            if stype != SEC_TNODE:
+                raise DecodeError("a route relays T-node sections only")
+            frames.append(frame)
+        lay.routes.append(RouteLayout(*head, [(f >> 2, bool(f & 2), bool(f & 1)) for f in fields], idx, iw, frames))
     return lay
 
 
@@ -339,12 +351,16 @@ def write_layout(lay: Layout) -> Bits:
         rw.write_varint(rl.fwd)
         rw.write_varint(rl.bwd)
         rw.write_uint(rl.base, j.bit_length())
-        rw.write_varint(rl.q)
-        rw.write_uint(rl.pointers, rl.q * (b + 2))
+        packed = 0  # the prefix's pointer fields, b + 2 bits each
+        for dist, is_tree, parent_min in rl.pointers:
+            packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
+        rw.write_varint(len(rl.pointers))
+        rw.write_uint(packed, len(rl.pointers) * (b + 2))
         rw.write_varint(len(rl.idx))
         for i in rl.idx:
             rw.write_uint(i, rl.iw)
-        rw.write_bits(rl.frames)
+        for payload in rl.frames:
+            write_section(rw, SEC_TNODE, payload)
         write_section(out, SEC_ROUTE, rw.getvalue())
     return out.getvalue()
 
@@ -719,14 +735,11 @@ class _Header(_SecState):
 
 def _enc_chain(tnodes: List[TSec], head: _Header) -> List[_SecState]:
     """The states of a chain's sections, each made once per header;
-    CertifyError for a field the wire cannot carry: a root flag off
-    position 0, or a nested section that is not a T side of the record
-    above it."""
+    CertifyError for a nested section the wire cannot carry, one that is
+    not a T side of the record above it."""
     states: List[_SecState] = []
     up = head
     for pos, sec in enumerate(tnodes):
-        if sec.is_root != (pos == 0):
-            raise CertifyError("only the first T-node section is the root")
         key = (sec.node_eid, id(sec.basic), id(sec.elem))
         hit = up.below.get(key)
         if hit is None:
@@ -964,21 +977,17 @@ def encode_label(
     named = len(own_order)
     layouts = []
     for rs, (_, states, prefixes), (base, q), idx, count in zip(routes, relayed, bases, maps, fresh):
-        # The prefix's pointer fields and the frames after it, which are
+        # The prefix's pointer fields and the payloads after it, which are
         # all of the chain that the route writes.
         prefix = prefixes.get(q)
         if prefix is None:
-            pointers = 0
             for sec in rs.tnodes[:q]:
                 if sec.dist >> b:
                     raise CertifyError("a relayed dist of %d does not fit in %d bits" % (sec.dist, b))
-                pointers = pointers << (b + 2) | sec.dist << 2 | sec.is_tree << 1 | sec.parent_min
-            fw = BitWriter()
-            for payload in _payloads(rs.tnodes, states, head, q):
-                write_section(fw, SEC_TNODE, payload)
-            prefix = prefixes[q] = (pointers, fw.getvalue())
+            pointers = [(sec.dist, sec.is_tree, sec.parent_min) for sec in rs.tnodes[:q]]
+            prefix = prefixes[q] = (pointers, _payloads(rs.tnodes, states, head, q))
         iw = _index_bits(named + len(idx))
-        layouts.append(RouteLayout(rs.u, rs.v, rs.fwd, rs.bwd, base, q, prefix[0], idx, iw, prefix[1]))
+        layouts.append(RouteLayout(rs.u, rs.v, rs.fwd, rs.bwd, base, prefix[0], idx, iw, prefix[1]))
         named += count
     return write_layout(Layout(n, w_lanes, len(own_order), groups, _payloads(tnodes, own, head), layouts))
 
@@ -1052,23 +1061,6 @@ def _raw_chain(
     return raws, news, derivations
 
 
-def _raw_frames(frames: Bits, b: int, n: int, sw: int, memo, above: Optional[tuple], count: int) -> tuple:
-    """_raw_chain of the T-node frames that end a route section, below the
-    raw section above (None when the route shares no prefix), the prefix
-    naming count slots.  Carriers of a route often write the same frames, so
-    each distinct one is read once per memo."""
-    key = ("frames", n, sw, count, id(above), frames.value, frames.nbits)
-    got = memo.get(key)
-    if got is None:
-        payloads = []
-        for stype, payload in read_sections(frames):
-            if stype != SEC_TNODE:
-                raise DecodeError("a route relays T-node sections only")
-            payloads.append(payload)
-        got = memo[key] = _raw_chain(payloads, b, n, sw, memo, above, count)
-    return got
-
-
 def _record(fields: tuple, slots, basics: List[BasicInfo], memo) -> ElementRecord:
     """The record of fields (from _dec_elem) with basics[s] for each of its
     slots s.  Equal records are one object per memo, whatever slot width
@@ -1089,13 +1081,13 @@ def _resolve_section(raw: tuple, above: Optional[TSec], basics: List[BasicInfo],
     head, fields, uses, dist, is_tree, parent_min = raw
     rec = _record(fields, uses, basics, memo)
     if above is None:
-        return TSec(head[0], True, basics[head[1]], dist, is_tree, parent_min, rec)
+        return TSec(head[0], basics[head[1]], dist, is_tree, parent_min, rec)
     if above.elem.kind != "B":
         raise DecodeError("a nested T-node section must follow a B record")
     side = above.elem.topo[5 + head]
     if side[0] != "T":
         raise DecodeError("a nested T-node section must name a T-node side")
-    return TSec(side[1], False, side[2], dist, is_tree, parent_min, rec)
+    return TSec(side[1], side[2], dist, is_tree, parent_min, rec)
 
 
 def _share_token(sec: TSec, token: Optional[int], memo) -> int:
@@ -1131,42 +1123,28 @@ def _resolve(raws: list, above: Optional[TSec], token: Optional[int], basics: Li
     return secs, tokens
 
 
-def _relayed_sections(prefix: List[TSec], pointers: int, rest: List[TSec], b: int) -> List[TSec]:
+def _relayed_sections(prefix: List[TSec], pointers: list, rest: List[TSec]) -> List[TSec]:
     """A relayed chain: the sections of prefix with the pointer fields the
-    route writes for them (one int, as encode_label packs them), then
-    rest."""
-    low = (1 << (b + 2)) - 1
-    q = len(prefix)
-    out = []
-    for pos, sec in enumerate(prefix):
-        f = pointers >> (b + 2) * (q - 1 - pos) & low
-        out.append(TSec(sec.node_eid, not pos, sec.basic, f >> 2, bool(f & 2), bool(f & 1), sec.elem))
-    return out + rest
+    route writes for them, then rest."""
+    return [TSec(sec.node_eid, sec.basic, *f, sec.elem) for sec, f in zip(prefix, pointers)] + rest
 
 
-def _relayed_chain(raws: list, base: tuple, q: int, pointers: int, b: int, basics: List[BasicInfo], memo) -> tuple:
+def _relayed_chain(raws: list, base: tuple, pointers: list, basics: List[BasicInfo], memo) -> tuple:
     """(the chain a route section relays, its share tokens), given the same
     two of its base as base.  The chain's first q sections are the base's
     with the route's q pointer fields; the rest are its T-node frames, raws,
     with basics as the chain's slots' BasicInfos.  The chain's value is its
-    last token and its pointer fields, so equal chains are one object, built
-    once per memo, though their carriers share prefixes of different
-    lengths."""
+    last token and every section's pointer fields, so equal chains are one
+    object, built once per memo, though their carriers share prefixes of
+    different lengths."""
     bsecs, btokens = base
+    q = len(pointers)
     above = btokens[q - 1] if q else None
     rest, tokens = _resolve(raws, bsecs[q - 1] if q else None, above, basics, memo)
-    packed = pointers  # every section's pointer fields, b + 2 bits each
-    wide = False  # a dist wider than b bits, which packed cannot hold
-    for raw in raws:
-        dist, is_tree, parent_min = raw[3:]
-        wide = wide or dist >> b
-        packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
-    key = ("chain", tokens[-1] if tokens else above, packed)
-    if wide:  # packed runs the fields into each other: key on them one by one
-        key = ("chain", key[1], pointers, *[(sec.dist, sec.is_tree, sec.parent_min) for sec in rest])
+    key = ("chain", tokens[-1] if tokens else above, *pointers, *[raw[3:] for raw in raws])
     chain = memo.get(key)
     if chain is None:
-        chain = memo[key] = _relayed_sections(bsecs[:q], pointers, rest, b)
+        chain = memo[key] = _relayed_sections(bsecs[:q], pointers, rest)
     return chain, btokens[:q] + tokens
 
 
@@ -1288,7 +1266,7 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
                 raise DecodeError("table entries must be in order of first use")
             counts.append(len(fresh))
             named += len(fresh)
-        fraws, fnews, derivations = _raw_frames(
+        fraws, fnews, derivations = _raw_chain(
             rl.frames, b, n, _index_bits(s + m), memo, braws[q - 1] if q else None, s
         )
         if sum(fnews) != m:
@@ -1305,7 +1283,7 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     routes: List[RSec] = []
     for rl, (craws, _, idx) in zip(lay.routes, chains[1:]):
         chain, tokens = _relayed_chain(
-            craws[rl.q:], resolved[rl.base], rl.q, rl.pointers, b, list(map(table.__getitem__, idx)), memo
+            craws[rl.q:], resolved[rl.base], rl.pointers, list(map(table.__getitem__, idx)), memo
         )
         resolved.append((chain, tokens))
         routes.append(RSec(rl.u, rl.v, rl.fwd, rl.bwd, chain))
@@ -1481,7 +1459,7 @@ def _forms(g, k, hd, ann, emb: Embedding, w_lanes: int) -> Dict[Edge, Tuple[List
                 pf = ptr[e]
                 sec = secs.get(pf)
                 if sec is None:
-                    sec = secs[pf] = TSec(node_eid, at_root, basic, pf[0], pf[1], pf[2], rec)
+                    sec = secs[pf] = TSec(node_eid, basic, *pf, rec)
                 if at_root:
                     chains[e] = [sec]
                 else:
@@ -1735,16 +1713,17 @@ def verify_vertex(
 
 def decode_cached(bits: Bits, cache) -> DecodedLabel:
     """decode_label once per distinct label in a run; cache is that run's
-    memo (labels by their bits, plus decode_label's own entries)."""
+    memo (labels by their bits, a failed decode as its message, plus
+    decode_label's own entries)."""
     hit = cache.get(bits)
     if hit is None:
         try:
             hit = decode_label(bits, cache)
         except DecodeError as exc:
-            hit = exc
+            hit = str(exc)
         cache[bits] = hit
-    if isinstance(hit, DecodeError):
-        raise hit.with_traceback(None)
+    if isinstance(hit, str):
+        raise DecodeError(hit)
     return hit
 
 
@@ -1826,6 +1805,7 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
         gedges[e] = (chain, False)
 
     node_entries: Dict[int, List[Tuple[Edge, TSec]]] = {}
+    roots: Dict[int, int] = {}  # per node, how many chains here start at it
     for e, (chain, real) in gedges.items():
         if vid not in e:
             raise _Reject("edge-endpoint")
@@ -1833,6 +1813,7 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
             raise _Reject("chain-empty")
         if len({sec.node_eid for sec in chain}) != len(chain):
             raise _Reject("chain-dup")
+        roots[chain[0].node_eid] = roots.get(chain[0].node_eid, 0) + 1
         for pos, sec in enumerate(chain):
             last = pos == len(chain) - 1
             here = [m for te, m in sec.elem.topo_edges if te == e]
@@ -1854,19 +1835,20 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
             node_entries.setdefault(sec.node_eid, []).append((e, sec))
 
     # Every chain starts at a root section, and a root node must hold every
-    # edge here (root-cover) with one root flag (node-shared), so all the
-    # chains share one root node.
+    # edge here (root-cover) at chain position 0 in each (node-shared), so
+    # all the chains share one root node.  A chain holds a node at most once.
     all_edges = set(gedges)
     root_basic = None
     for node_eid, entries in node_entries.items():
         first = entries[0][1]
+        at_root = roots.get(node_eid, 0)
+        if 0 < at_root < len(entries):
+            raise _Reject("node-shared")
         for _, sec in entries[1:]:
-            if sec.is_root != first.is_root or (
-                sec.basic is not first.basic and sec.basic != first.basic
-            ):
+            if sec.basic is not first.basic and sec.basic != first.basic:
                 raise _Reject("node-shared")
         basic = first.basic
-        if first.is_root:
+        if at_root:
             root_basic = basic
             if len(basic.t_in) != w_lanes:
                 raise _Reject("header")
@@ -2091,8 +2073,8 @@ def write_label_file(labels: Dict[Edge, Bits]) -> str:
 
 
 def read_label_file(text: str) -> Dict[Edge, Bits]:
-    """Parse `u v hex` lines; DecodeError names the first malformed one, or
-    the second line of an edge."""
+    """Parse `u v hex` lines; DecodeError names the first malformed one, a
+    self-pair or negative id, or the second line of an edge."""
     out: Dict[Edge, Bits] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -2103,6 +2085,8 @@ def read_label_file(text: str) -> Dict[Edge, Bits]:
             if len(parts) != 3:
                 raise DecodeError("expected 'u v hex'")
             u, v = int(parts[0]), int(parts[1])
+            if u == v or min(u, v) < 0:
+                raise DecodeError("not a pair of distinct vertex ids")
             bits = Bits.from_hex(parts[2])
             if edge_key(u, v) in out:
                 raise DecodeError("a second label of edge %d %d" % edge_key(u, v))

@@ -141,6 +141,9 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     g, _ = _load_instance(args)
     labels = read_label_file(_read(args.labels))
+    stray = sorted(set(labels) - g.edge_set())
+    if stray:
+        raise DecodeError("bad label line for %d %d: not an edge of the graph" % stray[0])
     verdicts = verify_all(g, labels, args.property, args.k)
     ok = all_accept(verdicts)
     report = write_verdict_file(verdicts)

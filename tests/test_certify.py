@@ -8,7 +8,6 @@ import pytest
 
 from lanecert import certify
 from lanecert.certify import (
-    SEC_TNODE,
     CertifyError,
     ElementRecord,
     RSec,
@@ -391,7 +390,6 @@ def test_decode_roundtrip_structure():
     for e, bits in labels.items():
         lab = decode_label(bits)
         assert lab.n == 6
-        assert lab.tnodes[0].is_root
 
 
 def test_vertex_label_model_equivalence():
@@ -446,9 +444,7 @@ def test_nested_section_basic_is_the_side_above(family, n, k, prop):
     for memo in ({}, None):
         nested = 0
         for chain in _chains_all(labels, memo):
-            assert chain[0].is_root
             for above, sec in zip(chain, chain[1:]):
-                assert not sec.is_root
                 sides = [s for s in above.elem.topo[5:7] if s[0] == "T" and s[2] is sec.basic]
                 assert [s[1] for s in sides] == [sec.node_eid]
                 nested += 1
@@ -464,7 +460,7 @@ def _relayed_parts(bits):
     for rs, rl in zip(lab.routes, read_layout(bits).routes):
         head = certify._Header(lab.n, lab.w)
         payloads = certify._payloads(rs.tnodes, certify._enc_chain(rs.tnodes, head), head)
-        assert write_sections([(SEC_TNODE, p) for p in payloads[rl.q:]]) == rl.frames
+        assert payloads[rl.q:] == rl.frames
         out.append((payloads, rs.tnodes, rl.q))
     return out
 
@@ -519,7 +515,7 @@ def _forgeries(labels):
                 lay = read_layout(bits)
                 swap = [rl for rl, (ps, _, q) in zip(lay.routes, parts[e]) if tuple(ps) == payloads and q <= pos]
                 for rl in swap:
-                    rl.frames = write_sections([(SEC_TNODE, p) for p in forged[rl.q:]])
+                    rl.frames = forged[rl.q:]
                 if swap:
                     bad[e] = write_layout(lay)
                     readers |= set(e)
@@ -547,6 +543,30 @@ def test_forged_nested_sections_are_rejected():
     assert min(kinds.values()) >= 5, kinds
 
 
+def test_route_frames_of_another_type_are_refused():
+    # A route relays T-node sections only: with a section of another type
+    # framed after its T-node frames, read_layout refuses the label, and
+    # each endpoint of its edge rejects it, with or without a memo.
+    g, labels = _layout_instance("cycle", 30, 2, "bipartite")
+    others = [certify.SEC_HEADER, certify.SEC_BASIC, certify.SEC_ROUTE]
+    forged = 0
+    for e in sorted(labels):
+        secs = read_sections(labels[e])
+        if secs[-1][0] != certify.SEC_ROUTE:
+            continue
+        stray = write_sections([(others[forged % 3], read_layout(labels[e]).tnodes[-1])])
+        secs[-1] = (certify.SEC_ROUTE, certify._join([secs[-1][1], stray]))
+        bad = {**labels, e: write_sections(secs)}
+        with pytest.raises(DecodeError):
+            read_layout(bad[e])
+        for view in local_views(g, bad):
+            if view.vid in e:
+                for memo in (None, {}):
+                    assert verify_vertex(view, "bipartite", 2, memo).reason == "decode", e
+        forged += 1
+    assert forged >= 3
+
+
 def test_encode_label_refuses_a_nested_section_off_the_side_above():
     # The wire carries no nested BasicInfo or node eid, so encode_label
     # refuses to drop one that differs from the side of the record above.
@@ -566,10 +586,6 @@ def test_encode_label_refuses_a_nested_section_off_the_side_above():
                 with pytest.raises(CertifyError):
                     encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
                 refused += 1
-        lab = decode_label(bits)
-        lab.tnodes[0].is_root = False
-        with pytest.raises(CertifyError):
-            encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
     assert refused > 0
 
 
@@ -633,15 +649,13 @@ def _with_prefix(parts, j, base, q):
     """The label of parts with route j writing base and a prefix of q
     sections: its relayed chain's first q pointer fields, padded with zeros
     past its end, then the map and frames after the slots they name."""
-    lay, b = read_layout(parts["bits"]), parts["b"]
+    lay = read_layout(parts["bits"])
     rl, chain = lay.routes[j], parts["lab"].routes[j].tnodes
-    rl.base, rl.q, rl.pointers = base, q, 0
-    for sec in chain[:q]:
-        rl.pointers = rl.pointers << (b + 2) | sec.dist << 2 | sec.is_tree << 1 | sec.parent_min
-    rl.pointers <<= (b + 2) * max(0, q - len(chain))
+    rl.base = base
+    rl.pointers = [(sec.dist, sec.is_tree, sec.parent_min) for sec in chain[:q]] + [(0, False, False)] * (q - len(chain))
     rl.idx = parts["maps"][j][sum(len(st.new) for st in parts["states"][j + 1][:q]):]
     rl.iw = _map_width(parts, j, rl.idx)
-    rl.frames = write_sections([(SEC_TNODE, p) for p in parts["payloads"][j + 1][q:]])
+    rl.frames = parts["payloads"][j + 1][q:]
     return write_layout(lay)
 
 
@@ -724,7 +738,7 @@ def _repointed(parts, j, old, new):
         if topo[0] == "B":
             topo = topo[:5] + tuple(side if side[0] == "V" else side[:2] + (swap(side[2]),) for side in topo[5:])
         rec = ElementRecord(rec.eid, rec.parent_eid, topo, tuple((c, swap(bi)) for c, bi in rec.children))
-        chain.append(TSec(sec.node_eid, sec.is_root, swap(sec.basic), sec.dist, sec.is_tree, sec.parent_min, rec))
+        chain.append(TSec(sec.node_eid, swap(sec.basic), sec.dist, sec.is_tree, sec.parent_min, rec))
     routes = list(lab.routes)
     routes[j] = RSec(rs.u, rs.v, rs.fwd, rs.bwd, chain)
     return encode_label(lab.n, lab.w, lab.tnodes, routes)
@@ -771,7 +785,8 @@ def test_repointed_route_map_is_rejected_inside_the_route(family, n, k, prop):
                 pass
         if q:
             lay = read_layout(labels[e])
-            lay.routes[j].pointers ^= 1 << 2  # the low bit of the last prefix section's dist
+            dist, is_tree, parent_min = lay.routes[j].pointers[-1]
+            lay.routes[j].pointers[-1] = (dist ^ 1, is_tree, parent_min)  # the low bit of the last prefix section's dist
             forgeries.append(("prefix", write_layout(lay)))
         for kind, forged in forgeries:
             bad = {**labels, e: forged}

@@ -138,8 +138,9 @@ def test_verify_json_reasons(tmp_path, capsys):
 def test_malformed_label_file_is_usage_error(tmp_path, capsys):
     gfile = str(tmp_path / "g.txt")
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
-    # Field count, ids, hex, and a second label of one edge.
-    for line in ("0 1", "a b 00", "0 1 zz", "0 1 0100\n1 0 0180"):
+    # Field count, ids, hex, a second label of one edge, a self-pair and a
+    # negative id.
+    for line in ("0 1", "a b 00", "0 1 zz", "0 1 0100\n1 0 0180", "2 2 0100", "-1 3 0100"):
         lfile = str(tmp_path / "bad.txt")
         with open(lfile, "w") as fh:
             fh.write(line + "\n")
@@ -151,6 +152,14 @@ def test_malformed_label_file_is_usage_error(tmp_path, capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", (line, argv[0])
             assert err.startswith("error: bad label line"), err
+    # verify also refuses a label of a pair that is not an edge of the graph.
+    lfile = str(tmp_path / "l.txt")
+    run(capsys, "prove", "--graph", gfile, "--property", "bipartite", "--k", "2", "--out", lfile)
+    with open(lfile, "a") as fh:
+        fh.write("0 3 0100\n")
+    code, out, err = run(capsys, "verify", "--graph", gfile, "--labels", lfile, "--property", "bipartite", "--k", "2")
+    assert code == 2 and out == "", err
+    assert err.startswith("error: bad label line for 0 3"), err
 
 
 def test_seed_only_where_it_is_read(tmp_path, capsys):

@@ -285,7 +285,8 @@ def test_wide_relayed_dist_keeps_chains_apart():
     # wider than the b bits of a prefix's pointer field.  Two labels whose
     # relayed chains differ only in the last prefix section's parent_min,
     # above a frame whose dist is 2^b, decode under one memo as they do
-    # alone, though their pointer fields packed into one int are equal.
+    # alone, though packed at b + 2 bits per section their pointer fields
+    # make equal ints.
     g, ir = generate(GeneratorSpec("cycle", 30, 2, 0.3), 0)
     labels = prove(g, "bipartite", 2, ir=ir)
     b = id_bits(g.n)
@@ -654,6 +655,24 @@ def test_campaign_decodes_each_base_label_once(monkeypatch):
         assert {decodes[bits] for bits in base.values()} == {campaigns}
 
 
+def test_cached_decode_failures_keep_no_exception():
+    # 300 fuzz mutants of forced C7 bipartite labels through any_reject
+    # with one memo: a failed decode stays in the memo as its message, so
+    # the memo holds no exception (nor its traceback and frames), and every
+    # verdict is the one a fresh memo gives.
+    g, prop, k = FALSE_STATEMENTS["C7-bipartite"]
+    base = prove(g, prop, k, force=True)
+    rng = random.Random(7)
+    cache, reasons = {}, Counter()
+    for trial in range(300):
+        labels = mutate(base, MUTATIONS[trial % len(MUTATIONS)], rng)
+        verdict = any_reject(g, labels, prop, k, cache)
+        assert verdict == any_reject(g, labels, prop, k)
+        reasons[verdict.reason] += 1
+    assert reasons["decode"] > 0
+    assert not [hit for hit in cache.values() if isinstance(hit, BaseException)]
+
+
 def _old_perturb_route(bits, rng):
     """_perturb_route as it was: every section re-encoded from its decoded
     form."""
@@ -881,8 +900,8 @@ def test_verify_all_decodes_each_part_once(monkeypatch):
         records[(n, sw, Bits(r.bits.value & ((1 << rest) - 1), rest))] += 1
         return orig_elem(r, b, n, sw)
 
-    def chain(prefix, pointers, rest, b):
-        got = orig_chain(prefix, pointers, rest, b)
+    def chain(prefix, pointers, rest):
+        got = orig_chain(prefix, pointers, rest)
         relays[tuple((s.node_eid, id(s.basic), id(s.elem), s.dist, s.is_tree, s.parent_min) for s in got)] += 1
         return got
 

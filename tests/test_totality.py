@@ -116,19 +116,21 @@ def test_verify_total_on_replaced_section(data, name):
 
 @functools.lru_cache(maxsize=None)
 def _derived_sites(name):
-    """(edge, field, index) of the parts of _honest(name)'s label layouts
-    that hold a section deriving a table entry: an own chain's nested T-node
-    section whose record is its node's root element ("tnodes", its chain
-    position), or a route's frames that hold one ("routes", the route)."""
+    """(edge, route, index) of the payloads in _honest(name)'s label layouts
+    of T-node sections that derive a table entry: a nested section of the
+    own chain whose record is its node's root element (route None, index
+    its chain position), or one that a route's frames hold (the route's
+    position, index the frame's)."""
     g, prop, k, labels = _honest(name)
     sites = []
     for e, bits in sorted(labels.items()):
         for pos, sec in enumerate(decode_label(bits).tnodes):
             if pos and sec.elem.eid == sec.node_eid:
-                sites.append((e, "tnodes", pos))
+                sites.append((e, None, pos))
         for j, (_, chain, q) in enumerate(_relayed_parts(bits)):
-            if any(sec.elem.eid == sec.node_eid for sec in chain[max(q, 1):]):
-                sites.append((e, "routes", j))
+            for pos in range(max(q, 1), len(chain)):
+                if chain[pos].elem.eid == chain[pos].node_eid:
+                    sites.append((e, j, pos - q))
     assert sites
     return sites
 
@@ -137,20 +139,19 @@ def _derived_sites(name):
 @given(data=st.data(), name=st.sampled_from(("C6", "ops16")))
 def test_verify_total_on_derived_section_edits(data, name):
     # One to three bits flipped inside a section that derives a table entry
-    # (its record, or a relayed chain's frames): every vertex gives a
-    # verdict, and an endpoint's verdict does not depend on the memo.
+    # (its record, in the own chain or a relayed chain's frames): every
+    # vertex gives a verdict, and an endpoint's verdict does not depend on
+    # the memo.
     g, prop, k, labels = _honest(name)
-    e, where, i = data.draw(st.sampled_from(_derived_sites(name)))
+    e, j, i = data.draw(st.sampled_from(_derived_sites(name)))
     lay = read_layout(labels[e])
-    payload = lay.tnodes[i] if where == "tnodes" else lay.routes[i].frames
+    payloads = lay.tnodes if j is None else lay.routes[j].frames
+    payload = payloads[i]
     flips = data.draw(st.lists(st.integers(0, payload.nbits - 1), min_size=1, max_size=3))
     value = payload.value
     for pos in flips:
         value ^= 1 << (payload.nbits - 1 - pos)
-    if where == "tnodes":
-        lay.tnodes[i] = Bits(value, payload.nbits)
-    else:
-        lay.routes[i].frames = Bits(value, payload.nbits)
+    payloads[i] = Bits(value, payload.nbits)
     bad = {**labels, e: write_layout(lay)}
     verdicts = verify_all(g, bad, prop, k)
     assert all(isinstance(v, Verdict) for v in verdicts.values())

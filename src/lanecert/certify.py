@@ -179,9 +179,6 @@ class BasicInfo:
     t_out: Dict[int, int]
     cls: HomClass
 
-    def lanes(self):
-        return sorted(self.t_in)
-
     def terminal_ids(self):
         return set(self.t_in.values()) | set(self.t_out.values())
 
@@ -1162,34 +1159,16 @@ def _entry(mask: int, maps: int, term, b: int, n: int, memo) -> BasicInfo:
 def _dec_entries(bits: Bits, derived: int, b: int, n: int, w_lanes: int, memo) -> list:
     """The table entries that make up bits: entry i is derived when bit i of
     derived is set, and is then its class term alone, which stands in the
-    list for the entry.  Equal entries decode to one shared BasicInfo.
-    Entries are short, so their fields are cut from the int here rather
-    than through a reader's calls."""
-    value, end = bits.value, bits.nbits
-    wmask = (1 << w_lanes) - 1
+    list for the entry.  Equal entries decode to one shared BasicInfo."""
+    r = BitReader(bits)
     out = []
-    pos = 0
-    while pos < end:
-        written = not derived >> len(out) & 1
-        width = 0
-        if written:
-            pos += w_lanes
-            if pos > end:
-                raise DecodeError("read past end of bitstring")
-            mask = value >> (end - pos) & wmask
-            width = 2 * b * bin(mask).count("1")
-        pos += width + 9
-        if pos <= end and not value >> (end - pos) & 0x180:
-            # The usual class term: an int below 128 (tag 0, one varint byte).
-            maps = value >> (end - pos + 9) & ((1 << width) - 1)
-            term = value >> (end - pos) & 0x7F
+    while r.remaining():
+        if derived >> len(out) & 1:
+            out.append(read_term(r))
         else:
-            r = BitReader(bits)
-            r.pos = pos - width - 9
-            maps = r.read_uint(width)
-            term = read_term(r)
-            pos = r.pos
-        out.append(_entry(mask, maps, term, b, n, memo) if written else term)
+            mask = r.read_uint(w_lanes)
+            maps = r.read_uint(2 * b * bin(mask).count("1"))
+            out.append(_entry(mask, maps, read_term(r), b, n, memo))
     return out
 
 
@@ -1859,7 +1838,7 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
                 if vid not in basic.terminal_ids():
                     raise _Reject("boundary")
         _check_pointer(vid, basic, entries)
-        _check_elements(vid, node_eid, basic, entries, gedges, n, w_lanes, plugin, memo)
+        _check_elements(vid, node_eid, basic, entries, gedges, n, plugin, memo)
     if not _fold(memo, plugin, "accepts", root_basic.cls):
         raise _Reject("root-class")
 
@@ -1888,7 +1867,7 @@ def _check_pointer(vid, basic: BasicInfo, entries) -> None:
             raise _Reject("pointer")
 
 
-def _check_elements(vid, node_eid, node_basic, entries, gedges, n, w_lanes, plugin, memo):
+def _check_elements(vid, node_eid, node_basic, entries, gedges, n, plugin, memo):
     # The memo interns decoded records and BasicInfos, so most compares
     # below are of one object with itself; `is` skips the dataclass's
     # field-by-field compare for those.
@@ -1932,44 +1911,23 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, n, w_lanes, plug
         if rec.parent_eid is not None and vid in t_in.values():
             prec = recs.get(rec.parent_eid)
             if prec is None:
-                if not (
-                    rec.parent_eid == node_eid
-                    and w_lanes == 1
-                    and len(node_basic.t_in) == 1
-                    and vid == next(iter(node_basic.t_in.values()))
-                ):
-                    raise _Reject("parent-missing")
-            else:
-                listed = [cs for ce, cs in prec.children if ce == rec.eid]
-                if not listed or (listed[0] is not own and listed[0] != own):
-                    raise _Reject("not-listed")
+                raise _Reject("parent-missing")
+            listed = [cs for ce, cs in prec.children if ce == rec.eid]
+            if not listed or (listed[0] is not own and listed[0] != own):
+                raise _Reject("not-listed")
         if rec.eid == node_eid:
             if rec.parent_eid is not None:
                 raise _Reject("parent-link")
             if own is not node_basic and own != node_basic:
                 raise _Reject("node-basic")
-    # Edgeless single-lane root element: its merge is recomputed from the
-    # children visible at its only terminal.
+    # A one-lane node is rooted at an E element, whose edge touches the
+    # node's terminal, so that terminal sees the root element.
     if (
         node_eid not in recs
         and len(node_basic.t_in) == 1
         and vid == next(iter(node_basic.t_in.values()))
     ):
-        lane = next(iter(node_basic.t_in))
-        if lane != 1:
-            raise _Reject("node-basic")
-        kids = sorted(
-            (rec for rec in recs.values() if rec.parent_eid == node_eid),
-            key=lambda rec: rec.eid,
-        )
-        synth = ElementRecord(
-            node_eid,
-            None,
-            ("P", (vid,), ()),
-            tuple((rec.eid, sub_of(rec.eid)) for rec in kids),
-        )
-        if _recompute_sub(synth, plugin, memo) != node_basic:
-            raise _Reject("node-basic")
+        raise _Reject("node-basic")
 
 
 def local_views(g: Graph, labels: Dict[Edge, Bits]):

@@ -45,25 +45,28 @@ class Bits:
         return "Bits(%d bits)" % self.nbits
 
     def to_bytes(self) -> bytes:
-        """Pack as bytes: LEB128 bit count, then payload padded to a byte."""
-        head = _leb128(self.nbits)
-        nbytes = (self.nbits + 7) // 8
-        pad = nbytes * 8 - self.nbits
-        return head + (self.value << pad).to_bytes(nbytes, "big")
+        """Pack as bytes: the bit count as a varint, then the payload
+        zero-padded to a byte."""
+        w = BitWriter()
+        w.write_varint(self.nbits)
+        pad = -self.nbits % 8
+        w.write_uint(self.value << pad, self.nbits + pad)
+        out = w.getvalue()
+        return out.value.to_bytes(out.nbits // 8, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bits":
         """The inverse of to_bytes, which gives each bitstring one byte
         form: a non-minimal bit count, a set padding bit and bytes after
         the payload are refused."""
-        nbits, off = _read_leb128(data, 0)
-        nbytes = (nbits + 7) // 8
-        if len(data) - off < nbytes:
+        r = BitReader(cls(int.from_bytes(data, "big"), 8 * len(data)))
+        nbits = r.read_varint()
+        pad = r.remaining() - nbits  # the count ends on a byte boundary
+        if pad < 0:
             raise DecodeError("truncated bitstring")
-        if len(data) - off > nbytes:
+        if pad >= 8:
             raise DecodeError("bytes after the bitstring")
-        pad = nbytes * 8 - nbits
-        value = int.from_bytes(data[off:], "big")
+        value = r.read_uint(nbits + pad)
         if value & ((1 << pad) - 1):
             raise DecodeError("padding bits set")
         return cls(value >> pad, nbits)
@@ -90,31 +93,6 @@ def _slice(value: int, nbits: int) -> Bits:
     out.value = value
     out.nbits = nbits
     return out
-
-
-def _leb128(v: int) -> bytes:
-    out = bytearray()
-    while v >= 0x80:
-        out.append(0x80 | (v & 0x7F))
-        v >>= 7
-    out.append(v)
-    return bytes(out)
-
-
-def _read_leb128(data: bytes, off: int) -> Tuple[int, int]:
-    v = 0
-    shift = 0
-    while True:
-        if off >= len(data) or shift > 63:
-            raise DecodeError("truncated varint")
-        b = data[off]
-        off += 1
-        v |= (b & 0x7F) << shift
-        if not b & 0x80:
-            if b == 0 and shift:
-                raise DecodeError("non-minimal varint")
-            return v, off
-        shift += 7
 
 
 # A BitWriter gathers its newest bits in one int and moves them to its list

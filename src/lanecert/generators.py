@@ -84,6 +84,10 @@ def random_ops_sequence(
     """Random op sequence over k lanes growing the graph to n vertices."""
     if not 1 <= k <= n:
         raise GeneratorError("need 1 <= k <= n")
+    if not 0 <= density < 1:
+        # At density 1 every step tries an edge, and once every lane pair
+        # is joined no step adds anything.
+        raise GeneratorError("density must lie in [0, 1)")
     ops = []
     tau = list(range(k))
     edges = {edge_key(a, b) for a, b in zip(range(k), range(1, k))}

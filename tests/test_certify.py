@@ -30,6 +30,7 @@ from lanecert.encoding import Bits, BitReader, BitWriter, DecodeError, read_sect
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key, id_bits
 from lanecert.intervals import width
+from lanecert.lanes import lane_bounds
 from lanecert.properties import brute_force_property
 from lanecert.recursive import TNode
 from tests.test_graph import cycle_graph, path_graph, star_graph
@@ -1057,3 +1058,38 @@ def test_encode_label_refuses_a_derived_entry_its_record_does_not_derive():
                 encode_label(lab.n, lab.w, chain, routes)
             refused += 1
     assert refused > 0
+
+
+def _view_lies(labels):
+    """(reason, edge, forged labelling) for three lies about a view's
+    structure, each told by the labels of one edge's endpoints: a label
+    that lists one route twice (route-dup), a label whose own chain is
+    empty (chain-empty), and every label at either endpoint re-encoded
+    with one lane more than its root node has (header)."""
+    wider = {}
+    for f, bits in labels.items():
+        lab = decode_label(bits)
+        wider[f] = encode_label(lab.n, lab.w + 1, lab.tnodes, lab.routes)
+    for e, bits in sorted(labels.items()):
+        lab = decode_label(bits)
+        if lab.routes:
+            yield "route-dup", e, {**labels, e: encode_label(lab.n, lab.w, lab.tnodes, lab.routes + [lab.routes[0]])}
+        yield "chain-empty", e, {**labels, e: encode_label(lab.n, lab.w, [], lab.routes)}
+        yield "header", e, {**labels, **{f: wider[f] for f in labels if set(f) & set(e)}}
+
+
+def test_view_structure_lies_are_rejected_at_both_endpoints():
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    # One lane more is still within f(k + 1), and every label a forged view
+    # holds has it, so only the root node's lane count can refuse it.
+    assert decode_label(labels[min(labels)]).w + 1 <= lane_bounds(4)[0]
+    shared = {}
+    counts = {}
+    for reason, e, bad in _view_lies(labels):
+        for view in local_views(g, bad):
+            if view.vid in e:
+                for memo in (None, {}, shared):
+                    assert verify_vertex(view, "parity", 3, memo).reason == reason, (reason, e)
+                counts[reason] = counts.get(reason, 0) + 1
+    routed = sum(1 for bits in labels.values() if decode_label(bits).routes)
+    assert counts == {"route-dup": 2 * routed, "chain-empty": 2 * len(labels), "header": 2 * len(labels)}, counts

@@ -93,6 +93,14 @@ def test_gen_determinism(tmp_path, capsys):
     assert open(a).read() == open(b).read()
 
 
+def test_gen_density_of_one_is_usage_error(tmp_path, capsys):
+    out_graph = tmp_path / "g"
+    code, out, err = run(capsys, "gen", "--family", "random-ops", "--n", "5", "--k", "3",
+                         "--density", "1", "--out-graph", str(out_graph))
+    assert code == 2 and out == "" and "density" in err, err
+    assert not out_graph.exists()
+
+
 def test_prove_verify_stats_roundtrip(tmp_path, capsys):
     gfile = str(tmp_path / "g.txt")
     lfile = str(tmp_path / "l.txt")

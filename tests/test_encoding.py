@@ -24,13 +24,22 @@ def test_bits_roundtrip_hex():
         assert Bits.from_hex(b.to_hex()) == b
 
 
-@pytest.mark.parametrize("text", ["8300a0", "03bf", "03a0ff", "0001", "0080"])
+@pytest.mark.parametrize(
+    "text", ["8300a0", "03bf", "03a0ff", "0001", "0080", "", "80", "0a00", "80" * 10 + "01"]
+)
 def test_bits_have_one_byte_form(text):
     # 03a0 is Bits(0b101, 3); a non-minimal bit count (83 00), a set
     # padding bit (bf), and a byte after the payload (ff) are other forms of
-    # it, and 00 is the empty bitstring.
+    # it, and 00 is the empty bitstring.  No count (""), a count cut short
+    # (80), a payload cut short (0a00) and a count of 11 varint groups are
+    # no form at all.
     assert Bits.from_hex("03a0") == Bits(0b101, 3)
     assert Bits.from_hex("00") == Bits()
+    # A count of 128 bits or more takes two varint groups.
+    assert Bits.from_hex("8001" + "00" * 15 + "01") == Bits(1, 128)
+    for nbits in (127, 128, 300, 20000):
+        b = Bits((1 << nbits) - 3, nbits)
+        assert Bits.from_bytes(b.to_bytes()) == b
     with pytest.raises(DecodeError):
         Bits.from_hex(text)
 

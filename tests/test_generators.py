@@ -87,6 +87,17 @@ def test_density_zero_is_tree():
     assert brute_force_property(g, "acyclic", limit=g.n)
 
 
+def test_random_ops_density_must_lie_below_one():
+    # At density 1 every step tries an edge; once every lane pair is joined
+    # the generator would loop for ever, so such densities are refused.
+    for density in (1.0, 1.5, float("inf"), float("nan"), -0.1):
+        with pytest.raises(GeneratorError):
+            generate(GeneratorSpec("random-ops", 5, 3, density), 0)
+    for density in (0.0, 0.99):
+        g, ir = generate(GeneratorSpec("random-ops", 5, 3, density), 0)
+        assert g.n == 5 and validate(g, ir) is None
+
+
 def test_bad_specs():
     with pytest.raises(GeneratorError):
         generate(GeneratorSpec("moebius", 5), 0)

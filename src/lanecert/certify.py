@@ -106,6 +106,7 @@ and equal relayed chains, are one object per memo.
 """
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -200,18 +201,19 @@ class ElementRecord:
         return self.topo[0]
 
     @cached_property
-    def topo_edges(self) -> List[Tuple[Edge, int]]:
-        """(edge, mark) pairs of the record's directly listed topology edges,
+    def edge_marks(self) -> Dict[Edge, int]:
+        """The mark of each of the record's directly listed topology edges,
+        in topology order (an edge listed twice keeps its first mark),
         worked out once per record object (decoded records are shared)."""
         t = self.topo
         if t[0] == "E":
-            return [(edge_key(t[2], t[3]), t[4])]
+            return {edge_key(t[2], t[3]): t[4]}
         if t[0] == "P":
-            vids, marks = t[1], t[2]
-            return [
-                (edge_key(x, y), m) for (x, y), m in zip(zip(vids, vids[1:]), marks)
-            ]
-        return [(t[3], t[4])]
+            out: Dict[Edge, int] = {}
+            for x, y, m in zip(t[1], t[1][1:], t[2]):
+                out.setdefault(edge_key(x, y), m)
+            return out
+        return {t[3]: t[4]}
 
 
 @dataclass(slots=True)
@@ -1342,10 +1344,13 @@ def prove(
     is set, in which case the honest-but-rejecting labels are still emitted
     (useful for adversarial testing).
     """
-    lp, emb, hd, ann = _annotate(g, prop_name, k, ir)
-    if not ann.accepted and not force:
-        raise CertifyError("property %r does not hold" % prop_name)
-    return _emit(g, k, lp, emb, hd, ann)
+    with _no_cyclic_gc():
+        lp, emb, hd, ann = _annotate(g, prop_name, k, ir)
+        if not ann.accepted and not force:
+            raise CertifyError("property %r does not hold" % prop_name)
+        labels = _emit(g, k, lp, emb, hd, ann)
+        del lp, emb, hd, ann  # inside the pause: see _no_cyclic_gc
+    return labels
 
 
 def prove_forced(
@@ -1354,8 +1359,35 @@ def prove_forced(
     """The labels ``prove(..., force=True)`` emits, and whether the statement
     holds (the class annotation's verdict, not the verifier's), from one run
     of the pipeline."""
-    lp, emb, hd, ann = _annotate(g, prop_name, k, ir)
-    return _emit(g, k, lp, emb, hd, ann), ann.accepted
+    with _no_cyclic_gc():
+        lp, emb, hd, ann = _annotate(g, prop_name, k, ir)
+        labels, holds = _emit(g, k, lp, emb, hd, ann), ann.accepted
+        del lp, emb, hd, ann  # inside the pause: see _no_cyclic_gc
+    return labels, holds
+
+
+@contextmanager
+def _no_cyclic_gc():
+    """Run the body with the cyclic garbage collector disabled, and enable
+    it afterwards only if it was enabled before.
+
+    prove, prove_forced and verify_all allocate many containers, so the
+    collector would run often and find nothing, as long as they make no
+    reference cycles (build_hierarchical_decomposition cuts its merge
+    tree's links for this).  test_memo's test_pipeline_makes_no_reference_cycles
+    guards that: a cycle made here would outlive the call until the
+    collector next runs.  The body deletes the locals that hold large
+    structures (a run's memo, the prover's decomposition) before the pause
+    ends: the collector's first pass after the pause walks every container
+    made during it that is still alive, and locals live until their
+    function returns."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _annotate(g, prop_name, k, ir):
@@ -1383,20 +1415,11 @@ def _annotate(g, prop_name, k, ir):
 def _emit(g, k, lp, emb, hd, ann) -> Dict[Edge, Bits]:
     """Each real edge's label: its decoded form (_forms), written by
     encode_label under one memo for the run."""
-    # Emitting allocates many containers but makes no reference cycles, so
-    # the cyclic collector would only cost time here (about a tenth of
-    # prove on a 1,000-edge cycle).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        memo: dict = {}
-        return {
-            e: encode_label(g.n, lp.k, tnodes, routes, memo)
-            for e, (tnodes, routes) in _forms(g, k, hd, ann, emb, lp.k).items()
-        }
-    finally:
-        if collecting:
-            gc.enable()
+    memo: dict = {}
+    return {
+        e: encode_label(g.n, lp.k, tnodes, routes, memo)
+        for e, (tnodes, routes) in _forms(g, k, hd, ann, emb, lp.k).items()
+    }
 
 
 def _simplify_path(path: List[int]) -> List[int]:
@@ -1795,11 +1818,10 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
         roots[chain[0].node_eid] = roots.get(chain[0].node_eid, 0) + 1
         for pos, sec in enumerate(chain):
             last = pos == len(chain) - 1
-            here = [m for te, m in sec.elem.topo_edges if te == e]
+            mark = sec.elem.edge_marks.get(e)
             if last:
-                if not here:
+                if mark is None:
                     raise _Reject("chain-leaf")
-                mark = here[0]
                 if real:
                     tag = view.etags.get(e, 0)
                     expect = (tag != 0) if marked_user else True
@@ -1807,7 +1829,7 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
                         raise _Reject("mark")
                 elif mark != 0:
                     raise _Reject("mark")
-            elif here:
+            elif mark is not None:
                 # decode_label made the next section a T side of this B
                 # record; the edge must lie in that side, not on the bridge.
                 raise _Reject("chain-link")
@@ -1815,8 +1837,9 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
 
     # Every chain starts at a root section, and a root node must hold every
     # edge here (root-cover) at chain position 0 in each (node-shared), so
-    # all the chains share one root node.  A chain holds a node at most once.
-    all_edges = set(gedges)
+    # all the chains share one root node.  A chain holds a node at most once
+    # (chain-dup), so a node's entries name distinct edges here, and it holds
+    # every edge here when it has as many entries as there are edges.
     root_basic = None
     for node_eid, entries in node_entries.items():
         first = entries[0][1]
@@ -1831,12 +1854,10 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
             root_basic = basic
             if len(basic.t_in) != w_lanes:
                 raise _Reject("header")
-            if {e for e, _ in entries} != all_edges:
+            if len(entries) != len(gedges):
                 raise _Reject("root-cover")
-        else:
-            if {e for e, _ in entries} != all_edges:
-                if vid not in basic.terminal_ids():
-                    raise _Reject("boundary")
+        elif len(entries) != len(gedges) and vid not in basic.terminal_ids():
+            raise _Reject("boundary")
         _check_pointer(vid, basic, entries)
         _check_elements(vid, node_eid, basic, entries, gedges, n, plugin, memo)
     if not _fold(memo, plugin, "accepts", root_basic.cls):
@@ -1844,27 +1865,25 @@ def _verify_vertex(view, marked_user, plugin, k, memo) -> None:
 
 
 def _check_pointer(vid, basic: BasicInfo, entries) -> None:
-    target = basic.t_in[min(basic.t_in)]
-
-    def parent_end(e, sec):
-        return min(e) if sec.parent_min else max(e)
-
-    if vid == target:
+    # A tree edge's parent end is min(e) when parent_min is set, else max(e).
+    if vid == basic.t_in[min(basic.t_in)]:
         for e, sec in entries:
-            if not sec.is_tree or parent_end(e, sec) != vid or sec.dist != 0:
+            if not sec.is_tree or sec.dist != 0 or (min(e) if sec.parent_min else max(e)) != vid:
                 raise _Reject("pointer-root")
         return
-    up = [
-        (e, sec)
-        for e, sec in entries
-        if sec.is_tree and parent_end(e, sec) != vid
-    ]
-    if len(up) != 1:
-        raise _Reject("pointer")
-    d = up[0][1].dist
+    # One tree edge leads up from here, and every tree edge whose parent end
+    # is here lies one step further from the target.
+    up: List[int] = []
+    down: List[int] = []
     for e, sec in entries:
-        if sec.is_tree and parent_end(e, sec) == vid and sec.dist != d + 1:
-            raise _Reject("pointer")
+        if not sec.is_tree:
+            continue
+        if (min(e) if sec.parent_min else max(e)) == vid:
+            down.append(sec.dist)
+        else:
+            up.append(sec.dist)
+    if len(up) != 1 or any(d != up[0] + 1 for d in down):
+        raise _Reject("pointer")
 
 
 def _check_elements(vid, node_eid, node_basic, entries, gedges, n, plugin, memo):
@@ -1887,7 +1906,7 @@ def _check_elements(vid, node_eid, node_basic, entries, gedges, n, plugin, memo)
         t_in = own.t_in
         # Listed topology edges at this vertex must actually be present and
         # owned by this element in this node.
-        for te, _mark in rec.topo_edges:
+        for te in rec.edge_marks:
             if vid not in te:
                 continue
             hit = gedges.get(te)
@@ -1947,12 +1966,16 @@ def verify_all(
 ) -> Dict[int, Verdict]:
     """Verify every vertex's local view independently.  The vertices share
     one memo, so each distinct label and section is decoded once and each
-    distinct class operation of the fold is computed once."""
-    cache: dict = {}
-    return {
-        view.vid: verify_vertex(view, prop_name, k, cache)
-        for view in local_views(g, labels)
-    }
+    distinct class operation of the fold is computed once.  It runs with
+    the cyclic collector paused (_no_cyclic_gc)."""
+    with _no_cyclic_gc():
+        cache: dict = {}
+        verdicts = {
+            view.vid: verify_vertex(view, prop_name, k, cache)
+            for view in local_views(g, labels)
+        }
+        del cache  # inside the pause: see _no_cyclic_gc
+    return verdicts
 
 
 def all_accept(verdicts: Dict[int, Verdict]) -> bool:

@@ -463,6 +463,13 @@ def build_hierarchical_decomposition(s: OpSequence) -> HierarchicalDecomposition
         elements.append(el)
         el_of[id(m)] = el
     new_node(root, _subtree_out(root))
+    # The merge tree is garbage now, and its links make cycles: parent
+    # against children, and absorbed_into against the B payloads that hold
+    # side subtrees.  Cut them all, so refcounting frees each element on its
+    # own, however deep the tree, and the cyclic collector, which certify
+    # pauses while it proves, has nothing to find.
+    for m in order:
+        m.parent = m.children = m.absorbed_into = m.payload = None
     return HierarchicalDecomposition(k, elements, nodes)
 
 

@@ -1093,3 +1093,96 @@ def test_view_structure_lies_are_rejected_at_both_endpoints():
                 counts[reason] = counts.get(reason, 0) + 1
     routed = sum(1 for bits in labels.values() if decode_label(bits).routes)
     assert counts == {"route-dup": 2 * routed, "chain-empty": 2 * len(labels), "header": 2 * len(labels)}, counts
+
+
+# --- lies about one edge's chain, caught by the view checks -------------------
+
+
+def _chain_lies(g, labels):
+    """(reason, vertex, forged labelling) for lies that one label tells
+    about its chains, each refused at the given endpoint:
+
+    - chain-leaf: e's chain without its last section, so it ends at a
+      record that does not list e;
+    - chain-link: the chain of an edge whose chain extends e's, so a
+      section before the last lists e;
+    - root-cover: e's chain without its root section, at an endpoint where
+      e is not the first edge, so the root node, checked first there, does
+      not hold e;
+    - boundary: e's chain turned, below a B record with two T sides, into
+      the other side, ending there at e's own record, at an endpoint where
+      e is the first of two or more edges: the sides are lane-disjoint, so
+      that side has no terminal there and holds none of its other edges;
+    - mark: a route whose virtual edge ends at the carrier's endpoint, its
+      relayed chain's last record (an E or B record) marking that edge;
+    - edge-missing: a route relayed as the root section alone, dropped by
+      the carrier at its endpoint, where a real edge's chain also ends at
+      that root record: the record lists the virtual edge, which the
+      endpoint then does not see."""
+    first = {view.vid: min(view.labels) for view in local_views(g, labels) if len(view.labels) > 1}
+    chains = {e: decode_label(bits).tnodes for e, bits in labels.items()}
+
+    def ids(chain):
+        return [(sec.node_eid, sec.elem.eid) for sec in chain]
+
+    for e, bits in sorted(labels.items()):
+        lab = decode_label(bits)
+        tnodes, routes = lab.tnodes, lab.routes
+
+        def forged(tnodes, routes):
+            return {**labels, e: encode_label(lab.n, lab.w, tnodes, routes)}
+
+        if len(tnodes) > 1:
+            for vid in e:
+                yield "chain-leaf", vid, forged(tnodes[:-1], routes)
+                if first.get(vid, e) != e:
+                    yield "root-cover", vid, forged(tnodes[1:], routes)
+        longer = [f for f in sorted(chains) if len(chains[f]) > len(tnodes) and ids(chains[f][:len(tnodes)]) == ids(tnodes)]
+        if longer:
+            for vid in e:
+                yield "chain-link", vid, forged(chains[longer[0]], routes)
+        for d in range(1, len(tnodes)):
+            sec = tnodes[d]
+            other = [side for side in tnodes[d - 1].elem.topo[5:7] if side[0] == "T" and side[1] != sec.node_eid]
+            if other:
+                turned = replace(sec, node_eid=other[0][1], basic=other[0][2], elem=tnodes[-1].elem)
+                for vid in e:
+                    if first.get(vid) == e:
+                        yield "boundary", vid, forged(tnodes[:d] + [turned], routes)
+                break
+        for i, rs in enumerate(routes):
+            last = rs.tnodes[-1]
+            for vid in set(e) & {rs.u, rs.v}:
+                if last.elem.kind != "P":
+                    marked = replace(last, elem=replace(last.elem, topo=last.elem.topo[:4] + (1,) + last.elem.topo[5:]))
+                    yield "mark", vid, forged(tnodes, routes[:i] + [replace(rs, tnodes=rs.tnodes[:-1] + [marked])] + routes[i + 1:])
+                if len(rs.tnodes) == 1 and any(chains[f][-1].elem == last.elem for f in chains if vid in f):
+                    yield "edge-missing", vid, forged(tnodes, routes[:i] + routes[i + 1:])
+
+
+def test_chain_lies_are_rejected_at_an_endpoint():
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    shared = {}
+    counts = {}
+    for reason, vid, bad in _chain_lies(g, labels):
+        view = next(view for view in local_views(g, bad) if view.vid == vid)
+        for memo in (None, {}, shared):
+            assert verify_vertex(view, "parity", 3, memo).reason == reason, (reason, vid)
+        counts[reason] = counts.get(reason, 0) + 1
+    assert set(counts) == {"chain-leaf", "chain-link", "root-cover", "boundary", "mark", "edge-missing"}, counts
+
+
+def test_flipped_edge_tag_is_rejected_at_both_endpoints():
+    # marked-bipartite on an even cycle, every third edge untagged: once
+    # one edge's tag flips, the mark its label records no longer matches.
+    base, ir = generate(GeneratorSpec("cycle", 30, 2), 0)
+    tags = {e: int(i % 3 != 0) for i, e in enumerate(base.edges)}
+    g = build_graph(base.n, base.edges, None, tags)
+    labels = prove(g, "marked-bipartite", 2, ir=ir)
+    shared = {}
+    for e in g.edges:
+        flipped = build_graph(g.n, g.edges, None, {**tags, e: 1 - tags[e]})
+        for view in local_views(flipped, labels):
+            if view.vid in e:
+                for memo in (None, {}, shared):
+                    assert verify_vertex(view, "marked-bipartite", 2, memo).reason == "mark", e

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,8 +55,8 @@ def test_gen_decompose(tmp_path, capsys):
             "--out-lanes", str(lanes_file), "--out-ops", str(ops_file), "--dump",
         )
         assert code == 0
-        g = read_graph_file(open(gfile).read())
-        ir = read_interval_file(open(ifile).read(), g.n)
+        g = read_graph_file(Path(gfile).read_text())
+        ir = read_interval_file(Path(ifile).read_text(), g.n)
         lp, _ = build_lane_partition(g, ir)
         ops = completion_to_op_sequence(g, ir, lp)
         lanes = lanes_file.read_text().splitlines()
@@ -90,7 +91,7 @@ def test_gen_determinism(tmp_path, capsys):
     for f in (a, b):
         run(capsys, "gen", "--family", "random-ops", "--n", "20", "--k", "2",
             "--seed", "9", "--out-graph", f)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_gen_density_of_one_is_usage_error(tmp_path, capsys):
@@ -185,7 +186,7 @@ def test_stray_interval_lines_are_usage_errors(tmp_path, capsys):
     # and decompose exit 2 and name the line.
     gfile, ifile = str(tmp_path / "g.txt"), str(tmp_path / "g.iv")
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile, "--out-intervals", ifile)
-    good = open(ifile).read()
+    good = Path(ifile).read_text()
     for bad in ("0 0 1", "7 0 0", "-1 3 3"):
         with open(ifile, "w") as fh:
             fh.write(good + bad + "\n")
@@ -216,8 +217,8 @@ def test_non_integer_token_is_usage_error(tmp_path, capsys):
     ifile = str(tmp_path / "g.iv")
     run(capsys, "gen", "--family", "cycle", "--n", "6",
         "--out-graph", gfile, "--out-intervals", ifile)
-    good_graph = open(gfile).read()
-    good_iv = open(ifile).read()
+    good_graph = Path(gfile).read_text()
+    good_iv = Path(ifile).read_text()
     cases = (
         (good_graph.replace("0 1\n", "0 x\n", 1), good_iv, "'0 x'"),
         (good_graph.replace("6 6", "6 six", 1), good_iv, "'6 six'"),

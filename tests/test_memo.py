@@ -2,9 +2,12 @@
 structure shared with callers of decode_label, each distinct class operation
 and each distinct element record decoded and folded once per run, no state
 left on the plugins, and one memo per fuzz campaign that changes no mutant
-and no verdict."""
+and no verdict.  Also: the pipeline leaves no reference cycles, so the
+entry points may pause the cyclic collector, and they leave it as they
+found it."""
 
 import copy
+import gc
 import pickle
 import random
 from collections import Counter
@@ -27,6 +30,7 @@ from lanecert.certify import (
     encode_label,
     local_views,
     prove,
+    prove_forced,
     read_layout,
     resolve_property,
     verify_all,
@@ -42,7 +46,9 @@ from lanecert.encoding import (
 from lanecert.fuzz import MUTATIONS, fuzz_soundness, mutate
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, id_bits
+from lanecert.lanes import build_lane_partition
 from lanecert.properties import PLUGINS, HomClass, PropertyError, PropertyPlugin
+from lanecert.recursive import build_hierarchical_decomposition, completion_to_op_sequence
 from tests.test_certify import _label_parts
 from tests.test_graph import cycle_graph, path_graph
 
@@ -1043,3 +1049,71 @@ def test_element_part_mutants_verdicts_equal_uncached(name, g, ir, prop, k):
                     view.vid: verify_vertex(view, prop, k, shared) for view in views
                 } == uncached, mutation
     assert edited > 0
+
+
+def _cycles_made(fn, *args, **kwargs) -> int:
+    """The objects that the collector finds unreachable after
+    fn(*args, **kwargs): those of the reference cycles fn made and
+    dropped.  Run with the collector paused."""
+    gc.collect()
+    fn(*args, **kwargs)
+    return gc.collect()
+
+
+def test_pipeline_makes_no_reference_cycles():
+    # prove, prove_forced and verify_all pause the cyclic collector, which
+    # is only free if they make no cycles: a cycle they drop would stay in
+    # memory until the collector next runs.  The merge tree that
+    # build_hierarchical_decomposition drops links parents and children
+    # both ways, so that function must cut the links.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for family, n, k, prop in (("cycle", 60, 2, "bipartite"), ("random-ops", 60, 3, "parity")):
+            g, ir = generate(GeneratorSpec(family, n, k, 0.3), 0)
+            lp, _ = build_lane_partition(g, ir)
+            ops = completion_to_op_sequence(g, ir, lp)
+            assert _cycles_made(build_hierarchical_decomposition, ops) == 0, family
+            assert _cycles_made(prove, g, prop, k, ir=ir) == 0, family
+            labels = prove(g, prop, k, ir=ir)
+            assert _cycles_made(verify_all, g, labels, prop, k) == 0, family
+        assert _cycles_made(fuzz_soundness, cycle_graph(7), "bipartite", 2, 105, 7) == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_entry_points_leave_the_collector_as_they_found_it(monkeypatch, enabled):
+    # The pause covers the whole pipeline, and ends with the collector in
+    # the state it started in, also when prove refuses the statement.
+    during = []
+
+    def watched(fn):
+        def call(*args):
+            during.append(gc.isenabled())
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(certify, "_annotate", watched(certify._annotate))
+    monkeypatch.setattr(certify, "verify_vertex", watched(certify.verify_vertex))
+    g = cycle_graph(6)
+    labels = prove(g, "bipartite", 2)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        prove(g, "bipartite", 2)
+        assert gc.isenabled() is enabled
+        prove_forced(cycle_graph(5), "bipartite", 2)
+        assert gc.isenabled() is enabled
+        verify_all(g, labels, "bipartite", 2)
+        assert gc.isenabled() is enabled
+        with pytest.raises(CertifyError):
+            prove(cycle_graph(5), "bipartite", 2)  # false, and not forced
+        assert gc.isenabled() is enabled
+        with pytest.raises(CertifyError):
+            prove(build_graph(4, [(0, 1), (2, 3)]), "bipartite", 1)  # disconnected
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)

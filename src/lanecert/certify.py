@@ -49,10 +49,11 @@ as (dist, is_tree, parent_min) triples), which ``encode_label`` fills and
 ``decode_label`` checks.  (``label_size_stats`` and fuzz's section edits
 see bare sections only.)
 
-The table writes each distinct BasicInfo of the label once: a w-bit lane
-mask, both terminal maps in one field, the class term (an int, or a tuple of
-ints as one packed field; see ``encoding``); a derived entry (below) is its
-class term alone.  Everywhere else a
+The table writes each distinct BasicInfo of the label once, in one of three
+forms.  In full it is a w-bit lane mask, both terminal maps in one field and
+the class term (an int, or a tuple of ints as one packed field; see
+``encoding``); a partial entry leaves out the in-terminal map, and a derived
+entry is its class term alone (both below).  Everywhere else a
 BasicInfo is a slot, numbered by first use within its chain, so a chain's
 payloads are the same bits in every label that carries it.  The table lists
 the own chain's m entries (m opens the section), then each relayed chain's
@@ -66,19 +67,26 @@ same object, and fails when the record above is not a B record or the side
 is a vertex leaf.  No section, and no TSec, carries a root flag: the root
 is chain position 0.
 
-A nested section whose record is its node's root element derives that
-node's BasicInfo (``_derivation``): its table entry is the class term
-alone, and ``decode_label`` computes the lanes and terminal maps from the
-record (``_glue``, the structural half of the class fold) over the
-BasicInfos it names, deepest first (``_derive``).  An entry a deriving
-record names as a child is written in full (``_derived``), so on honest
-labels a derivation leans on derived entries only through T sides, which
-have fewer lanes, and never needs its own entry.  The decoder refuses a
-derivation that fails a glue check, names a lane above w, needs its own
-entry, or differs from another derivation of the entry.  Which entries are
-derived follows from the raw chains, so the table is read after the route
-sections' maps, and a derived entry is the same object as the decoded
-entry of its value, which is ``_fold_record``'s twin.
+An entry that a record of the label names as a child is partial, unless a
+chain's root section names it (the whole graph's entry, which a vertex
+checks as the label writes it): a child glues on where its parent's
+running out-terminals on its lanes are, earlier siblings glued first
+(``_glue``, the structural half of the class fold), so its in-terminal map
+is the naming record's glue.  Else a nested section whose record is its
+node's root element derives that node's BasicInfo (``_derivation``): the
+entry is derived, and its lanes and terminal maps are the record's fragment
+with its children glued on.  ``decode_label`` completes both kinds in one
+step (``_complete``): each record that names a partial entry or derives an
+entry glues its children on over the BasicInfos it names, deepest first,
+once its T sides' entries are complete.  It refuses a completion that
+needs its own entry, fails a glue check or names a lane above w, two
+records that complete one entry differently, and a table that repeats an
+entry once completed; ``encode_label`` refuses a decoded form whose
+partial entries' in-terminal maps or derived entries differ from what their
+records give.  Which entries are partial and derived follows from the raw
+chains (``_sources``), so the table is read after the route sections' maps,
+and a completed entry is the same object as the decoded entry of its value,
+so a derived one is ``_fold_record``'s twin.
 
 A route section carries its endpoints and ranks, then a base: the own
 chain or the relayed chain of an earlier route of the label.  A relayed
@@ -392,38 +400,64 @@ def _basic_key(bi: BasicInfo, b: int) -> tuple:
     return (*_maps_key(bi.t_in, bi.t_out, b), bi.cls.term)
 
 
-def _enc_entry(key: tuple, b: int, w_lanes: int, derived: bool = False) -> Bits:
+# The forms a table entry is written in (_enc_entry): in full, derived (see
+# _derivation) or partial (an entry a record of the label names as a child).
+_FULL, _DERIVED, _PARTIAL = 0, 1, 2
+
+
+def _enc_entry(key: tuple, b: int, w_lanes: int, form: int = _FULL) -> Bits:
     """One table entry: the lane set as a w-bit mask, both terminal maps in
-    one 2bc-bit field (c lanes), the class term; a derived entry (see
-    _derivation) is its class term alone."""
+    one 2bc-bit field (c lanes), the class term; a partial entry leaves out
+    its in-terminal map, and a derived entry is its class term alone."""
     mask, maps, term = key
     bw = BitWriter()
-    if not derived:
+    if form != _DERIVED:
+        c = bin(mask).count("1")
         bw.write_uint(mask, w_lanes)
-        bw.write_uint(maps, 2 * b * bin(mask).count("1"))
+        if form == _FULL:
+            bw.write_uint(maps, 2 * b * c)
+        else:
+            bw.write_uint(maps & ((1 << b * c) - 1), b * c)  # t_out: the low bc bits
     write_term(bw, term)
     return bw.getvalue()
 
 
-def _basic_of(mask: int, maps: int, term, b: int, n: int) -> BasicInfo:
-    """The BasicInfo of one table entry's fields."""
-    lanes = []
-    lane = 1
-    while mask >> (lane - 1):
-        if mask >> (lane - 1) & 1:
-            lanes.append(lane)
-        lane += 1
-    c = len(lanes)
-    if not c:
+def _lanes_of(mask: int) -> List[int]:
+    """The lanes of a w-bit lane mask, in increasing order; DecodeError when
+    it is empty."""
+    lanes = [lane for lane in range(1, mask.bit_length() + 1) if mask >> (lane - 1) & 1]
+    if not lanes:
         raise DecodeError("empty lane set")
+    return lanes
+
+
+def _ids_of(maps: int, count: int, b: int, n: int) -> List[int]:
+    """count b-bit vertex ids packed in maps, first id in the high bits;
+    DecodeError for one out of range."""
     low = (1 << b) - 1
-    ids = [maps >> (b * i) & low for i in range(2 * c - 1, -1, -1)]
+    ids = [maps >> (b * i) & low for i in range(count - 1, -1, -1)]
     if max(ids) >= n:
         raise DecodeError("terminal id out of range")
-    if len(set(ids[:c])) != c or len(set(ids[c:])) != c:
+    return ids
+
+
+def _basic_of(mask: int, maps: int, term, b: int, n: int) -> BasicInfo:
+    """The BasicInfo of one table entry's fields."""
+    lanes = _lanes_of(mask)
+    c = len(lanes)
+    ids = _ids_of(maps, 2 * c, b, n)
+    return _basic(lanes, ids[:c], ids[c:], term)
+
+
+def _basic(lanes: List[int], ins: List[int], outs: List[int], term) -> BasicInfo:
+    """The BasicInfo of lanes, in increasing order, with in- and
+    out-terminals ins and outs, in lane order, and class term term;
+    DecodeError unless both maps are injective."""
+    c = len(lanes)
+    if len(set(ins)) != c or len(set(outs)) != c:
         raise DecodeError("terminal maps must be injective")
-    t_in = dict(zip(lanes, ids[:c]))
-    t_out = dict(zip(lanes, ids[c:]))
+    t_in = dict(zip(lanes, ins))
+    t_out = dict(zip(lanes, outs))
     atoms = []
     for lane in lanes:
         if t_in[lane] == t_out[lane]:
@@ -575,21 +609,21 @@ def _rec_fields(rec: ElementRecord) -> tuple:
     return (rec.eid, rec.parent_eid, t, *map(itemgetter(0), rec.children))
 
 
+def _sided(topo: tuple, bis) -> tuple:
+    """A topology as _dec_elem reads it with the BasicInfo of each T side,
+    in order, from bis."""
+    if topo[0] != "B":
+        return topo
+    it = iter(bis)
+    return topo[:5] + tuple(("T", side[1], next(it)) if side[0] == "T" else side for side in topo[5:])
+
+
 def _resolve_elem(fields: tuple, slots: tuple, basics: List[BasicInfo]) -> ElementRecord:
     """The record of fields (from _dec_elem) with basics[s] for each of its
     slots s."""
-    eid, parent, topo = fields[:3]
     bis = [basics[s] for s in slots]
-    k = 0
-    if topo[0] == "B":
-        sides = []
-        for side in topo[5:]:
-            if side[0] == "T":
-                side = ("T", side[1], bis[k])
-                k += 1
-            sides.append(side)
-        topo = topo[:5] + tuple(sides)
-    return ElementRecord(eid, parent, topo, tuple(zip(fields[3:], bis[k:])))
+    k = len(bis) + 3 - len(fields)  # a record's slots list its T sides first
+    return ElementRecord(fields[0], fields[1], _sided(fields[2], bis), tuple(zip(fields[3:], bis[k:])))
 
 
 def _side_bit(above: ElementRecord, node_eid: int, basic: BasicInfo) -> int:
@@ -682,29 +716,34 @@ class _SecState:
     record's entry tokens (_Header.entry); order holds the tokens of the
     chain's slots down to it, new those it names first;
     derived and kids are the entries the sections down to it derive
-    (_derivation) and those their deriving records name as children, and
-    faults (entry, reason) for each of those derivations that fails.  below
+    (_derivation) and those their records name as children; faults holds
+    (entry, reason) for each of those derivations that fails, and misfits
+    (entry, reason) for each child whose in-terminal map is not where its
+    record's glue puts it (_glue, as _complete runs it).  below
     maps each section below it, by its node eid, BasicInfo and record
     objects, to (its state, the section), and equal lists them by node
     and record eid, so equal sections below equal ones are one state, a
     share token for _bases.  bits holds the payloads by pointer fields and
     slot width, and the record's bits by slot width."""
 
-    __slots__ = ("side", "rec", "uses", "order", "new", "derived", "kids", "faults", "below", "equal", "bits")
+    __slots__ = ("side", "rec", "uses", "order", "new", "derived", "kids", "faults", "misfits", "below", "equal",
+                 "bits")
 
     def __init__(self, up, side, rec, uses, named):
         self.side, self.rec, self.uses = side, rec, uses
         order = up.order if up else ()
         self.new = tuple(dict.fromkeys(t for t in named if t not in order))
         self.order = order + self.new
-        self.derived, self.kids, self.faults = (up.derived, up.kids, up.faults) if up else ((), (), ())
+        self.derived, self.kids, self.faults, self.misfits = (
+            (up.derived, up.kids, up.faults, up.misfits) if up else ((), (), (), ())
+        )
         self.below, self.equal, self.bits = {}, {}, {}
 
 
 class _Header(_SecState):
     """The state above each chain's root section in labels of n vertices
     and w lanes, with what those labels share: each BasicInfo's entry, the
-    groups by entries and derived flags, and relayed chains by object id."""
+    groups by entries and forms, and relayed chains by object id."""
 
     __slots__ = ("b", "w", "entries", "values", "groups", "relayed")
 
@@ -723,12 +762,12 @@ class _Header(_SecState):
             hit = self.entries[id(bi)] = (bi, id(self.values.setdefault(key, bi)), key)
         return hit[1]
 
-    def entry_bits(self, token: int, derived: int) -> Bits:
-        """_enc_entry of token's entry, once per header (in bits, which the
-        header, a state without payloads, has free)."""
-        bits = self.bits.get((token, derived))
+    def entry_bits(self, token: int, form: int) -> Bits:
+        """_enc_entry of token's entry in form, once per header (in bits,
+        which the header, a state without payloads, has free)."""
+        bits = self.bits.get((token, form))
         if bits is None:
-            bits = self.bits[(token, derived)] = _enc_entry(self.entries[token][2], self.b, self.w, derived)
+            bits = self.bits[(token, form)] = _enc_entry(self.entries[token][2], self.b, self.w, form)
         return bits
 
 
@@ -756,15 +795,18 @@ def _enc_chain(tnodes: List[TSec], head: _Header) -> List[_SecState]:
                 else:
                     st = _SecState(up, _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic), rec, uses, uses)
                     # The fields of the two records that _derivation reads.
-                    got = rec.eid == sec.node_eid and _derivation(
-                        (None, (up.rec.eid, None, up.rec.topo), up.uses), (st.side, (rec.eid, None, rec.topo, *rec.children), uses)
-                    )
-                    if got:
-                        st.derived += (got[0],)
-                        st.kids += got[1]
+                    got = _derivation(
+                        (None, (up.rec.eid, None, up.rec.topo), up.uses), (st.side, (rec.eid,))
+                    ) if rec.eid == sec.node_eid else None
+                    if got is not None:
+                        st.derived += (got,)
                         fault = _derivation_fault(sec, head.w)
                         if fault is not None:
-                            st.faults += ((got[0], fault),)
+                            st.faults += ((got, fault),)
+                if rec.children:
+                    kids = uses[len(uses) - len(rec.children):]
+                    st.kids += kids
+                    st.misfits += _misfits(rec, kids)
                 same.append((st, sec))
             hit = up.below[key] = (st, sec)  # keeps the objects of key alive
         up = hit[0]
@@ -794,112 +836,136 @@ def _payloads(tnodes: List[TSec], states: List[_SecState], head: _Header, start:
     return payloads
 
 
-# --- derived table entries ---------------------------------------------------
+# --- derived and partial table entries ---------------------------------------
 
 
-def _derivation(above: tuple, below: tuple) -> Optional[tuple]:
+def _derivation(above: tuple, below: tuple) -> Optional[int]:
     """The rule that decides which table entries are derived, on two
     consecutive sections of a chain, each given as (head, record fields,
     slots): the head as the wire has it (a nested section's side bit), the
-    fields as _rec_fields gives them (of which it reads the eid, the T
-    sides' node eids and the number of children), and the slots of the
-    BasicInfos the record names, in _elem_uses order.  The decoder's raw
+    fields as _rec_fields gives them (of which it reads the eid and the T
+    sides' node eids), and the slots of the BasicInfos the record names, in
+    _elem_uses order (of which it reads above's).  The decoder's raw
     sections start so; the encoder gives entry tokens as slots.
     When below's record is the root element of its node, which is the T
     side of above's record that below names, below's section derives that
-    node's BasicInfo: the result is (that BasicInfo's slot, the slots
-    below's record names as children), else None.  A derived entry is
-    written as its class term alone; _derive computes the rest from the
-    record."""
+    node's BasicInfo: the result is that BasicInfo's slot, else None.  A
+    derived entry is written as its class term alone, unless a record of
+    the label names it as a child (_sources); _complete computes the rest
+    from the record."""
     topo = above[1][2]
     if topo[0] == "B":
-        head, fields = below[0], below[1]
+        head = below[0]
         side = topo[5 + head]
-        if side[0] == "T" and side[1] == fields[0]:
-            # A record's slots list its T sides first, then its children.
-            slots = below[2]
-            return above[2][head and topo[5][0] == "T"], slots[len(slots) + 3 - len(fields):]
+        if side[0] == "T" and side[1] == below[1][0]:
+            # A record's slots list its T sides first.
+            return above[2][head and topo[5][0] == "T"]
     return None
 
 
-def _derived(written: list) -> Dict:
-    """The derived entries of a label, each with the derivations (record
-    fields, slots, idx) of the sections that derive it: written holds per
-    chain (idx, its derivations as _raw_chain gives them), where idx[s] is
-    the table index of the chain's slot s.  An entry that a deriving record
-    names as a child is written in full, so a derivation needs only the T
-    sides' entries besides explicit ones; on honest labels those have fewer
-    lanes than the record, so no derivation needs its own entry."""
+def _sources(written: list, roots: set) -> Tuple[list, set, set, set]:
+    """(the label's completion sources, its derived entries, its partial
+    entries, the entries its records name as children): written holds per
+    chain (idx, its sources as _raw_chain gives them), where idx[s] is the
+    table index of the chain's slot s, and roots the entries the chains'
+    root sections name.  An entry that a record of the label names as a
+    child is partial, unless it is a root entry (the whole graph's, which a
+    vertex checks as the label has it); else one that a section derives is
+    derived; the rest are written in full.  A source is (the record's
+    fields, the table indices of its T sides' slots and of its children's,
+    the latter followed by the index of the entry it derives if any), one
+    per section in chain order whose record names a partial entry or
+    derives an entry."""
     kids = set()
-    for idx, derivations in written:
-        for _, named, _, _ in derivations:
-            kids.update(map(idx.__getitem__, named))
-    out: Dict = {}
-    for idx, derivations in written:
-        for slot, _, fields, slots in derivations:
-            entry = idx[slot]
-            if entry not in kids:
-                out.setdefault(entry, []).append((fields, slots, idx))
-    return out
+    records = []
+    for idx, found in written:
+        for slot, (_, fields, slots, *_) in found:
+            k = len(slots) + 3 - len(fields)  # a record's slots list its T sides first
+            named = tuple(map(idx.__getitem__, slots[k:]))
+            kids.update(named)
+            records.append((idx, slot, fields, slots[:k], named))
+    partial = kids - roots
+    derived = set()
+    sources = []
+    for idx, slot, fields, sides, named in records:
+        if slot is not None and idx[slot] not in kids:
+            derived.add(idx[slot])
+            named += (idx[slot],)
+        elif partial.isdisjoint(named):
+            continue
+        sources.append((fields, tuple(map(idx.__getitem__, sides)), named))
+    return sources, derived, partial, kids
 
 
-def _derive(derivs: Dict, table: list, b: int, n: int, w_lanes: int, memo) -> None:
-    """Put in table each derived entry, which it holds as its class term:
-    derivs gives its index the (record fields, slots, idx) of each section
-    that derives it, where the table index of slot s is idx[s].  The entry
-    is the decoded entry (_entry) of the lanes and terminal maps of the
-    record's fragment with its children glued on (_glue) and its class
-    term, so it is _fold_record's twin.  An entry is derived once the
-    derived entries its records name are.  DecodeError when that never
-    happens (a derivation that needs its own entry), when a record fails a
-    glue check or names a lane above w or maps that are not injective, and
-    when two derivations of one entry differ.  Each distinct record and
-    term is derived once per memo."""
-    terms = {}
-    for t in derivs:
-        terms[t] = table[t]
-        table[t] = None  # not derived yet
-    pending = id(None)
-    todo = list(reversed(derivs))  # the deepest sections first: they need no other
+def _complete(sources: list, derived: set, kids: set, table: list, b: int, n: int, w_lanes: int, memo) -> None:
+    """Put in table each derived entry, which it holds as its class term,
+    and each partial entry, which it holds as a _Partial: sources, derived
+    and kids are as _sources gives them.  A source's record glues its
+    children on (_glue) over its T sides' entries and its children's lanes
+    and out-terminal maps: each child's in-terminal map is then the running
+    out-terminals on its lanes (earlier siblings glued first), and the
+    record's fragment with its children glued on is the lanes and terminal
+    maps of the entry it derives, so a derived entry is _fold_record's
+    twin.  Each completed entry is the decoded entry of its value
+    (_completed).  A source runs once its T sides' entries are complete,
+    the deepest sections first.
+    DecodeError when that never happens (a completion that needs its own
+    entry), when a record fails a glue check or a derived entry names a
+    lane above w or maps that are not injective, and when two sources
+    complete one entry differently.  Each distinct record, slots' entries
+    and term is completed once per memo."""
+    terms = {t: table[t] for t in derived}
+    # A child that is not partial is a root entry, in full.
+    children = {t: table[t] for t in kids}
+    pending = {t for t in kids if type(table[t]) is _Partial} | derived  # the entries not complete yet
+    done = memo.setdefault(("complete", n, w_lanes), {})
+    todo = sources[::-1]
     while todo:
         later = []
-        for t in todo:
-            got = None
-            for fields, slots, idx in derivs[t]:
-                ids = list(map(id, map(table.__getitem__, map(idx.__getitem__, slots))))
-                if pending in ids:
-                    break
-                key = ("derived", n, w_lanes, id(fields), terms[t], *ids)
-                basic = memo.get(key)
-                if basic is None:
-                    # The lanes and terminal maps of the record's fragment
-                    # with its children glued on, and the class term.
-                    try:
-                        t_in, t_out = _glue(_record(fields, [idx[s] for s in slots], table, memo))
-                    except _Reject as rj:
-                        raise DecodeError("a derived entry's record fails its glue: %s" % rj.code)
+        for src in todo:
+            fields, sides, named = src
+            if not pending.isdisjoint(sides):
+                later.append(src)
+                continue
+            objs = [*map(table.__getitem__, sides), *map(children.get, named)]
+            key = (id(fields), terms.get(named[-1]), *map(id, objs))
+            got = done.get(key)
+            if got is None:
+                ins: list = []
+                k = len(sides)
+                try:
+                    t_in, t_out = _glue(_sided(fields[2], objs), zip(fields[3:], objs[k:]), ins)
+                except _Reject as rj:
+                    raise DecodeError("a record that completes a table entry fails its glue: %s" % rj.code)
+                got = [_completed(cin, kid.t_out, kid.term, b, n, memo) if type(kid) is _Partial else None
+                       for cin, kid in zip(ins, objs[k:])]
+                if len(named) > len(ins):
                     if max(t_in, default=0) > w_lanes:
                         raise DecodeError("a derived entry has a lane above w")
-                    basic = memo[key] = _entry(*_maps_key(t_in, t_out, b), terms[t], b, n, memo)
-                if got is None:
-                    got = basic
-                elif basic is not got:
-                    raise DecodeError("two derivations of one entry differ")
-            else:
-                table[t] = got
-                continue
-            later.append(t)
+                    got.append(_completed(t_in, t_out, terms[named[-1]], b, n, memo))
+                done[key] = got
+            for t, basic in zip(named, got):
+                if basic is None:
+                    continue
+                if t in pending:
+                    table[t] = basic
+                    pending.discard(t)
+                elif table[t] is not basic:
+                    raise DecodeError(
+                        "two records complete one partial entry differently" if t in kids
+                        else "two derivations of one entry differ"
+                    )
         if len(later) == len(todo):
-            raise DecodeError("a derived entry's derivation needs that entry")
+            raise DecodeError("a table entry's completion needs that entry")
         todo = later
 
 
 def _derivation_fault(sec: TSec, w_lanes: int) -> Optional[str]:
     """Why decode_label would not derive sec's BasicInfo from sec's record
-    (_derive), or None: the record fails its glue, or its fragment with its
-    children glued on has a lane above w or other terminal maps."""
+    (_complete), or None: the record fails its glue, or its fragment with
+    its children glued on has a lane above w or other terminal maps."""
     try:
-        t_in, t_out = _glue(sec.elem)
+        t_in, t_out = _glue(sec.elem.topo, sec.elem.children, [])
     except _Reject as rj:
         return "a derived entry's record fails its glue: %s" % rj.code
     if max(t_in, default=0) > w_lanes:
@@ -909,14 +975,33 @@ def _derivation_fault(sec: TSec, w_lanes: int) -> Optional[str]:
     return None
 
 
-def _check_derived(derived: set, lasts: List[_SecState]) -> None:
+def _misfits(rec: ElementRecord, kids: tuple) -> tuple:
+    """(entry, reason) for each child of rec, given as its entry in kids,
+    whose in-terminal map differs from the one rec's glue gives it, or for
+    each child when rec fails its glue: _complete would refuse either if
+    the child is a partial entry."""
+    ins: list = []
+    try:
+        _glue(rec.topo, rec.children, ins)
+    except _Reject as rj:
+        return tuple((kid, "a partial entry's record fails its glue: %s" % rj.code) for kid in kids)
+    return tuple(
+        (kid, "a partial entry's in-terminals differ from its record's glue")
+        for kid, (_, csub), cin in zip(kids, rec.children, ins) if csub.t_in != cin
+    )
+
+
+def _check_completed(derived: set, partial: set, lasts: List[_SecState]) -> None:
     """CertifyError unless each derivation of a derived entry of a label
-    (lasts: the last states of its chains) holds.  Then decode_label
-    derives each as the label has it: a derivation needs only its T sides'
-    derived entries, which have fewer lanes than a glued B record."""
+    (lasts: the last states of its chains) holds, and each partial entry's
+    in-terminal map is the one its records' glue gives it.  Then
+    decode_label completes each as the label has it (_complete)."""
     for st in lasts:
         for token, fault in st.faults:
             if token in derived:
+                raise CertifyError(fault)
+        for token, fault in st.misfits:
+            if token in partial:
                 raise CertifyError(fault)
 
 
@@ -924,8 +1009,9 @@ def encode_label(
     n: int, w_lanes: int, tnodes: List[TSec], routes: List[RSec], memo: Optional[dict] = None
 ) -> Bits:
     """The label of a decoded form; CertifyError for a form the wire cannot
-    carry (_enc_chain) or whose derived entry its record does not derive
-    (_check_derived).  Every encode runs with a memo, a fresh one when none
+    carry (_enc_chain): one whose derived entry its record does not derive,
+    or whose partial entry does not glue on where its record puts it
+    (_check_completed).  Every encode runs with a memo, a fresh one when none
     is given.  The memo holds a _Header per n and w, which changes no label
     and keeps alive every object whose id it keys, so forms encoded under
     one memo must not be mutated."""
@@ -944,11 +1030,14 @@ def encode_label(
         relayed.append(hit)
     chains = [own] + [hit[1] for hit in relayed]
     bases = _bases(chains)
-    # The derived entries, as _derived selects them: those the chains'
-    # sections derive, but for children of deriving records.
+    # The partial and derived entries, as _sources selects them: the
+    # children of the chains' records but for the chains' root entries,
+    # then those the sections derive.
     lasts = [states[-1] for states in chains if states]
-    derived = set().union(*[st.derived for st in lasts]) - set().union(*[st.kids for st in lasts])
-    _check_derived(derived, lasts)
+    kids = set().union(*[st.kids for st in lasts])
+    partial = kids - {states[0].order[0] for states in chains if states}
+    derived = set().union(*[st.derived for st in lasts]) - kids
+    _check_completed(derived, partial, lasts)
     # A prefix's slots name entries its base named before, so only the
     # slots after it are mapped.
     own_order = own[-1].order if own else ()
@@ -956,17 +1045,22 @@ def encode_label(
         states[-1].order[len(states[q - 1].order) if q else 0:] if states else ()
         for states, (_, q) in zip(chains[1:], bases)
     ])
-    flags = sum(1 << index[token] for token in derived)  # bit t: entry t is derived
+    # Bit t: entry t is derived, or partial.
+    dflags = sum(1 << index[token] for token in derived)
+    pflags = sum(1 << index[token] for token in partial)
     # The table's groups, one per section and route that names entries first.
     groups = []
     start = 0
     for count in [len(st.new) for st in own] + fresh:
         if count:
-            tokens, f = tuple(table[start:start + count]), flags >> start & ((1 << count) - 1)
-            group = head.groups.get((tokens, f))
+            low = (1 << count) - 1
+            key = (tuple(table[start:start + count]), dflags >> start & low, pflags >> start & low)
+            group = head.groups.get(key)
             if group is None:
-                group = head.groups[(tokens, f)] = _join([
-                    head.entry_bits(t, f >> i & 1) for i, t in enumerate(tokens)
+                tokens, d, p = key
+                group = head.groups[key] = _join([
+                    head.entry_bits(t, _DERIVED if d >> i & 1 else _PARTIAL if p >> i & 1 else _FULL)
+                    for i, t in enumerate(tokens)
                 ])
             groups.append(group)
         start += count
@@ -1025,16 +1119,16 @@ def _raw_chain(
     count: int = 0,
 ) -> tuple:
     """(the raw T-node sections, the number of slots each names first, the
-    derivations of its sections) of one chain's payloads; DecodeError unless
-    its slots are numbered by first use.  above and count are for payloads
-    that follow a route's shared prefix: the raw section above the first
-    payload, which is then nested, and the number of slots the prefix
-    names.  A derivation is (the derived entry's slot, the slots its record
-    names as children, the record's fields, its slots), one per section
-    that derives an entry (_derivation)."""
+    completion sources of its sections) of one chain's payloads;
+    DecodeError unless its slots are numbered by first use.  above and
+    count are for payloads that follow a route's shared prefix: the raw
+    section above the first payload, which is then nested, and the number
+    of slots the prefix names.  A source is (the slot of the entry the
+    section derives (_derivation) or None, the raw section), one per
+    section that derives an entry or whose record names a child."""
     raws = []
     news = []
-    derivations = []
+    found = []
     for payload in payloads:
         nested = above is not None
         # n and the slot width set the field widths and the range checks.
@@ -1050,14 +1144,13 @@ def _raw_chain(
                 count += 1
             elif s > count:
                 raise DecodeError("slots must be numbered by first use")
-        if nested:
-            got = _derivation(above, raw)
-            if got is not None:
-                derivations.append((*got, raw[1], raw[2]))
+        slot = _derivation(above, raw) if nested else None
+        if slot is not None or len(raw[1]) > 3:  # the fields after the third are child eids
+            found.append((slot, raw))
         raws.append(raw)
         news.append(count - before)
         above = raw
-    return raws, news, derivations
+    return raws, news, found
 
 
 def _record(fields: tuple, slots, basics: List[BasicInfo], memo) -> ElementRecord:
@@ -1158,39 +1251,86 @@ def _entry(mask: int, maps: int, term, b: int, n: int, memo) -> BasicInfo:
     return basic
 
 
-def _dec_entries(bits: Bits, derived: int, b: int, n: int, w_lanes: int, memo) -> list:
+def _completed(t_in: Dict[int, int], t_out: Dict[int, int], term, b: int, n: int, memo) -> BasicInfo:
+    """The decoded entry (_entry) of an entry of labels with n vertices
+    that _complete computes from valid entries and records, with terminal
+    maps t_in and t_out and class term term."""
+    key = ("basic", n, *_maps_key(t_in, t_out, b), term)
+    basic = memo.get(key)
+    if basic is None:
+        lanes = sorted(t_in)
+        basic = memo[key] = _basic(lanes, [t_in[lane] for lane in lanes], [t_out[lane] for lane in lanes], term)
+    return basic
+
+
+class _Partial:
+    """A partial table entry as the wire has it, until _complete puts the
+    entry in its place: its out-terminal map (lane to vertex id) and class
+    term."""
+
+    __slots__ = ("t_out", "term")
+
+    def __init__(self, t_out: Dict[int, int], term):
+        self.t_out, self.term = t_out, term
+
+
+def _partial(mask: int, outs: int, term, b: int, n: int, memo) -> _Partial:
+    """The _Partial of one partial entry's fields (of labels with n
+    vertices), built and validated once per memo: equal ones are one
+    object."""
+    key = ("partial", n, mask, outs, term)
+    part = memo.get(key)
+    if part is None:
+        lanes = _lanes_of(mask)
+        ids = _ids_of(outs, len(lanes), b, n)
+        if len(set(ids)) != len(ids):
+            raise DecodeError("terminal maps must be injective")
+        part = memo[key] = _Partial(dict(zip(lanes, ids)), term)
+    return part
+
+
+def _dec_entries(bits: Bits, derived: int, partial: int, b: int, n: int, w_lanes: int, memo) -> list:
     """The table entries that make up bits: entry i is derived when bit i of
     derived is set, and is then its class term alone, which stands in the
-    list for the entry.  Equal entries decode to one shared BasicInfo."""
+    list for the entry, and partial when bit i of partial is set, and is
+    then its _Partial.  Equal entries decode to one shared object."""
     r = BitReader(bits)
     out = []
     while r.remaining():
-        if derived >> len(out) & 1:
+        i = len(out)
+        if derived >> i & 1:
             out.append(read_term(r))
+            continue
+        mask = r.read_uint(w_lanes)
+        c = bin(mask).count("1")
+        if partial >> i & 1:
+            outs = r.read_uint(b * c)
+            out.append(_partial(mask, outs, read_term(r), b, n, memo))
         else:
-            mask = r.read_uint(w_lanes)
-            maps = r.read_uint(2 * b * bin(mask).count("1"))
+            maps = r.read_uint(2 * b * c)
             out.append(_entry(mask, maps, read_term(r), b, n, memo))
     return out
 
 
-def _dec_table(groups: List[Bits], counts: list, derived: Dict, b: int, n: int, w_lanes: int, memo) -> list:
+def _dec_table(groups: List[Bits], counts: list, derived: set, partial: set, b: int, n: int, w_lanes: int,
+               memo) -> list:
     """The table of a label's groups: counts holds, per group, the entries
-    it must hold, in table order; an entry whose index is in derived is its
-    class term until _derive puts the entry in its place.  Each distinct
-    group is decoded once per memo, as one shared list."""
+    it must hold, in table order; an entry whose index is in derived or
+    partial is its class term or _Partial until _complete puts the entry in
+    its place.  Each distinct group is decoded once per memo, as one shared
+    list."""
     if len(groups) != len(counts):
         raise DecodeError("a table entry that no slot names" if len(groups) > len(counts) else "a missing table group")
     table: list = []
-    marks = 0  # bit t: entry t is derived
-    for t in derived:
-        marks |= 1 << t
+    dmarks = sum(1 << t for t in derived)  # bit t: entry t is derived
+    pmarks = sum(1 << t for t in partial)  # bit t: entry t is partial
     for count, group in zip(counts, groups):
-        flags = marks >> len(table) & ((1 << count) - 1)  # the group's derived entries
-        key = ("group", n, w_lanes, flags, group.value, group.nbits)
+        low = (1 << count) - 1
+        dflags, pflags = dmarks >> len(table) & low, pmarks >> len(table) & low  # the group's
+        key = ("group", n, w_lanes, dflags, pflags, group.value, group.nbits)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = _dec_entries(group, flags, b, n, w_lanes, memo)
+            got = memo[key] = _dec_entries(group, dflags, pflags, b, n, w_lanes, memo)
         if len(got) != count:
             raise DecodeError("a group must hold the entries its section or route names first")
         table.extend(got)
@@ -1207,23 +1347,52 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     above it.  With a run's memo (the verifier's cache) the objects are
     shared across the run, and the caller must not mutate them.
     The label's layout (read_layout) is read in two passes: first every
-    chain's raw sections and slots' table indices, which tell the derived
-    entries (_derivation), and the table's groups; then the derived entries
-    and the sections."""
+    chain's raw sections and slots' table indices (_read_chains), and the
+    table's groups; then the partial and derived entries (_complete) and
+    the sections."""
     if memo is None:
         memo = {}
     lay = read_layout(bits)
-    n, w, m_own = lay.n, lay.w, lay.m
+    n, w = lay.n, lay.w
     b = id_bits(n)
-    raws, news, derivations = _raw_chain(lay.tnodes, b, n, _index_bits(m_own), memo)
+    chains, counts, sources, derived, partial, kids = _read_chains(lay, b, memo)
+    table = _dec_table(lay.groups, counts, derived, partial, b, n, w, memo)
+    _complete(sources, derived, kids, table, b, n, w, memo)
+    # Equal entries are one object, so ids tell them apart.
+    if len(set(map(id, table))) != len(table):
+        raise DecodeError("repeated table entry")
+    resolved = [_resolve(chains[0][0], None, None, table, memo)]  # each chain and its share tokens
+    routes: List[RSec] = []
+    for rl, (craws, _, idx) in zip(lay.routes, chains[1:]):
+        chain, tokens = _relayed_chain(
+            craws[rl.q:], resolved[rl.base], rl.pointers, list(map(table.__getitem__, idx)), memo
+        )
+        resolved.append((chain, tokens))
+        routes.append(RSec(rl.u, rl.v, rl.fwd, rl.bwd, chain))
+    # Each prefix must be the longest one shared with an earlier chain, and
+    # its base the first chain that holds it.
+    if lay.routes and _bases([tokens for _, tokens in resolved]) != [(rl.base, rl.q) for rl in lay.routes]:
+        raise DecodeError("a route must share the longest prefix it can, with the first chain")
+    return DecodedLabel(n, w, resolved[0][0], routes)
+
+
+def _read_chains(lay: Layout, b: int, memo) -> tuple:
+    """The first pass of decode_label over a label's layout: (each chain,
+    the own chain first, as its raw sections, the number of slots its first
+    i sections name for each i, and its slots' table indices; the number of
+    entries each table group must hold; the label's completion sources,
+    derived entries, partial entries and children, as _sources gives
+    them)."""
+    n, m_own = lay.n, lay.m
+    raws, news, found = _raw_chain(lay.tnodes, b, n, _index_bits(m_own), memo)
     if sum(news) != m_own:
         raise DecodeError("the table must open with exactly the chain's slots")
-    # Each chain so far, the own chain first: its raw sections, the number
-    # of slots its first i sections name for each i, and its slots' table
-    # indices; and (table indices, derivations) of each chain's sections
-    # that the wire writes (a route's after its shared prefix).
+    # Each chain so far, and (table indices, completion sources) of each
+    # chain's sections that the wire writes (a route's after its shared
+    # prefix).
     chains = [(raws, [0, *accumulate(news)], list(range(m_own)))]
-    written = [(chains[0][2], derivations)]
+    written = [(chains[0][2], found)]
+    roots = {raws[0][0][1]} if raws else set()  # the table indices the root sections name
     counts = [count for count in news if count]  # each group's entries
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
     for j, rl in enumerate(lay.routes):
@@ -1247,32 +1416,16 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
                 raise DecodeError("table entries must be in order of first use")
             counts.append(len(fresh))
             named += len(fresh)
-        fraws, fnews, derivations = _raw_chain(
+        fraws, fnews, found = _raw_chain(
             rl.frames, b, n, _index_bits(s + m), memo, braws[q - 1] if q else None, s
         )
         if sum(fnews) != m:
             raise DecodeError("the map must name exactly the chain's slots")
+        if not q and fraws:
+            roots.add(idx[fraws[0][0][1]])
         chains.append((braws[:q] + fraws, bcounts[:q] + list(accumulate(fnews, initial=s)), idx))
-        written.append((idx, derivations))
-    derivs = _derived(written)
-    table = _dec_table(lay.groups, counts, derivs, b, n, w, memo)
-    _derive(derivs, table, b, n, w, memo)
-    # Equal entries are one object, so ids tell them apart.
-    if len(set(map(id, table))) != len(table):
-        raise DecodeError("repeated table entry")
-    resolved = [_resolve(raws, None, None, table, memo)]  # each chain and its share tokens
-    routes: List[RSec] = []
-    for rl, (craws, _, idx) in zip(lay.routes, chains[1:]):
-        chain, tokens = _relayed_chain(
-            craws[rl.q:], resolved[rl.base], rl.pointers, list(map(table.__getitem__, idx)), memo
-        )
-        resolved.append((chain, tokens))
-        routes.append(RSec(rl.u, rl.v, rl.fwd, rl.bwd, chain))
-    # Each prefix must be the longest one shared with an earlier chain, and
-    # its base the first chain that holds it.
-    if lay.routes and _bases([tokens for _, tokens in resolved]) != [(rl.base, rl.q) for rl in lay.routes]:
-        raise DecodeError("a route must share the longest prefix it can, with the first chain")
-    return DecodedLabel(n, w, resolved[0][0], routes)
+        written.append((idx, found))
+    return (chains, counts, *_sources(written, roots))
 
 
 # --- prover ------------------------------------------------------------------
@@ -1593,12 +1746,16 @@ def _side_maps(side: tuple) -> Tuple[Dict[int, int], Dict[int, int]]:
     return side[2].t_in, side[2].t_out
 
 
-def _glue(rec: ElementRecord) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """(t_in, t_out) of an element record's fragment with its children glued
-    on, checking the glue conditions the terminal ids impose: the
-    structural half of _recompute_sub, and all a derived table entry needs
-    besides its class term.  The dicts are new ones."""
-    t = rec.topo
+def _glue(t: tuple, children, ins: Optional[list] = None) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(t_in, t_out) of an element record's fragment, given as its topology
+    t and its (eid, BasicInfo) children, with its children glued on,
+    checking the glue conditions the terminal ids impose: the structural
+    half of _recompute_sub, and all a derived table entry needs besides its
+    class term.  A child glues on where the running out-terminals on its
+    lanes are (earlier siblings glued first).  When ins is a list, the
+    children are read for their lanes and out-terminals alone (a partial
+    table entry has no more until _complete fills it in), and ins gets the
+    in-terminal map the glue gives each.  The dicts are new ones."""
     if t[0] == "E":
         t_in, t_out = {t[1]: t[2]}, {t[1]: t[3]}
     elif t[0] == "P":
@@ -1614,16 +1771,19 @@ def _glue(rec: ElementRecord) -> Tuple[Dict[int, int], Dict[int, int]]:
             raise _Reject("bridge-endpoints")
         t_in, t_out = {**lin, **rin}, {**lout, **rout}
     seen_lanes: set = set()
-    for _, csub in rec.children:
-        clanes = csub.t_in.keys()
+    for _, csub in children:
+        clanes = csub.t_in.keys() if ins is None else csub.t_out.keys()
         if not clanes <= t_in.keys():
             raise _Reject("child-lanes")
         if clanes & seen_lanes:
             raise _Reject("sibling-lanes")
         seen_lanes.update(clanes)
-        for lane in clanes:
-            if csub.t_in[lane] != t_out[lane]:
-                raise _Reject("glue")
+        if ins is not None:
+            ins.append({lane: t_out[lane] for lane in clanes})
+        else:
+            for lane in clanes:
+                if csub.t_in[lane] != t_out[lane]:
+                    raise _Reject("glue")
         for lane in clanes:
             t_out[lane] = csub.t_out[lane]
     return t_in, t_out
@@ -1634,7 +1794,7 @@ def _recompute_sub(rec: ElementRecord, plugin: PropertyPlugin, memo: dict) -> Ba
     checking the glue conditions the terminal ids impose (_glue).  memo is
     the run's dict (see _fold): the class operations are computed once per
     distinct argument tuple, and the glue checks run on every call."""
-    t_in, t_out = _glue(rec)
+    t_in, t_out = _glue(rec.topo, rec.children)
     t = rec.topo
     if t[0] == "E":
         cls = _fold(memo, plugin, "base_edge", t[1], t[4])
@@ -2044,6 +2204,19 @@ def label_size_stats(labels: Dict[Edge, Bits]) -> LabelStats:
         per["framing"] = per.get("framing", 0) + bits.nbits - framed
     mean = total / len(labels) if labels else 0.0
     return LabelStats(len(labels), worst, mean, total, per)
+
+
+# The forms a table entry is written in, by name (see _enc_entry).
+ENTRY_FORMS = ("full", "derived", "partial")
+
+
+def entry_forms(bits: Bits) -> Dict[str, int]:
+    """How many of a label's table entries are written in each form of
+    ENTRY_FORMS, as decode_label's first pass (_read_chains) tells them;
+    DecodeError where it fails."""
+    lay = read_layout(bits)
+    _, counts, _, derived, partial, _ = _read_chains(lay, id_bits(lay.n), {})
+    return dict(zip(ENTRY_FORMS, (sum(counts) - len(derived) - len(partial), len(derived), len(partial))))
 
 
 def write_label_file(labels: Dict[Edge, Bits]) -> str:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .bench import SECTIONS, bench_label_size
+from .bench import ENTRY_FORMS, SECTIONS, bench_label_size
 from .certify import (
     CertifyError,
     all_accept,
@@ -211,11 +211,13 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps([asdict(r) for r in rows]))
     else:
-        print("family n w edges max_bits mean_bits ratio " + " ".join(SECTIONS))
+        print("family n w edges max_bits mean_bits ratio " + " ".join(SECTIONS)
+              + "".join(" entries_" + form for form in ENTRY_FORMS))
         for r in rows:
             print(
                 "%s %d %d %d %d %.1f %.2f " % (r.family, r.n, r.w, r.edges, r.max_bits, r.mean_bits, r.ratio)
                 + " ".join("%.1f" % r.mean_bits_by_section[name] for name in SECTIONS)
+                + "".join(" %.2f" % r.mean_entries_by_form[form] for form in ENTRY_FORMS)
             )
     if len(rows) > 1 and rows[-1].ratio > 1.25 * rows[0].ratio:
         print("ratio growth exceeds 1.25x", file=sys.stderr)

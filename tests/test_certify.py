@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
 from types import SimpleNamespace
@@ -142,13 +143,13 @@ def test_prove_refuses_an_element_below_two_records(monkeypatch):
 # change that moves any label changes a digest.  A deliberate wire change
 # updates the digests here and says so in CHANGES.md.
 WIRE_DIGESTS = {
-    ("cycle", 30, 3, "bipartite"): "f3f99d3ab5cbf49e511d2b7a2b599fa422bc1a6f648d985b5c26ca4e18f4df4f",
-    ("caterpillar", 30, 3, "acyclic"): "79dc373e17e65a90d08246f1373053875abbe482b55983fb582d0a9c2609ce4d",
-    ("random-ops", 40, 3, "parity"): "dc346b06eedf3031695e272cf50bb3432e25f61142fd72fc80d8d98b118ee1d9",
-    ("cycle", 60, 2, "bipartite"): "1661a5c1b9999ae5f86d83d714a0fbad08605a0816eb4fd6eb6d5023143aa931",
+    ("cycle", 30, 3, "bipartite"): "a47579bd810254bd75b723a1a7e405f9c6ace23d2b7a93e457520ff61f3b6433",
+    ("caterpillar", 30, 3, "acyclic"): "27a0111c2646a887af675a4978bcfe46fac075ec14584fa0a65509542bf17fc1",
+    ("random-ops", 40, 3, "parity"): "5bfc77bff94f0cb53fbee7cf4f888a39526e95d62b7bf7c6b15afa1806502754",
+    ("cycle", 60, 2, "bipartite"): "999023fe84cdd0a85441d19f145ce80c774a8cf755d2890707e60e163b13964b",
 }
 # C7 bipartite, a false statement of the acceptance suite, with forced labels.
-FORCED_C7_DIGEST = "db074316121af875b8283e8a69d2e40b1de9ac3776348d0c94044ef6dd8a12a3"
+FORCED_C7_DIGEST = "3ab9cb5664a6d8ebf0ca3f91299fdf2326a995f6ada2fdb1a40f6f1d6dd86bad"
 
 
 def _wire_digest(labels):
@@ -621,18 +622,23 @@ def _label_parts(bits):
     chain's section states and payloads (the own chain's first), the table
     as entry keys, each relayed chain's map into it, the entries each group
     holds, those the own chain and earlier maps name before each route, the
-    derived entries' indices, and each route's (base, q)."""
+    derived and the partial entries' indices, each entry's written form,
+    and each route's (base, q)."""
     lab = decode_label(bits)
     head = certify._Header(lab.n, lab.w)
     chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
     states = [certify._enc_chain(chain, head) for chain in chains]
     lasts = [st[-1] for st in states]
     tokens, maps, fresh, index = certify._table_and_maps(lasts[0].order, [st.order for st in lasts[1:]])
-    derived = set().union(*[st.derived for st in lasts]) - set().union(*[st.kids for st in lasts])
+    kids = set().union(*[st.kids for st in lasts])
+    derived = {index[t] for t in set().union(*[st.derived for st in lasts]) - kids}
+    partial = {index[t] for t in kids - {st[0].order[0] for st in states}}
+    forms = [certify._DERIVED if t in derived else certify._PARTIAL if t in partial else certify._FULL
+             for t in range(len(tokens))]
     return {
         "bits": bits, "lab": lab, "b": id_bits(lab.n), "states": states, "maps": maps,
         "payloads": [certify._payloads(chain, st, head) for chain, st in zip(chains, states)],
-        "table": [head.entries[t][2] for t in tokens], "derived": {index[t] for t in derived},
+        "table": [head.entries[t][2] for t in tokens], "derived": derived, "partial": partial, "forms": forms,
         "counts": [c for c in [len(st.new) for st in states[0]] + fresh if c],
         "named": list(accumulate(fresh, initial=len(lasts[0].order))),
         "bases": [(rl.base, rl.q) for rl in read_layout(bits).routes],
@@ -665,7 +671,7 @@ def _table_lies(bits):
     be written: a slot index >= m, a map index >= T, a map shorter than
     its chain's slots, an entry no slot names, a repeated entry."""
     parts = _label_parts(bits)
-    table, b, derived = parts["table"], parts["b"], parts["derived"]
+    table, b, forms = parts["table"], parts["b"], parts["forms"]
     lay = read_layout(bits)
     m, sw = lay.m, certify._index_bits(lay.m)
     if m < 1 << sw:  # the root section's slot, just past the eid varint
@@ -691,10 +697,10 @@ def _table_lies(bits):
     lay.groups.append(certify._enc_entry((mask, ids, 99), b, lay.w))
     yield "unused", write_layout(lay)
     # The last entry written in full repeats the first (the root's, which
-    # is never derived).
-    last = max(set(range(1, len(table))) - derived, default=None)
+    # is never derived or partial).
+    last = max((t for t in range(1, len(table)) if forms[t] == certify._FULL), default=None)
     if last is not None:
-        entries = [certify._enc_entry(key, b, lay.w, t in derived) for t, key in enumerate(table)]
+        entries = [certify._enc_entry(key, b, lay.w, form) for key, form in zip(table, forms)]
         entries[last] = entries[0]
         ends = accumulate(parts["counts"])
         lay = read_layout(bits)
@@ -912,11 +918,13 @@ def _derives(chain, pos, b):
 
 def _retargeted(rec, n):
     """rec with its own terminal on the lane where its first child glues
-    on moved to a vertex rec does not hold, or None when a T side gives
-    that terminal."""
+    on moved to a vertex that no terminal of rec, its sides or children is
+    (a vertex-leaf side's, with the bridge's end on it), or None when a T
+    side gives that terminal."""
     lane = min(rec.children[0][1].t_in)
     t = rec.topo
-    held = {v for side in t[5:] if side[0] == "V" for v in side[2:]} if t[0] == "B" else set()
+    held = {v for bi in certify._elem_uses(rec) for v in bi.terminal_ids()}
+    held |= {v for side in t[5:] if side[0] == "V" for v in side[2:]} if t[0] == "B" else set()
     held |= set(t[1]) if t[0] == "P" else set(t[2:4]) if t[0] == "E" else set(t[3])
     fresh = min(set(range(n)) - held)
     if t[0] == "E" and t[1] == lane:
@@ -926,9 +934,12 @@ def _retargeted(rec, n):
         vids[lane - 1] = fresh
         return replace(rec, topo=("P", tuple(vids), t[2]))
     if t[0] == "B":
-        sides = [("V", lane, fresh) if side[:2] == ("V", lane) else side for side in t[5:]]
-        if sides != list(t[5:]):
-            return replace(rec, topo=t[:5] + tuple(sides))
+        for i, side in enumerate(t[5:]):
+            if side[:2] == ("V", lane):
+                # A vertex-leaf side's one lane is the bridge's lane on that side.
+                bridge = edge_key(fresh, sum(t[3]) - side[2])
+                sides = t[5:5 + i] + (("V", lane, fresh),) + t[6 + i:]
+                return replace(rec, topo=t[:3] + (bridge,) + t[4:5] + sides)
     return None
 
 
@@ -936,9 +947,8 @@ def _derived_lies(lab):
     """(kind, forged own chain, forged routes) for each lie about a section
     of lab that derives an entry: in the own chain, its record with a
     second child over the first one's lanes ("sibling-lanes"), a child with
-    the root's lanes ("child-lanes"), the terminal the first child glues on
-    moved ("glue"), a vertex-leaf side moved to lane w + 1 ("lane>w"), or a
-    T side named with the derived entry itself ("loop");
+    the root's lanes ("child-lanes"), a vertex-leaf side moved to lane w + 1
+    ("lane>w"), or a T side named with the derived entry itself ("loop");
     and a relayed chain's deriving section made to derive an entry the own
     chain derives ("differ")."""
     chain, b = lab.tnodes, id_bits(lab.n)
@@ -953,9 +963,6 @@ def _derived_lies(lab):
 
         if rec.children:
             yield "sibling-lanes", with_rec(replace(rec, children=rec.children + ((spare, rec.children[0][1]),))), lab.routes
-            moved = _retargeted(rec, lab.n)
-            if moved is not None:
-                yield "glue", with_rec(moved), lab.routes
         yield "child-lanes", with_rec(replace(rec, children=rec.children + ((spare, chain[0].basic),))), lab.routes
         for i, side in enumerate(rec.topo[5:] if rec.kind == "B" else ()):
             # A vertex-leaf side, the bridge's end on that side, moved to
@@ -1000,7 +1007,7 @@ def _derived_lies(lab):
 
 
 DERIVED_ERRORS = {
-    "sibling-lanes": "sibling-lanes", "child-lanes": "child-lanes", "glue": "glue",
+    "sibling-lanes": "sibling-lanes", "child-lanes": "child-lanes",
     "loop": "needs that entry", "differ": "two derivations of one entry differ",
     "lane>w": "lane above w",
 }
@@ -1015,11 +1022,11 @@ def test_derived_entry_lies_are_rejected_at_an_endpoint(monkeypatch):
     # decode_label, and both
     # endpoints of the edge reject it as "decode", with memo None, {} and a
     # shared one.  (encode_label refuses such a decoded form, so the
-    # forgeries are written with its check of derived entries off.)
+    # forgeries are written with its check of completed entries off.)
     honest = {}
     for case in LAYOUT_CASES + [("random-ops", 60, 3, "parity")]:
         honest[case] = _layout_instance(*case)
-    monkeypatch.setattr(certify, "_check_derived", lambda *args: None)
+    monkeypatch.setattr(certify, "_check_completed", lambda *args: None)
     kinds = {}
     for (family, n, k, prop), (g, labels) in honest.items():
         shared = {}
@@ -1045,19 +1052,154 @@ def test_derived_entry_lies_are_rejected_at_an_endpoint(monkeypatch):
     assert min(kinds.values()) >= 3, kinds
 
 
+def _partial_lies(lab):
+    """(kind, forged own chain, forged routes) for each lie about a partial
+    entry of lab that the wire cannot carry: in the own chain, a record
+    whose first child is partial (not the root entry) with its own
+    terminal on the lane where that child glues on moved ("glue"), its own
+    fragment still well formed, so that the child's in-terminal map is no
+    longer where the record's glue puts it."""
+    chain, b = lab.tnodes, id_bits(lab.n)
+    root = certify._basic_key(chain[0].basic, b)
+    for pos, sec in enumerate(chain):
+        rec = sec.elem
+        if rec.children and certify._basic_key(rec.children[0][1], b) != root:
+            moved = _retargeted(rec, lab.n)
+            if moved is not None:
+                yield "glue", chain[:pos] + [replace(sec, elem=moved)] + chain[pos + 1:], lab.routes
+
+
 def test_encode_label_refuses_a_derived_entry_its_record_does_not_derive():
-    # The wire carries a derived entry's class term alone, so encode_label
-    # refuses a decoded form whose derived entry differs from what its
-    # record derives, or whose derivation fails.
+    # The wire carries a derived entry's class term alone, and a partial
+    # entry without its in-terminal map, so encode_label refuses a decoded
+    # form whose derived entry differs from what its record derives, or
+    # whose derivation fails, and one whose partial entry does not glue on
+    # where its record puts it.
     g, labels = _layout_instance("random-ops", 40, 3, "parity")
-    refused = 0
+    refused = {}
     for bits in labels.values():
         lab = decode_label(bits)
-        for kind, chain, routes in _derived_lies(lab):
-            with pytest.raises(CertifyError):
-                encode_label(lab.n, lab.w, chain, routes)
-            refused += 1
-    assert refused > 0
+        for lies in (_derived_lies(lab), _partial_lies(lab)):
+            for kind, chain, routes in lies:
+                with pytest.raises(CertifyError):
+                    encode_label(lab.n, lab.w, chain, routes)
+                refused[kind] = refused.get(kind, 0) + 1
+    assert set(refused) == set(DERIVED_ERRORS) | {"glue"}, refused
+
+
+def test_moved_parent_terminal_is_rejected_at_an_endpoint(monkeypatch):
+    # A record's own terminal moved where its partial first child glues on,
+    # written with encode_label's check of completed entries off: an
+    # endpoint of the edge rejects it, with memo None, {} and a shared one.
+    # Where no other record of the label names that child, the label
+    # decodes, the child completed at the moved terminal, and a view check
+    # rejects it.
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    monkeypatch.setattr(certify, "_check_completed", lambda *args: None)
+    shared = {}
+    checked = Counter()
+    for e in sorted(labels):
+        lab = decode_label(labels[e])
+        for _, chain, routes in _partial_lies(lab):
+            bad = {**labels, e: encode_label(lab.n, lab.w, chain, routes)}
+            for memo in (None, {}, shared):
+                reasons = {verify_vertex(view, "parity", 3, memo).reason for view in local_views(g, bad) if view.vid in e}
+                assert reasons - {"-"}, e
+            checked["decode" if reasons == {"decode"} else "view"] += 1
+    assert checked["view"] >= 3, checked
+
+
+def _partial_in_full(parts):
+    """The label of parts with each partial entry written in full, or None
+    when it has none."""
+    forms = [certify._FULL if form == certify._PARTIAL else form for form in parts["forms"]]
+    if forms == parts["forms"]:
+        return None
+    lay = read_layout(parts["bits"])
+    entries = [certify._enc_entry(key, parts["b"], lay.w, form) for key, form in zip(parts["table"], forms)]
+    ends = accumulate(parts["counts"])
+    lay.groups = [certify._join(entries[end - count:end]) for count, end in zip(parts["counts"], ends)]
+    return write_layout(lay)
+
+
+def _two_completions(lab):
+    """(the label of lab with one more route, which relays the own chain
+    down to a record that names a partial child, that record's terminal
+    moved where the child glues on, so that two records complete the child
+    differently), for each such record; written with encode_label's check
+    of completed entries off."""
+    for _, chain, _ in _partial_lies(lab):
+        pos = next(pos for pos, (a, b) in enumerate(zip(chain, lab.tnodes)) if a is not b)
+        rs = RSec(0, lab.n - 1, 1, 1, chain[:pos + 1])
+        yield encode_label(lab.n, lab.w, lab.tnodes, lab.routes + [rs])
+
+
+def test_partial_entry_lies_are_rejected_at_both_endpoints(monkeypatch):
+    # A label that writes a partial entry in full, and one where two records
+    # complete one partial entry differently, do not decode, and both
+    # endpoints of the edge reject them, with memo None, {} and a shared
+    # one.
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    kinds = {}
+    forgeries = [("in-full", e, _partial_in_full(_label_parts(bits))) for e, bits in sorted(labels.items())]
+    monkeypatch.setattr(certify, "_check_completed", lambda *args: None)
+    for e, bits in sorted(labels.items()):
+        forgeries += [("differ", e, forged) for forged in _two_completions(decode_label(bits))]
+    shared = {}
+    for kind, e, forged in forgeries:
+        if forged is None:
+            continue
+        with pytest.raises(DecodeError) as exc:
+            decode_label(forged)
+        if kind == "differ" and "differently" not in str(exc.value):
+            continue  # another check caught it first
+        bad = {**labels, e: forged}
+        for view in local_views(g, bad):
+            if view.vid in e:
+                for memo in (None, {}, shared):
+                    assert verify_vertex(view, "parity", 3, memo).reason == "decode", (e, kind)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"in-full", "differ"} and min(kinds.values()) >= 3, kinds
+
+
+def _partial_edits(lab, rng):
+    """(kind, the label of lab with one partial entry's out-terminal on one
+    lane moved to another vertex, or its class term flipped, in every
+    section and record of the label that names it) for each partial entry
+    of lab whose edit the wire can carry."""
+    parts = _label_parts(encode_label(lab.n, lab.w, lab.tnodes, lab.routes))
+    for t in sorted(parts["partial"]):
+        for kind in ("t_out", "term"):
+            copy = decode_label(parts["bits"])
+            chains = [copy.tnodes] + [rs.tnodes for rs in copy.routes]
+            bi = next(csub for chain in chains for sec in chain for _, csub in sec.elem.children
+                      if certify._basic_key(csub, parts["b"]) == parts["table"][t])
+            if kind == "t_out":
+                lane = rng.choice(sorted(bi.t_out))
+                bi.t_out[lane] = rng.choice(sorted(set(range(lab.n)) - set(bi.t_out.values())))
+            else:
+                bi.cls = replace(bi.cls, term=bi.cls.term ^ 1)
+            try:
+                yield kind, encode_label(copy.n, copy.w, copy.tnodes, copy.routes)
+            except CertifyError:
+                pass  # a later sibling, or a derived entry above, would no longer glue on
+
+
+def test_partial_entry_edits_are_rejected_at_an_endpoint():
+    # A partial entry's out-terminal map and class term are on the wire: one
+    # changed in every place the label names it still decodes, and an
+    # endpoint of the edge rejects it with a check's reason.
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    rng = random.Random(23)
+    kinds = {}
+    for e in sorted(labels):
+        for kind, forged in _partial_edits(decode_label(labels[e]), rng):
+            bad = {**labels, e: forged}
+            decode_label(forged)
+            reasons = [verify_vertex(view, "parity", 3).reason for view in local_views(g, bad) if view.vid in e]
+            assert set(reasons) - {"-", "decode", "malformed"}, (e, kind, reasons)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"t_out", "term"} and min(kinds.values()) >= 3, kinds
 
 
 def _view_lies(labels):
@@ -1170,6 +1312,95 @@ def test_chain_lies_are_rejected_at_an_endpoint():
             assert verify_vertex(view, "parity", 3, memo).reason == reason, (reason, vid)
         counts[reason] = counts.get(reason, 0) + 1
     assert set(counts) == {"chain-leaf", "chain-link", "root-cover", "boundary", "mark", "edge-missing"}, counts
+
+
+def _relabelled(labels, edit):
+    """labels with edit applied to the list of their decoded forms'
+    sections, re-encoded.  One memo decodes them all, so an object edited
+    is edited wherever a label holds it."""
+    memo = {}
+    decoded = {e: decode_label(bits, memo) for e, bits in labels.items()}
+    edit([sec for lab in decoded.values() for chain in [lab.tnodes] + [rs.tnodes for rs in lab.routes] for sec in chain])
+    return {e: encode_label(lab.n, lab.w, lab.tnodes, lab.routes) for e, lab in decoded.items()}
+
+
+def _rare_view_lies(g, labels):
+    """(reason, vertex or None, forged labelling) for lies that reach four
+    reject lines the lies above leave alone, each refused at the given
+    vertex, or with None at some vertex:
+
+    - route-dup: a label that also carries one of its routes reversed
+      (endpoints and ranks swapped), at that route's endpoint, which then
+      sees two routes end there for one virtual edge;
+    - node-shared: a vertex's first edge with its chain's root section cut
+      off, so that the chain starts at a node that another chain here holds
+      below the root;
+    - parent-link: a node's root element given a parent in every label, so
+      that a vertex that sees it off its node's terminals finds a node root
+      with a parent;
+    - node-basic: a one-lane node renamed in every section and T side, so
+      that no record is its root element, at its terminal (the first five
+      such nodes, and the first five nodes for parent-link)."""
+    spare = 10 ** 6  # an element id no record uses
+    for e, bits in sorted(labels.items()):
+        lab = decode_label(bits)
+        for rs in lab.routes:
+            for vid in set(e) & {rs.u, rs.v}:
+                reverse = RSec(rs.v, rs.u, rs.bwd, rs.fwd, rs.tnodes)
+                yield "route-dup", vid, {**labels, e: encode_label(lab.n, lab.w, lab.tnodes, lab.routes + [reverse])}
+    for view in local_views(g, labels):
+        first, *rest = sorted(view.labels)
+        chain = decode_label(labels[first]).tnodes
+        if len(chain) > 1 and any(chain[1].node_eid in {sec.node_eid for sec in decode_label(labels[f]).tnodes[1:]}
+                                  for f in rest):
+            lab = decode_label(labels[first])
+            yield "node-shared", view.vid, {**labels, first: encode_label(lab.n, lab.w, chain[1:], lab.routes)}
+    lanes = {}  # each node's lane count
+    for bits in labels.values():
+        lab = decode_label(bits)
+        for sec in lab.tnodes + [sec for rs in lab.routes for sec in rs.tnodes]:
+            lanes[sec.node_eid] = len(sec.basic.t_in)
+
+    def with_parent(node):
+        def edit(sections):
+            for sec in sections:
+                if sec.elem.eid == node:
+                    sec.elem.parent_eid = spare
+        return edit
+
+    def renamed(node):
+        def edit(sections):
+            for sec in sections:
+                if sec.node_eid == node:
+                    sec.node_eid = spare
+                t = sec.elem.topo
+                if t[0] == "B":
+                    sec.elem.topo = t[:5] + tuple(side[:1] + (spare,) + side[2:] if side[:2] == ("T", node) else side
+                                                  for side in t[5:])
+        return edit
+
+    for node in sorted(lanes)[:5]:
+        yield "parent-link", None, _relabelled(labels, with_parent(node))
+    for node in sorted(node for node in lanes if lanes[node] == 1)[:5]:
+        yield "node-basic", None, _relabelled(labels, renamed(node))
+
+
+def test_rare_view_lies_are_rejected():
+    g, labels = _layout_instance("random-ops", 40, 3, "parity")
+    shared = {}
+    counts = Counter()
+    for reason, vid, bad in _rare_view_lies(g, labels):
+        if vid is None:
+            verdicts = verify_all(g, bad, "parity", 3)
+            vid = next((v for v, verdict in verdicts.items() if verdict.reason == reason), None)
+            if vid is None:
+                continue  # every vertex that sees the lie is refused for another reason first
+        view = next(view for view in local_views(g, bad) if view.vid == vid)
+        for memo in (None, {}, shared):
+            assert verify_vertex(view, "parity", 3, memo).reason == reason, (reason, vid)
+        counts[reason] += 1
+    assert set(counts) == {"route-dup", "node-shared", "parent-link", "node-basic"}, counts
+    assert min(counts.values()) >= 3, counts
 
 
 def test_flipped_edge_tag_is_rejected_at_both_endpoints():

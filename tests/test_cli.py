@@ -4,11 +4,14 @@ from pathlib import Path
 import pytest
 
 from lanecert import cli
+from lanecert.certify import prove
 from lanecert.cli import main
+from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import read_graph_file, write_graph_file
 from lanecert.intervals import read_interval_file
 from lanecert.lanes import LaneError, build_lane_partition
 from lanecert.recursive import EInsert, OpSequence, VInsert, completion_to_op_sequence
+from tests.test_certify import _label_parts
 from tests.test_graph import cycle_graph
 
 
@@ -329,6 +332,28 @@ def test_bench_reports_bits_by_section(capsys):
     head, line = out.splitlines()
     cells = dict(zip(head.split(), line.split()))
     assert {name: float(cells[name]) for name in parts} == pytest.approx(parts, abs=0.05)
+
+
+def test_bench_reports_table_entries_by_form(capsys):
+    # Each row counts the mean table entries per label by the form they are
+    # written in, in --json and in the text table; the forms add up to the
+    # mean table, and at k = 3 each occurs.
+    args = ("bench", "--family", "random-ops", "--sizes", "40", "--property", "parity", "--k", "3")
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    (row,) = json.loads(out)
+    forms = row["mean_entries_by_form"]
+    assert list(forms) == ["full", "derived", "partial"]
+    assert all(forms[form] > 0 for form in forms)
+    g, ir = generate(GeneratorSpec("random-ops", 40, 3), 0)
+    labels = prove(g, "parity", 3, ir=ir)
+    tables = [len(_label_parts(bits)["table"]) for bits in labels.values()]
+    assert sum(forms.values()) == pytest.approx(sum(tables) / len(tables))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    head, line = out.splitlines()
+    cells = dict(zip(head.split(), line.split()))
+    assert {form: float(cells["entries_" + form]) for form in forms} == pytest.approx(forms, abs=0.005)
 
 
 def test_bench_refusal_exit_code(capsys):

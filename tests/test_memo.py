@@ -242,10 +242,12 @@ def _small_label(bits, records=False) -> Bits:
     lay = read_layout(bits)
     n, lay.n = lay.n, 5
     if records:
-        _, news, found = certify._raw_chain(lay.tnodes, id_bits(n), n, certify._index_bits(lay.m), {})
-        derived = certify._derived([(range(lay.m), found)])
+        raws, news, found = certify._raw_chain(lay.tnodes, id_bits(n), n, certify._index_bits(lay.m), {})
+        _, derived, partial, _ = certify._sources([(range(lay.m), found)], {raws[0][0][1]})
+        forms = [certify._DERIVED if t in derived else certify._PARTIAL if t in partial else certify._FULL
+                 for t in range(lay.m)]
         entries = iter(
-            certify._enc_entry((1, 0, term), id_bits(5), lay.w, term in derived)
+            certify._enc_entry((1, 0, term), id_bits(5), lay.w, forms[term])
             for term in range(lay.m)
         )
         lay.groups = [certify._join([next(entries) for _ in range(c)]) for c in news if c]
@@ -275,8 +277,8 @@ def test_memo_keeps_sections_apart_by_n():
 
             def table_decodes(table_memo):
                 try:
-                    certify._dec_table(read_layout(bits).groups, parts["counts"], parts["derived"], id_bits(5), 5,
-                                       parts["lab"].w, table_memo)
+                    certify._dec_table(read_layout(bits).groups, parts["counts"], parts["derived"], parts["partial"],
+                                       id_bits(5), 5, parts["lab"].w, table_memo)
                 except DecodeError:
                     return False
                 return True

@@ -6,6 +6,7 @@ import pytest
 
 from lanecert import certify
 from lanecert.certify import (
+    CertifyError,
     _recompute_sub,
     all_accept,
     annotate_classes,
@@ -422,6 +423,36 @@ def test_bipartite_at_k3_matches_oracle(prop):
         assert accepted == brute_force_property(g, prop, limit=g.n), (n, seed)
         verdicts.add(accepted)
     assert verdicts == {True, False}
+
+
+# (n, seed) of random-ops graphs at k = 3 and density 0.3, each with a
+# cycle, n <= 24: odd and even orders, then three whose marked edges (as
+# _k3_instance tags them) hold a perfect matching.
+K3_ALL_CASES = [(n, seed) for n in (9, 12, 15, 18, 21, 24) for seed in range(3)] + [(10, 1), (12, 7), (14, 7)]
+
+
+@pytest.mark.parametrize(
+    "prop", ["parity", "acyclic", "marked-parity", "marked-bipartite", "marked-acyclic", "marked-matching"]
+)
+def test_every_property_at_k3_matches_oracle(prop):
+    # At k = 3 on graphs with cycles, every vertex accepts the prover's
+    # labels of a true statement, the prover refuses a false one, and some
+    # vertex rejects its forced labels.  (Every graph here has a cycle, so
+    # acyclic is never true; marked-acyclic is, on some marked subgraphs.)
+    verdicts = set()
+    for n, seed in K3_ALL_CASES:
+        g, ir = _k3_instance(n, seed, prop)
+        assert len(g.edges) >= g.n
+        holds = brute_force_property(g, prop, limit=g.n)
+        if holds:
+            labels = prove(g, prop, 3, ir=ir)
+        else:
+            with pytest.raises(CertifyError):
+                prove(g, prop, 3, ir=ir)
+            labels = prove(g, prop, 3, ir=ir, force=True)
+        assert all_accept(verify_all(g, labels, prop, 3)) == holds, (n, seed)
+        verdicts.add(holds)
+    assert verdicts == ({False} if prop == "acyclic" else {True, False})
 
 
 # (n, seed) of random-ops graphs at k = 3 and density 0.3 for matching: the

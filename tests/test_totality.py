@@ -6,6 +6,7 @@ import functools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lanecert import certify
 from lanecert.certify import (
     SEC_BASIC,
     SEC_HEADER,
@@ -37,7 +38,7 @@ from lanecert.generators import FAMILIES, GeneratorError, GeneratorSpec, generat
 from lanecert.graph import edge_key
 from lanecert.intervals import width
 from lanecert.properties import HomClass
-from tests.test_certify import ALL_PROPS, _relayed_parts
+from tests.test_certify import ALL_PROPS, _label_parts, _relayed_parts
 from tests.test_graph import cycle_graph
 
 PROPS = ("parity", "bipartite", "acyclic", "matching", "marked-bipartite")
@@ -152,6 +153,53 @@ def test_verify_total_on_derived_section_edits(data, name):
     for pos in flips:
         value ^= 1 << (payload.nbits - 1 - pos)
     payloads[i] = Bits(value, payload.nbits)
+    bad = {**labels, e: write_layout(lay)}
+    verdicts = verify_all(g, bad, prop, k)
+    assert all(isinstance(v, Verdict) for v in verdicts.values())
+    for view in local_views(g, bad):
+        if view.vid in e:
+            assert verify_vertex(view, prop, k) == verdicts[view.vid]
+            assert verify_vertex(view, prop, k, {}) == verdicts[view.vid]
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_sites(name):
+    """(edge, group, start, length) of the partial table entries in
+    _honest(name)'s labels: the group that holds one, and its bits' place
+    in that group."""
+    g, prop, k, labels = _honest(name)
+    sites = []
+    for e, bits in sorted(labels.items()):
+        parts = _label_parts(bits)
+        sizes = [certify._enc_entry(key, parts["b"], parts["lab"].w, form).nbits
+                 for key, form in zip(parts["table"], parts["forms"])]
+        t = 0
+        for group, count in enumerate(parts["counts"]):
+            start = 0
+            for i in range(t, t + count):
+                if parts["forms"][i] == certify._PARTIAL:
+                    sites.append((e, group, start, sizes[i]))
+                start += sizes[i]
+            t += count
+    assert sites
+    return sites
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(("C6", "ops16")))
+def test_verify_total_on_partial_entry_edits(data, name):
+    # One to three bits flipped inside a partial table entry (its lane
+    # mask, out-terminal map or class term): every vertex gives a verdict,
+    # and an endpoint's verdict does not depend on the memo.
+    g, prop, k, labels = _honest(name)
+    e, group, start, length = data.draw(st.sampled_from(_partial_sites(name)))
+    lay = read_layout(labels[e])
+    bits = lay.groups[group]
+    flips = data.draw(st.lists(st.integers(start, start + length - 1), min_size=1, max_size=3))
+    value = bits.value
+    for pos in flips:
+        value ^= 1 << (bits.nbits - 1 - pos)
+    lay.groups[group] = Bits(value, bits.nbits)
     bad = {**labels, e: write_layout(lay)}
     verdicts = verify_all(g, bad, prop, k)
     assert all(isinstance(v, Verdict) for v in verdicts.values())

@@ -69,7 +69,8 @@ is chain position 0.
 
 An entry that a record of the label names as a child is partial, unless a
 chain's root section names it (the whole graph's entry, which a vertex
-checks as the label writes it): a child glues on where its parent's
+checks as the label writes it) or a record that names a child or derives
+an entry names it as a T side: a child glues on where its parent's
 running out-terminals on its lanes are, earlier siblings glued first
 (``_glue``, the structural half of the class fold), so its in-terminal map
 is the naming record's glue.  Else a nested section whose record is its
@@ -78,7 +79,9 @@ entry is derived, and its lanes and terminal maps are the record's fragment
 with its children glued on.  ``decode_label`` completes both kinds in one
 step (``_complete``): each record that names a partial entry or derives an
 entry glues its children on over the BasicInfos it names, deepest first,
-once its T sides' entries are complete.  It refuses a completion that
+once its T sides' entries are complete.  A T side is never partial, and a
+derived one has fewer lanes than the record that waits for it, so on
+honest labels no completion waits for itself.  It refuses a completion that
 needs its own entry, fails a glue check or names a lane above w, two
 records that complete one entry differently, and a table that repeats an
 entry once completed; ``encode_label`` refuses a decoded form whose
@@ -401,8 +404,10 @@ def _basic_key(bi: BasicInfo, b: int) -> tuple:
 
 
 # The forms a table entry is written in (_enc_entry): in full, derived (see
-# _derivation) or partial (an entry a record of the label names as a child).
+# _derivation) or partial (an entry a record of the label names as a child),
+# and their names.
 _FULL, _DERIVED, _PARTIAL = 0, 1, 2
+ENTRY_FORMS = ("full", "derived", "partial")
 
 
 def _enc_entry(key: tuple, b: int, w_lanes: int, form: int = _FULL) -> Bits:
@@ -716,7 +721,9 @@ class _SecState:
     record's entry tokens (_Header.entry); order holds the tokens of the
     chain's slots down to it, new those it names first;
     derived and kids are the entries the sections down to it derive
-    (_derivation) and those their records name as children; faults holds
+    (_derivation) and those their records name as children, and sides
+    those that the records among them that derive or name a child name as
+    T sides (_sources' rule reads all three); faults holds
     (entry, reason) for each of those derivations that fails, and misfits
     (entry, reason) for each child whose in-terminal map is not where its
     record's glue puts it (_glue, as _complete runs it).  below
@@ -726,16 +733,16 @@ class _SecState:
     share token for _bases.  bits holds the payloads by pointer fields and
     slot width, and the record's bits by slot width."""
 
-    __slots__ = ("side", "rec", "uses", "order", "new", "derived", "kids", "faults", "misfits", "below", "equal",
-                 "bits")
+    __slots__ = ("side", "rec", "uses", "order", "new", "derived", "kids", "sides", "faults", "misfits", "below",
+                 "equal", "bits")
 
     def __init__(self, up, side, rec, uses, named):
         self.side, self.rec, self.uses = side, rec, uses
         order = up.order if up else ()
         self.new = tuple(dict.fromkeys(t for t in named if t not in order))
         self.order = order + self.new
-        self.derived, self.kids, self.faults, self.misfits = (
-            (up.derived, up.kids, up.faults, up.misfits) if up else ((), (), (), ())
+        self.derived, self.kids, self.sides, self.faults, self.misfits = (
+            (up.derived, up.kids, up.sides, up.faults, up.misfits) if up else ((), (), (), (), ())
         )
         self.below, self.equal, self.bits = {}, {}, {}
 
@@ -792,6 +799,7 @@ def _enc_chain(tnodes: List[TSec], head: _Header) -> List[_SecState]:
             else:
                 if pos == 0:
                     st = _SecState(up, None, rec, uses, (basic,) + uses)
+                    got = None
                 else:
                     st = _SecState(up, _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic), rec, uses, uses)
                     # The fields of the two records that _derivation reads.
@@ -803,10 +811,12 @@ def _enc_chain(tnodes: List[TSec], head: _Header) -> List[_SecState]:
                         fault = _derivation_fault(sec, head.w)
                         if fault is not None:
                             st.faults += ((got, fault),)
+                k = len(uses) - len(rec.children)  # a record's T sides come first
                 if rec.children:
-                    kids = uses[len(uses) - len(rec.children):]
-                    st.kids += kids
-                    st.misfits += _misfits(rec, kids)
+                    st.kids += uses[k:]
+                    st.misfits += _misfits(rec, uses[k:])
+                if rec.children or got is not None:
+                    st.sides += uses[:k]
                 same.append((st, sec))
             hit = up.below[key] = (st, sec)  # keeps the objects of key alive
         up = hit[0]
@@ -863,44 +873,49 @@ def _derivation(above: tuple, below: tuple) -> Optional[int]:
     return None
 
 
-def _sources(written: list, roots: set) -> Tuple[list, set, set, set]:
+def _sources(written: list, roots: set) -> Tuple[list, set, set]:
     """(the label's completion sources, its derived entries, its partial
-    entries, the entries its records name as children): written holds per
-    chain (idx, its sources as _raw_chain gives them), where idx[s] is the
-    table index of the chain's slot s, and roots the entries the chains'
-    root sections name.  An entry that a record of the label names as a
-    child is partial, unless it is a root entry (the whole graph's, which a
-    vertex checks as the label has it); else one that a section derives is
-    derived; the rest are written in full.  A source is (the record's
-    fields, the table indices of its T sides' slots and of its children's,
-    the latter followed by the index of the entry it derives if any), one
-    per section in chain order whose record names a partial entry or
-    derives an entry."""
-    kids = set()
+    entries): written holds per chain (idx, its sources as _raw_chain gives
+    them), where idx[s] is the table index of the chain's slot s, and roots
+    the entries the chains' root sections name.  An entry that a record of
+    the label names as a child is partial, unless it is a root entry (the
+    whole graph's, which a vertex checks as the label has it) or a T side
+    of a record that names a child or derives an entry; else one that a
+    section derives is derived; the rest are written in full.  So a
+    completion waits only for derived T sides, which have fewer lanes than
+    the record that waits, and on honest labels every completion runs.  A
+    source is (the record's fields, the table indices of its T sides'
+    slots and of its children's, the latter followed by the index of the
+    entry it derives if any), one per section in chain order whose record
+    names a partial entry or derives an entry."""
+    kids, sides = set(), set()
     records = []
     for idx, found in written:
-        for slot, (_, fields, slots, *_) in found:
+        at = idx.__getitem__
+        for slot, raw in found:
+            fields, slots = raw[1], raw[2]
             k = len(slots) + 3 - len(fields)  # a record's slots list its T sides first
-            named = tuple(map(idx.__getitem__, slots[k:]))
+            tsides, named = tuple(map(at, slots[:k])), tuple(map(at, slots[k:]))
+            sides.update(tsides)
             kids.update(named)
-            records.append((idx, slot, fields, slots[:k], named))
-    partial = kids - roots
+            records.append((slot, at, fields, tsides, named))
+    partial = kids - roots - sides
     derived = set()
     sources = []
-    for idx, slot, fields, sides, named in records:
-        if slot is not None and idx[slot] not in kids:
-            derived.add(idx[slot])
-            named += (idx[slot],)
+    for slot, at, fields, tsides, named in records:
+        if slot is not None and at(slot) not in kids:
+            derived.add(at(slot))
+            named += (at(slot),)
         elif partial.isdisjoint(named):
             continue
-        sources.append((fields, tuple(map(idx.__getitem__, sides)), named))
-    return sources, derived, partial, kids
+        sources.append((fields, tsides, named))
+    return sources, derived, partial
 
 
-def _complete(sources: list, derived: set, kids: set, table: list, b: int, n: int, w_lanes: int, memo) -> None:
+def _complete(sources: list, derived: set, partial: set, table: list, b: int, n: int, w_lanes: int, memo) -> None:
     """Put in table each derived entry, which it holds as its class term,
     and each partial entry, which it holds as a _Partial: sources, derived
-    and kids are as _sources gives them.  A source's record glues its
+    and partial are as _sources gives them.  A source's record glues its
     children on (_glue) over its T sides' entries and its children's lanes
     and out-terminal maps: each child's in-terminal map is then the running
     out-terminals on its lanes (earlier siblings glued first), and the
@@ -913,11 +928,11 @@ def _complete(sources: list, derived: set, kids: set, table: list, b: int, n: in
     entry), when a record fails a glue check or a derived entry names a
     lane above w or maps that are not injective, and when two sources
     complete one entry differently.  Each distinct record, slots' entries
-    and term is completed once per memo."""
-    terms = {t: table[t] for t in derived}
-    # A child that is not partial is a root entry, in full.
-    children = {t: table[t] for t in kids}
-    pending = {t for t in kids if type(table[t]) is _Partial} | derived  # the entries not complete yet
+    and term is completed once per memo: the entries as the wire has them
+    (a _Partial, a class term or, for a child written in full, a
+    BasicInfo) are interned, so their ids key it."""
+    written = table[:]
+    pending = derived | partial  # the entries not complete yet
     done = memo.setdefault(("complete", n, w_lanes), {})
     todo = sources[::-1]
     while todo:
@@ -927,8 +942,8 @@ def _complete(sources: list, derived: set, kids: set, table: list, b: int, n: in
             if not pending.isdisjoint(sides):
                 later.append(src)
                 continue
-            objs = [*map(table.__getitem__, sides), *map(children.get, named)]
-            key = (id(fields), terms.get(named[-1]), *map(id, objs))
+            objs = [*map(table.__getitem__, sides), *map(written.__getitem__, named)]
+            key = (id(fields), *map(id, objs))
             got = done.get(key)
             if got is None:
                 ins: list = []
@@ -942,7 +957,7 @@ def _complete(sources: list, derived: set, kids: set, table: list, b: int, n: in
                 if len(named) > len(ins):
                     if max(t_in, default=0) > w_lanes:
                         raise DecodeError("a derived entry has a lane above w")
-                    got.append(_completed(t_in, t_out, terms[named[-1]], b, n, memo))
+                    got.append(_completed(t_in, t_out, objs[-1], b, n, memo))
                 done[key] = got
             for t, basic in zip(named, got):
                 if basic is None:
@@ -952,7 +967,7 @@ def _complete(sources: list, derived: set, kids: set, table: list, b: int, n: in
                     pending.discard(t)
                 elif table[t] is not basic:
                     raise DecodeError(
-                        "two records complete one partial entry differently" if t in kids
+                        "two records complete one partial entry differently" if t in partial
                         else "two derivations of one entry differ"
                     )
         if len(later) == len(todo):
@@ -989,6 +1004,17 @@ def _misfits(rec: ElementRecord, kids: tuple) -> tuple:
         (kid, "a partial entry's in-terminals differ from its record's glue")
         for kid, (_, csub), cin in zip(kids, rec.children, ins) if csub.t_in != cin
     )
+
+
+def _enc_forms(chains: List[List[_SecState]]) -> Tuple[set, set]:
+    """(the derived entries, the partial entries) of a label whose chains
+    have the given section states, as entry tokens: _sources' rule, read
+    from the states."""
+    lasts = [states[-1] for states in chains if states]
+    kids = set().union(*[st.kids for st in lasts])
+    sides = set().union(*[st.sides for st in lasts])
+    partial = kids - sides - {states[0].order[0] for states in chains if states}
+    return set().union(*[st.derived for st in lasts]) - kids, partial
 
 
 def _check_completed(derived: set, partial: set, lasts: List[_SecState]) -> None:
@@ -1030,14 +1056,8 @@ def encode_label(
         relayed.append(hit)
     chains = [own] + [hit[1] for hit in relayed]
     bases = _bases(chains)
-    # The partial and derived entries, as _sources selects them: the
-    # children of the chains' records but for the chains' root entries,
-    # then those the sections derive.
-    lasts = [states[-1] for states in chains if states]
-    kids = set().union(*[st.kids for st in lasts])
-    partial = kids - {states[0].order[0] for states in chains if states}
-    derived = set().union(*[st.derived for st in lasts]) - kids
-    _check_completed(derived, partial, lasts)
+    derived, partial = _enc_forms(chains)
+    _check_completed(derived, partial, [states[-1] for states in chains if states])
     # A prefix's slots name entries its base named before, so only the
     # slots after it are mapped.
     own_order = own[-1].order if own else ()
@@ -1299,7 +1319,8 @@ def _dec_entries(bits: Bits, derived: int, partial: int, b: int, n: int, w_lanes
     while r.remaining():
         i = len(out)
         if derived >> i & 1:
-            out.append(read_term(r))
+            term = read_term(r)
+            out.append(memo.setdefault(("term", term), term))
             continue
         mask = r.read_uint(w_lanes)
         c = bin(mask).count("1")
@@ -1322,8 +1343,11 @@ def _dec_table(groups: List[Bits], counts: list, derived: set, partial: set, b: 
     if len(groups) != len(counts):
         raise DecodeError("a table entry that no slot names" if len(groups) > len(counts) else "a missing table group")
     table: list = []
-    dmarks = sum(1 << t for t in derived)  # bit t: entry t is derived
-    pmarks = sum(1 << t for t in partial)  # bit t: entry t is partial
+    dmarks = pmarks = 0  # bit t: entry t is derived, or partial
+    for t in derived:
+        dmarks |= 1 << t
+    for t in partial:
+        pmarks |= 1 << t
     for count, group in zip(counts, groups):
         low = (1 << count) - 1
         dflags, pflags = dmarks >> len(table) & low, pmarks >> len(table) & low  # the group's
@@ -1355,9 +1379,9 @@ def decode_label(bits: Bits, memo: Optional[dict] = None) -> DecodedLabel:
     lay = read_layout(bits)
     n, w = lay.n, lay.w
     b = id_bits(n)
-    chains, counts, sources, derived, partial, kids = _read_chains(lay, b, memo)
+    chains, counts, sources, derived, partial = _read_chains(lay, b, memo)
     table = _dec_table(lay.groups, counts, derived, partial, b, n, w, memo)
-    _complete(sources, derived, kids, table, b, n, w, memo)
+    _complete(sources, derived, partial, table, b, n, w, memo)
     # Equal entries are one object, so ids tell them apart.
     if len(set(map(id, table))) != len(table):
         raise DecodeError("repeated table entry")
@@ -1381,8 +1405,7 @@ def _read_chains(lay: Layout, b: int, memo) -> tuple:
     the own chain first, as its raw sections, the number of slots its first
     i sections name for each i, and its slots' table indices; the number of
     entries each table group must hold; the label's completion sources,
-    derived entries, partial entries and children, as _sources gives
-    them)."""
+    derived entries and partial entries, as _sources gives them)."""
     n, m_own = lay.n, lay.m
     raws, news, found = _raw_chain(lay.tnodes, b, n, _index_bits(m_own), memo)
     if sum(news) != m_own:
@@ -2206,16 +2229,12 @@ def label_size_stats(labels: Dict[Edge, Bits]) -> LabelStats:
     return LabelStats(len(labels), worst, mean, total, per)
 
 
-# The forms a table entry is written in, by name (see _enc_entry).
-ENTRY_FORMS = ("full", "derived", "partial")
-
-
 def entry_forms(bits: Bits) -> Dict[str, int]:
     """How many of a label's table entries are written in each form of
     ENTRY_FORMS, as decode_label's first pass (_read_chains) tells them;
     DecodeError where it fails."""
     lay = read_layout(bits)
-    _, counts, _, derived, partial, _ = _read_chains(lay, id_bits(lay.n), {})
+    _, counts, _, derived, partial = _read_chains(lay, id_bits(lay.n), {})
     return dict(zip(ENTRY_FORMS, (sum(counts) - len(derived) - len(partial), len(derived), len(partial))))
 
 

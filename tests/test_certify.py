@@ -630,9 +630,7 @@ def _label_parts(bits):
     states = [certify._enc_chain(chain, head) for chain in chains]
     lasts = [st[-1] for st in states]
     tokens, maps, fresh, index = certify._table_and_maps(lasts[0].order, [st.order for st in lasts[1:]])
-    kids = set().union(*[st.kids for st in lasts])
-    derived = {index[t] for t in set().union(*[st.derived for st in lasts]) - kids}
-    partial = {index[t] for t in kids - {st[0].order[0] for st in states}}
+    derived, partial = ({index[t] for t in form} for form in certify._enc_forms(states))
     forms = [certify._DERIVED if t in derived else certify._PARTIAL if t in partial else certify._FULL
              for t in range(len(tokens))]
     return {
@@ -1183,6 +1181,25 @@ def _partial_edits(lab, rng):
                 yield kind, encode_label(copy.n, copy.w, copy.tnodes, copy.routes)
             except CertifyError:
                 pass  # a later sibling, or a derived entry above, would no longer glue on
+
+
+def test_a_t_side_of_a_completing_record_is_written_in_full():
+    # Here some child entries are also T sides of records that name a child
+    # or derive an entry.  Encoder and decoder both write those in full, so
+    # a completion waits only for derived T sides, which have fewer lanes
+    # than the record that waits, and no honest label's completion loops:
+    # every vertex accepts.
+    g, ir = generate(GeneratorSpec("random-ops", 20, 3, 0.3), 3)
+    labels = prove(g, "parity", 3, ir=ir)
+    both = 0
+    for bits in labels.values():
+        parts = _label_parts(bits)
+        lasts = [st[-1] for st in parts["states"]]
+        kids = set().union(*[st.kids for st in lasts]) - {st[0].order[0] for st in parts["states"]}
+        both += len(kids & set().union(*[st.sides for st in lasts]))
+        assert certify.entry_forms(bits)["partial"] == len(parts["partial"])
+    assert both >= 3
+    assert all_accept(verify_all(g, labels, "parity", 3))
 
 
 def test_partial_entry_edits_are_rejected_at_an_endpoint():

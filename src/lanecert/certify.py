@@ -33,9 +33,10 @@ One encoder writes every label.  The prover builds each real edge's
 decoded form (``_forms``) of the objects ``annotate_classes`` shares and
 hands it to ``encode_label`` with one memo for the run.  The memo keeps,
 per label header, a tree of section states (``_SecState``): a state is a
-section with every section above it, with the slot order and derivations
-down to it and its payloads by pointer fields and slot width; entries,
-groups and relayed chains are kept per header.  It changes no label.
+section with every section above it, with its raw fields, the slot order
+and completion records down to it and its payloads by pointer fields and
+slot width; entries, groups and relayed chains are kept per header.  It
+changes no label.
 
 Label layout: a list of self-delimiting sections.  Every label starts with a
 header (n and the lane count w) and a basic section (the label's BasicInfo
@@ -87,9 +88,10 @@ records that complete one entry differently, and a table that repeats an
 entry once completed; ``encode_label`` refuses a decoded form whose
 partial entries' in-terminal maps or derived entries differ from what their
 records give.  Which entries are partial and derived follows from the raw
-chains (``_sources``), so the table is read after the route sections' maps,
-and a completed entry is the same object as the decoded entry of its value,
-so a derived one is ``_fold_record``'s twin.
+chains, and one function decides it for both (``_sources``), so the table
+is read after the route sections' maps; a completed entry is the same
+object as the decoded entry of its value, so a derived one is
+``_fold_record``'s twin.
 
 A route section carries its endpoints and ranks, then a base: the own
 chain or the relayed chain of an earlier route of the label.  A relayed
@@ -716,34 +718,28 @@ def _join(parts: List[Bits]) -> Bits:
 
 class _SecState:
     """A chain section with every section above it, in labels of one n and
-    w: what encode_label needs of it besides its pointer fields.  side is
-    its side bit (None at the root); rec is its record and uses the
-    record's entry tokens (_Header.entry); order holds the tokens of the
-    chain's slots down to it, new those it names first;
-    derived and kids are the entries the sections down to it derive
-    (_derivation) and those their records name as children, and sides
-    those that the records among them that derive or name a child name as
-    T sides (_sources' rule reads all three); faults holds
-    (entry, reason) for each of those derivations that fails, and misfits
-    (entry, reason) for each child whose in-terminal map is not where its
-    record's glue puts it (_glue, as _complete runs it).  below
-    maps each section below it, by its node eid, BasicInfo and record
-    objects, to (its state, the section), and equal lists them by node
-    and record eid, so equal sections below equal ones are one state, a
-    share token for _bases.  bits holds the payloads by pointer fields and
-    slot width, and the record's bits by slot width."""
+    w: what encode_label needs of it besides its pointer fields.  raw is
+    the section as _raw_chain reads it, with entry tokens (_Header.entry)
+    for slots: (its side bit, None at the root; its record's _rec_fields;
+    the record's entry tokens).  order holds the tokens of the chain's
+    slots down to it, new those it names first.  records holds the
+    completion records of the sections down to it, as _sources takes them,
+    and faults (entry, form, reason) for each entry one of those records
+    completes otherwise than the sections have it (_faults).  below maps
+    each section below it, by its node eid, BasicInfo and record objects,
+    to (its state, the section), and equal lists them by node and record
+    eid, so equal sections below equal ones are one state, a share token
+    for _bases.  bits holds the payloads by pointer fields and slot width,
+    and the record's bits by slot width."""
 
-    __slots__ = ("side", "rec", "uses", "order", "new", "derived", "kids", "sides", "faults", "misfits", "below",
-                 "equal", "bits")
+    __slots__ = ("raw", "order", "new", "records", "faults", "below", "equal", "bits")
 
-    def __init__(self, up, side, rec, uses, named):
-        self.side, self.rec, self.uses = side, rec, uses
+    def __init__(self, up, raw, named):
+        self.raw = raw
         order = up.order if up else ()
         self.new = tuple(dict.fromkeys(t for t in named if t not in order))
         self.order = order + self.new
-        self.derived, self.kids, self.sides, self.faults, self.misfits = (
-            (up.derived, up.kids, up.sides, up.faults, up.misfits) if up else ((), (), (), (), ())
-        )
+        self.records, self.faults = (up.records, up.faults) if up else ((), ())
         self.below, self.equal, self.bits = {}, {}, {}
 
 
@@ -755,7 +751,7 @@ class _Header(_SecState):
     __slots__ = ("b", "w", "entries", "values", "groups", "relayed")
 
     def __init__(self, n: int, w_lanes: int):
-        super().__init__(None, None, None, (), ())
+        super().__init__(None, None, ())
         self.b, self.w = id_bits(n), w_lanes
         self.entries, self.values, self.groups, self.relayed = {}, {}, {}, {}
 
@@ -791,32 +787,24 @@ def _enc_chain(tnodes: List[TSec], head: _Header) -> List[_SecState]:
             rec = sec.elem
             uses = tuple([head.entry(bi) for bi in _elem_uses(rec)])
             basic = head.entry(sec.basic)
+            fields = _rec_fields(rec)
             # Equal sections have equal node and record eids.
             same = up.equal.setdefault((sec.node_eid, rec.eid), [])
             for st, other in same:
-                if (basic, uses) == (head.entry(other.basic), st.uses) and _rec_fields(rec) == _rec_fields(other.elem):
+                if (basic, uses, fields) == (head.entry(other.basic), st.raw[2], st.raw[1]):
                     break
             else:
                 if pos == 0:
-                    st = _SecState(up, None, rec, uses, (basic,) + uses)
+                    st = _SecState(up, (None, fields, uses), (basic,) + uses)
                     got = None
                 else:
-                    st = _SecState(up, _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic), rec, uses, uses)
-                    # The fields of the two records that _derivation reads.
-                    got = _derivation(
-                        (None, (up.rec.eid, None, up.rec.topo), up.uses), (st.side, (rec.eid,))
-                    ) if rec.eid == sec.node_eid else None
-                    if got is not None:
-                        st.derived += (got,)
-                        fault = _derivation_fault(sec, head.w)
-                        if fault is not None:
-                            st.faults += ((got, fault),)
-                k = len(uses) - len(rec.children)  # a record's T sides come first
-                if rec.children:
-                    st.kids += uses[k:]
-                    st.misfits += _misfits(rec, uses[k:])
+                    side = _side_bit(tnodes[pos - 1].elem, sec.node_eid, sec.basic)
+                    st = _SecState(up, (side, fields, uses), uses)
+                    got = _derivation(up.raw, st.raw)
                 if rec.children or got is not None:
-                    st.sides += uses[:k]
+                    k = len(uses) - len(rec.children)  # a record's T sides come first
+                    st.records += ((got, fields, uses[:k], uses[k:]),)
+                    st.faults += _faults(sec, got, uses[k:], head.w)
                 same.append((st, sec))
             hit = up.below[key] = (st, sec)  # keeps the objects of key alive
         up = hit[0]
@@ -841,7 +829,7 @@ def _payloads(tnodes: List[TSec], states: List[_SecState], head: _Header, start:
             tail = st.bits.get(sw)
             if tail is None:
                 tail = st.bits[sw] = _enc_elem(sec.elem, head.b, slot, sw)
-            payload = st.bits[key] = _enc_tnode(sec, st.side, slot, sw, tail)
+            payload = st.bits[key] = _enc_tnode(sec, st.raw[0], slot, sw, tail)
         payloads.append(payload)
     return payloads
 
@@ -850,13 +838,14 @@ def _payloads(tnodes: List[TSec], states: List[_SecState], head: _Header, start:
 
 
 def _derivation(above: tuple, below: tuple) -> Optional[int]:
-    """The rule that decides which table entries are derived, on two
-    consecutive sections of a chain, each given as (head, record fields,
-    slots): the head as the wire has it (a nested section's side bit), the
-    fields as _rec_fields gives them (of which it reads the eid and the T
-    sides' node eids), and the slots of the BasicInfos the record names, in
-    _elem_uses order (of which it reads above's).  The decoder's raw
-    sections start so; the encoder gives entry tokens as slots.
+    """The rule that decides which section derives which table entry, on
+    two consecutive sections of a chain, each given as (head, record
+    fields, slots): the head as the wire has it (a nested section's side
+    bit), the fields as _rec_fields gives them (of which it reads the eid
+    and the T sides' node eids), and the slots of the BasicInfos the record
+    names, in _elem_uses order (of which it reads above's).  The decoder's
+    raw sections are so, and the encoder's section states hold one
+    (_SecState.raw) with entry tokens as slots.
     When below's record is the root element of its node, which is the T
     side of above's record that below names, below's section derives that
     node's BasicInfo: the result is that BasicInfo's slot, else None.  A
@@ -873,42 +862,36 @@ def _derivation(above: tuple, below: tuple) -> Optional[int]:
     return None
 
 
-def _sources(written: list, roots: set) -> Tuple[list, set, set]:
-    """(the label's completion sources, its derived entries, its partial
-    entries): written holds per chain (idx, its sources as _raw_chain gives
-    them), where idx[s] is the table index of the chain's slot s, and roots
-    the entries the chains' root sections name.  An entry that a record of
-    the label names as a child is partial, unless it is a root entry (the
-    whole graph's, which a vertex checks as the label has it) or a T side
-    of a record that names a child or derives an entry; else one that a
-    section derives is derived; the rest are written in full.  So a
-    completion waits only for derived T sides, which have fewer lanes than
-    the record that waits, and on honest labels every completion runs.  A
-    source is (the record's fields, the table indices of its T sides'
-    slots and of its children's, the latter followed by the index of the
-    entry it derives if any), one per section in chain order whose record
-    names a partial entry or derives an entry."""
-    kids, sides = set(), set()
-    records = []
-    for idx, found in written:
-        at = idx.__getitem__
-        for slot, raw in found:
-            fields, slots = raw[1], raw[2]
-            k = len(slots) + 3 - len(fields)  # a record's slots list its T sides first
-            tsides, named = tuple(map(at, slots[:k])), tuple(map(at, slots[k:]))
-            sides.update(tsides)
-            kids.update(named)
-            records.append((slot, at, fields, tsides, named))
-    partial = kids - roots - sides
+def _sources(records: list, roots: set) -> Tuple[list, set, set]:
+    """The one rule for the forms of a label's table entries, which
+    encode_label and decode_label both run: (the label's completion
+    sources, its derived entries, its partial entries).  records holds a
+    completion record per section the label writes (a route's after its
+    shared prefix) whose record names a child or that derives an entry, in
+    chain order: (the entry the section derives (_derivation) or None, the
+    record's fields, the entries it names as T sides, those it names as
+    children); roots holds the entries the chains' root sections name.
+    The decoder gives entries as table indices, the encoder as entry
+    tokens.  An entry that a record names as a child is partial, unless it
+    is a root entry (the whole graph's, which a vertex checks as the label
+    has it) or a T side of a record; else one that a section derives is
+    derived; the rest are written in full.  So a completion waits only for
+    derived T sides, which have fewer lanes than the record that waits, and
+    on honest labels every completion runs.  A source is (the record's
+    fields, its T sides' entries, its children's entries followed by the
+    entry it derives if any), one per record that names a partial entry or
+    derives an entry."""
+    kids = set().union(*[rec[3] for rec in records])
+    partial = kids - roots - set().union(*[rec[2] for rec in records])
     derived = set()
     sources = []
-    for slot, at, fields, tsides, named in records:
-        if slot is not None and at(slot) not in kids:
-            derived.add(at(slot))
-            named += (at(slot),)
+    for got, fields, sides, named in records:
+        if got is not None and got not in kids:
+            derived.add(got)
+            named += (got,)
         elif partial.isdisjoint(named):
             continue
-        sources.append((fields, tsides, named))
+        sources.append((fields, sides, named))
     return sources, derived, partial
 
 
@@ -922,7 +905,7 @@ def _complete(sources: list, derived: set, partial: set, table: list, b: int, n:
     record's fragment with its children glued on is the lanes and terminal
     maps of the entry it derives, so a derived entry is _fold_record's
     twin.  Each completed entry is the decoded entry of its value
-    (_completed).  A source runs once its T sides' entries are complete,
+    (_entry).  A source runs once its T sides' entries are complete,
     the deepest sections first.
     DecodeError when that never happens (a completion that needs its own
     entry), when a record fails a glue check or a derived entry names a
@@ -952,12 +935,12 @@ def _complete(sources: list, derived: set, partial: set, table: list, b: int, n:
                     t_in, t_out = _glue(_sided(fields[2], objs), zip(fields[3:], objs[k:]), ins)
                 except _Reject as rj:
                     raise DecodeError("a record that completes a table entry fails its glue: %s" % rj.code)
-                got = [_completed(cin, kid.t_out, kid.term, b, n, memo) if type(kid) is _Partial else None
-                       for cin, kid in zip(ins, objs[k:])]
+                got = [_entry(*_maps_key(cin, kid.t_out, b), kid.term, b, n, memo) if type(kid) is _Partial
+                       else None for cin, kid in zip(ins, objs[k:])]
                 if len(named) > len(ins):
                     if max(t_in, default=0) > w_lanes:
                         raise DecodeError("a derived entry has a lane above w")
-                    got.append(_completed(t_in, t_out, objs[-1], b, n, memo))
+                    got.append(_entry(*_maps_key(t_in, t_out, b), objs[-1], b, n, memo))
                 done[key] = got
             for t, basic in zip(named, got):
                 if basic is None:
@@ -975,60 +958,46 @@ def _complete(sources: list, derived: set, partial: set, table: list, b: int, n:
         todo = later
 
 
-def _derivation_fault(sec: TSec, w_lanes: int) -> Optional[str]:
-    """Why decode_label would not derive sec's BasicInfo from sec's record
-    (_complete), or None: the record fails its glue, or its fragment with
-    its children glued on has a lane above w or other terminal maps."""
-    try:
-        t_in, t_out = _glue(sec.elem.topo, sec.elem.children, [])
-    except _Reject as rj:
-        return "a derived entry's record fails its glue: %s" % rj.code
-    if max(t_in, default=0) > w_lanes:
-        return "a derived entry has a lane above w"
-    if t_in != sec.basic.t_in or t_out != sec.basic.t_out:
-        return "a derived entry differs from the one its record derives"
-    return None
-
-
-def _misfits(rec: ElementRecord, kids: tuple) -> tuple:
-    """(entry, reason) for each child of rec, given as its entry in kids,
-    whose in-terminal map differs from the one rec's glue gives it, or for
-    each child when rec fails its glue: _complete would refuse either if
-    the child is a partial entry."""
+def _faults(sec: TSec, got: Optional[int], kids: tuple, w_lanes: int) -> tuple:
+    """(entry, form, reason) for each entry that sec's record completes
+    otherwise than sec has it, from one glue of the record as _complete
+    glues it: got is the entry sec derives (None if none), in form
+    _DERIVED, and kids the entries of the record's children, in form
+    _PARTIAL.  The record fails its glue; a derived entry has a lane above
+    w or other terminal maps than the record's fragment with its children
+    glued on; a partial child's in-terminal map is not where the glue puts
+    it.  Whether an entry is in that form is the label's to say
+    (_check_completed)."""
+    rec = sec.elem
     ins: list = []
     try:
-        _glue(rec.topo, rec.children, ins)
+        t_in, t_out = _glue(rec.topo, rec.children, ins)
     except _Reject as rj:
-        return tuple((kid, "a partial entry's record fails its glue: %s" % rj.code) for kid in kids)
-    return tuple(
-        (kid, "a partial entry's in-terminals differ from its record's glue")
+        named = [(kid, _PARTIAL) for kid in kids] + ([(got, _DERIVED)] if got is not None else [])
+        return tuple((t, form, "a record that completes a table entry fails its glue: %s" % rj.code)
+                     for t, form in named)
+    faults = tuple(
+        (kid, _PARTIAL, "a partial entry's in-terminals differ from its record's glue")
         for kid, (_, csub), cin in zip(kids, rec.children, ins) if csub.t_in != cin
     )
-
-
-def _enc_forms(chains: List[List[_SecState]]) -> Tuple[set, set]:
-    """(the derived entries, the partial entries) of a label whose chains
-    have the given section states, as entry tokens: _sources' rule, read
-    from the states."""
-    lasts = [states[-1] for states in chains if states]
-    kids = set().union(*[st.kids for st in lasts])
-    sides = set().union(*[st.sides for st in lasts])
-    partial = kids - sides - {states[0].order[0] for states in chains if states}
-    return set().union(*[st.derived for st in lasts]) - kids, partial
+    if got is not None:
+        if max(t_in, default=0) > w_lanes:
+            faults += ((got, _DERIVED, "a derived entry has a lane above w"),)
+        elif t_in != sec.basic.t_in or t_out != sec.basic.t_out:
+            faults += ((got, _DERIVED, "a derived entry differs from the one its record derives"),)
+    return faults
 
 
 def _check_completed(derived: set, partial: set, lasts: List[_SecState]) -> None:
-    """CertifyError unless each derivation of a derived entry of a label
-    (lasts: the last states of its chains) holds, and each partial entry's
-    in-terminal map is the one its records' glue gives it.  Then
-    decode_label completes each as the label has it (_complete)."""
+    """CertifyError unless each derived and each partial entry of a label,
+    as _sources gives them, is what its records complete it to (lasts: the
+    last states of the label's chains, whose faults list where they do
+    not).  Then decode_label completes each as the label has it
+    (_complete)."""
     for st in lasts:
-        for token, fault in st.faults:
-            if token in derived:
-                raise CertifyError(fault)
-        for token, fault in st.misfits:
-            if token in partial:
-                raise CertifyError(fault)
+        for token, form, reason in st.faults:
+            if token in (derived if form == _DERIVED else partial):
+                raise CertifyError(reason)
 
 
 def encode_label(
@@ -1056,7 +1025,13 @@ def encode_label(
         relayed.append(hit)
     chains = [own] + [hit[1] for hit in relayed]
     bases = _bases(chains)
-    derived, partial = _enc_forms(chains)
+    # The completion records of the sections the label writes: a route
+    # writes its chain's after the prefix it shares.
+    records = list(own[-1].records) if own else []
+    for states, (_, q) in zip(chains[1:], bases):
+        if states:
+            records += states[-1].records[len(states[q - 1].records) if q else 0:]
+    _, derived, partial = _sources(records, {states[0].order[0] for states in chains if states})
     _check_completed(derived, partial, [states[-1] for states in chains if states])
     # A prefix's slots name entries its base named before, so only the
     # slots after it are mapped.
@@ -1139,13 +1114,11 @@ def _raw_chain(
     count: int = 0,
 ) -> tuple:
     """(the raw T-node sections, the number of slots each names first, the
-    completion sources of its sections) of one chain's payloads;
-    DecodeError unless its slots are numbered by first use.  above and
-    count are for payloads that follow a route's shared prefix: the raw
-    section above the first payload, which is then nested, and the number
-    of slots the prefix names.  A source is (the slot of the entry the
-    section derives (_derivation) or None, the raw section), one per
-    section that derives an entry or whose record names a child."""
+    completion records of its sections, as _sources takes them with slots
+    for entries) of one chain's payloads; DecodeError unless its slots are
+    numbered by first use.  above and count are for payloads that follow a
+    route's shared prefix: the raw section above the first payload, which
+    is then nested, and the number of slots the prefix names."""
     raws = []
     news = []
     found = []
@@ -1166,7 +1139,8 @@ def _raw_chain(
                 raise DecodeError("slots must be numbered by first use")
         slot = _derivation(above, raw) if nested else None
         if slot is not None or len(raw[1]) > 3:  # the fields after the third are child eids
-            found.append((slot, raw))
+            k = len(raw[2]) + 3 - len(raw[1])  # a record's slots list its T sides first
+            found.append((slot, raw[1], raw[2][:k], raw[2][k:]))
         raws.append(raw)
         news.append(count - before)
         above = raw
@@ -1268,18 +1242,6 @@ def _entry(mask: int, maps: int, term, b: int, n: int, memo) -> BasicInfo:
     basic = memo.get(key)
     if basic is None:
         basic = memo[key] = _basic_of(mask, maps, term, b, n)
-    return basic
-
-
-def _completed(t_in: Dict[int, int], t_out: Dict[int, int], term, b: int, n: int, memo) -> BasicInfo:
-    """The decoded entry (_entry) of an entry of labels with n vertices
-    that _complete computes from valid entries and records, with terminal
-    maps t_in and t_out and class term term."""
-    key = ("basic", n, *_maps_key(t_in, t_out, b), term)
-    basic = memo.get(key)
-    if basic is None:
-        lanes = sorted(t_in)
-        basic = memo[key] = _basic(lanes, [t_in[lane] for lane in lanes], [t_out[lane] for lane in lanes], term)
     return basic
 
 
@@ -1407,14 +1369,12 @@ def _read_chains(lay: Layout, b: int, memo) -> tuple:
     entries each table group must hold; the label's completion sources,
     derived entries and partial entries, as _sources gives them)."""
     n, m_own = lay.n, lay.m
-    raws, news, found = _raw_chain(lay.tnodes, b, n, _index_bits(m_own), memo)
+    # The own chain's slots are its table indices, so its completion
+    # records need no map.
+    raws, news, records = _raw_chain(lay.tnodes, b, n, _index_bits(m_own), memo)
     if sum(news) != m_own:
         raise DecodeError("the table must open with exactly the chain's slots")
-    # Each chain so far, and (table indices, completion sources) of each
-    # chain's sections that the wire writes (a route's after its shared
-    # prefix).
-    chains = [(raws, [0, *accumulate(news)], list(range(m_own)))]
-    written = [(chains[0][2], found)]
+    chains = [(raws, [0, *accumulate(news)], list(range(m_own)))]  # each chain so far
     roots = {raws[0][0][1]} if raws else set()  # the table indices the root sections name
     counts = [count for count in news if count]  # each group's entries
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
@@ -1447,8 +1407,10 @@ def _read_chains(lay: Layout, b: int, memo) -> tuple:
         if not q and fraws:
             roots.add(idx[fraws[0][0][1]])
         chains.append((braws[:q] + fraws, bcounts[:q] + list(accumulate(fnews, initial=s)), idx))
-        written.append((idx, found))
-    return (chains, counts, *_sources(written, roots))
+        at = idx.__getitem__
+        records += [(slot if slot is None else at(slot), fields, tuple(map(at, sides)), tuple(map(at, kids)))
+                    for slot, fields, sides, kids in found]
+    return (chains, counts, *_sources(records, roots))
 
 
 # --- prover ------------------------------------------------------------------

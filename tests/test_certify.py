@@ -622,21 +622,26 @@ def _label_parts(bits):
     chain's section states and payloads (the own chain's first), the table
     as entry keys, each relayed chain's map into it, the entries each group
     holds, those the own chain and earlier maps name before each route, the
-    derived and the partial entries' indices, each entry's written form,
-    and each route's (base, q)."""
+    completion records of every chain's sections and the root entries, the
+    derived and the partial entries' indices as _sources gives them (a
+    route's prefix repeats its base's records, which changes no set), each
+    entry's written form, and each route's (base, q)."""
     lab = decode_label(bits)
     head = certify._Header(lab.n, lab.w)
     chains = [lab.tnodes] + [rs.tnodes for rs in lab.routes]
     states = [certify._enc_chain(chain, head) for chain in chains]
     lasts = [st[-1] for st in states]
     tokens, maps, fresh, index = certify._table_and_maps(lasts[0].order, [st.order for st in lasts[1:]])
-    derived, partial = ({index[t] for t in form} for form in certify._enc_forms(states))
+    records = [rec for st in lasts for rec in st.records]
+    roots = {st[0].order[0] for st in states}
+    derived, partial = ({index[t] for t in form} for form in certify._sources(records, roots)[1:])
     forms = [certify._DERIVED if t in derived else certify._PARTIAL if t in partial else certify._FULL
              for t in range(len(tokens))]
     return {
         "bits": bits, "lab": lab, "b": id_bits(lab.n), "states": states, "maps": maps,
         "payloads": [certify._payloads(chain, st, head) for chain, st in zip(chains, states)],
-        "table": [head.entries[t][2] for t in tokens], "derived": derived, "partial": partial, "forms": forms,
+        "table": [head.entries[t][2] for t in tokens], "records": records, "roots": roots,
+        "derived": derived, "partial": partial, "forms": forms,
         "counts": [c for c in [len(st.new) for st in states[0]] + fresh if c],
         "named": list(accumulate(fresh, initial=len(lasts[0].order))),
         "bases": [(rl.base, rl.q) for rl in read_layout(bits).routes],
@@ -1194,9 +1199,8 @@ def test_a_t_side_of_a_completing_record_is_written_in_full():
     both = 0
     for bits in labels.values():
         parts = _label_parts(bits)
-        lasts = [st[-1] for st in parts["states"]]
-        kids = set().union(*[st.kids for st in lasts]) - {st[0].order[0] for st in parts["states"]}
-        both += len(kids & set().union(*[st.sides for st in lasts]))
+        kids = set().union(*[rec[3] for rec in parts["records"]]) - parts["roots"]
+        both += len(kids & set().union(*[rec[2] for rec in parts["records"]]))
         assert certify.entry_forms(bits)["partial"] == len(parts["partial"])
     assert both >= 3
     assert all_accept(verify_all(g, labels, "parity", 3))

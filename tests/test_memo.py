@@ -242,8 +242,9 @@ def _small_label(bits, records=False) -> Bits:
     lay = read_layout(bits)
     n, lay.n = lay.n, 5
     if records:
-        raws, news, found = certify._raw_chain(lay.tnodes, id_bits(n), n, certify._index_bits(lay.m), {})
-        _, derived, partial = certify._sources([(range(lay.m), found)], {raws[0][0][1]})
+        # The own chain's slots are its table indices.
+        raws, news, records = certify._raw_chain(lay.tnodes, id_bits(n), n, certify._index_bits(lay.m), {})
+        _, derived, partial = certify._sources(records, {raws[0][0][1]})
         forms = [certify._DERIVED if t in derived else certify._PARTIAL if t in partial else certify._FULL
                  for t in range(lay.m)]
         entries = iter(

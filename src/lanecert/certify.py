@@ -48,7 +48,14 @@ pointer fields: they map its bits to and from a ``Layout`` of the fields'
 values (a route's frames as a list of payloads, its prefix's pointer fields
 as (dist, is_tree, parent_min) triples), which ``encode_label`` fills and
 ``decode_label`` checks.  (``label_size_stats`` and fuzz's section edits
-see bare sections only.)
+see bare sections only.)  The framing, the header, the table's slot count
+m and its group lengths are varints; every other integer field is one of
+``encoding``'s bit-tight codes.  Small counts, ranks less 1, lanes less 1
+and dist are gamma codes; the eids a record names (its parent, T sides'
+nodes and children) are signed gamma codes relative to its own eid, as
+parent - eid - 1 and eid - 1 - x, so a nested payload decodes without the
+record above it; a record's own eid and the root section's node eid are
+Exp-Golomb codes of order b - 1, b the id width.
 
 The table writes each distinct BasicInfo of the label once, in one of three
 forms.  In full it is a w-bit lane mask, both terminal maps in one field and
@@ -324,11 +331,11 @@ def read_layout(bits: Bits) -> Layout:
     for j, (_, payload) in enumerate(rest):
         r = BitReader(payload)
         uv = r.read_uint(2 * b)
-        head = (uv >> b, uv & ((1 << b) - 1), r.read_varint(), r.read_varint(), r.read_uint(j.bit_length()))
-        q = r.read_varint()
+        head = (uv >> b, uv & ((1 << b) - 1), r.read_gamma() + 1, r.read_gamma() + 1, r.read_uint(j.bit_length()))
+        q = r.read_gamma()
         packed, low = r.read_uint(q * (b + 2)), (1 << (b + 2)) - 1
         fields = [packed >> ((b + 2) * i) & low for i in range(q - 1, -1, -1)]
-        m = r.read_varint()
+        m = r.read_gamma()
         iw = _index_bits(named + m)
         packed, low = r.read_uint(m * iw), (1 << iw) - 1
         idx = [packed >> (iw * i) & low for i in range(m - 1, -1, -1)]
@@ -360,15 +367,15 @@ def write_layout(lay: Layout) -> Bits:
         rw = BitWriter()
         rw.write_uint(rl.u, b)
         rw.write_uint(rl.v, b)
-        rw.write_varint(rl.fwd)
-        rw.write_varint(rl.bwd)
+        rw.write_gamma(rl.fwd - 1)
+        rw.write_gamma(rl.bwd - 1)
         rw.write_uint(rl.base, j.bit_length())
         packed = 0  # the prefix's pointer fields, b + 2 bits each
         for dist, is_tree, parent_min in rl.pointers:
             packed = packed << (b + 2) | dist << 2 | is_tree << 1 | parent_min
-        rw.write_varint(len(rl.pointers))
+        rw.write_gamma(len(rl.pointers))
         rw.write_uint(packed, len(rl.pointers) * (b + 2))
-        rw.write_varint(len(rl.idx))
+        rw.write_gamma(len(rl.idx))
         for i in rl.idx:
             rw.write_uint(i, rl.iw)
         for payload in rl.frames:
@@ -475,27 +482,33 @@ def _basic(lanes: List[int], ins: List[int], outs: List[int], term) -> BasicInfo
     return BasicInfo(t_in, t_out, HomClass(tuple(atoms), term))
 
 
-def _enc_side(w: BitWriter, side: tuple, b: int, slot, sw: int) -> None:
+def _enc_side(w: BitWriter, side: tuple, eid: int, b: int, slot, sw: int) -> None:
+    """One side of the B record eid: a vertex leaf's lane - 1 in gamma and
+    its vertex in b bits, or a T side's eid - 1 - node eid in signed gamma
+    and its BasicInfo's slot in sw bits, after a side bit."""
     if side[0] == "V":
         w.write_bit(0)
-        w.write_varint(side[1])
+        w.write_gamma(side[1] - 1)
         w.write_uint(side[2], b)
     else:
         w.write_bit(1)
-        w.write_varint(side[1])
+        w.write_signed(eid - 1 - side[1])
         w.write_uint(slot(side[2]), sw)
 
 
-def _dec_side(r: BitReader, b: int, n: int, sw: int, slots: list) -> tuple:
-    """One side of a B record without its BasicInfo: ("V", lane, vertex) or
-    ("T", node eid); a T side's sw-bit slot is appended to slots."""
+def _dec_side(r: BitReader, eid: int, b: int, n: int, sw: int, slots: list) -> tuple:
+    """One side of the B record eid without its BasicInfo: ("V", lane,
+    vertex) or ("T", node eid); a T side's sw-bit slot is appended to
+    slots."""
     if r.read_bit() == 0:
-        lane = r.read_varint()
+        lane = r.read_gamma() + 1
         vertex = r.read_uint(b)
-        if lane < 1 or vertex >= n:
+        if vertex >= n:
             raise DecodeError("bad leaf side")
         return ("V", lane, vertex)
-    node_eid = r.read_varint()
+    node_eid = eid - 1 - r.read_signed()
+    if node_eid < 0:
+        raise DecodeError("a T side's node eid is below 0")
     slots.append(r.read_uint(sw))
     return ("T", node_eid)
 
@@ -515,38 +528,43 @@ def _elem_uses(rec: ElementRecord):
 
 def _enc_elem(rec: ElementRecord, b: int, slot, sw: int) -> Bits:
     """The bits of rec; slot maps each BasicInfo it holds to its sw-bit
-    slot."""
+    slot.  Its eid is written in Exp-Golomb of order b - 1, and the eids it
+    names relative to it in signed gamma: its parent's as parent - eid - 1,
+    its T sides' and children's as eid - 1 - x.  Lanes, the path width and
+    the child count are small and written in gamma (a lane and the width
+    less 1)."""
     w = BitWriter()
-    w.write_varint(rec.eid)
+    eid = rec.eid
+    w.write_expgolomb(eid, b - 1)
     w.write_bit(rec.parent_eid is not None)
     if rec.parent_eid is not None:
-        w.write_varint(rec.parent_eid)
+        w.write_signed(rec.parent_eid - eid - 1)
     w.write_uint(_KINDS.index(rec.kind), 2)
     t = rec.topo
     if t[0] == "E":
-        w.write_varint(t[1])
+        w.write_gamma(t[1] - 1)
         w.write_uint(t[2], b)
         w.write_uint(t[3], b)
         w.write_bit(t[4])
     elif t[0] == "P":
         vids, marks = t[1], t[2]
-        w.write_varint(len(vids))
+        w.write_gamma(len(vids) - 1)
         for v in vids:
             w.write_uint(v, b)
         for m in marks:
             w.write_bit(m)
     else:
         _, i, j, bridge, bmark, left, right = t
-        w.write_varint(i)
-        w.write_varint(j)
+        w.write_gamma(i - 1)
+        w.write_gamma(j - 1)
         w.write_uint(bridge[0], b)
         w.write_uint(bridge[1], b)
         w.write_bit(bmark)
-        _enc_side(w, left, b, slot, sw)
-        _enc_side(w, right, b, slot, sw)
-    w.write_varint(len(rec.children))
+        _enc_side(w, left, eid, b, slot, sw)
+        _enc_side(w, right, eid, b, slot, sw)
+    w.write_gamma(len(rec.children))
     for ceid, csub in rec.children:
-        w.write_varint(ceid)
+        w.write_signed(eid - 1 - ceid)
         w.write_uint(slot(csub), sw)
     return w.getvalue()
 
@@ -556,24 +574,28 @@ def _dec_elem(r: BitReader, b: int, n: int, sw: int) -> Tuple[tuple, tuple]:
     gives them, and its sw-bit slots in the order _elem_uses lists its
     BasicInfos); _resolve_elem makes the record of them.  The fields do not
     depend on the slot width, so equal records are equal fields."""
-    eid = r.read_varint()
-    parent = r.read_varint() if r.read_bit() else None
+    eid = r.read_expgolomb(b - 1)
+    parent = None
+    if r.read_bit():
+        parent = eid + 1 + r.read_signed()
+        if parent < 0:
+            raise DecodeError("a parent eid below 0")
     kidx = r.read_uint(2)
     if kidx > 2:
         raise DecodeError("bad element kind")
     kind = _KINDS[kidx]
     slots: List[int] = []
     if kind == "E":
-        lane = r.read_varint()
+        lane = r.read_gamma() + 1
         vin = r.read_uint(b)
         vout = r.read_uint(b)
         mark = r.read_bit()
-        if lane < 1 or vin >= n or vout >= n or vin == vout:
+        if vin >= n or vout >= n or vin == vout:
             raise DecodeError("bad edge element")
         topo = ("E", lane, vin, vout, mark)
     elif kind == "P":
-        wp = r.read_varint()
-        if not 1 <= wp <= n:
+        wp = r.read_gamma() + 1
+        if wp > n:
             raise DecodeError("bad path width")
         vids = tuple(r.read_uint(b) for _ in range(wp))
         if len(set(vids)) != wp or any(v >= n for v in vids):
@@ -581,22 +603,25 @@ def _dec_elem(r: BitReader, b: int, n: int, sw: int) -> Tuple[tuple, tuple]:
         marks = tuple(r.read_bit() for _ in range(wp - 1))
         topo = ("P", vids, marks)
     else:
-        i = r.read_varint()
-        j = r.read_varint()
+        i = r.read_gamma() + 1
+        j = r.read_gamma() + 1
         bu = r.read_uint(b)
         bv = r.read_uint(b)
         bmark = r.read_bit()
-        left = _dec_side(r, b, n, sw, slots)
-        right = _dec_side(r, b, n, sw, slots)
+        left = _dec_side(r, eid, b, n, sw, slots)
+        right = _dec_side(r, eid, b, n, sw, slots)
         if not bu < bv < n:
             raise DecodeError("bad bridge edge")
         topo = ("B", i, j, (bu, bv), bmark, left, right)
-    nc = r.read_varint()
+    nc = r.read_gamma()
     if nc > n:
         raise DecodeError("bad child count")
     eids = []
     for _ in range(nc):
-        eids.append(r.read_varint())
+        ceid = eid - 1 - r.read_signed()
+        if ceid < 0:
+            raise DecodeError("a child eid below 0")
+        eids.append(ceid)
         slots.append(r.read_uint(sw))
     if len(set(eids)) != nc:
         raise DecodeError("duplicate child eids")
@@ -648,18 +673,19 @@ def _side_bit(above: ElementRecord, node_eid: int, basic: BasicInfo) -> int:
     )
 
 
-def _enc_tnode(sec: TSec, side: Optional[int], slot, sw: int, tail: Bits) -> Bits:
+def _enc_tnode(sec: TSec, side: Optional[int], b: int, slot, sw: int, tail: Bits) -> Bits:
     """The payload of one T-node section: the root's (side None) with its
-    node eid and BasicInfo's slot, a nested one's with its side bit, then
-    the pointer fields and tail, the element record's bits.  slot maps each
-    BasicInfo to its sw-bit slot in the chain."""
+    node eid in Exp-Golomb of order b - 1 and its BasicInfo's slot, a
+    nested one's with its side bit, then the pointer fields (dist in gamma)
+    and tail, the element record's bits.  slot maps each BasicInfo to its
+    sw-bit slot in the chain."""
     pw = BitWriter()
     if side is None:
-        pw.write_varint(sec.node_eid)
+        pw.write_expgolomb(sec.node_eid, b - 1)
         pw.write_uint(slot(sec.basic), sw)
     else:
         pw.write_bit(side)
-    pw.write_varint(sec.dist)
+    pw.write_gamma(sec.dist)
     pw.write_uint(sec.is_tree << 1 | sec.parent_min, 2)
     pw.write_bits(tail)
     return pw.getvalue()
@@ -829,7 +855,7 @@ def _payloads(tnodes: List[TSec], states: List[_SecState], head: _Header, start:
             tail = st.bits.get(sw)
             if tail is None:
                 tail = st.bits[sw] = _enc_elem(sec.elem, head.b, slot, sw)
-            payload = st.bits[key] = _enc_tnode(sec, st.raw[0], slot, sw, tail)
+            payload = st.bits[key] = _enc_tnode(sec, st.raw[0], head.b, slot, sw, tail)
         payloads.append(payload)
     return payloads
 
@@ -935,12 +961,12 @@ def _complete(sources: list, derived: set, partial: set, table: list, b: int, n:
                     t_in, t_out = _glue(_sided(fields[2], objs), zip(fields[3:], objs[k:]), ins)
                 except _Reject as rj:
                     raise DecodeError("a record that completes a table entry fails its glue: %s" % rj.code)
-                got = [_entry(*_maps_key(cin, kid.t_out, b), kid.term, b, n, memo) if type(kid) is _Partial
-                       else None for cin, kid in zip(ins, objs[k:])]
+                got = [_entry(*_maps_key(cin, kid.t_out, b), kid.term, b, n, memo, (cin, kid.t_out))
+                       if type(kid) is _Partial else None for cin, kid in zip(ins, objs[k:])]
                 if len(named) > len(ins):
                     if max(t_in, default=0) > w_lanes:
                         raise DecodeError("a derived entry has a lane above w")
-                    got.append(_entry(*_maps_key(t_in, t_out, b), objs[-1], b, n, memo))
+                    got.append(_entry(*_maps_key(t_in, t_out, b), objs[-1], b, n, memo, (t_in, t_out)))
                 done[key] = got
             for t, basic in zip(named, got):
                 if basic is None:
@@ -1096,8 +1122,8 @@ def _dec_tnode(payload: Bits, b: int, n: int, sw: int, nested: bool, memo) -> tu
     if nested:
         head = r.read_bit()
     else:
-        head = (r.read_varint(), r.read_uint(sw))
-    dist = r.read_varint()
+        head = (r.read_expgolomb(b - 1), r.read_uint(sw))
+    dist = r.read_gamma()
     is_tree = bool(r.read_bit())
     parent_min = bool(r.read_bit())
     tail = r.read_bits(r.remaining())
@@ -1234,14 +1260,22 @@ def _relayed_chain(raws: list, base: tuple, pointers: list, basics: List[BasicIn
     return chain, btokens[:q] + tokens
 
 
-def _entry(mask: int, maps: int, term, b: int, n: int, memo) -> BasicInfo:
+def _entry(mask: int, maps: int, term, b: int, n: int, memo, glued: Optional[tuple] = None) -> BasicInfo:
     """The BasicInfo of one table entry's fields (of labels with n
     vertices), built and validated once per memo: equal entries, written or
-    derived, are one object."""
+    derived, are one object.  An entry _complete computes gives its terminal
+    maps as glued, (t_in, t_out) with ids below n, so a miss builds it from
+    them and does not unpack maps."""
     key = ("basic", n, mask, maps, term)
     basic = memo.get(key)
     if basic is None:
-        basic = memo[key] = _basic_of(mask, maps, term, b, n)
+        if glued is None:
+            basic = _basic_of(mask, maps, term, b, n)
+        else:
+            t_in, t_out = glued
+            lanes = sorted(t_in)
+            basic = _basic(lanes, [t_in[lane] for lane in lanes], [t_out[lane] for lane in lanes], term)
+        memo[key] = basic
     return basic
 
 
@@ -1379,7 +1413,7 @@ def _read_chains(lay: Layout, b: int, memo) -> tuple:
     counts = [count for count in news if count]  # each group's entries
     named = m_own  # entries 0 .. named - 1 are named by some slot so far
     for j, rl in enumerate(lay.routes):
-        if rl.u >= n or rl.v >= n or rl.u == rl.v or rl.fwd < 1 or rl.bwd < 1:
+        if rl.u >= n or rl.v >= n or rl.u == rl.v:
             raise DecodeError("bad route section")
         base, q = rl.base, rl.q
         if base > j or q > len(chains[base][0]):

@@ -1,11 +1,26 @@
-"""Bit-exact label encoding: bitstrings, varints, section framing, term codec.
+"""Bit-exact label encoding: bitstrings, integer codes, section framing,
+term codec.
 
 Labels are bitstrings built MSB-first.  A label is a sequence of sections,
 each framed as (8-bit type, varint payload length in bits, payload), so a
 decoder can walk arbitrary input without trusting it.  A varint is 8-bit
 groups, the low 7 bits of the value first, the high bit set on all but the
 last; a last group of 0 after another is refused, so each value has one
-wire form.
+wire form.  Varints frame sections and bitstrings, and hold a label's
+header and table counts (``certify``); the other integer fields inside a
+payload use bit-tight codes that give small values few bits (Elias, IEEE
+Trans. Inf. Theory 21(2), 1975):
+
+- gamma: v is written as the Elias-gamma code of v + 1, that is z zeros
+  and then the z + 1 bits of v + 1, whose top bit is 1; 0 is the one bit
+  1.  A code with a zero run longer than 63 bits is refused.
+- signed gamma: an int s as the gamma code of its zigzag form (2s for
+  s >= 0, -2s - 1 below 0), so 0 costs 1 bit and -1 and 1 cost 3.
+- Exp-Golomb of order k: v as z zeros and then the z + k + 1 bits of
+  v + 2**k (gamma is order 0 of v), so values below 2**k cost k + 1 bits.
+
+Each code gives each value one wire form: the zero run fixes the length
+and the top bit of what follows it is 1.
 """
 
 from __future__ import annotations
@@ -95,6 +110,10 @@ def _slice(value: int, nbits: int) -> Bits:
     return out
 
 
+# The longest zero run an Exp-Golomb code may open with, so a gamma code
+# holds at most 64 bits of value.
+_MAX_ZEROS = 63
+
 # A BitWriter gathers its newest bits in one int and moves them to its list
 # of chunks once that int passes this many bits, checked where long runs
 # are written (write_bits).  Appending to one ever growing int copies it
@@ -140,6 +159,24 @@ class BitWriter:
             v >>= 7
         self.value = (self.value << (nb + 8)) | (groups << 8) | v
         self.nbits += nb + 8
+
+    def write_expgolomb(self, v: int, k: int) -> None:
+        """The Exp-Golomb code of order k of v >= 0: v + 2**k in twice its
+        bit length less k + 1 bits, so its top bit follows a zero run."""
+        x = v + (1 << k)
+        size = 2 * x.bit_length() - k - 1
+        if v < 0 or size - x.bit_length() > _MAX_ZEROS:
+            raise ValueError("%d has no Exp-Golomb code of order %d" % (v, k))
+        self.value = (self.value << size) | x
+        self.nbits += size
+
+    def write_gamma(self, v: int) -> None:
+        """The Elias-gamma code of v + 1, for v >= 0: one bit for 0."""
+        self.write_expgolomb(v, 0)
+
+    def write_signed(self, s: int) -> None:
+        """The gamma code of s's zigzag form: 2s for s >= 0, -2s - 1 below."""
+        self.write_gamma(s << 1 if s >= 0 else ~s << 1 | 1)
 
     def write_bits(self, bits: Bits) -> None:
         self.value = (self.value << bits.nbits) | bits.value
@@ -206,6 +243,35 @@ class BitReader:
                 return v
             shift += 7
 
+    def read_expgolomb(self, k: int) -> int:
+        """The inverse of write_expgolomb; DecodeError for a code that the
+        end of the bitstring cuts off or whose zero run is longer than 63
+        bits.  The zero run is found in a window of the next 64 bits."""
+        left = self._end - self.pos
+        width = left if left < 64 else 64
+        win = self._value >> (left - width) & ((1 << width) - 1)
+        if not win:
+            raise DecodeError("gamma zero run longer than 63 bits" if width == 64 else "read past end of bitstring")
+        size = 2 * width - 2 * win.bit_length() + k + 1  # the zero run twice, then k + 1
+        if size <= width:
+            self.pos += size
+            return (win >> (width - size)) - (1 << k)
+        return self.read_uint(size) - (1 << k)
+
+    def read_gamma(self) -> int:
+        """The inverse of write_gamma; DecodeError as read_expgolomb gives
+        it.  A leading 1, the code of 0, is read as one bit."""
+        pos = self.pos + 1
+        if pos <= self._end and self._value >> (self._end - pos) & 1:
+            self.pos = pos
+            return 0
+        return self.read_expgolomb(0)
+
+    def read_signed(self) -> int:
+        """The inverse of write_signed."""
+        z = self.read_gamma()
+        return z >> 1 if not z & 1 else ~(z >> 1)
+
     def read_bits(self, width: int) -> Bits:
         return _slice(self.read_uint(width), width)
 
@@ -259,18 +325,25 @@ def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
 
 # A "term" is a non-negative int or a flat tuple of non-negative ints.
 # Canonical class states are terms, so one codec serves every property
-# plugin.  An int is written as tag bit 0 and a varint.  A tuple is tag bit 1,
-# varints for its count c and width w (the widest entry's bit length, 0 when
-# every entry is 0), then its entries as one packed field of c * w bits, so a
-# long term is one read.  Only the minimal width is read back, so each term
-# has one wire form.  A tuple may list no more entries than its bitstring has
-# bits: zero-width entries cost nothing on the wire.
+# plugin.  An int is written as tag bit 0 and its gamma code.  A tuple is
+# tag bit 1, gamma codes of its count c and width w (the widest entry's bit
+# length, 0 when every entry is 0), then its entries as one packed field of
+# c * w bits, so a long term is one read.  Only the minimal width is read
+# back, so each term has one wire form.  Zero-width entries cost nothing on
+# the wire, so a tuple may list at most _ZERO_ENTRIES_PER_BIT entries per
+# bit of its bitstring: reading a term costs memory in proportion to the
+# bits read.
 Term = Union[int, Tuple[int, ...]]
 
 # _pack and _split halve a tuple until its part fits in a few machine words,
 # so a long packed field costs O(bits * log count), not one shift of the
 # whole field per entry.
 _LEAF_ENTRIES = 64
+
+# A lone all-zero tuple of c entries takes 2 * floor(log2(c + 1)) + 3 bits,
+# so at 16 entries per bit every count up to 304 reads back, more than the
+# 2 * f(4) = 220 lanes of a k = 4 class term.
+_ZERO_ENTRIES_PER_BIT = 16
 
 
 def _pack(t: Tuple[int, ...], width: int) -> int:
@@ -296,23 +369,23 @@ def _split(v: int, c: int, width: int) -> List[int]:
 def write_term(w: BitWriter, t: Term) -> None:
     if isinstance(t, int):
         w.write_bit(0)
-        w.write_varint(t)
+        w.write_gamma(t)
         return
     if not isinstance(t, tuple) or not all(isinstance(e, int) and e >= 0 for e in t):
         raise ValueError("term must be an int or a tuple of non-negative ints")
     width = max(t, default=0).bit_length()
     w.write_bit(1)
-    w.write_varint(len(t))
-    w.write_varint(width)
+    w.write_gamma(len(t))
+    w.write_gamma(width)
     w.write_uint(_pack(t, width), len(t) * width)
 
 
 def read_term(r: BitReader) -> Term:
     if r.read_bit() == 0:
-        return r.read_varint()
-    c = r.read_varint()
-    width = r.read_varint()
-    if c > r.bits.nbits or c * width > r.remaining():
+        return r.read_gamma()
+    c = r.read_gamma()
+    width = r.read_gamma()
+    if c > _ZERO_ENTRIES_PER_BIT * r.bits.nbits or c * width > r.remaining():
         raise DecodeError("term length exceeds data")
     if not (c and width):
         if width:

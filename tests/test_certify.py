@@ -143,13 +143,13 @@ def test_prove_refuses_an_element_below_two_records(monkeypatch):
 # change that moves any label changes a digest.  A deliberate wire change
 # updates the digests here and says so in CHANGES.md.
 WIRE_DIGESTS = {
-    ("cycle", 30, 3, "bipartite"): "a47579bd810254bd75b723a1a7e405f9c6ace23d2b7a93e457520ff61f3b6433",
-    ("caterpillar", 30, 3, "acyclic"): "27a0111c2646a887af675a4978bcfe46fac075ec14584fa0a65509542bf17fc1",
-    ("random-ops", 40, 3, "parity"): "5bfc77bff94f0cb53fbee7cf4f888a39526e95d62b7bf7c6b15afa1806502754",
-    ("cycle", 60, 2, "bipartite"): "999023fe84cdd0a85441d19f145ce80c774a8cf755d2890707e60e163b13964b",
+    ("cycle", 30, 3, "bipartite"): "21b47eff71089dcb9bcb524038d6b51ef17016033ab70c1ff4db221697b1e248",
+    ("caterpillar", 30, 3, "acyclic"): "7d4c38a256105dc537105bbb384105cf5febb67f30433ab2aabe714bf3c19d70",
+    ("random-ops", 40, 3, "parity"): "5e95b97853441259e7cfd4cc86de2f5186b2ec885bad918bea8e33357930175f",
+    ("cycle", 60, 2, "bipartite"): "656aae81fd8adc32c46db97f10db4a4338d9000eb7a898ec37e660f87616e536",
 }
 # C7 bipartite, a false statement of the acceptance suite, with forced labels.
-FORCED_C7_DIGEST = "3ab9cb5664a6d8ebf0ca3f91299fdf2326a995f6ada2fdb1a40f6f1d6dd86bad"
+FORCED_C7_DIGEST = "f806fe34134ce14cd3f87863eb7270b6fb0e52feda7211ef258736bad590d700"
 
 
 def _wire_digest(labels):
@@ -355,6 +355,76 @@ def test_non_minimal_varints_are_rejected_at_both_endpoints():
             for view in local_views(g, bad):
                 if view.vid in e:
                     assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
+
+
+def _bad_code_forgeries(labels):
+    """(edge, kind, forged label, what decode_label says) for each code of a
+    record or pointer field the decoder refuses: an eid delta of a child, a
+    T side or a parent that lands below eid 0 (the own chain's record
+    given eid -1 there, and encoded), a gamma code whose zero run is longer
+    than 63 bits (a nested section's dist), and a gamma code cut off by the
+    end of its payload (the child count, a record's last field)."""
+    out = {}
+    for e in sorted(labels):
+        lab = decode_label(labels[e])
+        chain = lab.tnodes
+
+        def encoded(pos, rec, below=None):
+            forged = chain[:pos] + [replace(chain[pos], elem=rec)] + chain[pos + 1:]
+            if below is not None:
+                forged[pos + 1] = below
+            return encode_label(lab.n, lab.w, forged, lab.routes)
+
+        for pos, sec in enumerate(chain):
+            rec = sec.elem
+            if rec.children:
+                out.setdefault("child", (e, encoded(pos, replace(rec, children=((-1, rec.children[0][1]),) + rec.children[1:])), "a child eid below 0"))
+            if rec.parent_eid is not None:
+                out.setdefault("parent", (e, encoded(pos, replace(rec, parent_eid=-1)), "a parent eid below 0"))
+            for i, side in enumerate(rec.topo[5:] if rec.kind == "B" else ()):
+                if side[0] == "T":
+                    topo = rec.topo[:5 + i] + (("T", -1, side[2]),) + rec.topo[6 + i:]
+                    below = chain[pos + 1] if pos + 1 < len(chain) and chain[pos + 1].node_eid == side[1] else None
+                    out.setdefault("side", (e, encoded(pos, replace(rec, topo=topo), below and replace(below, node_eid=-1)), "node eid is below 0"))
+        lay = read_layout(labels[e])
+        for pos, payload in enumerate(lay.tnodes):
+            r = BitReader(payload)
+            if pos:
+                w = BitWriter()
+                w.write_bit(r.read_bit())
+                r.read_gamma()
+                w.write_uint(1, 65)  # a zero run of 64
+                w.write_bits(r.read_bits(r.remaining()))
+                lay.tnodes[pos] = w.getvalue()
+                out.setdefault("zero-run", (e, write_layout(lay), "zero run longer than 63 bits"))
+                lay.tnodes[pos] = payload
+            if not chain[pos].elem.children:
+                lay.tnodes[pos] = Bits(payload.value >> 1, payload.nbits - 1)
+                out.setdefault("cut-off", (e, write_layout(lay), "read past end"))
+                lay.tnodes[pos] = payload
+    return [(e, kind, bits, says) for kind, (e, bits, says) in sorted(out.items())]
+
+
+def test_bad_codes_are_rejected_at_both_endpoints():
+    # A delta that lands below eid 0, a gamma zero run longer than 63 bits
+    # and a gamma code cut off at the end: no decode, and both endpoints of
+    # the edge reject the label as "decode", with memo None, {} and a
+    # shared one.
+    g, ir = _ops40()
+    labels = prove(g, "parity", 3, ir=ir)
+    forged = _bad_code_forgeries(labels)
+    assert [kind for _, kind, _, _ in forged] == ["child", "cut-off", "parent", "side", "zero-run"]
+    shared = {}
+    for e, kind, bits, says in forged:
+        with pytest.raises(DecodeError, match=says):
+            decode_label(bits)
+        bad = {**labels, e: bits}
+        verdicts = verify_all(g, bad, "parity", 3)
+        assert verdicts[e[0]].reason == verdicts[e[1]].reason == "decode", kind
+        for view in local_views(g, bad):
+            if view.vid in e:
+                for memo in (None, {}, shared):
+                    assert verify_vertex(view, "parity", 3, memo).reason == "decode", kind
 
 
 def test_wrong_property_or_k_rejected():
@@ -677,10 +747,10 @@ def _table_lies(bits):
     table, b, forms = parts["table"], parts["b"], parts["forms"]
     lay = read_layout(bits)
     m, sw = lay.m, certify._index_bits(lay.m)
-    if m < 1 << sw:  # the root section's slot, just past the eid varint
+    if m < 1 << sw:  # the root section's slot, just past its node eid
         root = lay.tnodes[0]
         r = BitReader(root)
-        r.read_varint()
+        r.read_expgolomb(b - 1)
         shift = root.nbits - r.pos - sw
         lay.tnodes[0] = Bits(root.value & ~(((1 << sw) - 1) << shift) | m << shift, root.nbits)
         yield "slot>=m", write_layout(lay)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanecert.encoding import (
     BitReader,
@@ -13,6 +15,7 @@ from lanecert.encoding import (
     write_sections,
     write_term,
 )
+from lanecert.lanes import lane_bounds
 
 
 def test_bits_roundtrip_hex():
@@ -124,6 +127,99 @@ def test_long_bitstring_roundtrip():
         assert w.getvalue() == Bits((value << 1) | 1, 5000 * count + 1)
 
 
+# The three integer codes, as (write, read) with the Exp-Golomb order drawn.
+_CODES = {
+    "gamma": (lambda w, v, k: w.write_gamma(v), lambda r, k: r.read_gamma()),
+    "signed": (lambda w, v, k: w.write_signed(v), lambda r, k: r.read_signed()),
+    "expgolomb": (lambda w, v, k: w.write_expgolomb(v, k), lambda r, k: r.read_expgolomb(k)),
+}
+_TOP = (1 << 63) - 1
+
+
+def _code_values(code):
+    return st.integers(-_TOP, _TOP) if code == "signed" else st.integers(0, _TOP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), code=st.sampled_from(sorted(_CODES)), k=st.integers(0, 24),
+       before=st.integers(0, 70), after=st.integers(0, 70))
+def test_codes_round_trip(data, code, k, before, after):
+    # Each code of any value up to 2^63 - 1 (signed: of either sign) reads
+    # back from between two fields of other bits, leaving the reader just
+    # after it; gamma and Exp-Golomb take 2 * bitlen(v + 2^k) - k - 1 bits.
+    write, read = _CODES[code]
+    v = data.draw(_code_values(code))
+    w = BitWriter()
+    w.write_uint((1 << before) - 1, before)
+    write(w, v, k)
+    w.write_uint((1 << after) - 1, after)
+    bits = w.getvalue()
+    r = BitReader(bits)
+    r.read_uint(before)
+    assert read(r, k) == v and r.remaining() == after
+    if code != "signed":
+        k = k if code == "expgolomb" else 0
+        assert bits.nbits - before - after == 2 * (v + (1 << k)).bit_length() - k - 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(code=st.sampled_from(sorted(_CODES)), k=st.integers(0, 24),
+       nbits=st.integers(0, 200), data=st.data())
+def test_codes_have_one_wire_form(code, k, nbits, data):
+    # Any bitstring reads as a code or raises DecodeError, and the code
+    # read writes back as exactly the bits it was read from.
+    bits = Bits(data.draw(st.integers(0, (1 << nbits) - 1)), nbits)
+    write, read = _CODES[code]
+    r = BitReader(bits)
+    try:
+        v = read(r, k)
+    except DecodeError:
+        return
+    w = BitWriter()
+    write(w, v, k)
+    assert w.getvalue() == Bits(bits.value >> r.remaining(), nbits - r.remaining())
+
+
+def test_small_codes():
+    # gamma: 0 is one bit, 1 and 2 three; signed gamma: 0, -1, 1, -2 in
+    # zigzag order; Exp-Golomb of order 3: values below 8 take 4 bits.
+    def bits_of(write, *args):
+        w = BitWriter()
+        write(w, *args)
+        return w.getvalue()
+
+    assert [bits_of(BitWriter.write_gamma, v) for v in (0, 1, 2, 3)] == [
+        Bits(1, 1), Bits(0b010, 3), Bits(0b011, 3), Bits(0b00100, 5)]
+    assert [bits_of(BitWriter.write_signed, s) for s in (0, -1, 1, -2)] == [
+        Bits(1, 1), Bits(0b010, 3), Bits(0b011, 3), Bits(0b00100, 5)]
+    assert [bits_of(BitWriter.write_expgolomb, v, 3) for v in (0, 7, 8)] == [
+        Bits(0b1000, 4), Bits(0b1111, 4), Bits(0b010000, 6)]
+
+
+@pytest.mark.parametrize("code", sorted(_CODES))
+def test_codes_refuse_long_zero_runs_and_cut_codes(code):
+    # A zero run of 63 bits opens the longest code; one of 64 is refused,
+    # and so is a code the end of its bitstring cuts off.  The writers
+    # refuse what no code holds: a negative value (but for signed gamma)
+    # and one whose code would open with more than 63 zeros.
+    write, read = _CODES[code]
+    k = 5 if code == "expgolomb" else 0
+    longest = Bits(1 << 63 + k, 127 + k)
+    r = BitReader(longest)
+    read(r, k)
+    assert r.remaining() == 0
+    with pytest.raises(DecodeError, match="zero run longer than 63 bits"):
+        read(BitReader(Bits(1 << 64 + k, 129 + k)), k)
+    for cut in (Bits(0, 0), Bits(0, 5), Bits(longest.value >> 1, longest.nbits - 1), Bits(0b0001, 4)):
+        with pytest.raises(DecodeError, match="read past end"):
+            read(BitReader(cut), k)
+    too_big = {"gamma": (1 << 64) - 1, "signed": 1 << 63, "expgolomb": (1 << 64 + k) - (1 << k)}[code]
+    write(BitWriter(), too_big - 1, k)
+    for v in (too_big, -1) if code != "signed" else (too_big, -too_big - 1):
+        with pytest.raises(ValueError):
+            write(BitWriter(), v, k)
+
+
 def test_reader_overrun():
     r = BitReader(Bits(0b1, 1))
     with pytest.raises(DecodeError):
@@ -176,9 +272,9 @@ def _term_bits(t) -> Bits:
     return w.getvalue()
 
 
-def _varint(v) -> Bits:
+def _gamma(v) -> Bits:
     w = BitWriter()
-    w.write_varint(v)
+    w.write_gamma(v)
     return w.getvalue()
 
 
@@ -187,8 +283,8 @@ def _packed(count, width, field, field_bits) -> Bits:
     given as they are, consistent or not."""
     w = BitWriter()
     w.write_bit(1)
-    w.write_varint(count)
-    w.write_varint(width)
+    w.write_gamma(count)
+    w.write_gamma(width)
     w.write_uint(field, field_bits)
     return w.getvalue()
 
@@ -220,7 +316,7 @@ def test_packed_term_roundtrip(term):
     # after a short field and followed by one.
     bits = _term_bits(term)
     width = max(term, default=0).bit_length()
-    assert bits.nbits == 1 + len(_varint(len(term))) + len(_varint(width)) + len(term) * width
+    assert bits.nbits == 1 + len(_gamma(len(term))) + len(_gamma(width)) + len(term) * width
     w = BitWriter()
     w.write_uint(5, 3)
     write_term(w, term)
@@ -249,17 +345,28 @@ def test_packed_term_past_the_end_is_refused():
     assert read_term(BitReader(full)) == (0xA, 0xB, 0xC)
     with pytest.raises(DecodeError):
         read_term(BitReader(Bits(full.value >> 1, full.nbits - 1)))
-    # A count or width that only a long varint can hold.
+    # A count or width that only a long gamma code can hold.
     for count, width in ((1 << 62, 1), (1, 1 << 62), (1 << 62, 1 << 62)):
         with pytest.raises(DecodeError):
             read_term(BitReader(_packed(count, width, 0, 0)))
-    # Zero-width entries cost no bits; no tuple lists more entries than its
-    # bitstring has bits.
-    assert read_term(BitReader(_packed(17, 0, 0, 0))) == (0,) * 17
+    # Zero-width entries cost no bits; no tuple lists more than 16 entries
+    # per bit of its bitstring.  304 and 305 zeros both take 19 bits.
+    assert _packed(304, 0, 0, 0).nbits == _packed(305, 0, 0, 0).nbits == 19
+    assert read_term(BitReader(_packed(304, 0, 0, 0))) == (0,) * 304
     with pytest.raises(DecodeError):
-        read_term(BitReader(_packed(18, 0, 0, 0)))
+        read_term(BitReader(_packed(305, 0, 0, 0)))
     with pytest.raises(DecodeError):
         read_term(BitReader(_packed(1 << 62, 0, 0, 0)))
+
+
+def test_all_zero_tuples_read_back_alone():
+    # An all-zero class term of up to 2 * f(4) atoms, the most a k = 4
+    # label's class has, reads back when it is the whole bitstring.
+    f4 = lane_bounds(4)[0]
+    for count in range(1, 2 * f4 + 1):
+        bits = _term_bits((0,) * count)
+        r = BitReader(bits)
+        assert read_term(r) == (0,) * count and r.remaining() == 0, count
 
 
 @pytest.mark.parametrize("term", [((0,),), (1, (2,)), (-1,), (0, -5), -1, "x", (1.0,), [1]])

@@ -290,7 +290,7 @@ def test_memo_keeps_sections_apart_by_n():
 
 
 def test_wide_relayed_dist_keeps_chains_apart():
-    # A relayed frame writes its dist as a varint, so a forged one can be
+    # A relayed frame writes its dist as a gamma code, so a forged one can be
     # wider than the b bits of a prefix's pointer field.  Two labels whose
     # relayed chains differ only in the last prefix section's parent_min,
     # above a frame whose dist is 2^b, decode under one memo as they do
@@ -948,7 +948,7 @@ def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
                 payloads = certify._payloads(chain, states, head)
                 sw = certify._index_bits(len(states[-1].order))
                 keys += [
-                    (g.n, sw, _split_tnode(p, sw, pos > 0)[1])
+                    (g.n, sw, _split_tnode(p, b, sw, pos > 0)[1])
                     for pos, p in enumerate(payloads) if pos >= q
                 ]
         expected.append(set(keys))
@@ -969,18 +969,18 @@ def test_uncached_verify_vertex_decodes_each_record_once(monkeypatch):
         assert len(records) == len(keys) and set(records) == keys, view.vid
 
 
-def _split_tnode(payload: Bits, sw: int, nested: bool):
-    """(prefix, element tail) of a T-node section payload with sw-bit slots,
-    as _dec_tnode reads it at a nested or at the root position, or None
-    when its prefix does not decode."""
+def _split_tnode(payload: Bits, b: int, sw: int, nested: bool):
+    """(prefix, element tail) of a T-node section payload of labels with
+    b-bit ids and sw-bit slots, as _dec_tnode reads it at a nested or at
+    the root position, or None when its prefix does not decode."""
     r = BitReader(payload)
     try:
         if nested:
             r.read_bit()  # side
         else:
-            r.read_varint()
+            r.read_expgolomb(b - 1)  # node eid
             r.read_uint(sw)
-        r.read_varint()
+        r.read_gamma()  # dist
         r.read_bit()
         r.read_bit()
     except DecodeError:
@@ -1013,7 +1013,7 @@ def _part_mutants(labels, rng):
         lay = read_layout(labels[e])
         sw = certify._index_bits(lay.m)
         for pos, payload in enumerate(lay.tnodes):
-            split = _split_tnode(payload, sw, pos > 0)
+            split = _split_tnode(payload, id_bits(lay.n), sw, pos > 0)
             if split is not None and split[1].nbits:
                 parts.append((e, pos) + split)
     out = []

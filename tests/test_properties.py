@@ -196,6 +196,20 @@ def test_fold_terms_roundtrip_the_codec():
         assert kinds[name, "int"] > 0 and kinds[name, "tuple"] > 0, name
 
 
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_honest_terms_at_k3_read_back_alone(name):
+    # Every class term the prover annotates at k = 3, each written as a
+    # bitstring of its own, reads back equal and uses every bit: the term
+    # reader's count guard lets every honest term through.
+    g, ir = generate(GeneratorSpec("random-ops", 40, 3, 0.3), 5)
+    ann = certify._annotate(g, name, 3, ir)[3]
+    for t in {bi.cls.term for bi in ann.sub.values()}:
+        w = BitWriter()
+        write_term(w, t)
+        r = BitReader(w.getvalue())
+        assert read_term(r) == t and r.remaining() == 0, t
+
+
 def append_suffix(prefix: OpSequence, suffix_ops):
     """Append abstract suffix ops, remapping fresh vertex ids past the prefix."""
     applied = apply_op_sequence(prefix)
@@ -331,8 +345,8 @@ def test_noncanonical_bipartite_term_is_malformed(monkeypatch):
             return orig(w, t)
         width = max(t).bit_length() + 1
         w.write_bit(1)
-        w.write_varint(len(t))
-        w.write_varint(width)
+        w.write_gamma(len(t))
+        w.write_gamma(width)
         for e in t:
             w.write_uint(e, width)
 

@@ -259,8 +259,8 @@ def packed_terms(draw):
     width = draw(st.integers(0, 20))
     w = BitWriter()
     w.write_bit(1)
-    w.write_varint(count)
-    w.write_varint(draw(st.sampled_from((width, width + 1, max(width - 1, 0), 1 << 40))))
+    w.write_gamma(count)
+    w.write_gamma(draw(st.sampled_from((width, width + 1, max(width - 1, 0), 1 << 40))))
     w.write_bits(draw(bitstrings(count * width + 8)))
     return w.getvalue()
 

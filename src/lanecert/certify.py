@@ -48,14 +48,16 @@ pointer fields: they map its bits to and from a ``Layout`` of the fields'
 values (a route's frames as a list of payloads, its prefix's pointer fields
 as (dist, is_tree, parent_min) triples), which ``encode_label`` fills and
 ``decode_label`` checks.  (``label_size_stats`` and fuzz's section edits
-see bare sections only.)  The framing, the header, the table's slot count
-m and its group lengths are varints; every other integer field is one of
-``encoding``'s bit-tight codes.  Small counts, ranks less 1, lanes less 1
-and dist are gamma codes; the eids a record names (its parent, T sides'
-nodes and children) are signed gamma codes relative to its own eid, as
-parent - eid - 1 and eid - 1 - x, so a nested payload decodes without the
-record above it; a record's own eid and the root section's node eid are
-Exp-Golomb codes of order b - 1, b the id width.
+see bare sections only.)  A section's type is 2 bits, one of the four
+SEC_* types, and every integer field is one of ``encoding``'s codes.  The
+header's n - 1 and w - 1, the table's slot count m, small counts, ranks
+less 1, lanes less 1 and dist are gamma codes; the table's group lengths,
+like every bit length, are Exp-Golomb codes of order LENGTH_ORDER; the
+eids a record names (its parent, T sides' nodes and children) are signed
+gamma codes relative to its own eid, as parent - eid - 1 and eid - 1 - x,
+so a nested payload decodes without the record above it; a record's own
+eid and the root section's node eid are Exp-Golomb codes of order b - 1,
+b the id width.
 
 The table writes each distinct BasicInfo of the label once, in one of three
 forms.  In full it is a w-bit lane mask, both terminal maps in one field and
@@ -134,6 +136,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .encoding import (
+    LENGTH_ORDER,
     BitReader,
     Bits,
     BitWriter,
@@ -172,10 +175,10 @@ from .recursive import (
     completion_to_op_sequence,
 )
 
-SEC_HEADER = 1
-SEC_TNODE = 2
-SEC_ROUTE = 3
-SEC_BASIC = 4
+SEC_HEADER = 0
+SEC_TNODE = 1
+SEC_ROUTE = 2
+SEC_BASIC = 3
 
 SECTION_NAMES = {
     SEC_HEADER: "header",
@@ -315,8 +318,8 @@ def read_layout(bits: Bits) -> Layout:
     if len(secs) < 2 or secs[0][0] != SEC_HEADER or secs[1][0] != SEC_BASIC:
         raise DecodeError("label must start with a header and a basic section")
     r = BitReader(secs[0][1])
-    n, w = r.read_varint(), r.read_varint()
-    if n < 1 or w < 1 or r.remaining():
+    n, w = r.read_gamma() + 1, r.read_gamma() + 1
+    if r.remaining():
         raise DecodeError("bad header")
     b = id_bits(n)
     tnodes = [payload for stype, payload in secs[2:] if stype == SEC_TNODE]
@@ -324,9 +327,9 @@ def read_layout(bits: Bits) -> Layout:
     if any(stype != SEC_ROUTE for stype, _ in rest):
         raise DecodeError("T-node sections, then route sections, are all a label may hold")
     r = BitReader(secs[1][1])
-    lay = Layout(n, w, r.read_varint(), [], tnodes, [])
+    lay = Layout(n, w, r.read_gamma(), [], tnodes, [])
     while r.remaining():
-        lay.groups.append(r.read_bits(r.read_varint()))
+        lay.groups.append(r.read_bits(r.read_expgolomb(LENGTH_ORDER)))
     named = lay.m  # entries 0 .. named - 1 are named by some slot so far
     for j, (_, payload) in enumerate(rest):
         r = BitReader(payload)
@@ -353,12 +356,12 @@ def write_layout(lay: Layout) -> Bits:
     """The label of lay: the inverse of read_layout."""
     b = id_bits(lay.n)
     hw, tw, out = BitWriter(), BitWriter(), BitWriter()
-    hw.write_varint(lay.n)
-    hw.write_varint(lay.w)
+    hw.write_gamma(lay.n - 1)
+    hw.write_gamma(lay.w - 1)
     write_section(out, SEC_HEADER, hw.getvalue())
-    tw.write_varint(lay.m)
+    tw.write_gamma(lay.m)
     for group in lay.groups:
-        tw.write_varint(group.nbits)
+        tw.write_expgolomb(group.nbits, LENGTH_ORDER)
         tw.write_bits(group)
     write_section(out, SEC_BASIC, tw.getvalue())
     for payload in lay.tnodes:
@@ -1594,21 +1597,6 @@ def _emit(g, k, lp, emb, hd, ann) -> Dict[Edge, Bits]:
     }
 
 
-def _simplify_path(path: List[int]) -> List[int]:
-    """Cut the loops out of a walk; the verifier needs each route to visit
-    every host edge at most once."""
-    out: List[int] = []
-    pos: Dict[int, int] = {}
-    for v in path:
-        if v in pos:
-            while len(out) > pos[v] + 1:
-                del pos[out.pop()]
-        else:
-            pos[v] = len(out)
-            out.append(v)
-    return out
-
-
 def _forms(g, k, hd, ann, emb: Embedding, w_lanes: int) -> Dict[Edge, Tuple[List[TSec], List[RSec]]]:
     """Each real edge's decoded form, its chain and route sections, of the
     objects annotate_classes shares: a TSec per element and pointer fields,
@@ -1646,7 +1634,7 @@ def _forms(g, k, hd, ann, emb: Embedding, w_lanes: int) -> Dict[Edge, Tuple[List
             )
     forms = {e: (chains[e], []) for e in real}
     for ve in sorted(set(chains) - real):
-        path = _simplify_path(emb.routes[ve])
+        path = emb.routes[ve]
         m = len(path) - 1
         for pos in range(m):
             forms[edge_key(path[pos], path[pos + 1])][1].append(
@@ -2217,7 +2205,7 @@ def label_size_stats(labels: Dict[Edge, Bits]) -> LabelStats:
             continue
         framed = 0
         for stype, payload in secs:
-            name = SECTION_NAMES.get(stype, "other")
+            name = SECTION_NAMES[stype]
             per[name] = per.get(name, 0) + payload.nbits
             framed += payload.nbits
         per["framing"] = per.get("framing", 0) + bits.nbits - framed

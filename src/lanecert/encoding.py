@@ -2,14 +2,10 @@
 term codec.
 
 Labels are bitstrings built MSB-first.  A label is a sequence of sections,
-each framed as (8-bit type, varint payload length in bits, payload), so a
-decoder can walk arbitrary input without trusting it.  A varint is 8-bit
-groups, the low 7 bits of the value first, the high bit set on all but the
-last; a last group of 0 after another is refused, so each value has one
-wire form.  Varints frame sections and bitstrings, and hold a label's
-header and table counts (``certify``); the other integer fields inside a
-payload use bit-tight codes that give small values few bits (Elias, IEEE
-Trans. Inf. Theory 21(2), 1975):
+each framed as (2-bit type, payload length in bits, payload), so a decoder
+can walk arbitrary input without trusting it.  Every integer on the wire
+is one of three codes that give small values few bits (Elias, IEEE Trans.
+Inf. Theory 21(2), 1975):
 
 - gamma: v is written as the Elias-gamma code of v + 1, that is z zeros
   and then the z + 1 bits of v + 1, whose top bit is 1; 0 is the one bit
@@ -20,7 +16,10 @@ Trans. Inf. Theory 21(2), 1975):
   v + 2**k (gamma is order 0 of v), so values below 2**k cost k + 1 bits.
 
 Each code gives each value one wire form: the zero run fixes the length
-and the top bit of what follows it is 1.
+and the top bit of what follows it is 1.  Every bit length on the wire (a
+section's payload, a bitstring's byte form, and in ``certify`` and
+``graph`` a table group and a stored edge label) is an Exp-Golomb code of
+order LENGTH_ORDER, so lengths below 128 cost 8 bits.
 """
 
 from __future__ import annotations
@@ -60,11 +59,11 @@ class Bits:
         return "Bits(%d bits)" % self.nbits
 
     def to_bytes(self) -> bytes:
-        """Pack as bytes: the bit count as a varint, then the payload
+        """Pack as bytes: the bit count's length code, then the payload,
         zero-padded to a byte."""
         w = BitWriter()
-        w.write_varint(self.nbits)
-        pad = -self.nbits % 8
+        w.write_expgolomb(self.nbits, LENGTH_ORDER)
+        pad = -(w.nbits + self.nbits) % 8
         w.write_uint(self.value << pad, self.nbits + pad)
         out = w.getvalue()
         return out.value.to_bytes(out.nbits // 8, "big")
@@ -72,11 +71,10 @@ class Bits:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bits":
         """The inverse of to_bytes, which gives each bitstring one byte
-        form: a non-minimal bit count, a set padding bit and bytes after
-        the payload are refused."""
+        form: a set padding bit and bytes after the payload are refused."""
         r = BitReader(cls(int.from_bytes(data, "big"), 8 * len(data)))
-        nbits = r.read_varint()
-        pad = r.remaining() - nbits  # the count ends on a byte boundary
+        nbits = r.read_expgolomb(LENGTH_ORDER)
+        pad = r.remaining() - nbits
         if pad < 0:
             raise DecodeError("truncated bitstring")
         if pad >= 8:
@@ -114,6 +112,16 @@ def _slice(value: int, nbits: int) -> Bits:
 # holds at most 64 bits of value.
 _MAX_ZEROS = 63
 
+# The Exp-Golomb order of every bit length on the wire.  Of orders 3 to 9,
+# 7 gives the smallest labels on both a cycle and a wide random-ops
+# instance.
+LENGTH_ORDER = 7
+_LENGTH_BASE = 1 << LENGTH_ORDER
+# read_sections' window: a frame's 2 type bits and 64 bits of its length
+# code.
+_WINDOW = (1 << 66) - 1
+_CODE_WINDOW = (1 << 64) - 1
+
 # A BitWriter gathers its newest bits in one int and moves them to its list
 # of chunks once that int passes this many bits, checked where long runs
 # are written (write_bits).  Appending to one ever growing int copies it
@@ -149,17 +157,6 @@ class BitWriter:
     def write_bit(self, b: int) -> None:
         self.write_uint(1 if b else 0, 1)
 
-    def write_varint(self, v: int) -> None:
-        if v < 0:
-            raise ValueError("varint must be non-negative")
-        groups = nb = 0
-        while v >= 0x80:
-            groups = (groups << 8) | 0x80 | (v & 0x7F)
-            nb += 8
-            v >>= 7
-        self.value = (self.value << (nb + 8)) | (groups << 8) | v
-        self.nbits += nb + 8
-
     def write_expgolomb(self, v: int, k: int) -> None:
         """The Exp-Golomb code of order k of v >= 0: v + 2**k in twice its
         bit length less k + 1 bits, so its top bit follows a zero run."""
@@ -171,8 +168,15 @@ class BitWriter:
         self.nbits += size
 
     def write_gamma(self, v: int) -> None:
-        """The Elias-gamma code of v + 1, for v >= 0: one bit for 0."""
-        self.write_expgolomb(v, 0)
+        """The Elias-gamma code of v + 1, for v >= 0: one bit for 0.  It is
+        write_expgolomb(v, 0) without the second call, as gamma codes are
+        most of a label's fields."""
+        x = v + 1
+        size = 2 * x.bit_length() - 1
+        if v < 0 or size > 2 * _MAX_ZEROS + 1:
+            raise ValueError("%d has no gamma code" % v)
+        self.value = (self.value << size) | x
+        self.nbits += size
 
     def write_signed(self, s: int) -> None:
         """The gamma code of s's zigzag form: 2s for s >= 0, -2s - 1 below."""
@@ -225,24 +229,6 @@ class BitReader:
     def read_bit(self) -> int:
         return self.read_uint(1)
 
-    def read_varint(self) -> int:
-        b = self.read_uint(8)
-        if not b & 0x80:
-            return b  # the usual case: one byte
-        v = b & 0x7F
-        shift = 7
-        while True:
-            if shift > 63:
-                raise DecodeError("varint too long")
-            b = self.read_uint(8)
-            v |= (b & 0x7F) << shift
-            if not b & 0x80:
-                if not b:
-                    # A last group of 0 would give v a second wire form.
-                    raise DecodeError("non-minimal varint")
-                return v
-            shift += 7
-
     def read_expgolomb(self, k: int) -> int:
         """The inverse of write_expgolomb; DecodeError for a code that the
         end of the bitstring cuts off or whose zero run is longer than 63
@@ -277,9 +263,18 @@ class BitReader:
 
 
 def write_section(w: BitWriter, sec_type: int, payload: Bits) -> None:
-    w.write_uint(sec_type, 8)
-    w.write_varint(payload.nbits)
-    w.write_bits(payload)
+    """Frame payload onto w: its 2-bit type, its bit length's code, then its
+    bits, in one append (write_uint, write_expgolomb and write_bits would
+    make three)."""
+    if sec_type >> 2:  # also below 0
+        raise ValueError("section type %d does not fit in 2 bits" % sec_type)
+    n = payload.nbits
+    x = n + _LENGTH_BASE
+    size = 2 * x.bit_length() - LENGTH_ORDER - 1
+    w.value = ((w.value << 2 | sec_type) << size | x) << n | payload.value
+    w.nbits += 2 + size + n
+    if w.nbits > _CHUNK_BITS:
+        w._flush()
 
 
 def write_sections(secs: List[Tuple[int, Bits]]) -> Bits:
@@ -293,33 +288,28 @@ def write_sections(secs: List[Tuple[int, Bits]]) -> Bits:
 def read_sections(bits: Bits) -> List[Tuple[int, Bits]]:
     """Split a label into (type, payload) frames; DecodeError on bad framing.
     The frame fields are cut from the label's int here: a label is split
-    once per decode, and a reader's calls would cost more than the cuts."""
+    once per decode, and a reader's calls would cost more than the cuts.
+    A frame's type and length code are read from a window of its first 66
+    bits, zero-filled past the end of the label, so a code that the end
+    cuts off runs the frame past it.  A length code longer than the window
+    holds a length of 2**36 bits or more, whose payload too runs past the
+    end of any bitstring."""
     value, end = bits.value, bits.nbits
     out = []
     pos = 0
     while pos < end:
-        pos += 8
+        left = end - pos
+        win = (value >> (left - 66) if left >= 66 else value << (66 - left)) & _WINDOW
+        code = win & _CODE_WINDOW  # the 64 bits after the 2 type bits
+        # A length code is its zero run twice and LENGTH_ORDER + 1 more bits.
+        size = 2 * (64 - code.bit_length()) + LENGTH_ORDER + 1
+        if size > 64:
+            raise DecodeError("read past end of bitstring")
+        n = (code >> (64 - size)) - _LENGTH_BASE
+        pos += 2 + size + n
         if pos > end:
             raise DecodeError("read past end of bitstring")
-        stype = value >> (end - pos) & 0xFF
-        n = shift = 0
-        while True:  # the payload length, a varint as BitReader reads it
-            if shift > 63:
-                raise DecodeError("varint too long")
-            pos += 8
-            if pos > end:
-                raise DecodeError("read past end of bitstring")
-            byte = value >> (end - pos) & 0xFF
-            n |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if not byte and shift:
-                    raise DecodeError("non-minimal varint")
-                break
-            shift += 7
-        pos += n
-        if pos > end:
-            raise DecodeError("read past end of bitstring")
-        out.append((stype, _slice(value >> (end - pos) & ((1 << n) - 1), n)))
+        out.append((win >> 64, _slice(value >> (end - pos) & ((1 << n) - 1), n)))
     return out
 
 

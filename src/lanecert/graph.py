@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .encoding import BitReader, Bits, BitWriter, DecodeError
+from .encoding import LENGTH_ORDER, BitReader, Bits, BitWriter, DecodeError
 
 Edge = Tuple[int, int]
 
@@ -285,8 +285,9 @@ def edge_labels_to_vertex_labels(
 ) -> Dict[int, Bits]:
     """Move each edge's label to its tail vertex, tagged with both endpoints.
 
-    Vertex label layout: varint count, then per stored edge: tail id, head id
-    (fixed-width ids), varint label bit-length, label bits.
+    Vertex label layout: the count of stored edges in gamma, then per
+    stored edge: tail id, head id (fixed-width ids), the label's bit length
+    in the length code (``encoding.LENGTH_ORDER``), label bits.
     """
     idb = id_bits(g.n)
     per_vertex: Dict[int, List[Tuple[int, int, Bits]]] = {v: [] for v in range(g.n)}
@@ -297,11 +298,11 @@ def edge_labels_to_vertex_labels(
     for v in range(g.n):
         entries = sorted(per_vertex[v], key=lambda t: (t[0], t[1]))
         w = BitWriter()
-        w.write_varint(len(entries))
+        w.write_gamma(len(entries))
         for tail, head, label in entries:
             w.write_uint(tail, idb)
             w.write_uint(head, idb)
-            w.write_varint(label.nbits)
+            w.write_expgolomb(label.nbits, LENGTH_ORDER)
             w.write_bits(label)
         out[v] = w.getvalue()
     return out
@@ -311,12 +312,12 @@ def decode_vertex_label(label: Bits, n: int) -> List[Tuple[int, int, Bits]]:
     """Inverse of the per-vertex packing: list of (tail, head, edge label)."""
     idb = id_bits(n)
     r = BitReader(label)
-    count = r.read_varint()
+    count = r.read_gamma()
     out = []
     for _ in range(count):
         tail = r.read_uint(idb)
         head = r.read_uint(idb)
-        nbits = r.read_varint()
+        nbits = r.read_expgolomb(LENGTH_ORDER)
         out.append((tail, head, r.read_bits(nbits)))
     if r.remaining():
         raise DecodeError("trailing bits in vertex label")

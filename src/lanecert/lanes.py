@@ -105,9 +105,12 @@ class Embedding:
     kinds: Dict[Edge, str] = field(default_factory=dict)
 
     def add(self, e: Edge, path: List[int], kind: str) -> None:
+        """Route e along the walk path with its loops cut out: a label
+        carries each route, and the verifier needs it to visit every host
+        edge at most once."""
         if edge_key(path[0], path[-1]) != e:
             raise LaneError("route %s does not join the endpoints of %s" % (path, e))
-        self.routes[e] = path
+        self.routes[e] = _loop_free(path)
         self.kinds[e] = kind
 
     def congestion_map(self, weak_only: bool = False) -> Dict[Edge, int]:
@@ -118,6 +121,20 @@ class Embedding:
             for he in {edge_key(a, b) for a, b in zip(path, path[1:])}:
                 counts[he] = counts.get(he, 0) + 1
         return counts
+
+
+def _loop_free(path: List[int]) -> List[int]:
+    """path with each closed subwalk cut out, so each vertex appears once."""
+    out: List[int] = []
+    pos: Dict[int, int] = {}
+    for v in path:
+        if v in pos:
+            while len(out) > pos[v] + 1:
+                del pos[out.pop()]
+        else:
+            pos[v] = len(out)
+            out.append(v)
+    return out
 
 
 def measure_congestion(e: Embedding, weak_only: bool = False) -> int:
@@ -320,7 +337,8 @@ def _crossing_route(
     y: int,
 ) -> List[int]:
     """Walk x → attachment of comp_a → along the main path → attachment of
-    comp_b → y, for a crossing lane edge between two components."""
+    comp_b → y, for a crossing lane edge between two components; the walk
+    may repeat a vertex, and Embedding.add cuts its loops."""
     ua, va = attach_a
     ub, vb = attach_b
     first = bfs_path(g, x, ua, comp_a)
@@ -329,15 +347,7 @@ def _crossing_route(
     if mid[0] != va:
         mid = mid[::-1]
     last = bfs_path(g, ub, y, comp_b)
-    route = list(first)
-    route.extend(mid)
-    route.extend(last)
-    # Collapse immediate repeats at the junctions (attachment edge endpoints).
-    clean = [route[0]]
-    for v in route[1:]:
-        if v != clean[-1]:
-            clean.append(v)
-    return clean
+    return first + mid + last
 
 
 # --- file formats -----------------------------------------------------------

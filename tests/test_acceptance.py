@@ -269,8 +269,10 @@ def _check_transform(g: Graph, prop: str, k: int, labels, expect_accept: bool):
     assert all_accept(verify_all(g, back, prop, k)) == expect_accept
     if labels:
         max_edge = max(b.nbits for b in labels.values())
-        framing = 8 * ((max_edge.bit_length() + 6) // 7)  # varint of the length
-        budget = 8 + max(1, o.d) * (max_edge + 2 * id_bits(g.n) + framing)
+        d = max(1, o.d)
+        count = 2 * (d + 1).bit_length() - 1  # gamma code of the edge count
+        framing = 2 * (max_edge + 128).bit_length() - 8  # the length code of order 7
+        budget = count + d * (max_edge + 2 * id_bits(g.n) + framing)
         assert all(v.nbits <= budget for v in vlabels.values()), (g.n, o.d)
 
 

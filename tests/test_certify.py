@@ -27,7 +27,7 @@ from lanecert.certify import (
     write_layout,
     write_verdict_file,
 )
-from lanecert.encoding import Bits, BitReader, BitWriter, DecodeError, read_sections, write_section, write_sections
+from lanecert.encoding import Bits, BitReader, BitWriter, DecodeError, read_sections, write_sections
 from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import build_graph, edge_key, id_bits
 from lanecert.intervals import width
@@ -143,13 +143,13 @@ def test_prove_refuses_an_element_below_two_records(monkeypatch):
 # change that moves any label changes a digest.  A deliberate wire change
 # updates the digests here and says so in CHANGES.md.
 WIRE_DIGESTS = {
-    ("cycle", 30, 3, "bipartite"): "21b47eff71089dcb9bcb524038d6b51ef17016033ab70c1ff4db221697b1e248",
-    ("caterpillar", 30, 3, "acyclic"): "7d4c38a256105dc537105bbb384105cf5febb67f30433ab2aabe714bf3c19d70",
-    ("random-ops", 40, 3, "parity"): "5e95b97853441259e7cfd4cc86de2f5186b2ec885bad918bea8e33357930175f",
-    ("cycle", 60, 2, "bipartite"): "656aae81fd8adc32c46db97f10db4a4338d9000eb7a898ec37e660f87616e536",
+    ("cycle", 30, 3, "bipartite"): "9a074924397ad676e18ae3271183ee46ca855e61165079eddd518e9ce3c26b08",
+    ("caterpillar", 30, 3, "acyclic"): "f38d8e09d2391647063af227ac7f3883b110d3800cb6b13723bbd0dfad5cb1b2",
+    ("random-ops", 40, 3, "parity"): "a24c69dc7727dae0aea0d1a5bd88bfc3d246ee0a567d455fd6aadd1d20894dc7",
+    ("cycle", 60, 2, "bipartite"): "03022061bb8a5e7af32e5670e28fc25909415959c247e3645602fe5af1d96472",
 }
 # C7 bipartite, a false statement of the acceptance suite, with forced labels.
-FORCED_C7_DIGEST = "f806fe34134ce14cd3f87863eb7270b6fb0e52feda7211ef258736bad590d700"
+FORCED_C7_DIGEST = "e1646d24d13dda4038c8b0573b3e0585792e8af2d8b75ef494a773fabe7cda22"
 
 
 def _wire_digest(labels):
@@ -300,63 +300,6 @@ def test_truncation_totality():
             assert not all_accept(verdicts)  # a missing section is noticed
 
 
-def _non_minimal_forgeries(bits):
-    """bits re-framed with one varint written in a second, non-minimal
-    form (a last 8-bit group of 0): the header's n, then each section's
-    payload length."""
-    secs = read_sections(bits)
-    assert secs[0][0] == certify.SEC_HEADER
-    hr = BitReader(secs[0][1])
-    n, w = hr.read_varint(), hr.read_varint()
-    assert n < 0x80 and hr.remaining() == 0
-    hw = BitWriter()
-    hw.write_uint(0x80 | n, 8)
-    hw.write_uint(0, 8)
-    hw.write_varint(w)
-    yield _frame([(certify.SEC_HEADER, hw.getvalue())] + secs[1:])
-    for i in range(len(secs)):
-        yield _frame(secs, padded=i)
-
-
-def _frame(secs, padded=None):
-    """The label of secs, section padded's payload length written with a
-    trailing 0 group."""
-    out = BitWriter()
-    for j, (stype, payload) in enumerate(secs):
-        if j != padded:
-            write_section(out, stype, payload)
-            continue
-        out.write_uint(stype, 8)
-        groups, v = [], payload.nbits
-        while v >= 0x80:
-            groups.append(0x80 | (v & 0x7F))
-            v >>= 7
-        for byte in groups + [0x80 | v, 0]:
-            out.write_uint(byte, 8)
-        out.write_bits(payload)
-    return out.getvalue()
-
-
-def test_non_minimal_varints_are_rejected_at_both_endpoints():
-    # The same label with one varint in a second wire form: no decode, and
-    # both endpoints of the edge reject it, with a shared memo and without.
-    g = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
-    labels = prove(g, "bipartite", 2)
-    assert all_accept(verify_all(g, labels, "bipartite", 2))
-    for e in sorted(labels)[:3]:
-        for forged in _non_minimal_forgeries(labels[e]):
-            assert forged != labels[e]
-            with pytest.raises(DecodeError):
-                decode_label(forged)
-            bad = dict(labels)
-            bad[e] = forged
-            verdicts = verify_all(g, bad, "bipartite", 2)
-            assert verdicts[e[0]].reason == verdicts[e[1]].reason == "decode"
-            for view in local_views(g, bad):
-                if view.vid in e:
-                    assert verify_vertex(view, "bipartite", 2) == verdicts[view.vid]
-
-
 def _bad_code_forgeries(labels):
     """(edge, kind, forged label, what decode_label says) for each code of a
     record or pointer field the decoder refuses: an eid delta of a child, a
@@ -454,6 +397,12 @@ def test_label_stats_sections():
     assert stats.total_bits == sum(b.nbits for b in labels.values())
     assert set(stats.per_section) >= {"header", "basic", "tnode", "framing"}
     assert label_size_stats({}).max_bits == 0
+    # A label that does not split into sections counts as opaque, whole.
+    with pytest.raises(DecodeError):
+        read_sections(Bits(0b101, 3))
+    mixed = label_size_stats({**labels, (0, 3): Bits(0b101, 3)})
+    assert mixed.per_section == {**stats.per_section, "opaque": 3}
+    assert mixed.total_bits == stats.total_bits + 3
 
 
 def test_decode_roundtrip_structure():
@@ -659,6 +608,77 @@ def test_encode_label_refuses_a_nested_section_off_the_side_above():
                     encode_label(lab.n, lab.w, lab.tnodes, lab.routes)
                 refused += 1
     assert refused > 0
+
+
+def test_encode_label_refuses_a_wide_relayed_prefix_dist():
+    # A route writes its shared prefix's dist in a pointer field of b bits,
+    # so a decoded form whose relayed prefix has a dist of 2^b - 1 encodes
+    # and decodes back, and one of 2^b is refused.
+    g, ir = generate(GeneratorSpec("cycle", 30, 2, 0.3), 0)
+    labels = prove(g, "bipartite", 2, ir=ir)
+    b = id_bits(g.n)
+    tried = 0
+    for bits in labels.values():
+        lab = decode_label(bits)
+        for j, (rs, rl) in enumerate(zip(lab.routes, read_layout(bits).routes)):
+            if not rl.q:
+                continue
+            for dist in ((1 << b) - 1, 1 << b):
+                chain = list(rs.tnodes)
+                chain[rl.q - 1] = replace(chain[rl.q - 1], dist=dist)
+                routes = list(lab.routes)
+                routes[j] = replace(rs, tnodes=chain)
+                if dist >> b:
+                    with pytest.raises(CertifyError, match="does not fit in %d bits" % b):
+                        encode_label(lab.n, lab.w, lab.tnodes, routes)
+                else:
+                    forged = encode_label(lab.n, lab.w, lab.tnodes, routes)
+                    assert decode_label(forged).routes[j].tnodes[rl.q - 1].dist == dist
+            tried += 1
+    assert tried > 0
+
+
+def _relinked(labels, eid, parent):
+    """labels with element eid's record naming parent as its parent, in
+    every label that carries the record."""
+    def relink(chain):
+        return [replace(s, elem=replace(s.elem, parent_eid=parent)) if s.elem.eid == eid else s for s in chain]
+
+    out = {}
+    for e, bits in labels.items():
+        lab = decode_label(bits)
+        routes = [replace(rs, tnodes=relink(rs.tnodes)) for rs in lab.routes]
+        out[e] = encode_label(lab.n, lab.w, relink(lab.tnodes), routes)
+    return out
+
+
+def test_a_child_naming_another_parent_is_rejected():
+    # A local lie: one child record names another B record as its parent,
+    # in every label that carries it; its fold and its glue are unchanged.
+    # A vertex where it glues on and that sees its real parent first
+    # rejects it as parent-link, in the loop over the parent's children
+    # (the other parent-link check is for a node's root element, which
+    # names no parent); one that sees the child first finds the parent it
+    # names missing.  Each rejecting vertex rejects alike on its own,
+    # without the shared memo.
+    g, ir = generate(GeneratorSpec("random-ops", 20, 3, 0.3), 0)
+    labels = prove(g, "parity", 3, ir=ir)
+    recs = {sec.elem.eid: sec.elem for bits in labels.values() for sec in decode_label(bits).tnodes}
+    lies = links = 0
+    for eid, rec in sorted(recs.items()):
+        if rec.parent_eid is None:
+            continue
+        lies += 1
+        other = min(x for x, r in recs.items() if r.kind == "B" and x not in (eid, rec.parent_eid))
+        bad = _relinked(labels, eid, other)
+        verdicts = verify_all(g, bad, "parity", 3)
+        reasons = {v.reason for v in verdicts.values() if not v.accept}
+        assert reasons and reasons <= {"parent-link", "parent-missing"}, (eid, reasons)
+        links += "parent-link" in reasons
+        for view in local_views(g, bad):
+            if not verdicts[view.vid].accept:
+                assert verify_vertex(view, "parity", 3) == verdicts[view.vid]
+    assert links == lies == 9
 
 
 @pytest.mark.parametrize("family,n,k,prop", [("cycle", 60, 2, "bipartite"),

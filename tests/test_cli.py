@@ -152,7 +152,7 @@ def test_malformed_label_file_is_usage_error(tmp_path, capsys):
     run(capsys, "gen", "--family", "cycle", "--n", "6", "--out-graph", gfile)
     # Field count, ids, hex, a second label of one edge, a self-pair and a
     # negative id.
-    for line in ("0 1", "a b 00", "0 1 zz", "0 1 0100\n1 0 0180", "2 2 0100", "-1 3 0100"):
+    for line in ("0 1", "a b 00", "0 1 zz", "0 1 8100\n1 0 8180", "2 2 8100", "-1 3 8100"):
         lfile = str(tmp_path / "bad.txt")
         with open(lfile, "w") as fh:
             fh.write(line + "\n")
@@ -168,7 +168,7 @@ def test_malformed_label_file_is_usage_error(tmp_path, capsys):
     lfile = str(tmp_path / "l.txt")
     run(capsys, "prove", "--graph", gfile, "--property", "bipartite", "--k", "2", "--out", lfile)
     with open(lfile, "a") as fh:
-        fh.write("0 3 0100\n")
+        fh.write("0 3 8100\n")
     code, out, err = run(capsys, "verify", "--graph", gfile, "--labels", lfile, "--property", "bipartite", "--k", "2")
     assert code == 2 and out == "", err
     assert err.startswith("error: bad label line for 0 3"), err

@@ -28,19 +28,23 @@ def test_bits_roundtrip_hex():
 
 
 @pytest.mark.parametrize(
-    "text", ["8300a0", "03bf", "03a0ff", "0001", "0080", "", "80", "0a00", "80" * 10 + "01"]
+    "text",
+    ["83bf", "83a0ff", "8000", "8300a0", "80" * 10 + "01", "", "00", "03bf", "0001", "0080", "0100",
+     "83", "03a0ff", "0a00", "00" * 8 + "ff"],
 )
 def test_bits_have_one_byte_form(text):
-    # 03a0 is Bits(0b101, 3); a non-minimal bit count (83 00), a set
-    # padding bit (bf), and a byte after the payload (ff) are other forms of
-    # it, and 00 is the empty bitstring.  No count (""), a count cut short
-    # (80), a payload cut short (0a00) and a count of 11 varint groups are
-    # no form at all.
-    assert Bits.from_hex("03a0") == Bits(0b101, 3)
-    assert Bits.from_hex("00") == Bits()
-    # A count of 128 bits or more takes two varint groups.
-    assert Bits.from_hex("8001" + "00" * 15 + "01") == Bits(1, 128)
-    for nbits in (127, 128, 300, 20000):
+    # 83a0 is Bits(0b101, 3): the count 3 in the 8-bit length code (83),
+    # then 101 and five padding bits; 80 is the empty bitstring.  A set
+    # padding bit (83bf) and bytes after the payload (83a0ff, 8000, 8300a0,
+    # 8080...01) are other forms of them.  No count (""), a count cut
+    # short (00, 03bf, 0001, 0080, 0100), a payload cut short (83, 03a0ff,
+    # 0a00) and a count whose zero run is 64 bits long are no form at all.
+    assert Bits.from_hex("83a0") == Bits(0b101, 3)
+    assert Bits.from_hex("80") == Bits()
+    # A count of 128 bits or more takes a 10-bit code, so the payload
+    # starts inside the second byte.
+    assert Bits.from_hex("40" + "00" * 16 + "40") == Bits(1, 128)
+    for nbits in (119, 120, 121, 127, 128, 300, 20000):
         b = Bits((1 << nbits) - 3, nbits)
         assert Bits.from_bytes(b.to_bytes()) == b
     with pytest.raises(DecodeError):
@@ -67,14 +71,14 @@ def test_writer_reader_roundtrip():
                 w.write_uint(v, width)
             else:
                 v = rng.randrange(0, 1 << rng.randrange(1, 40))
-                fields.append(("v", v, None))
-                w.write_varint(v)
+                fields.append(("g", v, None))
+                w.write_gamma(v)
         r = BitReader(w.getvalue())
         for kind, v, width in fields:
             if kind == "u":
                 assert r.read_uint(width) == v
             else:
-                assert r.read_varint() == v
+                assert r.read_gamma() == v
         assert r.remaining() == 0
 
 
@@ -246,19 +250,29 @@ def test_reader_slices_equal_checked_bits():
         assert tail == Bits(whole.value & ((1 << (nbits - cut)) - 1), nbits - cut)
         assert hash(head) == hash(Bits(head.value, head.nbits))
     w = BitWriter()
-    write_section(w, 5, Bits(0b110, 3))
+    write_section(w, 3, Bits(0b110, 3))
     ((stype, payload),) = read_sections(w.getvalue())
-    assert (stype, payload) == (5, Bits(0b110, 3)) and type(payload) is Bits
+    assert (stype, payload) == (3, Bits(0b110, 3)) and type(payload) is Bits
 
 
 def test_sections_roundtrip():
+    # Each of the four 2-bit types, and payload lengths on both sides of
+    # the length code's steps (128 and 384 bits); a frame is 10 bits more
+    # than its payload below 128 bits, 12 below 384.
     w = BitWriter()
     p1 = Bits(0b1011, 4)
     p2 = Bits(0, 0)
-    write_section(w, 3, p1)
-    write_section(w, 7, p2)
-    assert read_sections(w.getvalue()) == [(3, p1), (7, p2)]
-    assert write_sections([(3, p1), (7, p2)]) == w.getvalue()
+    write_section(w, 1, p1)
+    write_section(w, 3, p2)
+    assert w.nbits == 10 + 4 + 10
+    assert read_sections(w.getvalue()) == [(1, p1), (3, p2)]
+    assert write_sections([(1, p1), (3, p2)]) == w.getvalue()
+    secs = [(t, Bits((1 << n) - 1, n)) for t, n in ((0, 127), (1, 128), (2, 383), (3, 384), (0, 5000))]
+    bits = write_sections(secs)
+    assert read_sections(bits) == secs
+    assert bits.nbits == sum(n for n in (127, 128, 383, 384, 5000)) + 10 + 12 + 12 + 14 + 20
+    with pytest.raises(ValueError):
+        write_section(BitWriter(), 4, p1)
 
 
 def test_sections_garbage_rejected():
@@ -375,23 +389,40 @@ def test_write_term_refuses_nested_and_negative(term):
         write_term(BitWriter(), term)
 
 
-def test_non_minimal_varints_are_refused():
-    # 0x85 0x00 would be a second wire form of 5; a first byte of 0 is the
-    # value 0 itself.
-    assert BitReader(Bits(0, 8)).read_varint() == 0
-    assert BitReader(Bits(0x8501, 16)).read_varint() == 5 + (1 << 7)
-    for value, nbits in ((0x8500, 16), (0x858000, 24)):
-        with pytest.raises(DecodeError):
-            BitReader(Bits(value, nbits)).read_varint()
-    # The same in a section's payload length.
+@settings(max_examples=400, deadline=None)
+@given(nbits=st.integers(0, 300), data=st.data())
+def test_sections_have_one_wire_form(nbits, data):
+    # read_sections cuts the length codes itself, not through BitReader:
+    # any bitstring splits into frames or raises DecodeError, and the
+    # frames write back as exactly the bits they were read from.  Half the
+    # draws frame a few random payloads and cut some bits off the end, so
+    # that the split gets past the first frame.
+    if data.draw(st.booleans()):
+        bits = Bits(data.draw(st.integers(0, (1 << nbits) - 1)), nbits)
+    else:
+        secs = [(t, Bits(v, n)) for t, n, v in data.draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 200)).flatmap(
+                lambda tn: st.tuples(st.just(tn[0]), st.just(tn[1]), st.integers(0, (1 << tn[1]) - 1))),
+            max_size=4))]
+        bits = write_sections(secs)
+        cut = data.draw(st.integers(0, bits.nbits))
+        bits = Bits(bits.value >> cut, bits.nbits - cut)
+    try:
+        secs = read_sections(bits)
+    except DecodeError:
+        return
+    assert write_sections(secs) == bits
+
+
+def test_section_lengths_past_the_end_are_refused():
+    # A length code cut off by the end, one that a zero run of 64 bits
+    # opens (past the 66-bit window) and a payload longer than what is left
+    # are refused; a length code with a zero run reads back.
+    for bits in (Bits(0b01, 2), Bits(0b0100001, 7), Bits(1, 2 + 64 + 9), Bits(0b01_10000011_10, 12)):
+        with pytest.raises(DecodeError, match="read past end"):
+            read_sections(bits)
     w = BitWriter()
-    w.write_uint(3, 8)
-    w.write_uint(0x8100, 16)  # length 1, non-minimal
-    w.write_uint(1, 1)
-    with pytest.raises(DecodeError):
-        read_sections(w.getvalue())
-    w = BitWriter()
-    w.write_uint(3, 8)
-    w.write_uint(0x01, 8)
-    w.write_uint(1, 1)
-    assert read_sections(w.getvalue()) == [(3, Bits(1, 1))]
+    w.write_uint(2, 2)
+    w.write_expgolomb(130, 7)  # a zero, then 9 bits
+    w.write_uint(1, 130)
+    assert read_sections(w.getvalue()) == [(2, Bits(1, 130))]

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from lanecert.certify import decode_label, prove
+from lanecert.generators import GeneratorSpec, generate
 from lanecert.graph import GraphError, build_graph, edge_key
 from lanecert.intervals import (
     Interval,
@@ -173,3 +175,19 @@ def test_measure_congestion_direct():
     assert measure_congestion(emb) == 2
     with pytest.raises(LaneError):
         emb.add((0, 3), [0, 1, 2], "weak")  # route ends at 2, not 3
+
+
+def test_routes_are_loop_free():
+    # Embedding.add keeps a walk with its closed subwalks cut out, so each
+    # route visits every vertex once, and measure_congestion counts the
+    # routes that the labels carry: the most route sections on one edge.
+    # Here the lane construction walks 8 routes with loops.
+    emb = Embedding()
+    emb.add((0, 5), [0, 1, 2, 1, 1, 3, 2, 4, 5], "weak")
+    assert emb.routes[(0, 5)] == [0, 1, 3, 2, 4, 5]
+    g, ir = generate(GeneratorSpec("random-ops", 60, 3, 0.3), 3)
+    lp, emb = build_lane_partition(g, ir)
+    assert all(len(set(path)) == len(path) for path in emb.routes.values())
+    labels = prove(g, "parity", 3, ir=ir)
+    carried = max(len(decode_label(bits).routes) for bits in labels.values())
+    assert measure_congestion(emb) == carried

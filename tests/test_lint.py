@@ -299,11 +299,11 @@ def test_test_only_code_detector():
 
 def test_section_names_cover_every_section_type():
     # label_size_stats and `lanecert stats` name each section by
-    # SECTION_NAMES; a type it misses would be counted as "other".
+    # SECTION_NAMES, which must name each of the four 2-bit types.
     from lanecert import certify
 
     types = {value for name, value in vars(certify).items() if name.startswith("SEC_")}
-    assert set(certify.SECTION_NAMES) == types
+    assert set(certify.SECTION_NAMES) == types == {0, 1, 2, 3}
     assert len(set(certify.SECTION_NAMES.values())) == len(types)
 
 
